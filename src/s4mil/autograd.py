@@ -27,13 +27,6 @@ POLE_REAL_CEILING = -1e-4
 
 LAYERNORM_EPS = 1e-5
 
-OPS = frozenset({
-    "leaf", "matvec", "add", "elementwise-mul", "sigmoid", "exp", "log",
-    "max-pool-over-sequence", "layernorm", "ssm-conv", "softmax-log-loss",
-    "scale",
-})
-
-
 @dataclass
 class Node:
     op: str
@@ -64,7 +57,6 @@ class Tape:
     # -- construction helpers ------------------------------------------------
 
     def _append(self, op: str, value: np.ndarray, parents=(), name=None, backward_fn=None) -> Node:
-        assert op in OPS, op
         node = Node(op=op, value=value, parents=tuple(parents), name=name,
                     backward_fn=backward_fn)
         self.nodes.append(node)
@@ -212,17 +204,18 @@ class Tape:
             uv, a_re.value, a_im.value, c_re.value, c_im.value, d.value,
             log_dt.value, rule, keep_cache=self.grad_enabled,
         )
-        value = y64.astype(self.dtype)
+        dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
+        value = y64.astype(dtype)
 
         def backward_fn(g):
             grads = grad_ssm_conv(np.asarray(g, dtype=np.float64), cache)
-            u.grad += grads["u"].astype(self.dtype)
-            a_re.grad += grads["a_re"].astype(self.dtype)
-            a_im.grad += grads["a_im"].astype(self.dtype)
-            c_re.grad += grads["c_re"].astype(self.dtype)
-            c_im.grad += grads["c_im"].astype(self.dtype)
-            d.grad += grads["d"].astype(self.dtype)
-            log_dt.grad += grads["log_dt"].astype(self.dtype)
+            u.grad += grads["u"].astype(dtype)
+            a_re.grad += grads["a_re"].astype(dtype)
+            a_im.grad += grads["a_im"].astype(dtype)
+            c_re.grad += grads["c_re"].astype(dtype)
+            c_im.grad += grads["c_im"].astype(dtype)
+            d.grad += grads["d"].astype(dtype)
+            log_dt.grad += grads["log_dt"].astype(dtype)
 
         return self._append("ssm-conv", value, (u, a_re, a_im, c_re, c_im, d, log_dt),
                             backward_fn=backward_fn)
@@ -246,14 +239,15 @@ class Tape:
         rows = np.arange(lv.shape[0])
         per_row = -log_p[rows, labels]
         total = per_row.sum() if reduction == "sum" else per_row.mean()
-        value = np.asarray(total, dtype=self.dtype)
+        dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
+        value = np.asarray(total, dtype=dtype)
 
         def backward_fn(g):
             p = np.exp(log_p)
             p[rows, labels] -= 1.0
             if reduction == "mean":
                 p /= lv.shape[0]
-            gl = (float(g) * p).astype(self.dtype)
+            gl = (float(g) * p).astype(dtype)
             logits.grad += gl[0] if squeeze else gl
 
         return self._append("softmax-log-loss", value, (logits,), backward_fn=backward_fn)
@@ -289,19 +283,27 @@ class Tape:
 
 @dataclass
 class SsmConvCache:
-    rule: str
     u64: np.ndarray | None
     kernels: np.ndarray | None
-    a: np.ndarray
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-    w: np.ndarray
+    disc: ssm.Discretization
     dt: np.ndarray
-    den: np.ndarray | None
-    tiny: np.ndarray | None
     clamp_mask: np.ndarray
     c: np.ndarray
     d: np.ndarray
+
+
+def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
+    """Continuous (a, c, dt, clamp_mask) of a channel bank from its raw parameters.
+
+    Pole real parts are clamped to at most POLE_REAL_CEILING; clamp_mask is
+    True where a_re is below the ceiling and so passes gradient.
+    """
+    a_re64 = np.asarray(a_re, dtype=np.float64)
+    clamp_mask = a_re64 <= POLE_REAL_CEILING
+    a = np.minimum(a_re64, POLE_REAL_CEILING) + 1j * np.asarray(a_im, dtype=np.float64)
+    c = np.asarray(c_re, dtype=np.float64) + 1j * np.asarray(c_im, dtype=np.float64)
+    dt = np.exp(np.asarray(log_dt, dtype=np.float64))
+    return a, c, dt, clamp_mask
 
 
 def _conv_chunk(h: int, fft_len: int) -> int:
@@ -334,38 +336,17 @@ def _chunked_corr(g: np.ndarray, vt: np.ndarray) -> np.ndarray:
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
     length = u.shape[0]
     u64 = np.ascontiguousarray(np.asarray(u, dtype=np.float64).T)  # (H, L)
-    a_re64 = np.asarray(a_re, dtype=np.float64)
-    clamp_mask = a_re64 <= POLE_REAL_CEILING
-    a = np.minimum(a_re64, POLE_REAL_CEILING) + 1j * np.asarray(a_im, dtype=np.float64)
-    c = np.asarray(c_re, dtype=np.float64) + 1j * np.asarray(c_im, dtype=np.float64)
-    dt = np.exp(np.asarray(log_dt, dtype=np.float64))
-    den = tiny = None
-    if rule == "bilinear":
-        half = 0.5 * dt[:, None] * a
-        den = 1.0 - half
-        if np.any(np.abs(den) < ssm.PIVOT_EPS):
-            raise NumericalError("degenerate bilinear pivot inside ssm-conv")
-        a_bar = (1.0 + half) / den
-        b_bar = dt[:, None] / den
-    elif rule == "zoh":
-        a_bar = np.exp(dt[:, None] * a)
-        tiny = np.abs(a) < ssm.ZERO_POLE_EPS
-        safe = np.where(tiny, 1.0, a)
-        b_bar = np.where(tiny, dt[:, None] + 0j, (a_bar - 1.0) / safe)
-    else:
-        raise ContractError(f"unknown discretization rule {rule!r}")
-    w = c * b_bar
-    kernels = ssm.kernel_bank(c, a_bar, b_bar, length)  # (H, L)
+    a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
+    disc = ssm.discretize(a, dt, rule)
+    kernels = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length)  # (H, L)
     d64 = np.asarray(d, dtype=np.float64)
     y = (_chunked_conv(kernels, u64) + d64[:, None] * u64).T
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(
-        rule=rule,
         u64=u64 if keep_cache else None,
         kernels=kernels if keep_cache else None,
-        a=a, a_bar=a_bar, b_bar=b_bar, w=w, dt=dt, den=den, tiny=tiny,
-        clamp_mask=clamp_mask, c=c, d=d64,
+        disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, d=d64,
     )
     return y, cache
 
@@ -390,35 +371,22 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
 
     gk = _chunked_corr(g, u64)  # dL/dK, shape (H, L)
 
-    conj_abar = np.conj(cache.a_bar)
+    disc = cache.disc
+    conj_abar = np.conj(disc.a_bar)
     w_hat = 2.0 * ssm.power_weighted_sum(conj_abar, gk)
     shifted = gk[:, 1:] * np.arange(1, length)[None, :]
     if shifted.shape[1] == 0:
         s_shift = np.zeros_like(conj_abar)
     else:
         s_shift = ssm.power_weighted_sum(conj_abar, shifted)
-    abar_hat = 2.0 * np.conj(cache.w) * s_shift
+    abar_hat = 2.0 * np.conj(cache.c * disc.b_bar) * s_shift
 
-    c_hat = w_hat * np.conj(cache.b_bar)
+    c_hat = w_hat * np.conj(disc.b_bar)
     bbar_hat = w_hat * np.conj(cache.c)
 
-    dt_col = cache.dt[:, None]
-    if cache.rule == "bilinear":
-        den2 = cache.den * cache.den
-        da_da = dt_col / den2
-        da_ddt = cache.a / den2
-        db_da = dt_col * dt_col / (2.0 * den2)
-        db_ddt = 1.0 / den2
-    else:  # zoh
-        da_da = dt_col * cache.a_bar
-        da_ddt = cache.a * cache.a_bar
-        safe = np.where(cache.tiny, 1.0, cache.a)
-        db_da = np.where(cache.tiny, dt_col * dt_col / 2.0 + 0j,
-                         (dt_col * cache.a_bar - cache.b_bar) / safe)
-        db_ddt = cache.a_bar
-
-    a_hat = abar_hat * np.conj(da_da) + bbar_hat * np.conj(db_da)
-    ddt = (abar_hat * np.conj(da_ddt) + bbar_hat * np.conj(db_ddt)).real.sum(axis=1)
+    a_hat = abar_hat * np.conj(disc.da_bar_da) + bbar_hat * np.conj(disc.db_bar_da)
+    ddt = (abar_hat * np.conj(disc.da_bar_ddt)
+           + bbar_hat * np.conj(disc.db_bar_ddt)).real.sum(axis=1)
     grad_log_dt = cache.dt * ddt
 
     return {

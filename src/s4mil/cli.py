@@ -351,7 +351,7 @@ def _random_stable_channel(rng, n_half):
     c = rng.standard_normal(n_half) + 1j * rng.standard_normal(n_half)
     d = float(rng.standard_normal())
     dt = float(rng.uniform(1e-3, 1.0))
-    return ssm.SsmChannelParams.from_timestep(a=a, c=c, d=d, dt=dt)
+    return a, c, d, dt
 
 
 def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: float,
@@ -363,15 +363,15 @@ def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: fl
     for trial in range(trials):
         n_half = int(rng.integers(1, max_state + 1))
         length = int(rng.integers(1, max_length + 1))
-        params = _random_stable_channel(rng, n_half)
+        a, c, d, dt = _random_stable_channel(rng, n_half)
         u = rng.standard_normal(length)
         for rule in ("bilinear", "zoh"):
-            disc = ssm.discretize(params, rule)
-            kernel = ssm.compute_kernel(disc, params.c, length)
+            disc = ssm.discretize(a, dt, rule)
+            kernel = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length)
             if inject_fault and trial == 0:
-                kernel = ssm.KernelCache(length=length, values=-kernel.values)
-            y_conv = ssm.convolve(kernel, u, d=params.d)
-            y_rec = ssm.run_recurrence(disc, params.c, params.d, u)
+                kernel = -kernel
+            y_conv = ssm.fft_causal_conv(kernel, u) + d * u
+            y_rec = ssm.run_recurrence(disc.a_bar, disc.b_bar, c, d, u)
             err = float(np.max(np.abs(y_conv - y_rec)) / (1.0 + np.max(np.abs(y_rec))))
             worst = max(worst, err)
             checked += 1

@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ssm
-from .autograd import POLE_REAL_CEILING, Node, Tape
-from .errors import ContractError, EmptyBagError
+from .autograd import Node, Tape, _sigmoid, ssm_parameters
+from .errors import ContractError, EmptyBagError, NumericalError
 from .seeding import substream
 
 DISCRETIZATIONS = ("bilinear", "zoh")
@@ -191,10 +191,7 @@ def gated_linear_unit(v: np.ndarray) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] % 2 != 0:
         raise ContractError(f"gated linear unit needs an even-length vector, got shape {v.shape}")
     h = v.shape[0] // 2
-    gate = v[h:]
-    sig = np.where(gate >= 0, 1.0 / (1.0 + np.exp(-np.abs(gate))),
-                   np.exp(-np.abs(gate)) / (1.0 + np.exp(-np.abs(gate))))
-    return v[:h] * sig
+    return v[:h] * _sigmoid(v[h:])
 
 
 class TapeBundle(NamedTuple):
@@ -219,19 +216,16 @@ def _check_features(config: ModelConfig, features: np.ndarray) -> np.ndarray:
 
 def _recurrence_layer_output(params: dict, prefix: str, u: np.ndarray, rule: str) -> np.ndarray:
     """Per-channel oracle path: run each channel's stepped recurrence."""
-    a_re = np.minimum(np.asarray(params[f"{prefix}.a_re"], dtype=np.float64), POLE_REAL_CEILING)
-    a_im = np.asarray(params[f"{prefix}.a_im"], dtype=np.float64)
-    c = np.asarray(params[f"{prefix}.c_re"], dtype=np.float64) \
-        + 1j * np.asarray(params[f"{prefix}.c_im"], dtype=np.float64)
+    names = ("a_re", "a_im", "c_re", "c_im", "log_dt")
+    a, c, dt, _ = ssm_parameters(*(params[f"{prefix}.{k}"] for k in names))
+    disc = ssm.discretize(a, dt, rule)
     d = np.asarray(params[f"{prefix}.d"], dtype=np.float64)
-    log_dt = np.asarray(params[f"{prefix}.log_dt"], dtype=np.float64)
-    out = np.empty((u.shape[0], u.shape[1]), dtype=np.float64)
+    out = np.empty(u.shape, dtype=np.float64)
     for hch in range(u.shape[1]):
-        channel = ssm.SsmChannelParams(
-            a=a_re[hch] + 1j * a_im[hch], c=c[hch], d=float(d[hch]), log_dt=float(log_dt[hch])
-        )
-        disc = ssm.discretize(channel, rule, channel=str(hch))
-        out[:, hch] = ssm.run_recurrence(disc, channel.c, channel.d, u[:, hch])
+        out[:, hch] = ssm.run_recurrence(disc.a_bar[hch], disc.b_bar[hch], c[hch], d[hch],
+                                         u[:, hch])
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("recurrence produced non-finite outputs")
     return out
 
 

@@ -1,9 +1,10 @@
-"""Diagonal state space mathematics.
+"""Diagonal state space mathematics on stacked channels.
 
 A channel is a single-input single-output linear system with a diagonal
-(complex) state matrix.  Continuous parameters (a, c, d, log_dt) are
-discretized to (a_bar, b_bar) by either the bilinear map or zero-order hold,
-after which the channel can be evaluated two ways:
+(complex) state matrix.  Continuous poles ``a`` and timesteps ``dt`` are
+discretized to (a_bar, b_bar) by either the bilinear map or zero-order hold
+(``discretize``, the only place these rules live), after which a channel can
+be evaluated two ways:
 
   * recurrence:   x_t = a_bar * x_{t-1} + b_bar * u_t,
                   y_t = 2 Re(c . x_t) + d u_t
@@ -13,8 +14,7 @@ The two views must agree to near machine precision; the recurrence is the
 slow oracle-grade path, the kernel + FFT convolution is the fast path.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
-outputs take twice the real part (``pairs=True``).  ``pairs=False`` disables
-the doubling so tests can drive plain scalar systems.
+outputs take twice the real part.
 
 Kernel powers are accumulated by running products in 64-bit complex
 arithmetic regardless of the model's working precision, using a sqrt(L)
@@ -24,7 +24,7 @@ stays O(n_half * L) without materializing an (n_half, L) power table per
 evaluation step.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,155 +34,64 @@ PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
 
 
-def _as_complex_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ContractError(f"{name} must be a non-empty 1-d complex vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ContractError(f"{name} contains non-finite entries")
-    return arr
-
-
-@dataclass(frozen=True)
-class SsmChannelParams:
-    """Continuous-time parameters of one diagonal channel.
-
-    ``a`` and ``c`` hold one member of each conjugate pole pair (n_half
-    entries for a state of dimension 2*n_half).  ``d`` is the feedthrough
-    scalar and ``log_dt`` the natural log of the timestep.
-    """
-
-    a: np.ndarray
-    c: np.ndarray
-    d: float
-    log_dt: float
-
-    def __post_init__(self):
-        a = _as_complex_vector(self.a, "a")
-        c = _as_complex_vector(self.c, "c")
-        if a.shape != c.shape:
-            raise ContractError(f"a and c must match: {a.shape} vs {c.shape}")
-        if np.any(a.real >= 0):
-            k = int(np.argmax(a.real >= 0))
-            raise ContractError(f"unstable channel: re(a[{k}]) = {a.real[k]} >= 0")
-        if not np.isfinite(self.log_dt):
-            raise ContractError(f"log_dt must be finite, got {self.log_dt}")
-        if not np.isfinite(self.d):
-            raise ContractError(f"d must be finite, got {self.d}")
-        a.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def from_timestep(cls, a, c, d: float, dt: float) -> "SsmChannelParams":
-        """Build from a raw timestep; dt <= 0 is rejected here, not clamped."""
-        if not (dt > 0) or not np.isfinite(dt):
-            raise ContractError(f"timestep must be positive and finite, got {dt}")
-        return cls(a=a, c=c, d=d, log_dt=float(np.log(dt)))
-
-    @property
-    def n_half(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def dt(self) -> float:
-        return float(np.exp(self.log_dt))
-
-
-@dataclass(frozen=True)
-class DiscretizedChannel:
-    """Discrete transition (a_bar) and input (b_bar) coefficients per pole."""
-
-    a_bar: np.ndarray
-    b_bar: np.ndarray
-
-    def __post_init__(self):
-        a_bar = _as_complex_vector(self.a_bar, "a_bar")
-        b_bar = _as_complex_vector(self.b_bar, "b_bar")
-        if a_bar.shape != b_bar.shape:
-            raise ContractError(f"a_bar and b_bar must match: {a_bar.shape} vs {b_bar.shape}")
-        a_bar.setflags(write=False)
-        b_bar.setflags(write=False)
-        object.__setattr__(self, "a_bar", a_bar)
-        object.__setattr__(self, "b_bar", b_bar)
-
-
-@dataclass(frozen=True)
-class KernelCache:
-    """Materialized real convolution kernel of one channel at one length."""
-
-    length: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if self.length < 1 or values.shape != (self.length,):
-            raise ContractError(
-                f"kernel must hold exactly length={self.length} values, got shape {values.shape}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
 # --------------------------------------------------------------------------
 # Discretization
 # --------------------------------------------------------------------------
 
-def bilinear_arrays(a: np.ndarray, dt, channel: str | None = None):
-    """Bilinear (Tustin) map on stacked poles.
+class Discretization(NamedTuple):
+    """Discrete coefficients per pole and their derivatives in a and dt."""
 
-    a_bar = (1 - dt*a/2)^-1 (1 + dt*a/2),  b_bar = (1 - dt*a/2)^-1 dt
-    (the input vector is fixed to ones).  ``a`` has shape (..., n) and
-    ``dt`` broadcasts against (...,).
+    a_bar: np.ndarray
+    b_bar: np.ndarray
+    da_bar_da: np.ndarray
+    da_bar_ddt: np.ndarray
+    db_bar_da: np.ndarray
+    db_bar_ddt: np.ndarray
+
+
+def discretize(a, dt, rule: str) -> Discretization:
+    """Discretize stacked poles ``a`` (..., n) with timesteps ``dt`` (...).
+
+    bilinear:  a_bar = (1 + dt*a/2) / (1 - dt*a/2),  b_bar = dt / (1 - dt*a/2)
+    zoh:       a_bar = exp(dt*a),  b_bar = (a_bar - 1) / a, with the series
+               limit b_bar = dt for |a| < ZERO_POLE_EPS
+    The input vector is fixed to ones.  Every returned array has the
+    broadcast shape of ``a`` and ``dt[..., None]``.
     """
     a = np.asarray(a, dtype=np.complex128)
-    dt = np.asarray(dt, dtype=np.float64)
-    half = 0.5 * dt[..., None] * a
-    den = 1.0 - half
-    bad = np.abs(den) < PIVOT_EPS
-    if np.any(bad):
-        idx = tuple(int(i[0]) for i in np.nonzero(bad))
-        where = f"channel {channel}, " if channel is not None else ""
-        raise NumericalError(
-            f"degenerate bilinear pivot |1 - dt*a/2| < {PIVOT_EPS} at {where}pole index {idx[-1]}"
-        )
-    a_bar = (1.0 + half) / den
-    b_bar = dt[..., None] / den
-    return a_bar, b_bar
-
-
-def zoh_arrays(a: np.ndarray, dt):
-    """Zero-order-hold map: a_bar = exp(dt*a), b_bar = (a_bar - 1)/a.
-
-    Poles with |a| < ZERO_POLE_EPS use the series limit b_bar = dt.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    dt = np.asarray(dt, dtype=np.float64)
-    a_bar = np.exp(dt[..., None] * a)
-    tiny = np.abs(a) < ZERO_POLE_EPS
-    safe = np.where(tiny, 1.0, a)
-    b_bar = (a_bar - 1.0) / safe
-    if np.any(tiny):
-        b_bar = np.where(tiny, np.broadcast_to(dt[..., None] + 0j, b_bar.shape), b_bar)
-    return a_bar, b_bar
-
-
-def discretize_bilinear(params: SsmChannelParams, channel: str | None = None) -> DiscretizedChannel:
-    a_bar, b_bar = bilinear_arrays(params.a, params.dt, channel=channel)
-    return DiscretizedChannel(a_bar=a_bar, b_bar=b_bar)
-
-
-def discretize_zoh(params: SsmChannelParams) -> DiscretizedChannel:
-    a_bar, b_bar = zoh_arrays(params.a, params.dt)
-    return DiscretizedChannel(a_bar=a_bar, b_bar=b_bar)
-
-
-def discretize(params: SsmChannelParams, rule: str, channel: str | None = None) -> DiscretizedChannel:
+    dt_col = np.asarray(dt, dtype=np.float64)[..., None]
     if rule == "bilinear":
-        return discretize_bilinear(params, channel=channel)
+        half = 0.5 * dt_col * a
+        den = 1.0 - half
+        bad = np.abs(den) < PIVOT_EPS
+        if np.any(bad):
+            *channel, pole = (int(i[0]) for i in np.nonzero(bad))
+            where = f"channel {', '.join(map(str, channel))}, " if channel else ""
+            raise NumericalError(
+                f"degenerate bilinear pivot |1 - dt*a/2| < {PIVOT_EPS} at {where}pole index {pole}"
+            )
+        den2 = den * den
+        return Discretization(
+            a_bar=(1.0 + half) / den,
+            b_bar=dt_col / den,
+            da_bar_da=dt_col / den2,
+            da_bar_ddt=a / den2,
+            db_bar_da=dt_col * dt_col / (2.0 * den2),
+            db_bar_ddt=1.0 / den2,
+        )
     if rule == "zoh":
-        return discretize_zoh(params)
+        a_bar = np.exp(dt_col * a)
+        tiny = np.abs(a) < ZERO_POLE_EPS
+        safe = np.where(tiny, 1.0, a)
+        b_bar = np.where(tiny, dt_col + 0j, (a_bar - 1.0) / safe)
+        return Discretization(
+            a_bar=a_bar,
+            b_bar=b_bar,
+            da_bar_da=dt_col * a_bar,
+            da_bar_ddt=a * a_bar,
+            db_bar_da=np.where(tiny, dt_col * dt_col / 2.0 + 0j, (dt_col * a_bar - b_bar) / safe),
+            db_bar_ddt=a_bar,
+        )
     raise ContractError(f"unknown discretization rule {rule!r} (expected 'bilinear' or 'zoh')")
 
 
@@ -241,24 +150,13 @@ def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.sum(inner * b, axis=-1)
 
 
-def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int,
-                pairs: bool = True) -> np.ndarray:
+def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int) -> np.ndarray:
     """Real kernels for stacked channels: (..., n) params -> (..., length)."""
-    scale = 2.0 if pairs else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        k = scale * power_series(np.asarray(c, dtype=np.complex128) * b_bar, a_bar, length).real
+        k = 2.0 * power_series(np.asarray(c, dtype=np.complex128) * b_bar, a_bar, length).real
     if not np.all(np.isfinite(k)):
         raise NumericalError("kernel overflow: non-finite values in the materialized kernel")
     return k
-
-
-def compute_kernel(disc: DiscretizedChannel, c, length: int, pairs: bool = True) -> KernelCache:
-    """Materialize one channel's kernel K_l = 2 Re(sum_k c_k a_bar_k^l b_bar_k)."""
-    c = _as_complex_vector(c, "c")
-    if c.shape != disc.a_bar.shape:
-        raise ContractError(f"c must match pole count: {c.shape} vs {disc.a_bar.shape}")
-    values = kernel_bank(c, disc.a_bar, disc.b_bar, length, pairs=pairs)
-    return KernelCache(length=length, values=values)
 
 
 # --------------------------------------------------------------------------
@@ -302,39 +200,21 @@ def direct_causal_conv(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.convolve(u, kernel)[: u.shape[0]]
 
 
-def convolve(kernel: KernelCache, u, d: float, method: str = "fft") -> np.ndarray:
-    """y_t = sum_{s<=t} K_s u_{t-s} + d u_t for one channel."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1 or u.shape[0] != kernel.length:
-        raise ContractError(
-            f"input length {u.shape} does not match kernel length {kernel.length}"
-        )
-    if method == "fft":
-        y = fft_causal_conv(kernel.values, u)
-    elif method == "direct":
-        y = direct_causal_conv(kernel.values, u)
-    else:
-        raise ContractError(f"unknown convolution method {method!r}")
-    return y + d * u
-
-
 # --------------------------------------------------------------------------
 # Recurrence (oracle-grade path)
 # --------------------------------------------------------------------------
 
-def run_recurrence(disc: DiscretizedChannel, c, d: float, u, pairs: bool = True) -> np.ndarray:
-    """Step the recurrence from x_0 = 0; the reference for the convolution."""
-    c = _as_complex_vector(c, "c")
-    if c.shape != disc.a_bar.shape:
-        raise ContractError(f"c must match pole count: {c.shape} vs {disc.a_bar.shape}")
+def run_recurrence(a_bar, b_bar, c, d: float, u) -> np.ndarray:
+    """Step one channel's recurrence from x_0 = 0; the reference for the convolution.
+
+    ``a_bar``, ``b_bar`` and ``c`` hold the channel's n poles; ``u`` is its
+    length-L input.
+    """
+    a_bar, b_bar, c = (np.asarray(v, dtype=np.complex128) for v in (a_bar, b_bar, c))
     u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 1:
-        raise ContractError(f"u must be 1-d, got shape {u.shape}")
-    scale = 2.0 if pairs else 1.0
-    a_bar, b_bar = disc.a_bar, disc.b_bar
     x = np.zeros_like(a_bar)
     y = np.empty(u.shape[0], dtype=np.float64)
     for t in range(u.shape[0]):
         x = a_bar * x + b_bar * u[t]
-        y[t] = scale * np.dot(c, x).real + d * u[t]
+        y[t] = 2.0 * np.dot(c, x).real + d * u[t]
     return y

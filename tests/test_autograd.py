@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from s4mil.autograd import Tape, check_gradients, grad_ssm_conv
-from s4mil.errors import ContractError
+from s4mil.errors import ContractError, NumericalError
 
 
 def f64_tape():
@@ -244,7 +247,7 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
     g = rng.standard_normal((length, h))
     grads = grad_ssm_conv(g, cache)
 
-    a_bar, b_bar, c = cache.a_bar[0], cache.b_bar[0], cache.c[0]
+    a_bar, b_bar, c = cache.disc.a_bar[0], cache.disc.b_bar[0], cache.c[0]
     u = p["u"][:, 0]
     x = np.zeros(n_half, dtype=complex)
     dx_dabar = np.zeros(n_half, dtype=complex)  # holomorphic sensitivities
@@ -263,14 +266,54 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
         c_dot += g[t, 0] * 2.0 * np.conj(x)
     # chain through the bilinear map to the continuous pole and timestep
     dt = cache.dt[0]
-    den2 = cache.den[0] * cache.den[0]
+    a = p["a_re"][0] + 1j * p["a_im"][0]  # below the clamp, so used as is
+    den = 1.0 - 0.5 * dt * a
+    den2 = den * den
     a_hat = abar_dot * np.conj(dt / den2) + bbar_dot * np.conj(dt * dt / (2 * den2))
-    ddt = (abar_dot * np.conj(cache.a[0] / den2) + bbar_dot * np.conj(1.0 / den2)).real.sum()
+    ddt = (abar_dot * np.conj(a / den2) + bbar_dot * np.conj(1.0 / den2)).real.sum()
     np.testing.assert_allclose(grads["a_re"][0], a_hat.real, rtol=1e-9)
     np.testing.assert_allclose(grads["a_im"][0], a_hat.imag, rtol=1e-9)
     np.testing.assert_allclose(grads["c_re"][0], c_dot.real, rtol=1e-9)
     np.testing.assert_allclose(grads["c_im"][0], c_dot.imag, rtol=1e-9)
     np.testing.assert_allclose(grads["log_dt"][0], dt * ddt, rtol=1e-9)
+
+
+def test_degenerate_pivot_inside_ssm_conv_names_channel_and_pole(monkeypatch):
+    # The POLE_REAL_CEILING clamp keeps re(1 - dt*a/2) >= 1, so lift it to let
+    # a pole reach the bilinear pivot 2/dt.
+    from s4mil import autograd
+
+    monkeypatch.setattr(autograd, "POLE_REAL_CEILING", np.inf)
+    rng = np.random.default_rng(13)
+    p = ssm_params(rng, h=3, n_half=2)
+    p["log_dt"][2] = np.log(0.5)
+    p["a_re"][2, 1], p["a_im"][2, 1] = 4.0, 0.0
+    with pytest.raises(NumericalError, match=r"channel 2, pole index 1"):
+        build_ssm_tape(p, "bilinear", rng.integers(0, 3, 12))
+
+
+@pytest.mark.parametrize("grad_enabled", [True, False])
+def test_finished_tape_is_freed_without_the_cyclic_collector(grad_enabled):
+    # Reference counting alone must free a dropped tape: no backward closure
+    # may refer back to its Tape.
+    from s4mil.model import ModelConfig, build_tape, init_parameters
+
+    cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
+                      multitask=True, num_patch_classes=2)
+    model = init_parameters(cfg, seed=5)
+    features = np.random.default_rng(14).standard_normal((16, 8))
+    gc.disable()
+    try:
+        bundle = build_tape(cfg, model.params, features, slide_label=1,
+                            patch_labels=np.zeros(16, dtype=np.int64), lam=1.0,
+                            grad_enabled=grad_enabled)
+        if grad_enabled:
+            bundle.tape.backward()
+        tape = weakref.ref(bundle.tape)
+        del bundle
+        assert tape() is None
+    finally:
+        gc.enable()
 
 
 def test_softmax_log_loss_fd():

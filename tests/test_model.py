@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
-from s4mil.errors import ContractError, EmptyBagError, ParseError
+from s4mil.errors import ContractError, EmptyBagError, NumericalError, ParseError
 from s4mil.model import (
     ModelConfig,
     build_tape,
@@ -143,6 +143,17 @@ def test_full_model_duality_small(rule):
         conv = forward_mil(model, features, mode="conv").slide_probs
         rec = forward_mil(model, features, mode="recurrence").slide_probs
         assert np.max(np.abs(conv - rec)) <= 1e-5 * (1.0 + np.max(np.abs(rec)))
+
+
+@pytest.mark.parametrize("mode", ["conv", "recurrence"])
+def test_non_finite_ssm_parameter_raises_in_both_modes(mode, tmp_path):
+    # A checkpoint can carry a NaN; neither forward path may return NaN probabilities.
+    model = init_parameters(small_config(), seed=3)
+    model.params["ssm0.c_re"][1, 0] = np.nan
+    save_checkpoint(tmp_path / "nan.ckpt", model)
+    features = np.random.default_rng(4).standard_normal((10, 8)).astype(np.float32)
+    with pytest.raises(NumericalError):
+        forward_mil(load_checkpoint(tmp_path / "nan.ckpt"), features, mode=mode)
 
 
 def test_multitask_head_is_a_pure_branch():
