@@ -38,12 +38,9 @@ class Node:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-x) overflows to inf for very negative x, which gives the exact limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 class Tape:
@@ -183,7 +180,7 @@ class Tape:
         return self._append("layernorm", value, (x, gamma, beta), backward_fn=backward_fn)
 
     def ssm_conv(self, u: Node, a_re: Node, a_im: Node, c_re: Node, c_im: Node,
-                 d: Node, log_dt: Node, rule: str = "bilinear") -> Node:
+                 d: Node, log_dt: Node, rule: str) -> Node:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
         Forward materializes the per-channel kernels (running products in

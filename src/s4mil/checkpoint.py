@@ -10,7 +10,8 @@ Layout (all integers little-endian u32 unless noted):
     40..         parameter payload: every array in declaration order as raw
                  32-bit IEEE little-endian values
 
-Writer and reader round-trip bitwise; trailing bytes are rejected.
+Writer and reader round-trip bitwise; trailing bytes and non-finite values
+are rejected.
 """
 
 import struct
@@ -67,7 +68,12 @@ def load_checkpoint(path) -> MilModel:
                 f"checkpoint truncated inside {name}: need {end} bytes, have {len(blob)}",
                 offset=len(blob),
             )
-        params[name] = np.frombuffer(blob[offset:end], dtype="<f4").reshape(shape).copy()
+        values = np.frombuffer(blob[offset:end], dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ParseError(f"non-finite value {values[bad[0]]} in {name}",
+                             offset=offset + 4 * int(bad[0]))
+        params[name] = values.reshape(shape).copy()
         offset = end
     if offset != len(blob):
         raise ParseError(f"{len(blob) - offset} trailing bytes after parameters", offset=offset)

@@ -3,13 +3,21 @@
 Commands: train, evaluate, kernel-check, grad-check, param-count, bench,
 synth, export-heatmap, stats.
 
-Configuration is a flat registry of dotted keys (model.*, train.*, synth.*,
-bench.*, ...).  Effective values come from, in increasing precedence:
-registry defaults, a JSON --config file (flat or nested), repeated
---set key=value overrides, and explicit command-line flags.  Every run
-writes the merged result to <output>/resolved_config.json; feeding that file
-back to the same command reproduces the run.  Unknown keys are rejected by
-name.  All randomness derives from run.seed through labelled substreams.
+Configuration is a flat registry of dotted keys.  The model.*, train.* and
+synth.* keys are the fields of ModelConfig, TrainConfig and
+SyntheticTaskSpec, with the fields' defaults and types.  Three fields are
+named differently (_FIELD_KEYS): TrainConfig.lam is train.lambda,
+TrainConfig.seed (the per-fold seed) has no key, and
+SyntheticTaskSpec.length_range is synth.length_min and synth.length_max.
+The remaining keys (run.*, bench.*, train.folds, ...) are declared in
+REGISTRY itself.  Each command-line flag is shorthand for one key.
+
+Effective values come from, in increasing precedence: registry defaults, a
+JSON --config file (flat or nested), repeated --set key=value overrides, and
+explicit command-line flags.  Every run writes the merged result to
+<output>/resolved_config.json; feeding that file back to the same command
+reproduces the run.  Unknown keys are rejected by name.  All randomness
+derives from run.seed through labelled substreams.
 
 Failures print a single line ``error <code>: <message>`` to stderr and exit
 nonzero.
@@ -20,8 +28,9 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -29,7 +38,7 @@ from . import parallel, ssm
 from .autograd import Tape, check_gradients
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data_io import Bag, corpus_stats, load_manifest, long_sequence_split, write_manifest, write_sequence_file
-from .errors import ConfigError, ContractError, S4MilError
+from .errors import ConfigError, ContractError, ParseError, S4MilError
 from .metrics import UndefinedMetricError, auroc_binary
 from .model import (
     ModelConfig,
@@ -51,39 +60,42 @@ from .train import (
     write_history,
 )
 
+# Dataclasses whose fields are the keys of their section.
+_SECTIONS = {"model": ModelConfig, "train": TrainConfig, "synth": SyntheticTaskSpec}
+
+# Fields whose keys are not "<section>.<field>".
+_FIELD_KEYS = {
+    "train.lam": ("train.lambda",),
+    "train.seed": (),  # the per-fold seed, derived from run.seed
+    "synth.length_range": ("synth.length_min", "synth.length_max"),
+}
+
+
+def _field_keys(section: str, name: str) -> tuple[str, ...]:
+    dotted = f"{section}.{name}"
+    return _FIELD_KEYS.get(dotted, (dotted,))
+
+
+def _section_entries() -> dict[str, tuple[object, type]]:
+    entries = {}
+    for section, cls in _SECTIONS.items():
+        for f in fields(cls):
+            keys = _field_keys(section, f.name)
+            # a field with several keys is a tuple: one default and one item type per key
+            defaults = f.default if len(keys) > 1 else (f.default,)
+            kinds = [t for t in get_args(f.type) if t is not type(None)] or [f.type]
+            entries.update((key, (default, kind)) for key, default, kind in zip(keys, defaults, kinds))
+    return entries
+
+
 # key -> (default, type); None defaults carry their type explicitly
 REGISTRY: dict[str, tuple[object, type]] = {
     "run.seed": (0, int),
     "run.threads": (1, int),
-    "model.input_dim": (1024, int),
-    "model.hidden_dim": (512, int),
-    "model.state_dim": (32, int),
-    "model.num_classes": (2, int),
-    "model.num_patch_classes": (None, int),
-    "model.num_ssm_layers": (1, int),
-    "model.multitask": (False, bool),
-    "model.discretization": ("bilinear", str),
-    "train.learning_rate": (2e-4, float),
-    "train.weight_decay": (1e-4, float),
-    "train.lookahead_k": (5, int),
-    "train.lookahead_alpha": (0.5, float),
-    "train.adam_beta1": (0.9, float),
-    "train.adam_beta2": (0.999, float),
-    "train.adam_eps": (1e-8, float),
-    "train.patience": (10, int),
-    "train.max_epochs": (100, int),
-    "train.lambda": (5.0, float),
-    "train.grad_accum": (1, int),
+    **_section_entries(),
     "train.folds": (10, int),
     "train.manifest": (None, str),
     "train.synthetic": (False, bool),
-    "synth.task": ("needle", str),
-    "synth.num_bags": (200, int),
-    "synth.length_min": (128, int),
-    "synth.length_max": (512, int),
-    "synth.feature_dim": (16, int),
-    "synth.signal_rate": (0.05, float),
-    "synth.noise_sigma": (1.0, float),
     "bench.length": (30000, int),
     "bench.dim": (1024, int),
     "bench.repeats": (100, int),
@@ -111,9 +123,7 @@ class RunSpec:
     command: str
     config_file: str | None
     overrides: list[str]
-    seed: int
     output_dir: Path
-    threads: int
 
 
 # --------------------------------------------------------------------------
@@ -196,45 +206,20 @@ def write_resolved_config(spec: RunSpec, config: dict) -> Path:
     return path
 
 
-def model_config_from(config: dict) -> ModelConfig:
-    return ModelConfig(
-        input_dim=config["model.input_dim"],
-        hidden_dim=config["model.hidden_dim"],
-        state_dim=config["model.state_dim"],
-        num_classes=config["model.num_classes"],
-        num_patch_classes=config["model.num_patch_classes"],
-        num_ssm_layers=config["model.num_ssm_layers"],
-        multitask=config["model.multitask"],
-        discretization=config["model.discretization"],
-    )
+def dataclass_from(section: str, config: dict, **fixed):
+    """The section's config dataclass built from resolved keys.
 
-
-def train_config_from(config: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=config["train.learning_rate"],
-        weight_decay=config["train.weight_decay"],
-        lookahead_k=config["train.lookahead_k"],
-        lookahead_alpha=config["train.lookahead_alpha"],
-        adam_beta1=config["train.adam_beta1"],
-        adam_beta2=config["train.adam_beta2"],
-        adam_eps=config["train.adam_eps"],
-        patience=config["train.patience"],
-        max_epochs=config["train.max_epochs"],
-        lam=config["train.lambda"],
-        grad_accum=config["train.grad_accum"],
-        seed=seed,
-    )
-
-
-def synth_spec_from(config: dict) -> SyntheticTaskSpec:
-    return SyntheticTaskSpec(
-        task=config["synth.task"],
-        num_bags=config["synth.num_bags"],
-        length_range=(config["synth.length_min"], config["synth.length_max"]),
-        feature_dim=config["synth.feature_dim"],
-        signal_rate=config["synth.signal_rate"],
-        noise_sigma=config["synth.noise_sigma"],
-    )
+    ``fixed`` gives fields that have no key (the per-fold seed) or that take
+    their value from another key (bench's input_dim from bench.dim).
+    """
+    values = {}
+    for f in fields(_SECTIONS[section]):
+        keys = _field_keys(section, f.name)
+        if len(keys) == 1:
+            values[f.name] = config[keys[0]]
+        elif keys:
+            values[f.name] = tuple(config[key] for key in keys)
+    return _SECTIONS[section](**{**values, **fixed})
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +231,7 @@ def _load_training_bags(config: dict, seed: int) -> list[Bag]:
     if config["train.synthetic"] and manifest:
         raise ConfigError("choose either --manifest or --synthetic, not both")
     if config["train.synthetic"]:
-        spec = synth_spec_from(config)
+        spec = dataclass_from("synth", config)
         if spec.feature_dim != config["model.input_dim"]:
             raise ConfigError(
                 f"model.input_dim ({config['model.input_dim']}) must equal synth.feature_dim "
@@ -265,7 +250,7 @@ def _fold_seed(seed: int, fold: int) -> int:
 def cmd_train(spec: RunSpec, config: dict) -> int:
     seed = config["run.seed"]
     bags = _load_training_bags(config, seed)
-    model_cfg = model_config_from(config)
+    model_cfg = dataclass_from("model", config)
     if model_cfg.multitask and any(b.patch_labels is None for b in bags):
         raise ConfigError("multitask training needs patch labels for every bag")
     folds = config["train.folds"]
@@ -276,7 +261,7 @@ def cmd_train(spec: RunSpec, config: dict) -> int:
             fold_seed = _fold_seed(seed, i)
             model = init_parameters(model_cfg, seed=fold_seed)
             result = fit(model, [bags[j] for j in train_idx], [bags[j] for j in val_idx],
-                         train_config_from(config, seed=fold_seed))
+                         dataclass_from("train", config, seed=fold_seed))
             fold_dir = spec.output_dir / f"fold_{i:02d}"
             fold_dir.mkdir(parents=True, exist_ok=True)
             save_checkpoint(fold_dir / "checkpoint.s4mc", result.model)
@@ -301,8 +286,6 @@ def cmd_train(spec: RunSpec, config: dict) -> int:
         writer.writerow(["weighted_mean", n_total,
                          repr(float(np.sum([r["accuracy"] * r["n_val"] for r in rows]) / n_total)),
                          repr(float(np.sum([r["auroc"] * r["n_val"] for r in rows]) / n_total))])
-    with open(summary, newline="") as fh:
-        assert len(list(csv.reader(fh))) == len(rows) + 3  # re-parseable
     print(f"trained {len(rows)} folds; mean accuracy "
           f"{np.mean([r['accuracy'] for r in rows]):.4f}, mean AUROC "
           f"{np.mean([r['auroc'] for r in rows]):.4f}; outputs in {spec.output_dir}")
@@ -335,8 +318,6 @@ def cmd_evaluate(spec: RunSpec, config: dict) -> int:
         writer.writerow(["metric", "value"])
         for name, value in out_rows:
             writer.writerow([name, repr(value) if isinstance(value, float) else value])
-    with open(path, newline="") as fh:
-        assert len(list(csv.reader(fh))) == len(out_rows) + 1
     for name, value in out_rows:
         print(f"{name}: {value}")
     return 0
@@ -391,8 +372,6 @@ def cmd_kernel_check(spec: RunSpec, config: dict) -> int:
         f"trials={trials}\nchecked={checked}\ntolerance={tolerance!r}\n"
         f"worst_relative_error={worst!r}\nstatus={'pass' if passed else 'fail'}{note}\n"
     )
-    parsed = dict(line.split("=", 1) for line in report.read_text().splitlines())
-    assert "status" in parsed  # re-parseable
     print(f"kernel-check: {'pass' if passed else 'fail'}{note}, "
           f"worst relative error {worst:.3e} over {checked} comparisons")
     if not passed:
@@ -509,7 +488,6 @@ def cmd_grad_check(spec: RunSpec, config: dict) -> int:
         print(f"grad-check {lines[-1]}")
     report = spec.output_dir / "grad_check.txt"
     report.write_text("\n".join(lines) + "\n")
-    assert all("worst_rel=" in line for line in report.read_text().splitlines())
     if not all_ok:
         print("error check-failed: gradient check failed", file=sys.stderr)
         return 1
@@ -517,10 +495,11 @@ def cmd_grad_check(spec: RunSpec, config: dict) -> int:
 
 
 def cmd_param_count(spec: RunSpec, config: dict) -> int:
-    count = count_parameters(model_config_from(config))
+    count = count_parameters(dataclass_from("model", config))
     path = spec.output_dir / "param_count.txt"
     path.write_text(f"count={count}\n")
-    assert int(path.read_text().split("=")[1]) == count
+    if int(path.read_text().split("=")[1]) != count:
+        raise ParseError(f"{path} does not read back the count {count}")
     print(f"trainable parameters: {count}")
     expect = config["param_count.expect"]
     if expect is not None and expect != count:
@@ -537,11 +516,7 @@ def run_bench(config: dict, seed: int) -> list[dict]:
     length, dim, repeats = config["bench.length"], config["bench.dim"], config["bench.repeats"]
     if length < 1 or dim < 1 or repeats < 1:
         raise ConfigError("bench needs length, dim and repeats all >= 1")
-    model_cfg = ModelConfig(
-        input_dim=dim, hidden_dim=config["model.hidden_dim"],
-        state_dim=config["model.state_dim"], num_classes=config["model.num_classes"],
-        discretization=config["model.discretization"],
-    )
+    model_cfg = dataclass_from("model", config, input_dim=dim)
     model = init_parameters(model_cfg, seed=seed)
     baselines = {kind: init_pooling_baseline(kind, dim, model_cfg.num_classes, seed)
                  for kind in ("mean", "max")}
@@ -573,8 +548,6 @@ def cmd_bench(spec: RunSpec, config: dict) -> int:
         writer.writerow(["mode", "repeats", "mean_ms", "std_ms"])
         for r in results:
             writer.writerow([r["mode"], r["repeats"], repr(r["mean_ms"]), repr(r["std_ms"])])
-    with open(path, newline="") as fh:
-        assert len(list(csv.reader(fh))) == len(results) + 1
     for r in results:
         print(f"{r['mode']:>11}: {r['mean_ms']:10.2f} ms +/- {r['std_ms']:.2f} "
               f"({r['repeats']} repeats)")
@@ -590,7 +563,7 @@ def cmd_bench(spec: RunSpec, config: dict) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_synth(spec: RunSpec, config: dict) -> int:
-    bags = generate_synthetic(synth_spec_from(config), seed=config["run.seed"])
+    bags = generate_synthetic(dataclass_from("synth", config), seed=config["run.seed"])
     data_dir = spec.output_dir / "bags"
     data_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -606,8 +579,6 @@ def cmd_synth(spec: RunSpec, config: dict) -> int:
                      "coords": f"bags/{bag.id}.coords.seqf"})
     manifest = spec.output_dir / "manifest.csv"
     write_manifest(manifest, rows)
-    reloaded = load_manifest(manifest)  # outputs must be re-parseable
-    assert len(reloaded) == len(bags)
     print(f"wrote {len(bags)} bags and manifest to {spec.output_dir}")
     return 0
 
@@ -629,8 +600,6 @@ def cmd_stats(spec: RunSpec, config: dict) -> int:
         writer = csv.writer(fh)
         writer.writerow(["metric", "value"])
         writer.writerows(rows)
-    with open(path, newline="") as fh:
-        assert len(list(csv.reader(fh))) == len(rows) + 1
     for name, value in rows:
         print(f"{name}: {value}")
     return 0
@@ -682,8 +651,6 @@ def cmd_export_heatmap(spec: RunSpec, config: dict) -> int:
     grid = heatmap_grid(out.patch_probs[:, 1], bag.coords)
     path = spec.output_dir / f"heatmap_{bag_id}.txt"
     write_heatmap(path, grid)
-    again = parse_heatmap(path)
-    assert np.array_equal(again, grid)  # round-trips through the parser
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} heatmap to {path}")
     return 0
 
@@ -693,6 +660,7 @@ def cmd_export_heatmap(spec: RunSpec, config: dict) -> int:
 # --------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the registry key it sets."""
     parser = argparse.ArgumentParser(
         prog="s4mil",
         description="Diagonal state space engine for long patch-feature sequences",
@@ -701,80 +669,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file (flat dotted or nested keys)")
-        p.add_argument("--seed", type=int, default=None, help="root random seed")
+        p.add_argument("--seed", dest="run.seed", type=int, help="root random seed")
         p.add_argument("--output", default="s4mil-out", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
+        p.add_argument("--threads", dest="run.threads", type=int, help="worker thread cap")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
     p = sub.add_parser("train", help="k-fold training on a manifest or synthetic bags")
     common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--synthetic", action="store_const", const=True, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--multitask", action="store_const", const=True, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--manifest", dest="train.manifest")
+    p.add_argument("--synthetic", dest="train.synthetic", action="store_const", const=True)
+    p.add_argument("--folds", dest="train.folds", type=int)
+    p.add_argument("--multitask", dest="model.multitask", action="store_const", const=True)
+    p.add_argument("--lambda", dest="train.lambda", type=float)
 
     p = sub.add_parser("evaluate", help="metrics of a checkpoint on a manifest")
     common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--long-percentile", type=float, default=None)
+    p.add_argument("--checkpoint", dest="evaluate.checkpoint")
+    p.add_argument("--manifest", dest="evaluate.manifest")
+    p.add_argument("--long-percentile", dest="evaluate.long_percentile", type=float)
 
     p = sub.add_parser("kernel-check", help="recurrence vs convolution duality check")
     common(p)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=None)
-    p.add_argument("--max-state", type=int, default=None)
-    p.add_argument("--max-length", type=int, default=None)
-    p.add_argument("--inject-fault", action="store_const", const=True, default=None)
+    p.add_argument("--trials", dest="kernel_check.trials", type=int)
+    p.add_argument("--tolerance", dest="kernel_check.tolerance", type=float)
+    p.add_argument("--max-state", dest="kernel_check.max_state", type=int)
+    p.add_argument("--max-length", dest="kernel_check.max_length", type=int)
+    p.add_argument("--inject-fault", dest="kernel_check.inject_fault", action="store_const",
+                   const=True)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient audit")
     common(p)
 
     p = sub.add_parser("param-count", help="closed-form trainable parameter count")
     common(p)
-    p.add_argument("--expect", type=int, default=None)
+    p.add_argument("--expect", dest="param_count.expect", type=int)
 
     p = sub.add_parser("bench", help="forward-pass timing of both evaluation modes")
     common(p)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    p.add_argument("--length", dest="bench.length", type=int)
+    p.add_argument("--dim", dest="bench.dim", type=int)
+    p.add_argument("--repeats", dest="bench.repeats", type=int)
 
     p = sub.add_parser("synth", help="generate a synthetic bag corpus")
     common(p)
 
     p = sub.add_parser("export-heatmap", help="patch-probability grid for one bag")
     common(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--manifest")
-    p.add_argument("--bag-id")
+    p.add_argument("--checkpoint", dest="heatmap.checkpoint")
+    p.add_argument("--manifest", dest="heatmap.manifest")
+    p.add_argument("--bag-id", dest="heatmap.bag_id")
 
     p = sub.add_parser("stats", help="corpus length statistics")
     common(p)
-    p.add_argument("--manifest")
-    p.add_argument("--percentile", type=float, default=None)
+    p.add_argument("--manifest", dest="stats.manifest")
+    p.add_argument("--percentile", dest="stats.percentile", type=float)
 
     return parser
 
-
-_FLAG_KEYS = {
-    "train": {"manifest": "train.manifest", "synthetic": "train.synthetic",
-              "folds": "train.folds", "multitask": "model.multitask", "lam": "train.lambda"},
-    "evaluate": {"checkpoint": "evaluate.checkpoint", "manifest": "evaluate.manifest",
-                 "long_percentile": "evaluate.long_percentile"},
-    "kernel-check": {"trials": "kernel_check.trials", "tolerance": "kernel_check.tolerance",
-                     "max_state": "kernel_check.max_state", "max_length": "kernel_check.max_length",
-                     "inject_fault": "kernel_check.inject_fault"},
-    "grad-check": {},
-    "param-count": {"expect": "param_count.expect"},
-    "bench": {"length": "bench.length", "dim": "bench.dim", "repeats": "bench.repeats"},
-    "synth": {},
-    "export-heatmap": {"checkpoint": "heatmap.checkpoint", "manifest": "heatmap.manifest",
-                       "bag_id": "heatmap.bag_id"},
-    "stats": {"manifest": "stats.manifest", "percentile": "stats.percentile"},
-}
 
 _DISPATCH = {
     "train": cmd_train,
@@ -791,20 +743,10 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = RunSpec(
-        command=args.command,
-        config_file=args.config,
-        overrides=list(args.set),
-        seed=args.seed if args.seed is not None else 0,
-        output_dir=Path(args.output),
-        threads=args.threads if args.threads is not None else 1,
-    )
+    spec = RunSpec(command=args.command, config_file=args.config, overrides=list(args.set),
+                   output_dir=Path(args.output))
     try:
-        flag_values = {key: getattr(args, attr) for attr, key in _FLAG_KEYS[spec.command].items()}
-        if args.seed is not None:
-            flag_values["run.seed"] = args.seed
-        if args.threads is not None:
-            flag_values["run.threads"] = args.threads
+        flag_values = {key: value for key, value in vars(args).items() if "." in key}
         config = resolve_config(spec, flag_values)
         parallel.set_threads(config["run.threads"])
         write_resolved_config(spec, config)

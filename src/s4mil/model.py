@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ssm
-from .autograd import Node, Tape, _sigmoid, ssm_parameters
+from .autograd import Node, Tape, ssm_parameters
 from .errors import ContractError, EmptyBagError, NumericalError
 from .seeding import substream
 
@@ -183,15 +183,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def gated_linear_unit(v: np.ndarray) -> np.ndarray:
-    """out_i = v_i * sigmoid(v_{H+i}) for a vector of even length 2H."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.shape[0] % 2 != 0:
-        raise ContractError(f"gated linear unit needs an even-length vector, got shape {v.shape}")
-    h = v.shape[0] // 2
-    return v[:h] * _sigmoid(v[h:])
 
 
 class TapeBundle(NamedTuple):

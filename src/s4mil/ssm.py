@@ -24,6 +24,7 @@ stays O(n_half * L) without materializing an (n_half, L) power table per
 evaluation step.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +33,10 @@ from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
+ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
+# Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
+# ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
+_ZOH_SERIES = [(k + 1) / math.factorial(k + 2) for k in range(10)]
 
 
 # --------------------------------------------------------------------------
@@ -53,8 +58,10 @@ def discretize(a, dt, rule: str) -> Discretization:
     """Discretize stacked poles ``a`` (..., n) with timesteps ``dt`` (...).
 
     bilinear:  a_bar = (1 + dt*a/2) / (1 - dt*a/2),  b_bar = dt / (1 - dt*a/2)
-    zoh:       a_bar = exp(dt*a),  b_bar = (a_bar - 1) / a, with the series
-               limit b_bar = dt for |a| < ZERO_POLE_EPS
+    zoh:       a_bar = exp(dt*a),  b_bar = expm1(dt*a) / a, with the limit
+               b_bar = dt for |a| < ZERO_POLE_EPS; db_bar/da takes its Taylor
+               series in dt*a for |dt*a| < ZOH_SERIES_RADIUS, where the closed
+               form (dt*a_bar - b_bar)/a cancels
     The input vector is fixed to ones.  Every returned array has the
     broadcast shape of ``a`` and ``dt[..., None]``.
     """
@@ -80,16 +87,21 @@ def discretize(a, dt, rule: str) -> Discretization:
             db_bar_ddt=1.0 / den2,
         )
     if rule == "zoh":
-        a_bar = np.exp(dt_col * a)
+        z = dt_col * a
+        a_bar = np.exp(z)
         tiny = np.abs(a) < ZERO_POLE_EPS
         safe = np.where(tiny, 1.0, a)
-        b_bar = np.where(tiny, dt_col + 0j, (a_bar - 1.0) / safe)
+        b_bar = np.where(tiny, dt_col + 0j, np.expm1(z) / safe)
+        series = np.zeros_like(z)
+        for coefficient in reversed(_ZOH_SERIES):
+            series = series * z + coefficient
         return Discretization(
             a_bar=a_bar,
             b_bar=b_bar,
             da_bar_da=dt_col * a_bar,
             da_bar_ddt=a * a_bar,
-            db_bar_da=np.where(tiny, dt_col * dt_col / 2.0 + 0j, (dt_col * a_bar - b_bar) / safe),
+            db_bar_da=np.where(np.abs(z) < ZOH_SERIES_RADIUS, dt_col * dt_col * series,
+                               (dt_col * a_bar - b_bar) / safe),
             db_bar_ddt=a_bar,
         )
     raise ContractError(f"unknown discretization rule {rule!r} (expected 'bilinear' or 'zoh')")

@@ -279,7 +279,7 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
 # Folds
 # --------------------------------------------------------------------------
 
-def kfold(labels: Sequence[int], k: int = 10, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold(labels: Sequence[int], k: int, seed: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
     """Label-stratified k-fold partition of indices.
 
     Classes with fewer than k members trigger a warning and an unstratified

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 
 from s4mil.checkpoint import save_checkpoint
-from s4mil.cli import heatmap_grid, main, parse_heatmap, write_heatmap
+from s4mil.cli import REGISTRY, build_parser, heatmap_grid, main, parse_heatmap, write_heatmap
 from s4mil.model import ModelConfig, init_parameters
 
 TINY_SYNTH = [
@@ -35,6 +36,7 @@ def test_train_synthetic_writes_all_outputs(tmp_path):
         assert (out / f"fold_{i:02d}" / "history.csv").is_file()
     with open(out / "summary.csv", newline="") as fh:
         rows = list(csv.reader(fh))
+    assert len(rows) == 3 + 3
     assert rows[0] == ["fold", "n_val", "accuracy", "auroc"]
     assert rows[-2][0] == "mean" and rows[-1][0] == "weighted_mean"
     assert (out / "resolved_config.json").is_file()
@@ -217,11 +219,84 @@ def test_missing_inputs_give_single_line_errors(tmp_path, capsys):
     assert all(e.startswith("error config-error:") for e in errs)
 
 
+DEFAULT_PARAM_COUNT_CONFIG = {
+    "run.command": "param-count",
+    "bench.dim": 1024,
+    "bench.length": 30000,
+    "bench.repeats": 100,
+    "evaluate.checkpoint": None,
+    "evaluate.long_percentile": None,
+    "evaluate.manifest": None,
+    "grad_check.step": 1e-05,
+    "grad_check.tolerance": 0.0001,
+    "heatmap.bag_id": None,
+    "heatmap.checkpoint": None,
+    "heatmap.manifest": None,
+    "kernel_check.inject_fault": False,
+    "kernel_check.max_length": 512,
+    "kernel_check.max_state": 8,
+    "kernel_check.tolerance": 1e-06,
+    "kernel_check.trials": 100,
+    "model.discretization": "bilinear",
+    "model.hidden_dim": 512,
+    "model.input_dim": 1024,
+    "model.multitask": False,
+    "model.num_classes": 2,
+    "model.num_patch_classes": None,
+    "model.num_ssm_layers": 1,
+    "model.state_dim": 32,
+    "param_count.expect": None,
+    "run.seed": 0,
+    "run.threads": 1,
+    "stats.manifest": None,
+    "stats.percentile": 85.0,
+    "synth.feature_dim": 16,
+    "synth.length_max": 512,
+    "synth.length_min": 128,
+    "synth.noise_sigma": 1.0,
+    "synth.num_bags": 200,
+    "synth.signal_rate": 0.05,
+    "synth.task": "needle",
+    "train.adam_beta1": 0.9,
+    "train.adam_beta2": 0.999,
+    "train.adam_eps": 1e-08,
+    "train.folds": 10,
+    "train.grad_accum": 1,
+    "train.lambda": 5.0,
+    "train.learning_rate": 0.0002,
+    "train.lookahead_alpha": 0.5,
+    "train.lookahead_k": 5,
+    "train.manifest": None,
+    "train.max_epochs": 100,
+    "train.patience": 10,
+    "train.synthetic": False,
+    "train.weight_decay": 0.0001,
+}
+
+
 def test_resolved_config_is_flat_json(tmp_path):
+    # Every key, default and type, byte for byte: 85.0 and 85 differ in the text.
     assert run(["param-count", "--output", tmp_path]) == 0
-    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
-    assert resolved["run.command"] == "param-count"
-    assert resolved["model.state_dim"] == 32
+    text = (tmp_path / "resolved_config.json").read_text()
+    assert text == json.dumps(DEFAULT_PARAM_COUNT_CONFIG, indent=2) + "\n"
+
+
+def test_every_flag_sets_a_registry_key():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for sub in commands.choices.values() for a in sub._actions}
+    dotted = {d for d in dests if "." in d}
+    assert dotted <= set(REGISTRY)
+    assert dests - dotted == {"help", "config", "output", "set"}
+
+
+def test_flags_and_set_overrides_resolve_alike(tmp_path):
+    base = ["train", "--synthetic", "--seed", "3", *TINY_SYNTH, *TINY_MODEL]
+    assert run([*base, "--folds", "3", "--lambda", "2", "--output", tmp_path / "flags"]) == 0
+    assert run([*base, "--set", "train.folds=3", "--set", "train.lambda=2",
+                "--output", tmp_path / "set"]) == 0
+    for name in ("resolved_config.json", "summary.csv"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
 
 
 def test_evaluate_long_percentile_filters_bags(tmp_path):

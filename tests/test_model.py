@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from s4mil.autograd import Tape
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
 from s4mil.errors import ContractError, EmptyBagError, NumericalError, ParseError
 from s4mil.model import (
@@ -11,9 +12,9 @@ from s4mil.model import (
     count_parameters,
     forward_mil,
     forward_pooling_baseline,
-    gated_linear_unit,
     init_parameters,
     init_pooling_baseline,
+    parameter_shapes,
     pool_features,
 )
 
@@ -146,14 +147,13 @@ def test_full_model_duality_small(rule):
 
 
 @pytest.mark.parametrize("mode", ["conv", "recurrence"])
-def test_non_finite_ssm_parameter_raises_in_both_modes(mode, tmp_path):
-    # A checkpoint can carry a NaN; neither forward path may return NaN probabilities.
+def test_non_finite_ssm_parameter_raises_in_both_modes(mode):
+    # Neither forward path may return NaN probabilities for a NaN parameter.
     model = init_parameters(small_config(), seed=3)
     model.params["ssm0.c_re"][1, 0] = np.nan
-    save_checkpoint(tmp_path / "nan.ckpt", model)
     features = np.random.default_rng(4).standard_normal((10, 8)).astype(np.float32)
     with pytest.raises(NumericalError):
-        forward_mil(load_checkpoint(tmp_path / "nan.ckpt"), features, mode=mode)
+        forward_mil(model, features, mode=mode)
 
 
 def test_multitask_head_is_a_pure_branch():
@@ -179,31 +179,35 @@ def test_multitask_head_is_a_pure_branch():
 # Gated linear unit
 # --------------------------------------------------------------------------
 
+def glu(value, gate):
+    """The model's gated linear unit, value * sigmoid(gate), on a float64 tape."""
+    tape = Tape(dtype=np.float64)
+    return tape.mul(tape.leaf(value), tape.sigmoid(tape.leaf(gate))).value
+
+
 def test_glu_hand_value():
-    assert gated_linear_unit(np.array([1.0, 0.0]))[0] == pytest.approx(0.5)
+    assert glu([1.0], [0.0])[0] == pytest.approx(0.5)
 
 
 def test_glu_saturated_gate_passes_first_half():
-    v = np.array([0.3, -1.2, 40.0, 40.0])
-    np.testing.assert_allclose(gated_linear_unit(v), [0.3, -1.2], atol=1e-12)
+    np.testing.assert_allclose(glu([0.3, -1.2], [40.0, 40.0]), [0.3, -1.2], atol=1e-12)
 
 
 def test_glu_zero_first_half():
     rng = np.random.default_rng(0)
-    v = np.concatenate([np.zeros(5), rng.standard_normal(5)])
-    assert np.all(gated_linear_unit(v) == 0.0)
+    assert np.all(glu(np.zeros(5), rng.standard_normal(5)) == 0.0)
 
 
-def test_glu_odd_length_rejected():
-    with pytest.raises(ContractError, match="even"):
-        gated_linear_unit(np.zeros(3))
+def test_glu_mismatched_halves_rejected():
+    with pytest.raises(ContractError, match="shape mismatch"):
+        glu(np.zeros(2), np.zeros(1))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
 def test_glu_bounded_by_value_half(first_half):
-    v = np.array(first_half + [0.0] * len(first_half))
-    out = gated_linear_unit(v)
-    assert np.all(np.abs(out) <= np.abs(v[: len(first_half)]) + 1e-12)
+    value = np.array(first_half)
+    out = glu(value, np.zeros_like(value))
+    assert np.all(np.abs(out) <= np.abs(value) + 1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -281,6 +285,21 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
     path.write_bytes(blob + b"xx")
     with pytest.raises(ParseError, match="trailing"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
+    model = init_parameters(small_config(), seed=3)
+    model.params["ssm0.c_re"][1, 0] = value
+    path = tmp_path / "bad.s4mc"
+    save_checkpoint(path, model)
+    shapes = parameter_shapes(model.config)
+    names = list(shapes)
+    before = sum(int(np.prod(shapes[n])) for n in names[: names.index("ssm0.c_re")])
+    flat = int(np.ravel_multi_index((1, 0), shapes["ssm0.c_re"]))
+    with pytest.raises(ParseError, match="non-finite value .* in ssm0.c_re") as info:
+        load_checkpoint(path)
+    assert info.value.offset == 40 + 4 * (before + flat)
 
 
 def test_pooling_baseline_trains_by_gradient_descent():

@@ -1,5 +1,6 @@
 import cmath
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -92,9 +93,23 @@ def test_bilinear_degenerate_pivot_reported():
 
 
 def test_zoh_zero_pole_limit():
-    a_bar, b_bar = discretize(np.array([0.0 + 0.0j]), 0.3, "zoh")[:2]
-    assert a_bar[0] == 1.0 + 0.0j
-    assert b_bar[0] == pytest.approx(0.3)
+    disc = discretize(np.array([0.0 + 0.0j]), 0.3, "zoh")
+    assert disc.a_bar[0] == 1.0 + 0.0j
+    assert disc.b_bar[0] == pytest.approx(0.3)
+    assert disc.db_bar_da[0] == pytest.approx(0.3 * 0.3 / 2)
+
+
+def test_zoh_small_dt_a_matches_mpmath():
+    # At the pole clamp with the smallest trained dt, |dt*a| = 1e-7: the closed
+    # forms (a_bar - 1)/a and (dt*a_bar - b_bar)/a cancel there.
+    a, dt = -1e-4 + 0j, 1e-3
+    disc = discretize(np.array([a]), dt, "zoh")
+    with mpmath.workdps(50):
+        z = dt * mpmath.mpc(a)
+        b_bar = mpmath.expm1(z) / a
+        db_bar_da = (dt * mpmath.exp(z) - b_bar) / a
+    assert disc.b_bar[0] == pytest.approx(complex(b_bar), rel=1e-14)
+    assert disc.db_bar_da[0] == pytest.approx(complex(db_bar_da), rel=1e-14)
 
 
 def test_zoh_hand_values():
@@ -130,12 +145,7 @@ TRAINED_POLES = {
 
 
 @pytest.mark.parametrize("rule,dt,poles", [
-    (rule, dt, poles)
-    if (rule, dt, poles) != ("zoh", 1e-3, "clamp") else
-    pytest.param(rule, dt, poles, marks=pytest.mark.xfail(strict=True, reason=(
-        "b_bar = (a_bar - 1)/a and (dt a_bar - b_bar)/a cancel when |dt a| is small: "
-        "db_bar/da at a = -1e-4, dt = 1e-3 is off by about 1%")))
-    for rule in ("bilinear", "zoh") for dt in (1e-3, 0.1) for poles in TRAINED_POLES
+    (rule, dt, poles) for rule in ("bilinear", "zoh") for dt in (1e-3, 0.1) for poles in TRAINED_POLES
 ])
 def test_discretization_derivatives_match_central_differences(rule, dt, poles):
     # a_bar and b_bar are holomorphic in a, so a real step gives d/da.  The
