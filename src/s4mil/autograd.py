@@ -1,9 +1,14 @@
 """Minimal reverse-mode differentiation on numpy arrays.
 
 A Tape records Nodes in evaluation order; values are computed eagerly as
-ops are appended, so topological order is the append order.  backward()
-zeroes every gradient, seeds the final scalar with 1 and walks the list
-in reverse exactly once, accumulating into parent gradients.
+ops are appended, so topological order is the append order.  A node needs a
+gradient if it is a named leaf of a grad-enabled tape or has a parent that
+needs one; only such nodes keep a backward closure, and a closure computes
+gradients only for the parents that need them (unnamed leaves, such as the
+input features, get none).  backward() seeds the final scalar with 1 and
+walks the list in reverse exactly once.  A gradient is created on its first
+accumulation, and a non-leaf node's gradient is dropped as soon as its
+closure has consumed it.
 
 The op set is deliberately small: exactly what the aggregator model needs.
 There is no general broadcasting; `add` supports the one bias pattern
@@ -34,7 +39,20 @@ class Node:
     grad: np.ndarray | None = None
     parents: tuple = ()
     name: str | None = None
+    needs_grad: bool = False
     backward_fn: object = field(default=None, repr=False)
+
+
+def _accumulate(node: Node, g) -> None:
+    """node.grad += g, creating the gradient on first use.
+
+    Adding +0 copies g, so no two nodes share one array, and turns -0 into +0
+    exactly as accumulating into a zero-filled buffer does.
+    """
+    if node.grad is None:
+        node.grad = np.add(g, 0, out=np.empty_like(node.value))
+    else:
+        node.grad += g
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -53,9 +71,13 @@ class Tape:
 
     # -- construction helpers ------------------------------------------------
 
+    def _needs_grad(self, parents) -> bool:
+        return self.grad_enabled and any(p.needs_grad for p in parents)
+
     def _append(self, op: str, value: np.ndarray, parents=(), name=None, backward_fn=None) -> Node:
-        node = Node(op=op, value=value, parents=tuple(parents), name=name,
-                    backward_fn=backward_fn)
+        needs_grad = (self.grad_enabled and name is not None) or self._needs_grad(parents)
+        node = Node(op=op, value=value, parents=tuple(parents), name=name, needs_grad=needs_grad,
+                    backward_fn=backward_fn if needs_grad else None)
         self.nodes.append(node)
         return node
 
@@ -72,12 +94,10 @@ class Tape:
         value = xv @ wv
 
         def backward_fn(g):
-            if xv.ndim == 2:
-                x.grad += g @ wv.T
-                w.grad += xv.T @ g
-            else:
-                x.grad += wv @ g
-                w.grad += np.outer(xv, g)
+            if x.needs_grad:
+                _accumulate(x, g @ wv.T if xv.ndim == 2 else wv @ g)
+            if w.needs_grad:
+                _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g))
 
         return self._append("matvec", value, (x, w), backward_fn=backward_fn)
 
@@ -92,8 +112,10 @@ class Tape:
         value = av + bv
 
         def backward_fn(g):
-            a.grad += g
-            b.grad += g.sum(axis=0) if broadcast else g
+            if a.needs_grad:
+                _accumulate(a, g)
+            if b.needs_grad:
+                _accumulate(b, g.sum(axis=0) if broadcast else g)
 
         return self._append("add", value, (a, b), backward_fn=backward_fn)
 
@@ -103,8 +125,10 @@ class Tape:
         value = a.value * b.value
 
         def backward_fn(g):
-            a.grad += g * b.value
-            b.grad += g * a.value
+            if a.needs_grad:
+                _accumulate(a, g * b.value)
+            if b.needs_grad:
+                _accumulate(b, g * a.value)
 
         return self._append("elementwise-mul", value, (a, b), backward_fn=backward_fn)
 
@@ -112,7 +136,7 @@ class Tape:
         value = _sigmoid(x.value)
 
         def backward_fn(g):
-            x.grad += g * value * (1.0 - value)
+            _accumulate(x, g * value * (1.0 - value))
 
         return self._append("sigmoid", value, (x,), backward_fn=backward_fn)
 
@@ -120,7 +144,7 @@ class Tape:
         value = np.exp(x.value)
 
         def backward_fn(g):
-            x.grad += g * value
+            _accumulate(x, g * value)
 
         return self._append("exp", value, (x,), backward_fn=backward_fn)
 
@@ -128,7 +152,7 @@ class Tape:
         value = np.log(x.value)
 
         def backward_fn(g):
-            x.grad += g / x.value
+            _accumulate(x, g / x.value)
 
         return self._append("log", value, (x,), backward_fn=backward_fn)
 
@@ -137,7 +161,7 @@ class Tape:
         value = alpha * x.value
 
         def backward_fn(g):
-            x.grad += alpha * g
+            _accumulate(x, alpha * g)
 
         return self._append("scale", value, (x,), backward_fn=backward_fn)
 
@@ -151,6 +175,8 @@ class Tape:
         value = xv[idx, cols]
 
         def backward_fn(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(xv)
             np.add.at(x.grad, (idx, cols), g)
 
         return self._append("max-pool-over-sequence", value, (x,), backward_fn=backward_fn)
@@ -169,13 +195,16 @@ class Tape:
         value = gamma.value * xhat + beta.value
 
         def backward_fn(g):
-            gamma.grad += (g * xhat).sum(axis=0)
-            beta.grad += g.sum(axis=0)
-            gx_hat = g * gamma.value
-            h = xv.shape[1]
-            term = gx_hat - gx_hat.mean(axis=1, keepdims=True) \
-                - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True) / h
-            x.grad += term * inv_std
+            if gamma.needs_grad:
+                _accumulate(gamma, (g * xhat).sum(axis=0))
+            if beta.needs_grad:
+                _accumulate(beta, g.sum(axis=0))
+            if x.needs_grad:
+                gx_hat = g * gamma.value
+                h = xv.shape[1]
+                term = gx_hat - gx_hat.mean(axis=1, keepdims=True) \
+                    - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True) / h
+                _accumulate(x, term * inv_std)
 
         return self._append("layernorm", value, (x, gamma, beta), backward_fn=backward_fn)
 
@@ -197,25 +226,22 @@ class Tape:
             raise ContractError(
                 f"ssm-conv d/log_dt must be ({h},): {d.value.shape}, {log_dt.value.shape}"
             )
+        parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
+                   "d": d, "log_dt": log_dt}
         y64, cache = _ssm_conv_forward(
             uv, a_re.value, a_im.value, c_re.value, c_im.value, d.value,
-            log_dt.value, rule, keep_cache=self.grad_enabled,
+            log_dt.value, rule, keep_cache=self._needs_grad(parents.values()),
         )
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
         value = y64.astype(dtype)
 
         def backward_fn(g):
             grads = grad_ssm_conv(np.asarray(g, dtype=np.float64), cache)
-            u.grad += grads["u"].astype(dtype)
-            a_re.grad += grads["a_re"].astype(dtype)
-            a_im.grad += grads["a_im"].astype(dtype)
-            c_re.grad += grads["c_re"].astype(dtype)
-            c_im.grad += grads["c_im"].astype(dtype)
-            d.grad += grads["d"].astype(dtype)
-            log_dt.grad += grads["log_dt"].astype(dtype)
+            for key, parent in parents.items():
+                if parent.needs_grad:
+                    _accumulate(parent, grads[key].astype(dtype))
 
-        return self._append("ssm-conv", value, (u, a_re, a_im, c_re, c_im, d, log_dt),
-                            backward_fn=backward_fn)
+        return self._append("ssm-conv", value, parents.values(), backward_fn=backward_fn)
 
     def softmax_log_loss(self, logits: Node, labels, reduction: str = "mean") -> Node:
         """Fused softmax + negative log likelihood; ends a classification tape."""
@@ -245,7 +271,7 @@ class Tape:
             if reduction == "mean":
                 p /= lv.shape[0]
             gl = (float(g) * p).astype(dtype)
-            logits.grad += gl[0] if squeeze else gl
+            _accumulate(logits, gl[0] if squeeze else gl)
 
         return self._append("softmax-log-loss", value, (logits,), backward_fn=backward_fn)
 
@@ -261,17 +287,29 @@ class Tape:
         return float(out.value)
 
     def backward(self) -> dict[str, np.ndarray]:
-        """Reverse sweep; returns gradients of all named leaves."""
+        """Reverse sweep; returns gradients of all named leaves.
+
+        A named leaf that no path from the output reaches gets zeros.  Only
+        named leaves hold a gradient afterwards.
+        """
         if not self.grad_enabled:
             raise ContractError("tape was built with grad_enabled=False")
         self.forward()
         for node in self.nodes:
-            node.grad = np.zeros_like(node.value)
-        self.nodes[-1].grad = np.ones_like(self.nodes[-1].value)
+            node.grad = None
+        out = self.nodes[-1]
+        if out.needs_grad:
+            out.grad = np.ones_like(out.value)
         for node in reversed(self.nodes):
-            if node.backward_fn is not None:
+            if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
-        return {n.name: n.grad for n in self.nodes if n.op == "leaf" and n.name is not None}
+            if node.op != "leaf":
+                node.grad = None
+        named = [n for n in self.nodes if n.op == "leaf" and n.name is not None]
+        for node in named:
+            if node.grad is None:
+                node.grad = np.zeros_like(node.value)
+        return {n.name: n.grad for n in named}
 
 
 # --------------------------------------------------------------------------
@@ -304,7 +342,10 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 
 
 def _conv_chunk(h: int, fft_len: int) -> int:
-    # Bound transient FFT buffers to ~100 MB regardless of L.
+    # Channels per chunk, so that one chunk's transient FFT buffers stay bounded
+    # regardless of L.  At L=30000 (fft_len 65536, 30 channels) tracemalloc
+    # measures a peak of 63 MB for a forward chunk and 93 MB for a backward
+    # chunk, which correlates with the kernels and the inputs at once.
     return max(1, min(h, int(96e6 // (fft_len * 48))))
 
 
@@ -319,14 +360,15 @@ def _chunked_conv(kernels: np.ndarray, ut: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked_corr(g: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    h = vt.shape[0]
-    out = np.empty_like(vt)
+def _chunked_corr(g: np.ndarray, *vs: np.ndarray) -> np.ndarray:
+    """(k, H, L) correlations of g (H, L) with each of the k arrays vs (H, L)."""
+    h, length = g.shape
+    out = np.empty((len(vs), h, length))
 
     def work(s, e):
-        out[s:e] = ssm.fft_causal_corr(g[s:e], vt[s:e])
+        out[:, s:e] = ssm.fft_causal_corr(g[s:e], np.stack([v[s:e] for v in vs]))
 
-    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(vt.shape[1])), work)
+    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
     return out
 
 
@@ -352,10 +394,12 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     """Gradients of the convolution view w.r.t. (u, a, c, d, log_dt).
 
     The kernel gradient is the causal correlation of the upstream signal
-    with the input; pole and projection gradients then chain through the
-    cumulative powers and the discretization map.  Complex adjoints use the
-    convention z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps
-    multiply by the conjugated derivative.
+    with the input, and the input gradient its correlation with the kernels;
+    both share one transform of the upstream.  Pole and projection
+    gradients then chain through the cumulative powers and the
+    discretization map.  Complex adjoints use the convention
+    z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps multiply by the
+    conjugated derivative.
     """
     if cache.u64 is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")
@@ -364,9 +408,8 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     length = g.shape[1]
 
     grad_d = np.einsum("hl,hl->h", g, u64)
-    grad_u = (_chunked_corr(g, kernels) + cache.d[:, None] * g).T
-
-    gk = _chunked_corr(g, u64)  # dL/dK, shape (H, L)
+    grad_u, gk = _chunked_corr(g, kernels, u64)  # gk = dL/dK, shape (H, L)
+    grad_u += cache.d[:, None] * g
 
     disc = cache.disc
     conj_abar = np.conj(disc.a_bar)
@@ -387,7 +430,7 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     grad_log_dt = cache.dt * ddt
 
     return {
-        "u": grad_u,
+        "u": grad_u.T,
         "a_re": a_hat.real * cache.clamp_mask,
         "a_im": a_hat.imag,
         "c_re": c_hat.real,

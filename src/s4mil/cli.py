@@ -623,11 +623,21 @@ def parse_heatmap(path) -> np.ndarray:
 
 
 def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Positive-class probability per grid cell; -1 marks empty cells."""
+    """Positive-class probability per grid cell; -1 marks empty cells.
+
+    Two patches on one cell raise ContractError naming the first repeated cell.
+    """
     r0, c0 = coords.min(axis=0)
     r1, c1 = coords.max(axis=0)
     grid = np.full((int(r1 - r0 + 1), int(c1 - c0 + 1)), -1.0)
-    grid[coords[:, 0] - r0, coords[:, 1] - c0] = patch_probs
+    rows, cols = coords[:, 0] - r0, coords[:, 1] - c0
+    _, first = np.unique(rows * grid.shape[1] + cols, return_index=True)
+    if first.size < len(coords):
+        repeat = np.ones(len(coords), dtype=bool)
+        repeat[first] = False
+        row, col = coords[np.argmax(repeat)]
+        raise ContractError(f"duplicate patch coordinate (row {row}, col {col}) in heatmap")
+    grid[rows, cols] = patch_probs
     return grid
 
 

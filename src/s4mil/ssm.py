@@ -199,10 +199,22 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l].
 
-    This is the adjoint of fft_causal_conv in its kernel argument; same
-    stacked shapes as fft_causal_conv.
+    This is the adjoint of fft_causal_conv in its kernel argument.  Shapes:
+    g (..., L) and v (k, ..., L) or (..., L); g broadcasts against the
+    leading axis of a stacked v, so one transform of g serves every row of
+    v.  The result is irfft(G * conj(V))[..., :L]: with n >= 2L - 1 points
+    the circular lags that wrap around land in the zero padding, so no flip
+    is needed.  Runs in float64.
     """
-    return fft_causal_conv(np.flip(g, axis=-1), v)[..., ::-1]
+    length = g.shape[-1]
+    if v.shape[-1] != length:
+        raise ContractError(f"correlation length {v.shape[-1]} does not match upstream length {length}")
+    n = _fft_size(length)
+    gf = np.fft.rfft(np.asarray(g, dtype=np.float64), n)
+    vf = np.fft.rfft(np.asarray(v, dtype=np.float64), n)
+    np.conjugate(vf, out=vf)
+    vf *= gf
+    return np.fft.irfft(vf, n)[..., :length]
 
 
 def direct_causal_conv(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -316,6 +316,100 @@ def test_finished_tape_is_freed_without_the_cyclic_collector(grad_enabled):
         gc.enable()
 
 
+# --------------------------------------------------------------------------
+# Tape contract: which nodes hold gradients and closures
+# --------------------------------------------------------------------------
+
+def small_mil_bundle(grad_enabled=True, dtype=np.float64):
+    from s4mil.model import ModelConfig, build_tape, init_parameters
+
+    cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2, num_ssm_layers=2,
+                      multitask=True, num_patch_classes=2)
+    model = init_parameters(cfg, seed=5)
+    rng = np.random.default_rng(15)
+    return build_tape(cfg, model.params, rng.standard_normal((16, 8)), slide_label=1,
+                      patch_labels=rng.integers(0, 2, 16), lam=1.0, dtype=dtype,
+                      grad_enabled=grad_enabled)
+
+
+def test_unnamed_leaf_gets_no_gradient():
+    tape = small_mil_bundle().tape
+    grads = tape.backward()
+    features = next(n for n in tape.nodes if n.op == "leaf" and n.name is None)
+    assert features.value.shape == (16, 8)
+    assert not features.needs_grad and features.grad is None
+    assert set(grads) == {n.name for n in tape.nodes if n.op == "leaf" and n.name is not None}
+
+
+def test_unreached_named_leaf_gets_zeros_of_its_shape():
+    tape = f64_tape()
+    w = tape.leaf(np.arange(6.0).reshape(2, 3), name="w")
+    tape.leaf(np.ones((4, 2)), name="unused")
+    tape.softmax_log_loss(tape.matvec(tape.leaf(np.ones(2)), w), [1])
+    grads = tape.backward()
+    assert grads["unused"].shape == (4, 2) and not np.any(grads["unused"])
+    assert np.any(grads["w"])
+
+
+def test_non_leaf_gradients_are_dropped_after_the_sweep():
+    tape = small_mil_bundle().tape
+    tape.backward()
+    inner = [n for n in tape.nodes if n.op != "leaf"]
+    assert inner and all(n.grad is None for n in inner)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_repeated_backward_returns_equal_gradients(dtype):
+    tape = small_mil_bundle(dtype=dtype).tape
+    first = tape.backward()
+    second = tape.backward()
+    assert first.keys() == second.keys()
+    for k in first:
+        assert first[k] is not second[k]
+        assert first[k].tobytes() == second[k].tobytes(), k
+
+
+def test_gradient_free_tape_keeps_no_closures():
+    tape = small_mil_bundle(grad_enabled=False).tape
+    assert all(n.backward_fn is None and not n.needs_grad for n in tape.nodes)
+
+
+def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch):
+    # One channel per chunk, so run_chunked hands four ranges to the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from s4mil import autograd, parallel
+
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(autograd, "_conv_chunk", lambda h, fft_len: 1)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+    rng = np.random.default_rng(16)
+    params = ssm_params(rng, h=4, n_half=3)
+    params["u"] = rng.standard_normal((300, 4))
+    labels = rng.integers(0, 3, 300)
+    before = parallel.get_threads()
+    runs = {}
+    try:
+        for threads in (1, 2):
+            parallel.set_threads(threads)
+            tape = build_ssm_tape(params, "bilinear", labels)
+            runs[threads] = (tape.nodes[-2].value, tape.backward())
+    finally:
+        parallel.set_threads(before)
+    assert pools, "the thread pool never started"
+    (v1, g1), (v2, g2) = runs[1], runs[2]
+    assert v1.tobytes() == v2.tobytes()
+    assert g1.keys() == g2.keys()
+    for k in g1:
+        assert g1[k].tobytes() == g2[k].tobytes(), k
+
+
 def test_softmax_log_loss_fd():
     rng = np.random.default_rng(11)
     params = {"z": rng.standard_normal((5, 3))}

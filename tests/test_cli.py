@@ -3,9 +3,12 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from s4mil.checkpoint import save_checkpoint
 from s4mil.cli import REGISTRY, build_parser, heatmap_grid, main, parse_heatmap, write_heatmap
+from s4mil.data_io import write_manifest, write_sequence_file
+from s4mil.errors import ContractError
 from s4mil.model import ModelConfig, init_parameters
 
 TINY_SYNTH = [
@@ -150,6 +153,29 @@ def test_heatmap_round_trip(tmp_path):
     path = tmp_path / "grid.txt"
     write_heatmap(path, grid)
     assert np.array_equal(parse_heatmap(path), grid)
+
+
+def test_heatmap_duplicate_coordinate_names_first_repeat():
+    coords = np.array([[3, 1], [4, 2], [5, 0], [4, 2], [3, 1]])
+    with pytest.raises(ContractError, match=r"\(row 4, col 2\)"):
+        heatmap_grid(np.linspace(0.1, 0.5, 5), coords)
+
+
+def test_export_heatmap_rejects_duplicate_coordinates(tmp_path, capsys):
+    model = init_parameters(ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, multitask=True),
+                            seed=0)
+    save_checkpoint(tmp_path / "mt.s4mc", model)
+    write_sequence_file(tmp_path / "f.seqf", np.ones((3, 4), dtype=np.float32))
+    write_sequence_file(tmp_path / "c.seqf", np.array([[0, 0], [1, 0], [1, 0]], dtype=np.float32))
+    write_manifest(tmp_path / "manifest.csv",
+                   [{"id": "dup", "label": 1, "features": "f.seqf", "coords": "c.seqf"}])
+    code = run(["export-heatmap", "--checkpoint", tmp_path / "mt.s4mc",
+                "--manifest", tmp_path / "manifest.csv", "--bag-id", "dup",
+                "--output", tmp_path / "hm"])
+    assert code != 0
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and "(row 1, col 0)" in err
+    assert not (tmp_path / "hm" / "heatmap_dup.txt").exists()
 
 
 # --------------------------------------------------------------------------

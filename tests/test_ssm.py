@@ -297,6 +297,27 @@ def test_correlation_is_conv_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 4097])
+def test_correlation_matches_direct_sum(length):
+    # corr[l] = sum_{t >= l} g[t] v[t-l]; the FFT size steps at L = 2^k + 1.
+    rng = np.random.default_rng(length)
+    g = rng.standard_normal((2, length))
+    v = rng.standard_normal((3, 2, length))
+    direct = np.empty_like(v)
+    for row in np.ndindex(v.shape[:-1]):
+        gr, vr = g[row[1:]], v[row]
+        direct[row] = [np.dot(gr[lag:], vr[:length - lag]) for lag in range(length)]
+    scale = np.sqrt(length)
+    np.testing.assert_allclose(fft_causal_corr(g, v), direct, rtol=0, atol=1e-12 * scale)
+    np.testing.assert_allclose(fft_causal_corr(g[1], v[2, 1]), direct[2, 1], rtol=0,
+                               atol=1e-12 * scale)
+
+
+def test_correlation_length_mismatch():
+    with pytest.raises(ContractError, match="length"):
+        fft_causal_corr(np.zeros(4), np.zeros(5))
+
+
 # --------------------------------------------------------------------------
 # Recurrence and duality
 # --------------------------------------------------------------------------
