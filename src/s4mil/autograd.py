@@ -15,8 +15,9 @@ There is no general broadcasting; `add` supports the one bias pattern
 (L, H) + (H,) the model uses.
 
 Training runs the tape in float32; gradient-check builds use float64.
-The ssm-conv op always performs its internal kernel/FFT math in 64-bit
-complex and casts back to the tape dtype.
+The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
+each chunk of channels is converted to float64 rows and its result back to
+the tape dtype, so no whole float64 copy of the input or output exists.
 """
 
 from dataclasses import dataclass, field
@@ -43,14 +44,19 @@ class Node:
     backward_fn: object = field(default=None, repr=False)
 
 
-def _accumulate(node: Node, g) -> None:
+def _accumulate(node: Node, g, owned: bool = False) -> None:
     """node.grad += g, creating the gradient on first use.
 
-    Adding +0 copies g, so no two nodes share one array, and turns -0 into +0
-    exactly as accumulating into a zero-filled buffer does.
+    A new gradient is g + 0, which turns -0 into +0 exactly as accumulating
+    into a zero-filled buffer does.  The sum goes into a new array, so no two
+    nodes share one, unless the caller passes owned=True for an array it has
+    just computed and nothing else holds: then, if g is laid out like the
+    node's value, the +0 is applied in place and g becomes the gradient.
     """
     if node.grad is None:
-        node.grad = np.add(g, 0, out=np.empty_like(node.value))
+        owned = (owned and isinstance(g, np.ndarray) and g.dtype == node.value.dtype
+                 and g.strides == node.value.strides)
+        node.grad = np.add(g, 0, out=g if owned else np.empty_like(node.value))
     else:
         node.grad += g
 
@@ -95,9 +101,9 @@ class Tape:
 
         def backward_fn(g):
             if x.needs_grad:
-                _accumulate(x, g @ wv.T if xv.ndim == 2 else wv @ g)
+                _accumulate(x, g @ wv.T if xv.ndim == 2 else wv @ g, owned=True)
             if w.needs_grad:
-                _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g))
+                _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g), owned=True)
 
         return self._append("matvec", value, (x, w), backward_fn=backward_fn)
 
@@ -115,7 +121,7 @@ class Tape:
             if a.needs_grad:
                 _accumulate(a, g)
             if b.needs_grad:
-                _accumulate(b, g.sum(axis=0) if broadcast else g)
+                _accumulate(b, g.sum(axis=0) if broadcast else g, owned=broadcast)
 
         return self._append("add", value, (a, b), backward_fn=backward_fn)
 
@@ -126,9 +132,9 @@ class Tape:
 
         def backward_fn(g):
             if a.needs_grad:
-                _accumulate(a, g * b.value)
+                _accumulate(a, g * b.value, owned=True)
             if b.needs_grad:
-                _accumulate(b, g * a.value)
+                _accumulate(b, g * a.value, owned=True)
 
         return self._append("elementwise-mul", value, (a, b), backward_fn=backward_fn)
 
@@ -136,7 +142,7 @@ class Tape:
         value = _sigmoid(x.value)
 
         def backward_fn(g):
-            _accumulate(x, g * value * (1.0 - value))
+            _accumulate(x, g * value * (1.0 - value), owned=True)
 
         return self._append("sigmoid", value, (x,), backward_fn=backward_fn)
 
@@ -144,7 +150,7 @@ class Tape:
         value = np.exp(x.value)
 
         def backward_fn(g):
-            _accumulate(x, g * value)
+            _accumulate(x, g * value, owned=True)
 
         return self._append("exp", value, (x,), backward_fn=backward_fn)
 
@@ -152,7 +158,7 @@ class Tape:
         value = np.log(x.value)
 
         def backward_fn(g):
-            _accumulate(x, g / x.value)
+            _accumulate(x, g / x.value, owned=True)
 
         return self._append("log", value, (x,), backward_fn=backward_fn)
 
@@ -161,7 +167,7 @@ class Tape:
         value = alpha * x.value
 
         def backward_fn(g):
-            _accumulate(x, alpha * g)
+            _accumulate(x, alpha * g, owned=True)
 
         return self._append("scale", value, (x,), backward_fn=backward_fn)
 
@@ -196,15 +202,15 @@ class Tape:
 
         def backward_fn(g):
             if gamma.needs_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=0))
+                _accumulate(gamma, (g * xhat).sum(axis=0), owned=True)
             if beta.needs_grad:
-                _accumulate(beta, g.sum(axis=0))
+                _accumulate(beta, g.sum(axis=0), owned=True)
             if x.needs_grad:
                 gx_hat = g * gamma.value
                 h = xv.shape[1]
                 term = gx_hat - gx_hat.mean(axis=1, keepdims=True) \
                     - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True) / h
-                _accumulate(x, term * inv_std)
+                _accumulate(x, term * inv_std, owned=True)
 
         return self._append("layernorm", value, (x, gamma, beta), backward_fn=backward_fn)
 
@@ -228,18 +234,17 @@ class Tape:
             )
         parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
                    "d": d, "log_dt": log_dt}
-        y64, cache = _ssm_conv_forward(
+        value, cache = _ssm_conv_forward(
             uv, a_re.value, a_im.value, c_re.value, c_im.value, d.value,
             log_dt.value, rule, keep_cache=self._needs_grad(parents.values()),
         )
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
-        value = y64.astype(dtype)
 
         def backward_fn(g):
-            grads = grad_ssm_conv(np.asarray(g, dtype=np.float64), cache)
+            grads = grad_ssm_conv(g, cache)
             for key, parent in parents.items():
                 if parent.needs_grad:
-                    _accumulate(parent, grads[key].astype(dtype))
+                    _accumulate(parent, grads[key].astype(dtype, copy=False), owned=True)
 
         return self._append("ssm-conv", value, parents.values(), backward_fn=backward_fn)
 
@@ -271,7 +276,7 @@ class Tape:
             if reduction == "mean":
                 p /= lv.shape[0]
             gl = (float(g) * p).astype(dtype)
-            _accumulate(logits, gl[0] if squeeze else gl)
+            _accumulate(logits, gl[0] if squeeze else gl, owned=True)
 
         return self._append("softmax-log-loss", value, (logits,), backward_fn=backward_fn)
 
@@ -318,7 +323,7 @@ class Tape:
 
 @dataclass
 class SsmConvCache:
-    u64: np.ndarray | None
+    u: np.ndarray | None
     kernels: np.ndarray | None
     disc: ssm.Discretization
     dt: np.ndarray
@@ -343,47 +348,74 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 
 def _conv_chunk(h: int, fft_len: int) -> int:
     # Channels per chunk, so that one chunk's transient FFT buffers stay bounded
-    # regardless of L.  At L=30000 (fft_len 65536, 30 channels) tracemalloc
-    # measures a peak of 63 MB for a forward chunk and 93 MB for a backward
+    # regardless of L.  At L=30000 (fft_len 60000, 33 channels) tracemalloc
+    # measures a peak of 40 MB for a forward chunk and 103 MB for a backward
     # chunk, which correlates with the kernels and the inputs at once.
     return max(1, min(h, int(96e6 // (fft_len * 48))))
 
 
-def _chunked_conv(kernels: np.ndarray, ut: np.ndarray) -> np.ndarray:
-    h = ut.shape[0]
-    out = np.empty_like(ut)
+def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
+    """Channels s:e of an (L, H) array as float64 (e - s, L) rows."""
+    return np.ascontiguousarray(x[:, s:e].T, dtype=np.float64)
+
+
+def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """K * u + d u for kernels (H, L) and u (L, H), as (L, H) in u's dtype.
+
+    Each chunk converts its own channels to float64 rows and back, so no
+    whole float64 copy of u or of the output exists.
+    """
+    length, h = u.shape
+    out = np.empty((h, length), dtype=u.dtype)
 
     def work(s, e):
-        out[s:e] = ssm.fft_causal_conv(kernels[s:e], ut[s:e])
-
-    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(ut.shape[1])), work)
-    return out
-
-
-def _chunked_corr(g: np.ndarray, *vs: np.ndarray) -> np.ndarray:
-    """(k, H, L) correlations of g (H, L) with each of the k arrays vs (H, L)."""
-    h, length = g.shape
-    out = np.empty((len(vs), h, length))
-
-    def work(s, e):
-        out[:, s:e] = ssm.fft_causal_corr(g[s:e], np.stack([v[s:e] for v in vs]))
+        rows = _rows(u, s, e)
+        y = ssm.fft_causal_conv(kernels[s:e], rows)
+        y += d[s:e, None] * rows
+        out[s:e] = y
 
     parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
-    return out
+    return out.T
+
+
+def _chunked_corr(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray):
+    """Per-channel adjoints of _chunked_conv for the upstream g (L, H).
+
+    Returns the input gradient corr(g, K) + d g, laid out like u and in its
+    dtype, the kernel gradient corr(g, u) (H, L) and the skip gradient
+    sum_l g u (H,), all converted and formed chunk by chunk.
+    """
+    length, h = u.shape
+    grad_u = np.empty_like(u)
+    grad_k = np.empty((h, length))
+    grad_d = np.empty(h)
+
+    def work(s, e):
+        rows = _rows(g, s, e)
+        v = np.empty((2, e - s, length))
+        v[0] = kernels[s:e]
+        v[1] = u[:, s:e].T
+        grad_d[s:e] = np.einsum("hl,hl->h", rows, v[1])
+        corr = ssm.fft_causal_corr(rows, v)
+        grad_k[s:e] = corr[1]
+        corr[0] += d[s:e, None] * rows
+        grad_u[:, s:e] = corr[0].T
+
+    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
+    return grad_u, grad_k, grad_d
 
 
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
     length = u.shape[0]
-    u64 = np.ascontiguousarray(np.asarray(u, dtype=np.float64).T)  # (H, L)
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     kernels = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length)  # (H, L)
     d64 = np.asarray(d, dtype=np.float64)
-    y = (_chunked_conv(kernels, u64) + d64[:, None] * u64).T
+    y = _chunked_conv(kernels, u, d64)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(
-        u64=u64 if keep_cache else None,
+        u=u if keep_cache else None,
         kernels=kernels if keep_cache else None,
         disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, d=d64,
     )
@@ -401,15 +433,10 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps multiply by the
     conjugated derivative.
     """
-    if cache.u64 is None:
+    if cache.u is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")
-    g = np.ascontiguousarray(np.asarray(upstream, dtype=np.float64).T)  # (H, L)
-    u64, kernels = cache.u64, cache.kernels
-    length = g.shape[1]
-
-    grad_d = np.einsum("hl,hl->h", g, u64)
-    grad_u, gk = _chunked_corr(g, kernels, u64)  # gk = dL/dK, shape (H, L)
-    grad_u += cache.d[:, None] * g
+    length = cache.u.shape[0]
+    grad_u, gk, grad_d = _chunked_corr(upstream, cache.u, cache.kernels, cache.d)
 
     disc = cache.disc
     conj_abar = np.conj(disc.a_bar)
@@ -430,7 +457,7 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     grad_log_dt = cache.dt * ddt
 
     return {
-        "u": grad_u.T,
+        "u": grad_u,
         "a_re": a_hat.real * cache.clamp_mask,
         "a_im": a_hat.imag,
         "c_re": c_hat.real,

@@ -19,11 +19,13 @@ outputs take twice the real part.
 Kernel powers are accumulated by running products in 64-bit complex
 arithmetic regardless of the model's working precision, using a sqrt(L)
 two-level factorization: powers 0..T-1 and powers of a_bar^T are cumulative
-products, and their outer combination is a small matrix product.  Total work
+products.  Their outer combination (the Vandermonde product of S4D) is one
+real matrix product, since the kernel needs only its real part.  Total work
 stays O(n_half * L) without materializing an (n_half, L) power table per
 evaluation step.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -131,23 +133,8 @@ def _power_tables(alpha: np.ndarray, length: int):
     return p, b, q, t
 
 
-def power_series(weights: np.ndarray, alpha: np.ndarray, length: int) -> np.ndarray:
-    """sum_k weights[..., k] * alpha[..., k]^l for l in [0, length).
-
-    Shapes: weights, alpha (..., n) -> output (..., length), complex128.
-    """
-    if length < 1:
-        raise ContractError(f"length must be >= 1, got {length}")
-    weights = np.asarray(weights, dtype=np.complex128)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    p, b, q, t = _power_tables(alpha, length)
-    u = np.swapaxes(weights[..., None] * b, -1, -2)  # (..., q, n)
-    flat = np.matmul(u, p)  # (..., q, t)
-    return flat.reshape(alpha.shape[:-1] + (q * t,))[..., :length]
-
-
 def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_l weights[..., l] * alpha[..., k]^l, the transpose of power_series.
+    """sum_l weights[..., l] * alpha[..., k]^l, the adjoint of the kernel_bank product.
 
     Shapes: alpha (..., n), weights (..., L) -> output (..., n), complex128.
     """
@@ -163,9 +150,23 @@ def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int) -> np.ndarray:
-    """Real kernels for stacked channels: (..., n) params -> (..., length)."""
+    """Real kernels for stacked channels: (..., n) params -> (..., length).
+
+    K_l = Re(sum_k w_k a_bar_k^l) with w = 2 c b_bar.  Writing l = iT + r,
+    the sum is the (q, n) x (n, T) product of U[i, k] = w_k a_bar_k^(iT) and
+    P[k, r] = a_bar_k^r, and only its real part is needed, so it is formed
+    as the one real product [Re U, -Im U] (q, 2n) x [Re P; Im P] (2n, T).
+    """
+    if length < 1:
+        raise ContractError(f"length must be >= 1, got {length}")
+    alpha = np.asarray(a_bar, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        k = 2.0 * power_series(np.asarray(c, dtype=np.complex128) * b_bar, a_bar, length).real
+        p, b, q, t = _power_tables(alpha, length)
+        w = 2.0 * np.asarray(c, dtype=np.complex128) * b_bar
+        u = np.swapaxes(w[..., None] * b, -1, -2)
+        k = np.matmul(np.concatenate([u.real, -u.imag], axis=-1),
+                      np.concatenate([p.real, p.imag], axis=-2))  # (..., q, t)
+    k = k.reshape(alpha.shape[:-1] + (q * t,))[..., :length]
     if not np.all(np.isfinite(k)):
         raise NumericalError("kernel overflow: non-finite values in the materialized kernel")
     return k
@@ -175,15 +176,35 @@ def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int
 # Convolution
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4096)
 def _fft_size(length: int) -> int:
-    return 1 << max(1, int(2 * length - 1).bit_length())
+    """Smallest 5-smooth n = 2^a 3^b 5^c >= 2 length - 1.
+
+    That many points make a circular convolution or correlation of two
+    length-L signals linear on the first L samples.  pocketfft is fast at
+    5-smooth sizes (7-smooth ones measured slower), which pad far less than
+    powers of two: L = 33000 takes 67500 points instead of 131072.
+    """
+    target = max(1, 2 * length - 1)
+    best = 1 << (target - 1).bit_length()
+    fives = 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            n = odd
+            while n < target:
+                n *= 2
+            best = min(best, n)
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Causal convolution of stacked kernels (..., L) with inputs (..., L).
 
-    Zero-padded to a power of two >= 2L so the circular product is linear on
-    the first L samples.  Runs in float64.
+    Zero-padded to _fft_size(L) >= 2L - 1 points, so the circular product is
+    linear on the first L samples.  Runs in float64.
     """
     length = u.shape[-1]
     if kernels.shape[-1] != length:
@@ -192,8 +213,8 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
         )
     n = _fft_size(length)
     kf = np.fft.rfft(np.asarray(kernels, dtype=np.float64), n)
-    uf = np.fft.rfft(np.asarray(u, dtype=np.float64), n)
-    return np.fft.irfft(kf * uf, n)[..., :length]
+    kf *= np.fft.rfft(np.asarray(u, dtype=np.float64), n)
+    return np.fft.irfft(kf, n)[..., :length]
 
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -202,9 +223,9 @@ def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     This is the adjoint of fft_causal_conv in its kernel argument.  Shapes:
     g (..., L) and v (k, ..., L) or (..., L); g broadcasts against the
     leading axis of a stacked v, so one transform of g serves every row of
-    v.  The result is irfft(G * conj(V))[..., :L]: with n >= 2L - 1 points
-    the circular lags that wrap around land in the zero padding, so no flip
-    is needed.  Runs in float64.
+    v.  The result is irfft(G * conj(V))[..., :L]: with n = _fft_size(L) >=
+    2L - 1 points the negative lags wrap around into indices >= L, so no
+    flip is needed.  Runs in float64.
     """
     length = g.shape[-1]
     if v.shape[-1] != length:

@@ -369,6 +369,67 @@ def test_repeated_backward_returns_equal_gradients(dtype):
         assert first[k].tobytes() == second[k].tobytes(), k
 
 
+def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(monkeypatch):
+    from s4mil import autograd
+
+    accumulate = autograd._accumulate
+    handed = []
+
+    def spy(node, g, owned=False):
+        accumulate(node, g, owned)
+        handed.append(node.grad is g)
+
+    monkeypatch.setattr(autograd, "_accumulate", spy)
+    grads = small_mil_bundle().tape.backward()
+    assert any(handed), "no closure handed its gradient over"
+    arrays = list(grads.values())
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+    monkeypatch.setattr(autograd, "_accumulate", lambda node, g, owned=False: accumulate(node, g))
+    copied = small_mil_bundle().tape.backward()
+    assert grads.keys() == copied.keys()
+    for k in grads:
+        assert grads[k].tobytes() == copied[k].tobytes(), k
+
+
+def test_first_gradient_turns_negative_zero_into_positive_zero():
+    # g * -0 is -0 where g > 0; a gradient starts as +0 + g, as if zero-filled.
+    tape = f64_tape()
+    w = tape.leaf(np.ones(3), name="w")
+    z = tape.leaf(np.full(3, -0.0), name="z")
+    tape.softmax_log_loss(tape.mul(w, z), [0])
+    grads = tape.backward()
+    assert np.all(grads["w"] == 0) and not np.any(np.signbit(grads["w"]))
+
+
+def test_ssm_conv_forward_keeps_no_whole_float64_copy_of_its_input(monkeypatch):
+    # One channel per chunk, so one (H, L) float64 array outweighs every buffer
+    # of a chunk.  The forward holds the float64 kernels and the output; the
+    # bound leaves room for one more (H, L) float64 array, which a whole
+    # float64 copy of u would use up on its own.
+    import tracemalloc
+
+    from s4mil import autograd
+
+    monkeypatch.setattr(autograd, "_conv_chunk", lambda h, fft_len: 1)
+    rng = np.random.default_rng(17)
+    h, length = 64, 16384
+    p = ssm_params(rng, h=h, n_half=2)
+    p["u"] = rng.standard_normal((length, h))
+    tape = Tape(dtype=np.float32, grad_enabled=False)
+    nodes = [tape.leaf(p[k]) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+    tracemalloc.start()
+    try:
+        y = tape.ssm_conv(*nodes, rule="zoh")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = h * length * 8
+    assert y.value.dtype == np.float32
+    assert peak < plane + y.value.nbytes + plane, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_gradient_free_tape_keeps_no_closures():
     tape = small_mil_bundle(grad_enabled=False).tape
     assert all(n.backward_fn is None and not n.needs_grad for n in tape.nodes)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from s4mil.errors import ContractError, NumericalError
 from s4mil.ssm import (
     ZERO_POLE_EPS,
+    _fft_size,
     direct_causal_conv,
     discretize,
     fft_causal_conv,
@@ -208,6 +209,37 @@ def test_kernel_matches_brute_force_powers():
         np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("a_re", [-0.5, -1e-4])
+def test_kernel_matches_brute_force_in_the_trained_regime(rule, dt, a_re):
+    # Init poles a_re + i pi k up to k = 63 (N = 128), and the -1e-4 clamp, at
+    # the ends of the init dt range.  The tolerance is relative to the
+    # kernel's scale: where the 64 terms cancel, the two computations differ
+    # by up to 5e-11 of the entry itself.
+    rng = np.random.default_rng(31)
+    a = a_re + 1j * np.pi * np.arange(64)
+    c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    disc = discretize(a, dt, rule)
+    k = kernel_bank(c, disc.a_bar, disc.b_bar, length=2048)
+    expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 2048)
+    np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_model_regime_channel_matches_direct_convolution_at_l62235():
+    # The longest slide length the model is run on: 125000 transform points.
+    rng = np.random.default_rng(37)
+    length = 62235
+    assert _fft_size(length) == 125000
+    a = -0.5 + 1j * np.pi * np.arange(16)
+    c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    disc = discretize(a, 0.01, "zoh")
+    k = kernel_bank(c, disc.a_bar, disc.b_bar, length)
+    u = rng.standard_normal(length)
+    direct = direct_causal_conv(k, u)
+    assert np.max(np.abs(fft_causal_conv(k, u) - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_kernel_decay_envelope():
     # |K_l| <= M rho^l with M = 2 sum_k |c_k b_bar_k| and rho = max |a_bar_k|.
     rng = np.random.default_rng(13)
@@ -259,7 +291,27 @@ def test_fft_path_equals_direct_path_at_l257():
     assert np.max(np.abs(fft - direct)) <= 1e-6 * scale
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 127, 128, 129, 1000])
+def _brute_force_fft_size(length):
+    n = 2 * length - 1
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    assert [_fft_size(n) for n in range(1, 4097)] == [_brute_force_fft_size(n) for n in range(1, 4097)]
+    pinned = {188: 375, 203: 405, 8192: 16384, 30000: 60000, 33000: 67500, 62235: 125000}
+    assert {n: _fft_size(n) for n in pinned} == pinned
+
+
+# 188 and 203 take odd transform lengths (375, 405); 204 is just past the
+# step at 405 (432), and 4097 just past the one at 8192 (8640).
+@pytest.mark.parametrize("length", [1, 2, 3, 127, 128, 129, 188, 203, 204, 1000, 4097])
 def test_fft_path_edge_lengths(length):
     rng = np.random.default_rng(length)
     k = rng.standard_normal(length)
@@ -297,9 +349,9 @@ def test_correlation_is_conv_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 4097])
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 188, 203, 204, 4097])
 def test_correlation_matches_direct_sum(length):
-    # corr[l] = sum_{t >= l} g[t] v[t-l]; the FFT size steps at L = 2^k + 1.
+    # corr[l] = sum_{t >= l} g[t] v[t-l]; 188 to 4097 as in test_fft_path_edge_lengths.
     rng = np.random.default_rng(length)
     g = rng.standard_normal((2, length))
     v = rng.standard_normal((3, 2, length))
