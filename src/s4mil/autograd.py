@@ -10,9 +10,10 @@ walks the list in reverse exactly once.  A gradient is created on its first
 accumulation, and a non-leaf node's gradient is dropped as soon as its
 closure has consumed it.
 
-The op set is deliberately small: exactly what the aggregator model needs.
-There is no general broadcasting; `add` supports the one bias pattern
-(L, H) + (H,) the model uses.
+The op set is exactly what the aggregator model calls, and no more:
+`matvec` is the whole affine map x @ w + b (the bias is added in place into
+the matrix product), `add` sums two arrays of one shape (the multitask
+loss), and there is no broadcasting anywhere else.
 
 Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
@@ -52,6 +53,8 @@ def _accumulate(node: Node, g, owned: bool = False) -> None:
     nodes share one, unless the caller passes owned=True for an array it has
     just computed and nothing else holds: then, if g is laid out like the
     node's value, the +0 is applied in place and g becomes the gradient.
+    Every closure owns what it passes except the upstream g it hands on
+    unchanged: both parents of `add`, and the bias of a 1-D `matvec`.
     """
     if node.grad is None:
         owned = (owned and isinstance(g, np.ndarray) and g.dtype == node.value.dtype
@@ -93,35 +96,36 @@ class Tape:
 
     # -- ops -----------------------------------------------------------------
 
-    def matvec(self, x: Node, w: Node) -> Node:
-        xv, wv = x.value, w.value
+    def matvec(self, x: Node, w: Node, b: Node) -> Node:
+        """Affine map x @ w + b: x (L, D) or (D,), w (D, H), b (H,)."""
+        xv, wv, bv = x.value, w.value, b.value
         if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
             raise ContractError(f"matvec shape mismatch: {xv.shape} @ {wv.shape}")
+        if bv.shape != (wv.shape[1],):
+            raise ContractError(f"matvec bias shape {bv.shape} does not fit weight {wv.shape}")
         value = xv @ wv
+        value += bv
 
         def backward_fn(g):
             if x.needs_grad:
                 _accumulate(x, g @ wv.T if xv.ndim == 2 else wv @ g, owned=True)
             if w.needs_grad:
                 _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g), owned=True)
+            if b.needs_grad:
+                _accumulate(b, g.sum(axis=0) if xv.ndim == 2 else g, owned=xv.ndim == 2)
 
-        return self._append("matvec", value, (x, w), backward_fn=backward_fn)
+        return self._append("matvec", value, (x, w, b), backward_fn=backward_fn)
 
     def add(self, a: Node, b: Node) -> Node:
-        av, bv = a.value, b.value
-        if av.shape == bv.shape:
-            broadcast = False
-        elif av.ndim == 2 and bv.ndim == 1 and av.shape[1] == bv.shape[0]:
-            broadcast = True
-        else:
-            raise ContractError(f"add shape mismatch: {av.shape} + {bv.shape}")
-        value = av + bv
+        if a.value.shape != b.value.shape:
+            raise ContractError(f"add shape mismatch: {a.value.shape} + {b.value.shape}")
+        value = a.value + b.value
 
         def backward_fn(g):
             if a.needs_grad:
                 _accumulate(a, g)
             if b.needs_grad:
-                _accumulate(b, g.sum(axis=0) if broadcast else g, owned=broadcast)
+                _accumulate(b, g)
 
         return self._append("add", value, (a, b), backward_fn=backward_fn)
 
@@ -145,22 +149,6 @@ class Tape:
             _accumulate(x, g * value * (1.0 - value), owned=True)
 
         return self._append("sigmoid", value, (x,), backward_fn=backward_fn)
-
-    def exp(self, x: Node) -> Node:
-        value = np.exp(x.value)
-
-        def backward_fn(g):
-            _accumulate(x, g * value, owned=True)
-
-        return self._append("exp", value, (x,), backward_fn=backward_fn)
-
-    def log(self, x: Node) -> Node:
-        value = np.log(x.value)
-
-        def backward_fn(g):
-            _accumulate(x, g / x.value, owned=True)
-
-        return self._append("log", value, (x,), backward_fn=backward_fn)
 
     def scale(self, x: Node, alpha: float) -> Node:
         alpha = self.dtype.type(alpha)
@@ -438,15 +426,16 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     length = cache.u.shape[0]
     grad_u, gk, grad_d = _chunked_corr(upstream, cache.u, cache.kernels, cache.d)
 
+    # One power-table call sums gk and its index-weighted shift (l + 1) gk[l + 1].
+    weights = np.empty((gk.shape[0], 2, length))
+    weights[:, 0] = gk
+    np.multiply(gk[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
+    weights[:, 1, -1] = 0.0
+    del gk
     disc = cache.disc
-    conj_abar = np.conj(disc.a_bar)
-    w_hat = 2.0 * ssm.power_weighted_sum(conj_abar, gk)
-    shifted = gk[:, 1:] * np.arange(1, length)[None, :]
-    if shifted.shape[1] == 0:
-        s_shift = np.zeros_like(conj_abar)
-    else:
-        s_shift = ssm.power_weighted_sum(conj_abar, shifted)
-    abar_hat = 2.0 * np.conj(cache.c * disc.b_bar) * s_shift
+    sums = ssm.power_weighted_sum(np.conj(disc.a_bar)[:, None, :], weights)
+    w_hat = 2.0 * sums[:, 0]
+    abar_hat = 2.0 * np.conj(cache.c * disc.b_bar) * sums[:, 1]
 
     c_hat = w_hat * np.conj(disc.b_bar)
     bbar_hat = w_hat * np.conj(cache.c)

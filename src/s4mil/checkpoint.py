@@ -10,8 +10,9 @@ Layout (all integers little-endian u32 unless noted):
     40..         parameter payload: every array in declaration order as raw
                  32-bit IEEE little-endian values
 
-Writer and reader round-trip bitwise; trailing bytes and non-finite values
-are rejected.
+Writer and reader round-trip bitwise.  The reader raises ParseError, with
+the byte offset of the fault, for a malformed config word, a payload whose
+size does not match the config, and a non-finite value.
 """
 
 import struct
@@ -20,11 +21,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .model import DISCRETIZATIONS, MilModel, ModelConfig, parameter_shapes
+from .model import DISCRETIZATIONS, MilModel, ModelConfig, count_parameters, parameter_shapes
 
 MAGIC = b"S4MC"
 VERSION = 1
 _HEADER = struct.Struct("<4sIIIIIIIII")  # magic, version, 8 config words
+_CONFIG_WORDS = ("input_dim", "hidden_dim", "state_dim", "num_classes", "num_patch_classes",
+                 "num_ssm_layers", "multitask", "discretization")
+# Words with a rule other than "a positive integer".
+_WORD_CHECKS = {
+    "state_dim": lambda v: v >= 2 and v % 2 == 0,
+    "multitask": lambda v: v in (0, 1),
+    "discretization": lambda v: v < len(DISCRETIZATIONS),
+}
 
 
 def save_checkpoint(path, model: MilModel) -> None:
@@ -44,37 +53,35 @@ def load_checkpoint(path) -> MilModel:
     blob = Path(path).read_bytes()
     if len(blob) < _HEADER.size:
         raise ParseError(f"checkpoint truncated: {len(blob)} bytes < header", offset=len(blob))
-    magic, version, d_in, hidden, state, classes, patch_classes, layers, multitask, disc = \
-        _HEADER.unpack_from(blob, 0)
+    magic, version, *words = _HEADER.unpack_from(blob, 0)
     if magic != MAGIC:
         raise ParseError(f"bad checkpoint magic {magic!r}, expected {MAGIC!r}", offset=0)
     if version != VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=4)
-    if disc >= len(DISCRETIZATIONS):
-        raise ParseError(f"unknown discretization code {disc}", offset=36)
-    config = ModelConfig(
-        input_dim=d_in, hidden_dim=hidden, state_dim=state, num_classes=classes,
-        num_patch_classes=patch_classes, num_ssm_layers=layers,
-        multitask=bool(multitask), discretization=DISCRETIZATIONS[disc],
-    )
-    shapes = parameter_shapes(config)
+    fields = dict(zip(_CONFIG_WORDS, words))
+    for index, (name, value) in enumerate(fields.items()):
+        if not _WORD_CHECKS.get(name, lambda v: v >= 1)(value):
+            raise ParseError(f"malformed checkpoint config word {name} = {value}",
+                             offset=8 + 4 * index)
+    config = ModelConfig(**{**fields, "multitask": bool(fields["multitask"]),
+                            "discretization": DISCRETIZATIONS[fields["discretization"]]})
+    # Sized from the closed-form count first, so a corrupt header cannot make
+    # the reader enumerate or allocate more than the file holds.
+    end = _HEADER.size + 4 * count_parameters(config)
+    if end > len(blob):
+        raise ParseError(f"checkpoint truncated: the config needs {end} bytes, have {len(blob)}",
+                         offset=len(blob))
+    if end < len(blob):
+        raise ParseError(f"{len(blob) - end} trailing bytes after parameters", offset=end)
     offset = _HEADER.size
     params: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
+    for name, shape in parameter_shapes(config).items():
         count = int(np.prod(shape, dtype=np.int64))
-        end = offset + 4 * count
-        if end > len(blob):
-            raise ParseError(
-                f"checkpoint truncated inside {name}: need {end} bytes, have {len(blob)}",
-                offset=len(blob),
-            )
-        values = np.frombuffer(blob[offset:end], dtype="<f4")
+        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ParseError(f"non-finite value {values[bad[0]]} in {name}",
                              offset=offset + 4 * int(bad[0]))
         params[name] = values.reshape(shape).copy()
-        offset = end
-    if offset != len(blob):
-        raise ParseError(f"{len(blob) - offset} trailing bytes after parameters", offset=offset)
+        offset += 4 * count
     return MilModel(config=config, params=params)

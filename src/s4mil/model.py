@@ -230,7 +230,7 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
     tape = Tape(dtype=dtype, grad_enabled=grad_enabled)
     leaves = {name: tape.leaf(value, name) for name, value in params.items()}
     x = tape.leaf(features)
-    x = tape.add(tape.matvec(x, leaves["projection.weight"]), leaves["projection.bias"])
+    x = tape.matvec(x, leaves["projection.weight"], leaves["projection.bias"])
     x = tape.layernorm(x, leaves["norm.scale"], leaves["norm.shift"])
     for i in range(config.num_ssm_layers):
         if mode == "conv":
@@ -242,14 +242,14 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
             # Oracle path: forward-only, parameters enter as a plain input.
             y = tape.leaf(_recurrence_layer_output(params, f"ssm{i}", x.value.astype(np.float64),
                                                    config.discretization))
-        value = tape.add(tape.matvec(y, leaves[f"mix{i}.value_weight"]), leaves[f"mix{i}.value_bias"])
-        gate = tape.add(tape.matvec(y, leaves[f"mix{i}.gate_weight"]), leaves[f"mix{i}.gate_bias"])
+        value = tape.matvec(y, leaves[f"mix{i}.value_weight"], leaves[f"mix{i}.value_bias"])
+        gate = tape.matvec(y, leaves[f"mix{i}.gate_weight"], leaves[f"mix{i}.gate_bias"])
         x = tape.mul(value, tape.sigmoid(gate))
     patch_logits = None
     if config.multitask:
-        patch_logits = tape.add(tape.matvec(x, leaves["patch_head.weight"]), leaves["patch_head.bias"])
+        patch_logits = tape.matvec(x, leaves["patch_head.weight"], leaves["patch_head.bias"])
     pooled = tape.max_pool_sequence(x)
-    slide_logits = tape.add(tape.matvec(pooled, leaves["classifier.weight"]), leaves["classifier.bias"])
+    slide_logits = tape.matvec(pooled, leaves["classifier.weight"], leaves["classifier.bias"])
     loss = None
     if slide_label is not None:
         loss = tape.softmax_log_loss(slide_logits, [int(slide_label)], reduction="mean")
@@ -285,6 +285,10 @@ def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
 # Pooling baselines
 # --------------------------------------------------------------------------
 
+# The baselines are forward-only: `s4mil bench` times them against the
+# aggregator with the head as initialized.  Nothing trains them, so they
+# have no tape.
+
 POOLING_KINDS = ("mean", "max")
 
 
@@ -295,9 +299,6 @@ class PoolingModel:
     kind: str
     weight: np.ndarray  # (D, C)
     bias: np.ndarray  # (C,)
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        return {"head.weight": self.weight, "head.bias": self.bias}
 
 
 def init_pooling_baseline(kind: str, input_dim: int, num_classes: int, seed: int) -> PoolingModel:
@@ -334,15 +335,3 @@ def forward_pooling_baseline(model: PoolingModel, features: np.ndarray) -> np.nd
         )
     logits = pooled @ model.weight.astype(np.float64) + model.bias.astype(np.float64)
     return softmax(logits)
-
-
-def pooling_tape(model: PoolingModel, features: np.ndarray, label: int,
-                 dtype=np.float32) -> TapeBundle:
-    """Training graph for a pooling baseline (the pooling itself is fixed)."""
-    pooled = pool_features(model.kind, features)
-    tape = Tape(dtype=dtype)
-    w = tape.leaf(model.weight, "head.weight")
-    b = tape.leaf(model.bias, "head.bias")
-    logits = tape.add(tape.matvec(tape.leaf(pooled), w), b)
-    loss = tape.softmax_log_loss(logits, [int(label)], reduction="mean")
-    return TapeBundle(tape=tape, slide_logits=logits, patch_logits=None, loss=loss)

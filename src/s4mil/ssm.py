@@ -136,17 +136,24 @@ def _power_tables(alpha: np.ndarray, length: int):
 def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_l weights[..., l] * alpha[..., k]^l, the adjoint of the kernel_bank product.
 
-    Shapes: alpha (..., n), weights (..., L) -> output (..., n), complex128.
+    Shapes: alpha (..., n) and real weights (..., L), whose leading axes
+    broadcast -> (..., n), complex128.  Writing l = iT + r as in kernel_bank,
+    the sum over r is the real product of the weights' (q, T) blocks with
+    [Re P, Im P] (T, 2n), so the weights are neither promoted to complex nor
+    padded: whole blocks are a view, and a last partial block has its own
+    product with the first rows of the table.
     """
     length = weights.shape[-1]
     alpha = np.asarray(alpha, dtype=np.complex128)
-    weights = np.asarray(weights)
     p, b, q, t = _power_tables(alpha, length)
-    padded = np.zeros(weights.shape[:-1] + (q * t,), dtype=np.complex128)
-    padded[..., :length] = weights
-    w_qt = padded.reshape(weights.shape[:-1] + (q, t))
-    inner = np.matmul(p, np.swapaxes(w_qt, -1, -2))  # (..., n, q)
-    return np.sum(inner * b, axis=-1)
+    table = np.swapaxes(np.concatenate([p.real, p.imag], axis=-2), -1, -2)  # (..., T, 2n)
+    whole = length // t
+    blocks = [np.matmul(weights[..., :whole * t].reshape(weights.shape[:-1] + (whole, t)), table)]
+    if whole < q:
+        blocks.append(np.matmul(weights[..., None, whole * t:], table[..., : length - whole * t, :]))
+    inner = np.concatenate(blocks, axis=-2)  # (..., q, 2n)
+    n = alpha.shape[-1]
+    return np.sum((inner[..., :n] + 1j * inner[..., n:]) * np.swapaxes(b, -1, -2), axis=-2)
 
 
 def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int) -> np.ndarray:

@@ -10,10 +10,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s4mil.autograd import check_gradients
+from s4mil.autograd import POLE_REAL_CEILING, Tape, check_gradients
 from s4mil.cli import REGISTRY, run_bench, run_kernel_check
 from s4mil.metrics import ScoredPrediction, auroc_binary, auroc_ovr
-from s4mil.model import ModelConfig, build_tape, count_parameters, forward_mil, init_parameters
+from s4mil.model import (
+    ModelConfig,
+    _recurrence_layer_output,
+    build_tape,
+    count_parameters,
+    forward_mil,
+    init_parameters,
+)
 from s4mil.seeding import substream
 from s4mil.train import (
     SyntheticTaskSpec,
@@ -46,6 +53,36 @@ def test_c02_recurrence_convolution_duality():
     )
     assert checked == 200  # both discretization rules per channel
     assert passed, f"worst relative error {worst:.3e} > 1e-6"
+
+
+@pytest.mark.parametrize("length", [1024, 4096])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_c02_duality_in_the_trained_regime(rule, length):
+    # The layer op against the recurrence at the smallest init timestep
+    # (dt 1e-3), on the init poles -1/2 + i pi k, k < N/2 = 16, and on pole
+    # real parts at the -1e-4 clamp, set there or clamped from above.  The
+    # feedthrough is zero so the comparison sees the convolution alone.
+    rng = np.random.default_rng(21)
+    n_half = 16
+    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
+    h = a_re.shape[0]
+    params = {
+        "ssm0.a_re": a_re,
+        "ssm0.a_im": np.tile(np.pi * np.arange(n_half), (h, 1)),
+        "ssm0.c_re": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
+        "ssm0.c_im": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
+        "ssm0.log_dt": np.full(h, np.log(1e-3)),
+        "ssm0.d": np.zeros(h),
+    }
+    u = rng.standard_normal((length, h))
+    tape = Tape(dtype=np.float64, grad_enabled=False)
+    leaves = [tape.leaf(params[f"ssm0.{k}"]) for k in ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+    conv = tape.ssm_conv(tape.leaf(u), *leaves, rule=rule).value
+    rec = _recurrence_layer_output(params, "ssm0", u, rule)
+    scale = np.max(np.abs(rec), axis=0)
+    assert np.all(scale > 0.1)
+    err = np.max(np.abs(conv - rec), axis=0) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
 
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])

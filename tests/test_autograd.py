@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -25,10 +26,11 @@ def test_square_gradient():
     assert grads["w"] == pytest.approx(6.0)
 
 
-def test_log_sigmoid_gradient_at_zero():
+def test_sigmoid_gradient_at_zero():
     tape = f64_tape()
     w = tape.leaf(0.0, name="w")
-    tape.log(tape.sigmoid(w))
+    tape.scale(tape.sigmoid(w), 2.0)
+    assert tape.forward() == 1.0
     grads = tape.backward()
     assert grads["w"] == pytest.approx(0.5)
 
@@ -38,7 +40,8 @@ def test_backward_is_bitwise_deterministic():
     tape = f64_tape()
     x = tape.leaf(rng.standard_normal((6, 3)), name="x")
     w = tape.leaf(rng.standard_normal((3, 4)), name="w")
-    tape.softmax_log_loss(tape.matvec(x, w), rng.integers(0, 4, 6), reduction="sum")
+    b = tape.leaf(rng.standard_normal(4), name="b")
+    tape.softmax_log_loss(tape.matvec(x, w, b), rng.integers(0, 4, 6), reduction="sum")
     first = tape.backward()
     second = tape.backward()
     for k in first:
@@ -62,9 +65,18 @@ def test_shape_mismatch_names_both_shapes():
     x = tape.leaf(np.zeros((2, 3)))
     w = tape.leaf(np.zeros((4, 5)))
     with pytest.raises(ContractError, match=r"\(2, 3\).*\(4, 5\)"):
-        tape.matvec(x, w)
+        tape.matvec(x, w, tape.leaf(np.zeros(5)))
     with pytest.raises(ContractError, match=r"\(2, 3\).*\(4, 5\)"):
         tape.add(x, w)
+
+
+@pytest.mark.parametrize("bias_shape", [(4,), (1, 5), ()], ids=["short", "2-d", "scalar"])
+def test_matvec_rejects_a_bias_that_does_not_fit_the_weight(bias_shape):
+    tape = f64_tape()
+    x = tape.leaf(np.zeros((2, 3)))
+    w = tape.leaf(np.zeros((3, 5)))
+    with pytest.raises(ContractError, match=rf"{re.escape(str(bias_shape))}.*\(3, 5\)"):
+        tape.matvec(x, w, tape.leaf(np.zeros(bias_shape)))
 
 
 def test_non_scalar_tape_rejected():
@@ -85,13 +97,14 @@ def assert_gradcheck(build, params, **kw):
 
 def test_matvec_2d_fd():
     rng = np.random.default_rng(1)
-    params = {"x": rng.standard_normal((5, 3)), "w": rng.standard_normal((3, 4))}
+    params = {"x": rng.standard_normal((5, 3)), "w": rng.standard_normal((3, 4)),
+              "b": rng.standard_normal(4)}
     labels = rng.integers(0, 4, 5)
 
     def build(p):
         tape = f64_tape()
-        x, w = tape.leaf(p["x"], "x"), tape.leaf(p["w"], "w")
-        tape.softmax_log_loss(tape.matvec(x, w), labels, reduction="sum")
+        x, w, b = (tape.leaf(p[k], k) for k in ("x", "w", "b"))
+        tape.softmax_log_loss(tape.matvec(x, w, b), labels, reduction="sum")
         return tape
 
     assert_gradcheck(build, params)
@@ -99,32 +112,36 @@ def test_matvec_2d_fd():
 
 def test_matvec_1d_fd():
     rng = np.random.default_rng(2)
-    params = {"x": rng.standard_normal(3), "w": rng.standard_normal((3, 4))}
+    params = {"x": rng.standard_normal(3), "w": rng.standard_normal((3, 4)),
+              "b": rng.standard_normal(4)}
 
     def build(p):
         tape = f64_tape()
-        tape.softmax_log_loss(tape.matvec(tape.leaf(p["x"], "x"), tape.leaf(p["w"], "w")), [2])
+        x, w, b = (tape.leaf(p[k], k) for k in ("x", "w", "b"))
+        tape.softmax_log_loss(tape.matvec(x, w, b), [2])
         return tape
 
     assert_gradcheck(build, params)
 
 
-def test_add_mul_sigmoid_exp_log_scale_fd():
+def test_glu_affine_scale_add_fd():
+    # The model's mixing block and its multitask loss sum, op for op.
     rng = np.random.default_rng(3)
     params = {
         "a": rng.standard_normal((4, 3)),
         "b": rng.standard_normal((4, 3)),
+        "w": rng.standard_normal((3, 3)),
         "bias": rng.standard_normal(3),
     }
     labels = rng.integers(0, 3, 4)
 
     def build(p):
         tape = f64_tape()
-        a, b = tape.leaf(p["a"], "a"), tape.leaf(p["b"], "b")
-        bias = tape.leaf(p["bias"], "bias")
-        z = tape.add(tape.mul(a, tape.sigmoid(b)), bias)
-        z = tape.log(tape.exp(tape.scale(z, 0.7)))
-        tape.softmax_log_loss(z, labels, reduction="mean")
+        a, b, w, bias = (tape.leaf(p[k], k) for k in ("a", "b", "w", "bias"))
+        z = tape.matvec(tape.mul(a, tape.sigmoid(b)), w, bias)
+        token_term = tape.softmax_log_loss(z, labels, reduction="sum")
+        pooled_term = tape.softmax_log_loss(tape.max_pool_sequence(z), [1])
+        tape.add(pooled_term, tape.scale(token_term, 0.7))
         return tape
 
     assert_gradcheck(build, params)
@@ -202,7 +219,8 @@ def test_ssm_conv_scalar_channel_l4_fd(rule):
         nodes = {k: tape.leaf(v, k) for k, v in p.items()}
         out = tape.ssm_conv(nodes["u"], nodes["a_re"], nodes["a_im"], nodes["c_re"],
                             nodes["c_im"], nodes["d"], nodes["log_dt"], rule=rule)
-        tape.softmax_log_loss(tape.matvec(out, tape.leaf(widen)), labels, reduction="sum")
+        tape.softmax_log_loss(tape.matvec(out, tape.leaf(widen), tape.leaf(np.zeros(3))), labels,
+                              reduction="sum")
         return tape
 
     assert_gradcheck(build, params)
@@ -345,7 +363,7 @@ def test_unreached_named_leaf_gets_zeros_of_its_shape():
     tape = f64_tape()
     w = tape.leaf(np.arange(6.0).reshape(2, 3), name="w")
     tape.leaf(np.ones((4, 2)), name="unused")
-    tape.softmax_log_loss(tape.matvec(tape.leaf(np.ones(2)), w), [1])
+    tape.softmax_log_loss(tape.matvec(tape.leaf(np.ones(2)), w, tape.leaf(np.zeros(3))), [1])
     grads = tape.backward()
     assert grads["unused"].shape == (4, 2) and not np.any(grads["unused"])
     assert np.any(grads["w"])

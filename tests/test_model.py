@@ -302,25 +302,19 @@ def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
     assert info.value.offset == 40 + 4 * (before + flat)
 
 
-def test_pooling_baseline_trains_by_gradient_descent():
-    from s4mil.model import pooling_tape
-    from s4mil.train import AdamLookahead, TrainConfig, generate_synthetic, SyntheticTaskSpec
 
-    bags = generate_synthetic(
-        SyntheticTaskSpec(num_bags=20, length_range=(5, 15), feature_dim=6, signal_rate=0.4),
-        seed=0,
-    )
-    baseline = init_pooling_baseline("max", input_dim=6, num_classes=2, seed=1)
-    opt = AdamLookahead(baseline.parameters(), TrainConfig(learning_rate=5e-3, weight_decay=0.0))
-
-    def epoch_loss():
-        return sum(pooling_tape(baseline, b.features, b.slide_label).tape.forward()
-                   for b in bags) / len(bags)
-
-    before = epoch_loss()
-    for _ in range(30):
-        for bag in bags:
-            bundle = pooling_tape(baseline, bag.features, bag.slide_label)
-            bundle.tape.forward()
-            opt.step(baseline.parameters(), bundle.tape.backward())
-    assert epoch_loss() < before
+@pytest.mark.parametrize("name,offset,value", [
+    ("state_dim", 16, 3),
+    ("input_dim", 8, 0),
+    ("num_patch_classes", 24, 0),
+    ("multitask", 32, 2),
+])
+def test_checkpoint_rejects_malformed_config_word_at_its_offset(tmp_path, name, offset, value):
+    path = tmp_path / "model.s4mc"
+    save_checkpoint(path, init_parameters(small_config(), seed=0))
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = value.to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ParseError, match=name) as info:
+        load_checkpoint(path)
+    assert info.value.offset == offset

@@ -15,6 +15,7 @@ from s4mil.ssm import (
     fft_causal_conv,
     fft_causal_corr,
     kernel_bank,
+    power_weighted_sum,
     run_recurrence,
 )
 
@@ -224,6 +225,25 @@ def test_kernel_matches_brute_force_in_the_trained_regime(rule, dt, a_re):
     k = kernel_bank(c, disc.a_bar, disc.b_bar, length=2048)
     expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 2048)
     np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 16, 17, 1000])
+def test_power_weighted_sum_matches_brute_force(length):
+    # Two stacked weight sets against one (H, 1, n) pole array, as the
+    # ssm-conv backward calls it; the lengths include whole blocks only
+    # (4, 16) and a last partial block (3, 5, 17, 1000).
+    rng = np.random.default_rng(37)
+    h, n_half = 3, 4
+    alpha = rng.uniform(0.1, 0.99, (h, 1, n_half)) * np.exp(1j * rng.uniform(0, np.pi, (h, 1, n_half)))
+    weights = rng.standard_normal((h, 2, length))
+    expected = np.zeros((h, 2, n_half), dtype=complex)
+    power = np.ones_like(alpha)
+    for ell in range(length):
+        expected += weights[..., ell, None] * power
+        power = power * alpha
+    got = power_weighted_sum(alpha, weights)
+    assert got.shape == (h, 2, n_half)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
 def test_model_regime_channel_matches_direct_convolution_at_l62235():
