@@ -15,9 +15,16 @@ The op set is exactly what the aggregator model calls, and no more:
 the matrix product), `add` sums two arrays of one shape (the multitask
 loss), and there is no broadcasting anywhere else.
 
+Every (L, H) activation is stored channel-major: its logical shape is
+(L, H), but its memory holds H contiguous rows of L tokens (Fortran order).
+`matvec` sets this layout, every elementwise op keeps the layout it is
+given, and the ssm-conv writes its output that way, so the ssm-conv reads
+each channel as a contiguous row and max-pool reduces over tokens along
+contiguous memory.  Gradients are laid out like the values they belong to.
+
 Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
-each chunk of channels is converted to float64 rows and its result back to
+each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
 """
 
@@ -65,9 +72,13 @@ def _accumulate(node: Node, g, owned: bool = False) -> None:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed step by step inside one new array."""
+    out = np.negative(x, out=np.empty_like(x))
     # exp(-x) overflows to inf for very negative x, which gives the exact limit 0
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 class Tape:
@@ -97,18 +108,22 @@ class Tape:
     # -- ops -----------------------------------------------------------------
 
     def matvec(self, x: Node, w: Node, b: Node) -> Node:
-        """Affine map x @ w + b: x (L, D) or (D,), w (D, H), b (H,)."""
+        """Affine map x @ w + b: x (L, D) or (D,), w (D, H), b (H,).
+
+        A 2-D result is written channel-major, as (H, L) rows, whatever the
+        layout of x; its x-gradient is laid out the same way.
+        """
         xv, wv, bv = x.value, w.value, b.value
         if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
             raise ContractError(f"matvec shape mismatch: {xv.shape} @ {wv.shape}")
         if bv.shape != (wv.shape[1],):
             raise ContractError(f"matvec bias shape {bv.shape} does not fit weight {wv.shape}")
-        value = xv @ wv
+        value = np.matmul(wv.T, xv.T).T if xv.ndim == 2 else xv @ wv
         value += bv
 
         def backward_fn(g):
             if x.needs_grad:
-                _accumulate(x, g @ wv.T if xv.ndim == 2 else wv @ g, owned=True)
+                _accumulate(x, np.matmul(wv, g.T).T if xv.ndim == 2 else wv @ g, owned=True)
             if w.needs_grad:
                 _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g), owned=True)
             if b.needs_grad:
@@ -146,7 +161,10 @@ class Tape:
         value = _sigmoid(x.value)
 
         def backward_fn(g):
-            _accumulate(x, g * value * (1.0 - value), owned=True)
+            gx = np.subtract(1.0, value)
+            gx *= value
+            gx *= g
+            _accumulate(x, gx, owned=True)
 
         return self._append("sigmoid", value, (x,), backward_fn=backward_fn)
 
@@ -182,11 +200,12 @@ class Tape:
             raise ContractError(
                 f"layernorm shape mismatch: x {xv.shape}, scale {gamma.value.shape}, shift {beta.value.shape}"
             )
-        mean = xv.mean(axis=1, keepdims=True)
-        var = xv.var(axis=1, keepdims=True)
+        xhat = xv - xv.mean(axis=1, keepdims=True)
+        var = np.square(xhat).mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-        xhat = (xv - mean) * inv_std
-        value = gamma.value * xhat + beta.value
+        xhat *= inv_std
+        value = gamma.value * xhat
+        value += beta.value
 
         def backward_fn(g):
             if gamma.needs_grad:
@@ -194,11 +213,12 @@ class Tape:
             if beta.needs_grad:
                 _accumulate(beta, g.sum(axis=0), owned=True)
             if x.needs_grad:
-                gx_hat = g * gamma.value
-                h = xv.shape[1]
-                term = gx_hat - gx_hat.mean(axis=1, keepdims=True) \
-                    - xhat * (gx_hat * xhat).sum(axis=1, keepdims=True) / h
-                _accumulate(x, term * inv_std, owned=True)
+                gx = g * gamma.value
+                proj = (gx * xhat).mean(axis=1, keepdims=True)
+                gx -= gx.mean(axis=1, keepdims=True)
+                gx -= xhat * proj
+                gx *= inv_std
+                _accumulate(x, gx, owned=True)
 
         return self._append("layernorm", value, (x, gamma, beta), backward_fn=backward_fn)
 
@@ -232,7 +252,7 @@ class Tape:
             grads = grad_ssm_conv(g, cache)
             for key, parent in parents.items():
                 if parent.needs_grad:
-                    _accumulate(parent, grads[key].astype(dtype, copy=False), owned=True)
+                    _accumulate(parent, grads[key].astype(dtype, order="A", copy=False), owned=True)
 
         return self._append("ssm-conv", value, parents.values(), backward_fn=backward_fn)
 
@@ -343,15 +363,19 @@ def _conv_chunk(h: int, fft_len: int) -> int:
 
 
 def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
-    """Channels s:e of an (L, H) array as float64 (e - s, L) rows."""
+    """Channels s:e of a channel-major (L, H) array as float64 (e - s, L) rows.
+
+    The rows are contiguous in x already, so this is a plain cast.
+    """
     return np.ascontiguousarray(x[:, s:e].T, dtype=np.float64)
 
 
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """K * u + d u for kernels (H, L) and u (L, H), as (L, H) in u's dtype.
+    """K * u + d u for kernels (H, L) and channel-major u (L, H), as a
+    channel-major (L, H) array in u's dtype.
 
-    Each chunk converts its own channels to float64 rows and back, so no
-    whole float64 copy of u or of the output exists.
+    Each chunk casts its own channel rows to float64 and back, so no whole
+    float64 copy of u or of the output exists.
     """
     length, h = u.shape
     out = np.empty((h, length), dtype=u.dtype)
@@ -367,11 +391,11 @@ def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarr
 
 
 def _chunked_corr(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray):
-    """Per-channel adjoints of _chunked_conv for the upstream g (L, H).
+    """Per-channel adjoints of _chunked_conv for the channel-major upstream g (L, H).
 
-    Returns the input gradient corr(g, K) + d g, laid out like u and in its
-    dtype, the kernel gradient corr(g, u) (H, L) and the skip gradient
-    sum_l g u (H,), all converted and formed chunk by chunk.
+    Returns the input gradient corr(g, K) + d g, laid out like u (channel
+    rows) and in its dtype, the kernel gradient corr(g, u) (H, L) and the
+    skip gradient sum_l g u (H,), all cast and formed chunk by chunk.
     """
     length, h = u.shape
     grad_u = np.empty_like(u)

@@ -26,6 +26,7 @@ nonzero.
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -142,10 +143,18 @@ def _coerce(key: str, raw, kind: type):
         if text in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
+    # A bool is an int to Python, and int() truncates floats; neither is a number here.
+    if isinstance(raw, bool) and kind is not str:
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}")
     try:
-        return kind(raw)
-    except (TypeError, ValueError):
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is int and isinstance(raw, float) and value != raw:
+        raise ConfigError(f"{key}: {raw!r} is not an integer")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: {raw!r} is not a finite number")
+    return value
 
 
 def _flatten(obj, prefix="") -> dict:
@@ -168,7 +177,10 @@ def _apply(config: dict, key: str, raw, command: str):
         return
     if key not in REGISTRY:
         raise ConfigError(f"unknown configuration key {key!r}")
-    config[key] = _coerce(key, raw, REGISTRY[key][1])
+    default, kind = REGISTRY[key]
+    if raw is None and default is not None:
+        raise ConfigError(f"{key}: null is not a {kind.__name__}; only optional keys take null")
+    config[key] = _coerce(key, raw, kind)
 
 
 def resolve_config(spec: RunSpec, flag_values: dict[str, object]) -> dict:
@@ -178,8 +190,8 @@ def resolve_config(spec: RunSpec, flag_values: dict[str, object]) -> dict:
         if not path.is_file():
             raise ConfigError(f"config file {path} does not exist")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")

@@ -18,6 +18,7 @@ are returned in row order.
 """
 
 import csv
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -81,26 +82,32 @@ def write_sequence_file(path, matrix: np.ndarray) -> None:
 
 
 def read_sequence_file(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise ParseError(f"{path}: file shorter than the 16-byte header", offset=len(blob))
-    magic, version, length, dim = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported version {version}", offset=4)
-    if length < 1 or dim < 1 or 4 * length * dim > MAX_PAYLOAD_BYTES:
-        raise ParseError(f"{path}: implausible dimensions L={length}, D={dim}", offset=8)
-    expected_end = _HEADER.size + 4 * length * dim
-    if len(blob) < expected_end:
+    """The (L, D) float32 matrix of a SEQF file, read straight into its array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ParseError(f"{path}: file shorter than the 16-byte header", offset=len(header))
+        magic, version, length, dim = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported version {version}", offset=4)
+        if length < 1 or dim < 1 or 4 * length * dim > MAX_PAYLOAD_BYTES:
+            raise ParseError(f"{path}: implausible dimensions L={length}, D={dim}", offset=8)
+        expected_end = _HEADER.size + 4 * length * dim
+        if size == expected_end:
+            # Re-measure by what the reads return, in case the file changed since fstat.
+            values = np.empty((length, dim), dtype="<f4")
+            size = _HEADER.size + fh.readinto(values) + len(fh.read())
+    if size < expected_end:
         raise ParseError(
-            f"{path}: payload truncated, expected {expected_end} bytes, have {len(blob)}",
-            offset=len(blob),
+            f"{path}: payload truncated, expected {expected_end} bytes, have {size}",
+            offset=size,
         )
-    if len(blob) > expected_end:
-        raise ParseError(f"{path}: {len(blob) - expected_end} trailing bytes", offset=expected_end)
-    values = np.frombuffer(blob, dtype="<f4", count=length * dim, offset=_HEADER.size)
-    return values.reshape(length, dim).copy()
+    if size > expected_end:
+        raise ParseError(f"{path}: {size - expected_end} trailing bytes", offset=expected_end)
+    return values
 
 
 def _read_integral_file(path, dim: int, what: str) -> np.ndarray:
@@ -127,7 +134,7 @@ def read_coords(path) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def write_manifest(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
         writer.writeheader()
         for row in rows:
@@ -138,13 +145,16 @@ def load_manifest(path) -> list[Bag]:
     """Read every referenced file; bags come back in manifest row order."""
     path = Path(path)
     base = path.parent
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_COLUMNS:
-            raise ParseError(
-                f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}, got {reader.fieldnames}"
-            )
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != MANIFEST_COLUMNS:
+                raise ParseError(
+                    f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}, got {reader.fieldnames}"
+                )
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: manifest is not UTF-8 CSV text: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: manifest has no rows")
     seen: set[str] = set()
@@ -160,6 +170,8 @@ def load_manifest(path) -> list[Bag]:
             label = int(row["label"])
         except (TypeError, ValueError):
             raise ParseError(f"{path}:{lineno}: label {row['label']!r} is not an integer") from None
+        if not row["features"]:
+            raise ParseError(f"{path}:{lineno}: empty features cell")
         feat_path = base / row["features"]
         if not feat_path.is_file():
             raise ParseError(f"{path}:{lineno}: feature file {feat_path} does not exist")
@@ -176,8 +188,11 @@ def load_manifest(path) -> list[Bag]:
             if not coord_path.is_file():
                 raise ParseError(f"{path}:{lineno}: coords file {coord_path} does not exist")
             coords = read_coords(coord_path)
-        bags.append(Bag(id=bag_id, features=features, slide_label=label,
-                        patch_labels=patch_labels, coords=coords))
+        try:
+            bags.append(Bag(id=bag_id, features=features, slide_label=label,
+                            patch_labels=patch_labels, coords=coords))
+        except ContractError as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from None
     return bags
 
 

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from s4mil.autograd import Tape, check_gradients, grad_ssm_conv
+from s4mil.autograd import Tape, _sigmoid, check_gradients, grad_ssm_conv
 from s4mil.errors import ContractError, NumericalError
 
 
@@ -35,6 +35,18 @@ def test_sigmoid_gradient_at_zero():
     assert grads["w"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bytewise_the_plain_formula(dtype):
+    grid = np.concatenate([[-np.inf, np.inf, -100.0, -0.0, 0.0, 100.0, -1e-30],
+                           np.linspace(-120.0, 120.0, 2401)]).astype(dtype)
+    for x in (grid, grid.reshape(-1, 7).T, np.asarray(dtype(-3.5))):
+        with np.errstate(over="ignore"):
+            expected = 1.0 / (1.0 + np.exp(-x))
+        got = _sigmoid(x)
+        assert got.dtype == expected.dtype and got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_backward_is_bitwise_deterministic():
     rng = np.random.default_rng(0)
     tape = f64_tape()
@@ -48,9 +60,9 @@ def test_backward_is_bitwise_deterministic():
         assert np.array_equal(first[k], second[k])
 
 
-def test_max_pool_tie_breaks_to_lowest_index():
+def check_max_pool_ties(order):
     tape = f64_tape()
-    x = tape.leaf(np.array([[1.0, 2.0], [1.0, 0.0], [0.5, 2.0]]), name="x")
+    x = tape.leaf(np.array([[1.0, 2.0], [1.0, 0.0], [0.5, 2.0]], order=order), name="x")
     pooled = tape.max_pool_sequence(x)
     tape.softmax_log_loss(pooled, [0])
     np.testing.assert_allclose(pooled.value, [1.0, 2.0])
@@ -58,6 +70,14 @@ def test_max_pool_tie_breaks_to_lowest_index():
     # column 0 ties rows 0/1 at 1.0; column 1 ties rows 0/2 at 2.0
     assert grads["x"][0, 0] != 0 and grads["x"][1, 0] == 0
     assert grads["x"][0, 1] != 0 and grads["x"][2, 1] == 0
+
+
+def test_max_pool_tie_breaks_to_lowest_index():
+    check_max_pool_ties("C")
+
+
+def test_max_pool_tie_breaks_to_lowest_index_on_channel_major_input():
+    check_max_pool_ties("F")
 
 
 def test_shape_mismatch_names_both_shapes():
@@ -411,6 +431,35 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
         assert grads[k].tobytes() == copied[k].tobytes(), k
 
 
+@pytest.mark.parametrize("grad_enabled", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_activations_are_channel_major(grad_enabled, dtype):
+    tape = small_mil_bundle(grad_enabled=grad_enabled, dtype=dtype).tape
+    planes = [n for n in tape.nodes if n.op != "leaf" and n.value.ndim == 2]
+    assert {n.op for n in planes} >= {"matvec", "layernorm", "ssm-conv", "sigmoid", "elementwise-mul"}
+    for n in planes:
+        assert n.value.flags.f_contiguous, n.op
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_owned_first_gradient_is_handed_over(monkeypatch, dtype):
+    # A closure that owns its result should never see _accumulate copy it.
+    from s4mil import autograd
+
+    accumulate = autograd._accumulate
+    copied = []
+
+    def spy(node, g, owned=False):
+        first = node.grad is None
+        accumulate(node, g, owned)
+        if owned and first and isinstance(g, np.ndarray) and node.grad is not g:
+            copied.append((node.op, node.name, g.shape))
+
+    monkeypatch.setattr(autograd, "_accumulate", spy)
+    small_mil_bundle(dtype=dtype).tape.backward()
+    assert not copied
+
+
 def test_first_gradient_turns_negative_zero_into_positive_zero():
     # g * -0 is -0 where g > 0; a gradient starts as +0 + g, as if zero-filled.
     tape = f64_tape()
@@ -446,6 +495,34 @@ def test_ssm_conv_forward_keeps_no_whole_float64_copy_of_its_input(monkeypatch):
     plane = h * length * 8
     assert y.value.dtype == np.float32
     assert peak < plane + y.value.nbytes + plane, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(monkeypatch):
+    # One channel per chunk, so the ssm-conv's transient buffers stay below
+    # the planes the tape keeps.  A grad-free tape keeps 7 (L, H) float32
+    # planes: projection, layernorm, ssm-conv, value, gate, sigmoid and GLU.
+    # A sigmoid or layernorm that allocates a plane per step lifts the peak to
+    # 8 planes; the bound leaves half a plane above the 7.
+    import tracemalloc
+
+    from s4mil import autograd
+    from s4mil.model import ModelConfig, build_tape, init_parameters
+
+    monkeypatch.setattr(autograd, "_conv_chunk", lambda h, fft_len: 1)
+    h, length = 64, 16384
+    cfg = ModelConfig(input_dim=64, hidden_dim=h, state_dim=8, num_classes=2)
+    model = init_parameters(cfg, seed=3)
+    features = np.random.default_rng(4).standard_normal((length, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        bundle = build_tape(cfg, model.params, features, grad_enabled=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = h * length * 4
+    kept = sum(n.value.nbytes for n in bundle.tape.nodes if n.op != "leaf" and n.value.ndim == 2)
+    assert kept == 7 * plane
+    assert peak < 7.5 * plane, f"peak {peak / plane:.2f} planes"
 
 
 def test_gradient_free_tape_keeps_no_closures():

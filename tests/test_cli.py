@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from s4mil.checkpoint import save_checkpoint
-from s4mil.cli import REGISTRY, build_parser, heatmap_grid, main, parse_heatmap, write_heatmap
+from s4mil.cli import (REGISTRY, RunSpec, build_parser, heatmap_grid, main, parse_heatmap,
+                       resolve_config, write_heatmap)
 from s4mil.data_io import write_manifest, write_sequence_file
-from s4mil.errors import ContractError
+from s4mil.errors import ConfigError, ContractError
 from s4mil.model import ModelConfig, init_parameters
 
 TINY_SYNTH = [
@@ -338,3 +339,34 @@ def test_evaluate_long_percentile_filters_bags(tmp_path):
     with open(ev / "metrics.csv", newline="") as fh:
         metrics = dict(list(csv.reader(fh))[1:])
     assert int(metrics["count"]) < 12  # the split kept only the longest bags
+
+
+@pytest.mark.parametrize("text", [
+    '{"train.max_epochs": 2.7}',  # was truncated to 2
+    '{"train.max_epochs": true}',  # was read as 1
+    '{"train.max_epochs": 1e400}',  # was a bare OverflowError
+    '{"train.learning_rate": NaN}',  # was accepted
+    '{"train.learning_rate": -Infinity}',
+], ids=["fractional-int", "bool-int", "overflowing-int", "nan-float", "infinite-float"])
+def test_config_file_number_that_does_not_fit_its_key_is_rejected(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    key = next(iter(json.loads(text)))
+    with pytest.raises(ConfigError, match=key):
+        resolve_config(RunSpec("train", str(path), [], tmp_path), {})
+
+
+def test_config_file_integral_float_is_an_int(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"train.max_epochs": 3.0}')
+    config = resolve_config(RunSpec("train", str(path), [], tmp_path), {})
+    assert config["train.max_epochs"] == 3 and type(config["train.max_epochs"]) is int
+
+
+def test_config_file_null_for_a_key_that_is_not_optional_is_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"train.max_epochs": null, "evaluate.long_percentile": null}')
+    with pytest.raises(ConfigError, match="train.max_epochs: null"):
+        resolve_config(RunSpec("train", str(path), [], tmp_path), {})
+    path.write_text('{"evaluate.long_percentile": null}')
+    assert resolve_config(RunSpec("train", str(path), [], tmp_path), {})["evaluate.long_percentile"] is None

@@ -133,6 +133,29 @@ def test_manifest_missing_file_rejected(tmp_path):
         load_manifest(tmp_path / "manifest.csv")
 
 
+def test_manifest_row_that_ends_before_its_features_cell_is_rejected(tmp_path):
+    write_corpus(tmp_path, n=1)
+    (tmp_path / "manifest.csv").write_text("id,label,features,patch_labels,coords\nbag0,1\n")
+    with pytest.raises(ParseError, match=r"manifest.csv:2: empty features cell"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
+def test_manifest_patch_labels_of_another_bag_are_a_parse_error(tmp_path):
+    write_sequence_file(tmp_path / "feat.seqf", np.zeros((4, 3), dtype=np.float32))
+    write_sequence_file(tmp_path / "lab.seqf", np.zeros((5, 1), dtype=np.float32))
+    write_manifest(tmp_path / "manifest.csv",
+                   [{"id": "x", "label": 0, "features": "feat.seqf", "patch_labels": "lab.seqf"}])
+    with pytest.raises(ParseError, match=r"manifest.csv:2: .*patch labels must have length 4"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
+def test_manifest_that_is_not_utf8_is_a_parse_error(tmp_path):
+    write_corpus(tmp_path, n=1)
+    (tmp_path / "manifest.csv").write_bytes(b"id,label,features,patch_labels,coords\n\xff,0,feat0.seqf,,\n")
+    with pytest.raises(ParseError, match="not UTF-8 CSV text"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
 # --------------------------------------------------------------------------
 # Corpus statistics
 # --------------------------------------------------------------------------

@@ -1,11 +1,15 @@
-"""Mutation fuzzing of the two binary readers.
+"""Mutation fuzzing of the file readers: SEQF, checkpoints, manifests and
+config JSON.
 
 Every case starts from a valid file, overwrites some bytes or whole u32
-words (the header words most often), then cuts it short or extends it.  A
-reader must either return a loaded object or raise ParseError; any other
+words (the header words of a binary file most often), then cuts it short
+or extends it.  A reader must either return a valid object or raise its
+typed error (ParseError, or ConfigError for config files); any other
 exception is a parser bug.
 """
 
+import json
+import math
 import struct
 
 import numpy as np
@@ -13,24 +17,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
-from s4mil.data_io import read_sequence_file, write_sequence_file
-from s4mil.errors import ParseError
+from s4mil.cli import REGISTRY, RunSpec, resolve_config
+from s4mil.data_io import Bag, load_manifest, read_sequence_file, write_manifest, write_sequence_file
+from s4mil.errors import ConfigError, ParseError
 from s4mil.model import MilModel, ModelConfig, init_parameters
 
 FUZZ_EXAMPLES = 300
+TEXT_FUZZ_EXAMPLES = 150  # keeps the two text readers near 2 s together
 
 WORD_VALUES = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 2**16, 2**31 - 1, 2**31, 2**32 - 1]),
                         st.integers(0, 2**32 - 1))
 
 
-def mutations(blob: bytes, header_words: int):
-    """Strategy over corrupted copies of a valid file of header_words u32 words."""
-    byte_edit = st.tuples(st.just("byte"), st.one_of(st.integers(0, 4 * header_words - 1),
-                                                     st.integers(0, len(blob) - 1)),
-                          st.integers(0, 255))
-    word_edit = st.tuples(st.just("word"), st.integers(0, header_words - 1), WORD_VALUES)
+# Bytes that carry meaning in CSV and JSON text, offered besides arbitrary ones.
+TEXT_BYTES = st.sampled_from(b',"\n\r:{}[]-.e0129 ')
+
+
+def mutations(blob: bytes, header_words: int = 0):
+    """Strategy over corrupted copies of a valid file; a binary file names its
+    count of u32 header words, a text file has none."""
+    anywhere = st.integers(0, len(blob) - 1)
+    if header_words:
+        byte_edit = st.tuples(st.just("byte"), st.one_of(st.integers(0, 4 * header_words - 1), anywhere),
+                              st.integers(0, 255))
+        word_edit = st.tuples(st.just("word"), st.integers(0, header_words - 1), WORD_VALUES)
+        edit = st.one_of(byte_edit, word_edit)
+    else:
+        edit = st.tuples(st.just("byte"), anywhere, st.one_of(st.integers(0, 255), TEXT_BYTES))
     return st.tuples(
-        st.lists(st.one_of(byte_edit, word_edit), max_size=4),
+        st.lists(edit, max_size=4),
         st.one_of(st.none(), st.integers(0, len(blob))),
         st.binary(max_size=12),
     ).map(lambda case: _apply(blob, *case))
@@ -83,5 +98,65 @@ def test_checkpoint_reader_loads_or_raises_parse_error(tmp_path_factory):
             return
         assert isinstance(model, MilModel)
         assert all(np.all(np.isfinite(v)) for v in model.params.values())
+
+    check()
+
+
+def test_manifest_reader_loads_or_raises_parse_error(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifest")
+    rows = []
+    for i, length in enumerate((5, 4, 6)):
+        write_sequence_file(root / f"b{i}.seqf", np.full((length, 3), i, dtype=np.float32))
+        row = {"id": f"b{i}", "label": i % 2, "features": f"b{i}.seqf"}
+        if i < 2:
+            write_sequence_file(root / f"b{i}_y.seqf", np.zeros((length, 1), dtype=np.float32))
+            write_sequence_file(root / f"b{i}_xy.seqf",
+                                np.arange(2 * length, dtype=np.float32).reshape(length, 2))
+            row.update(patch_labels=f"b{i}_y.seqf", coords=f"b{i}_xy.seqf")
+        rows.append(row)
+    path = root / "manifest.csv"
+    write_manifest(path, rows)
+    blob = path.read_bytes()
+
+    @settings(max_examples=TEXT_FUZZ_EXAMPLES)
+    @given(mutations(blob))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            bags = load_manifest(path)
+        except ParseError:
+            return
+        assert bags and all(isinstance(bag, Bag) for bag in bags)
+        assert len({bag.id for bag in bags}) == len(bags)
+
+    check()
+
+
+def test_config_reader_resolves_or_raises_config_error(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({
+        "run.command": "train", "run.seed": 3,
+        "model": {"hidden_dim": 8, "multitask": True, "num_patch_classes": None},
+        "train": {"learning_rate": 0.001, "max_epochs": 3, "lambda": 0.5, "manifest": "m.csv"},
+        "synth.num_bags": 12,
+    }))
+    blob = path.read_bytes()
+
+    @settings(max_examples=TEXT_FUZZ_EXAMPLES)
+    @given(mutations(blob))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            config = resolve_config(RunSpec("train", str(path), [], path.parent), {})
+        except ConfigError:
+            return
+        assert config.keys() == REGISTRY.keys()
+        for key, value in config.items():
+            default, kind = REGISTRY[key]
+            if value is None:
+                assert default is None, key
+            else:
+                assert type(value) is kind, key
+                assert kind is not float or math.isfinite(value), key
 
     check()
