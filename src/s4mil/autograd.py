@@ -26,6 +26,11 @@ Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
+On a bag longer than two blocks of ssm.STATE_BLOCK tokens the forward
+builds only the first block's kernel taps: in-block FFTs apply them and
+carried SSM states add every earlier block (ssm.block_causal_conv).  A
+gradient tape also builds all L taps, for the backward, whose
+correlations run over the full length.
 """
 
 from dataclasses import dataclass, field
@@ -227,7 +232,9 @@ class Tape:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
         Forward materializes the per-channel kernels (running products in
-        64-bit) and convolves via FFT; the feedthrough d u is the skip term.
+        64-bit) and convolves via FFT, over the full length or, past two
+        blocks, inside blocks with carried states; the feedthrough d u is
+        the skip term.
         """
         uv = u.value
         if uv.ndim != 2:
@@ -355,11 +362,23 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 
 
 def _conv_chunk(h: int, fft_len: int) -> int:
-    # Channels per chunk, so that one chunk's transient FFT buffers stay bounded
-    # regardless of L.  At L=30000 (fft_len 60000, 33 channels) tracemalloc
-    # measures a peak of 40 MB for a forward chunk and 103 MB for a backward
-    # chunk, which correlates with the kernels and the inputs at once.
+    # Channels per chunk of a full-length transform, so that one chunk's
+    # transient FFT buffers stay bounded regardless of L.  tracemalloc
+    # measures a backward chunk at L=30000 (fft_len 60000, 33 channels) at a
+    # peak of 103 MB, since it correlates with the kernels and the inputs at
+    # once, and a forward chunk at L=1024 (fft_len 2048, all 512 channels)
+    # at 29 MB.
     return max(1, min(h, int(96e6 // (fft_len * 48))))
+
+
+def _block_chunk(h: int, length: int) -> int:
+    # Channels per chunk when states are carried across blocks.  The short
+    # transforms run fastest when a chunk's padded rows hold about 2^18
+    # float64 values (2 MB): at H=512, N=32 that beat _conv_chunk's chunks
+    # by up to 1.4x for L 1025-62235 (1 BLAS thread).  tracemalloc measures
+    # a forward chunk at L=30000 (8 channels) at a peak of 10 MB.
+    padded = -(-length // ssm.STATE_BLOCK) * ssm.STATE_BLOCK
+    return max(1, min(h, (1 << 18) // padded))
 
 
 def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
@@ -370,23 +389,34 @@ def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
     return np.ascontiguousarray(x[:, s:e].T, dtype=np.float64)
 
 
-def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """K * u + d u for kernels (H, L) and channel-major u (L, H), as a
-    channel-major (L, H) array in u's dtype.
+def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
+    array in u's dtype.
 
-    Each chunk casts its own channel rows to float64 and back, so no whole
-    float64 copy of u or of the output exists.
+    ``kernels`` (H, ssm.conv_taps(L)) holds the first taps of
+    K_l = Re(sum_k w_k a_bar_k^l).  With all L taps each chunk makes one
+    full-length fft_causal_conv; with fewer, it carries states across
+    blocks (ssm.block_causal_conv).  Each chunk casts its own channel rows
+    to float64 and back, so no whole float64 copy of u or of the output
+    exists.
     """
     length, h = u.shape
     out = np.empty((h, length), dtype=u.dtype)
+    blocked = kernels.shape[1] < length
 
     def work(s, e):
-        rows = _rows(u, s, e)
-        y = ssm.fft_causal_conv(kernels[s:e], rows)
+        if blocked:  # the blocks are cast to float64 as they are padded
+            rows = u[:, s:e].T
+            y = ssm.block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
+        else:
+            rows = _rows(u, s, e)
+            y = ssm.fft_causal_conv(kernels[s:e], rows)
         y += d[s:e, None] * rows
         out[s:e] = y
 
-    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
+    chunk = _block_chunk(h, length) if blocked else _conv_chunk(h, ssm._fft_size(length))
+    parallel.run_chunked(h, chunk, work)
     return out.T
 
 
@@ -421,14 +451,18 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
     length = u.shape[0]
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
-    kernels = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length)  # (H, L)
+    taps = ssm.conv_taps(length)
+    kernels = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, taps)  # (H, taps)
+    # The backward reads all L taps.  They are built before the output
+    # exists, so kernel_bank's transient buffers do not stack on it.
+    full = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length) if keep_cache and taps < length else kernels
     d64 = np.asarray(d, dtype=np.float64)
-    y = _chunked_conv(kernels, u, d64)
+    y = _chunked_conv(kernels, u, d64, disc.a_bar, 2.0 * c * disc.b_bar)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(
         u=u if keep_cache else None,
-        kernels=kernels if keep_cache else None,
+        kernels=full if keep_cache else None,
         disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, d=d64,
     )
     return y, cache

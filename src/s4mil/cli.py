@@ -36,7 +36,7 @@ from typing import get_args
 import numpy as np
 
 from . import parallel, ssm
-from .autograd import Tape, check_gradients
+from .autograd import Tape, check_gradients, ssm_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data_io import Bag, corpus_stats, load_manifest, long_sequence_split, write_manifest, write_sequence_file
 from .errors import ConfigError, ContractError, ParseError, S4MilError
@@ -143,8 +143,11 @@ def _coerce(key: str, raw, kind: type):
         if text in ("false", "0", "no"):
             return False
         raise ConfigError(f"{key}: cannot parse {raw!r} as a boolean")
+    # str() takes any value, so a string key takes only a string.
+    if kind is str and not isinstance(raw, str):
+        raise ConfigError(f"{key}: {raw!r} is not a string")
     # A bool is an int to Python, and int() truncates floats; neither is a number here.
-    if isinstance(raw, bool) and kind is not str:
+    if isinstance(raw, bool):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}")
     try:
         value = kind(raw)
@@ -349,7 +352,13 @@ def _random_stable_channel(rng, n_half):
 
 def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: float,
                      seed: int, inject_fault: bool = False) -> tuple[bool, float, int]:
-    """Recurrence vs convolution duality over random stable channels."""
+    """Recurrence vs the model's convolution over random stable channels.
+
+    Each channel runs through the grad-free float64 ``Tape.ssm_conv``, the
+    op the model runs (states carried across blocks for inputs longer than
+    two blocks), and through its stepped recurrence.  The injected fault
+    negates the first trial's c, and so its kernel.
+    """
     rng = substream(seed, "kernel-check")
     worst = 0.0
     checked = 0
@@ -358,13 +367,17 @@ def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: fl
         length = int(rng.integers(1, max_length + 1))
         a, c, d, dt = _random_stable_channel(rng, n_half)
         u = rng.standard_normal(length)
+        a_re, a_im, c_re, c_im = a.real[None], a.imag[None], c.real[None], c.imag[None]
+        log_dt = np.log([dt])
+        a_op, c_op, dt_op, _ = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
+        sign = -1.0 if inject_fault and trial == 0 else 1.0
         for rule in ("bilinear", "zoh"):
-            disc = ssm.discretize(a, dt, rule)
-            kernel = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length)
-            if inject_fault and trial == 0:
-                kernel = -kernel
-            y_conv = ssm.fft_causal_conv(kernel, u) + d * u
-            y_rec = ssm.run_recurrence(disc.a_bar, disc.b_bar, c, d, u)
+            tape = Tape(dtype=np.float64, grad_enabled=False)
+            leaves = [tape.leaf(v) for v in
+                      (u[:, None], a_re, a_im, sign * c_re, sign * c_im, [d], log_dt)]
+            y_conv = tape.ssm_conv(*leaves, rule=rule).value[:, 0]
+            disc = ssm.discretize(a_op[0], dt_op[0], rule)
+            y_rec = ssm.run_recurrence(disc.a_bar, disc.b_bar, c_op[0], d, u)
             err = float(np.max(np.abs(y_conv - y_rec)) / (1.0 + np.max(np.abs(y_rec))))
             worst = max(worst, err)
             checked += 1

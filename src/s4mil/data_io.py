@@ -141,6 +141,22 @@ def write_manifest(path, rows: list[dict]) -> None:
             writer.writerow({k: row.get(k, "") for k in MANIFEST_COLUMNS})
 
 
+def _listed_file(manifest: Path, lineno: int, kind: str, file_path: Path) -> Path:
+    """file_path if it is a file, else a ParseError naming the manifest line.
+
+    The OS may refuse to look the name up at all (a cell longer than a file
+    name may be), which is an error of the line too.
+    """
+    try:
+        found = file_path.is_file()
+    except OSError as exc:
+        raise ParseError(f"{manifest}:{lineno}: {kind} file cell cannot be checked: "
+                         f"{exc.strerror}") from None
+    if not found:
+        raise ParseError(f"{manifest}:{lineno}: {kind} file {file_path} does not exist")
+    return file_path
+
+
 def load_manifest(path) -> list[Bag]:
     """Read every referenced file; bags come back in manifest row order."""
     path = Path(path)
@@ -172,22 +188,14 @@ def load_manifest(path) -> list[Bag]:
             raise ParseError(f"{path}:{lineno}: label {row['label']!r} is not an integer") from None
         if not row["features"]:
             raise ParseError(f"{path}:{lineno}: empty features cell")
-        feat_path = base / row["features"]
-        if not feat_path.is_file():
-            raise ParseError(f"{path}:{lineno}: feature file {feat_path} does not exist")
-        features = read_sequence_file(feat_path)
+        features = read_sequence_file(_listed_file(path, lineno, "feature", base / row["features"]))
         patch_labels = None
         if row.get("patch_labels"):
-            lbl_path = base / row["patch_labels"]
-            if not lbl_path.is_file():
-                raise ParseError(f"{path}:{lineno}: patch-label file {lbl_path} does not exist")
-            patch_labels = read_patch_labels(lbl_path)
+            patch_labels = read_patch_labels(
+                _listed_file(path, lineno, "patch-label", base / row["patch_labels"]))
         coords = None
         if row.get("coords"):
-            coord_path = base / row["coords"]
-            if not coord_path.is_file():
-                raise ParseError(f"{path}:{lineno}: coords file {coord_path} does not exist")
-            coords = read_coords(coord_path)
+            coords = read_coords(_listed_file(path, lineno, "coords", base / row["coords"]))
         try:
             bags.append(Bag(id=bag_id, features=features, slide_label=label,
                             patch_labels=patch_labels, coords=coords))

@@ -11,7 +11,13 @@ be evaluated two ways:
   * convolution:  y = K * u + d u   with   K_l = 2 Re(sum_k c_k a_bar_k^l b_bar_k)
 
 The two views must agree to near machine precision; the recurrence is the
-slow oracle-grade path, the kernel + FFT convolution is the fast path.
+slow oracle-grade path, the convolution the fast one.  An input of at most
+two blocks (2 * STATE_BLOCK tokens) meets the full-length kernel in one FFT
+(fft_causal_conv).  A longer one is cut into blocks of STATE_BLOCK tokens
+(block_causal_conv): in-block FFTs apply the kernel's first STATE_BLOCK
+taps, and the n_half complex states, stepped once per block, carry every
+earlier block into the next (the block decomposition of Mamba-2/SSD with
+the state recurrence of S5), so no kernel longer than a block is built.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -35,6 +41,8 @@ from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
+STATE_BLOCK = 512  # tokens per block of block_causal_conv
+_BLOCK_STEP = 32  # its power tables step a_bar^32 at a time; divides STATE_BLOCK
 ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
 # Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
 # ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
@@ -210,8 +218,10 @@ def _fft_size(length: int) -> int:
 def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Causal convolution of stacked kernels (..., L) with inputs (..., L).
 
-    Zero-padded to _fft_size(L) >= 2L - 1 points, so the circular product is
-    linear on the first L samples.  Runs in float64.
+    The kernels' leading axes broadcast against the inputs', so one kernel
+    spectrum serves every block of a (h, 1, B) kernel against (h, blocks, B)
+    inputs.  Zero-padded to _fft_size(L) >= 2L - 1 points, so the circular
+    product is linear on the first L samples.  Runs in float64.
     """
     length = u.shape[-1]
     if kernels.shape[-1] != length:
@@ -220,8 +230,94 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
         )
     n = _fft_size(length)
     kf = np.fft.rfft(np.asarray(kernels, dtype=np.float64), n)
-    kf *= np.fft.rfft(np.asarray(u, dtype=np.float64), n)
-    return np.fft.irfft(kf, n)[..., :length]
+    uf = np.fft.rfft(np.asarray(u, dtype=np.float64), n)
+    np.multiply(kf, uf, out=uf)
+    del kf  # so the inverse transform can reuse its memory
+    return np.fft.irfft(uf, n)[..., :length]
+
+
+def conv_taps(length: int) -> int:
+    """Kernel taps the convolution of a length-L input reads.
+
+    Inputs longer than two blocks carry states across blocks of STATE_BLOCK
+    tokens (block_causal_conv) and read the first block's taps only; shorter
+    ones make one full-length fft_causal_conv.  The split follows a sweep of
+    the grad-free float32 ssm-conv forward, blocks against the full-length
+    path (1 BLAS thread, median of alternating pairs): at H=512, N=32 the
+    blocks win 1.14x at L=1025, 1.6x at 2049, 1.8x at 8192 and 2.5-2.7x at
+    30000-62235; at H=32, N=8 they read 0.94-0.98x at L=1025, where even
+    identical code spreads +-5%, then win 1.3x at 2049 and 1.5x at 4096.
+    Forced onto shorter inputs, the blocks lose at L=513 (0.78x and 0.71x)
+    and 800 (0.85x and 0.89x) and win at 1024 (1.37x and 1.11x), so the
+    crossover sits near two blocks.
+    """
+    return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
+
+
+def _doubling_powers(base: np.ndarray, count: int) -> np.ndarray:
+    """base^m for m = 0 .. count - 1 (count - 1 a power of two), stacked on a
+    leading axis; each step doubles the span as base^(m+i) = base^i base^m."""
+    out = np.empty((count,) + base.shape, dtype=np.complex128)
+    out[0] = 1.0
+    out[1] = base
+    m = 1
+    while m < count - 1:
+        np.multiply(out[1:m + 1], out[m], out=out[m + 1:2 * m + 1])
+        m *= 2
+    return out
+
+
+def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
+                      u: np.ndarray) -> np.ndarray:
+    """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
+
+    ``kernels`` (h, B) holds the first B = STATE_BLOCK taps of
+    K_l = Re(sum_k w_k a_bar_k^l), with a_bar and w of shape (h, n).  u is
+    zero-padded to whole blocks.  Inside a block, fft_causal_conv applies
+    the B taps, with one kernel spectrum for every block.  Across blocks the
+    n complex states carry the past: block j's inputs sum to
+    Z_j = sum_r u[jB+r] a_bar^(B-1-r), the states step as
+    X_j = a_bar^B X_{j-1} + Z_j, and token r of block j gains
+    Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}).
+
+    Powers are two-level, a_bar^(iT+s) = a_bar^(iT) a_bar^s with
+    T = _BLOCK_STEP, so no (B, n) table is built.  Both contractions over s
+    are real matrix products with the float64 view of the T fine powers;
+    the coarse powers scale the (blocks, B/T, n) partial sums.  Runs in
+    float64; returns (h, L).
+    """
+    h, length = u.shape
+    if kernels.shape != (h, STATE_BLOCK):
+        raise ContractError(f"block kernels must be ({h}, {STATE_BLOCK}), got {kernels.shape}")
+    t, q = _BLOCK_STEP, STATE_BLOCK // _BLOCK_STEP
+    count = -(-length // STATE_BLOCK)
+    padded = np.zeros((h, count, STATE_BLOCK))
+    padded.reshape(h, -1)[:, :length] = u
+    inner = fft_causal_conv(kernels[:, None, :], padded)
+    fine = _doubling_powers(a_bar, t + 1)  # a^s, s <= T: (T + 1, h, n)
+    coarse = _doubling_powers(fine[t], q + 1)  # a^(iT), i <= q
+    n = fine.shape[2]
+    fine_rows = fine.view(np.float64).transpose(1, 0, 2)  # (h, T + 1, 2n): [Re, Im] pairs
+    # Z_j = sum_i a^((q-1-i)T) sum_s u[j, i, s] a^(T-1-s), for every block but the last
+    part = np.matmul(padded[:, :-1].reshape(h, (count - 1) * q, t),
+                     np.ascontiguousarray(fine_rows[:, t - 1::-1]))
+    part = part.view(np.complex128).reshape(h, count - 1, q, n)
+    part *= coarse[q - 1::-1].transpose(1, 0, 2)[:, None]
+    states = part.sum(axis=2)
+    step = coarse[q]
+    for j in range(1, count - 1):
+        states[:, j] += step * states[:, j - 1]
+    # token iT+s of block j+1 gains Re(sum_k a^(s+1) (w a^(iT) X_j)_k), one
+    # real product against the conjugate's float64 view; the inputs are no
+    # longer read, so the carried part goes into their buffer
+    reach = np.multiply(np.conj(w * coarse[:q]).transpose(1, 0, 2)[:, None],
+                        np.conj(states)[:, :, None], out=part)
+    carried = padded[:, 1:].reshape(h, (count - 1) * q, t, copy=False)
+    np.matmul(reach.view(np.float64).reshape(h, (count - 1) * q, 2 * n),
+              fine_rows[:, 1:].swapaxes(1, 2), out=carried)
+    padded[:, 1:] += inner[:, 1:]
+    padded[:, 0] = inner[:, 0]
+    return padded.reshape(h, -1)[:, :length]
 
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:

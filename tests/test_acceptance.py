@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from s4mil.autograd import POLE_REAL_CEILING, Tape, check_gradients
+from s4mil import ssm
+from s4mil.autograd import POLE_REAL_CEILING, Tape, check_gradients, ssm_parameters
 from s4mil.cli import REGISTRY, run_bench, run_kernel_check
 from s4mil.metrics import ScoredPrediction, auroc_binary, auroc_ovr
 from s4mil.model import (
@@ -22,6 +23,7 @@ from s4mil.model import (
     init_parameters,
 )
 from s4mil.seeding import substream
+from s4mil.ssm import STATE_BLOCK, conv_taps
 from s4mil.train import (
     SyntheticTaskSpec,
     TrainConfig,
@@ -55,6 +57,36 @@ def test_c02_recurrence_convolution_duality():
     assert passed, f"worst relative error {worst:.3e} > 1e-6"
 
 
+def _trained_regime_channels(rng, n_half, dt):
+    # Poles -1/2 + i pi k (k < n_half) and pole real parts at the -1e-4
+    # clamp, set there or clamped from above; zero feedthrough.
+    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
+    h = a_re.shape[0]
+    return {
+        "ssm0.a_re": a_re,
+        "ssm0.a_im": np.tile(np.pi * np.arange(n_half), (h, 1)),
+        "ssm0.c_re": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
+        "ssm0.c_im": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
+        "ssm0.log_dt": np.full(h, np.log(dt)),
+        "ssm0.d": np.zeros(h),
+    }
+
+
+def _grad_free_ssm_conv(params, u, rule):
+    tape = Tape(dtype=np.float64, grad_enabled=False)
+    leaves = [tape.leaf(params[f"ssm0.{k}"]) for k in ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+    return tape.ssm_conv(tape.leaf(u), *leaves, rule=rule).value
+
+
+def _assert_op_matches_recurrence(params, u, rule):
+    conv = _grad_free_ssm_conv(params, u, rule)
+    rec = _recurrence_layer_output(params, "ssm0", u, rule)
+    scale = np.max(np.abs(rec), axis=0)
+    assert np.all(scale > 0.1)
+    err = np.max(np.abs(conv - rec), axis=0) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+
+
 @pytest.mark.parametrize("length", [1024, 4096])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_c02_duality_in_the_trained_regime(rule, length):
@@ -63,26 +95,42 @@ def test_c02_duality_in_the_trained_regime(rule, length):
     # real parts at the -1e-4 clamp, set there or clamped from above.  The
     # feedthrough is zero so the comparison sees the convolution alone.
     rng = np.random.default_rng(21)
-    n_half = 16
-    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
-    h = a_re.shape[0]
-    params = {
-        "ssm0.a_re": a_re,
-        "ssm0.a_im": np.tile(np.pi * np.arange(n_half), (h, 1)),
-        "ssm0.c_re": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
-        "ssm0.c_im": rng.standard_normal((h, n_half)) * np.sqrt(0.5),
-        "ssm0.log_dt": np.full(h, np.log(1e-3)),
-        "ssm0.d": np.zeros(h),
-    }
-    u = rng.standard_normal((length, h))
-    tape = Tape(dtype=np.float64, grad_enabled=False)
-    leaves = [tape.leaf(params[f"ssm0.{k}"]) for k in ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
-    conv = tape.ssm_conv(tape.leaf(u), *leaves, rule=rule).value
-    rec = _recurrence_layer_output(params, "ssm0", u, rule)
-    scale = np.max(np.abs(rec), axis=0)
-    assert np.all(scale > 0.1)
-    err = np.max(np.abs(conv - rec), axis=0) / scale
-    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+    params = _trained_regime_channels(rng, 16, 1e-3)
+    u = rng.standard_normal((length, 3))
+    _assert_op_matches_recurrence(params, u, rule)
+
+
+@pytest.mark.parametrize("length", [2 * 512 + 1, 3 * 512 - 1, 3 * 512, 3 * 512 + 37, 8 * 512 + 1, 20000])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_c02_duality_across_carried_blocks(rule, dt, length):
+    # Bags longer than two 512-token blocks carry the SSM states from block
+    # to block; the layer op must still match the recurrence, per channel,
+    # in the trained regime.
+    assert STATE_BLOCK == 512 and conv_taps(length) == STATE_BLOCK
+    rng = np.random.default_rng(22)
+    params = _trained_regime_channels(rng, 16, dt)
+    u = rng.standard_normal((length, 3))
+    _assert_op_matches_recurrence(params, u, rule)
+
+
+@pytest.mark.parametrize("length", [1, 513, 2 * 512])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_c02_bags_of_at_most_two_blocks_take_one_full_length_convolution(rule, length):
+    # Up to two blocks the op is kernel_bank over all L taps, one
+    # fft_causal_conv and the skip term, byte for byte.
+    rng = np.random.default_rng(23)
+    params = _trained_regime_channels(rng, 16, 1e-3)
+    params["ssm0.d"] = rng.standard_normal(3)
+    u = rng.standard_normal((length, 3))
+    names = ("a_re", "a_im", "c_re", "c_im", "log_dt")
+    a, c, dt, _ = ssm_parameters(*(params[f"ssm0.{k}"] for k in names))
+    disc = ssm.discretize(a, dt, rule)
+    rows = np.ascontiguousarray(u.T)
+    direct = ssm.fft_causal_conv(ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length), rows)
+    direct += params["ssm0.d"][:, None] * rows
+    conv = _grad_free_ssm_conv(params, u, rule)
+    assert np.ascontiguousarray(conv.T).tobytes() == direct.tobytes()
 
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from s4mil.checkpoint import save_checkpoint
-from s4mil.cli import (REGISTRY, RunSpec, build_parser, heatmap_grid, main, parse_heatmap,
-                       resolve_config, write_heatmap)
+from s4mil.cli import (REGISTRY, RunSpec, _coerce, build_parser, heatmap_grid, main,
+                       parse_heatmap, resolve_config, write_heatmap)
 from s4mil.data_io import write_manifest, write_sequence_file
 from s4mil.errors import ConfigError, ContractError
 from s4mil.model import ModelConfig, init_parameters
@@ -192,6 +192,23 @@ def test_kernel_check_passes_and_fault_injection_fails(tmp_path, capsys):
     assert "status=fail" in report
 
 
+def test_kernel_check_runs_the_op_across_carried_blocks(tmp_path, monkeypatch, capsys):
+    # Trials up to 4096 tokens span several blocks, so kernel-check passes
+    # through the op's state-passing path, and a fault still fails it.
+    from s4mil import ssm
+
+    calls = []
+    block_causal_conv = ssm.block_causal_conv
+    monkeypatch.setattr(ssm, "block_causal_conv",
+                        lambda *args: calls.append(args[-1].shape) or block_causal_conv(*args))
+    assert run(["kernel-check", "--trials", "6", "--max-length", "4096",
+                "--output", tmp_path / "ok"]) == 0
+    assert calls, "no trial was longer than two blocks"
+    assert run(["kernel-check", "--trials", "6", "--max-length", "4096", "--inject-fault",
+                "--output", tmp_path / "bad"]) == 1
+    assert "check-failed" in capsys.readouterr().err
+
+
 def test_kernel_check_zero_trials_vacuous_pass(tmp_path, capsys):
     assert run(["kernel-check", "--trials", "0", "--output", tmp_path]) == 0
     assert "0 trials" in capsys.readouterr().out
@@ -354,6 +371,24 @@ def test_config_file_number_that_does_not_fit_its_key_is_rejected(tmp_path, text
     key = next(iter(json.loads(text)))
     with pytest.raises(ConfigError, match=key):
         resolve_config(RunSpec("train", str(path), [], tmp_path), {})
+
+
+@pytest.mark.parametrize("value", ['[1, 2]', '5', '2.5', 'true'],
+                         ids=["list", "int", "float", "bool"])
+def test_config_file_value_that_is_not_a_string_for_a_string_key_is_rejected(tmp_path, value):
+    # str() would take each of these as a file name or a rule name.
+    path = tmp_path / "config.json"
+    for key in ("train.manifest", "model.discretization"):
+        path.write_text(f'{{"{key}": {value}}}')
+        with pytest.raises(ConfigError, match=rf"{key}: .* is not a string"):
+            resolve_config(RunSpec("train", str(path), [], tmp_path), {})
+
+
+def test_dict_for_a_string_key_is_rejected():
+    # A config file flattens nested objects into dotted keys, so only a
+    # direct coercion sees a dict.
+    with pytest.raises(ConfigError, match=r"train.manifest: .* is not a string"):
+        _coerce("train.manifest", {"a": 1}, str)
 
 
 def test_config_file_integral_float_is_an_int(tmp_path):

@@ -133,6 +133,17 @@ def test_manifest_missing_file_rejected(tmp_path):
         load_manifest(tmp_path / "manifest.csv")
 
 
+@pytest.mark.parametrize("column", ["features", "patch_labels", "coords"])
+def test_manifest_file_cell_the_os_cannot_look_up_is_a_parse_error(tmp_path, column):
+    # A name longer than the OS allows makes the lookup itself fail
+    # (ENAMETOOLONG), which must name the line like a missing file does.
+    write_corpus(tmp_path, n=1)
+    row = {"id": "bag0", "label": 1, "features": "feat0.seqf", column: "x" * 300}
+    write_manifest(tmp_path / "manifest.csv", [row])
+    with pytest.raises(ParseError, match=r"manifest.csv:2: .* cannot be checked"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
 def test_manifest_row_that_ends_before_its_features_cell_is_rejected(tmp_path):
     write_corpus(tmp_path, n=1)
     (tmp_path / "manifest.csv").write_text("id,label,features,patch_labels,coords\nbag0,1\n")

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from s4mil.errors import ContractError, NumericalError
 from s4mil.ssm import (
+    STATE_BLOCK,
     ZERO_POLE_EPS,
     _fft_size,
+    block_causal_conv,
     direct_causal_conv,
     discretize,
     fft_causal_conv,
@@ -293,6 +295,42 @@ def test_impulse_response_recovers_kernel():
     u = np.zeros(16)
     u[0] = 1.0
     np.testing.assert_allclose(fft_causal_conv(k, u), k, rtol=1e-12)
+
+
+def test_fft_causal_conv_broadcasts_one_kernel_over_blocks():
+    rng = np.random.default_rng(24)
+    k = rng.standard_normal((2, 1, 16))
+    u = rng.standard_normal((2, 5, 16))
+    blocks = fft_causal_conv(k, u)
+    assert blocks.shape == (2, 5, 16)
+    for j in range(5):
+        assert np.array_equal(blocks[:, j], fft_causal_conv(k[:, 0], u[:, j]))
+
+
+@pytest.mark.parametrize("length", [1, STATE_BLOCK - 1, STATE_BLOCK, STATE_BLOCK + 1,
+                                    2 * STATE_BLOCK, 3 * STATE_BLOCK + 37])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_block_causal_conv_matches_direct_convolution(rule, length):
+    # The first block's taps plus carried states give the full-kernel
+    # convolution, for a partial first block, whole blocks and a partial last.
+    rng = np.random.default_rng(25)
+    channels = [random_stable_channel(rng, n_half=3, dt_range=(1e-3, 0.5)) for _ in range(2)]
+    a = np.array([ch[0] for ch in channels])
+    c = np.array([ch[1] for ch in channels])
+    disc = discretize(a, np.array([ch[3] for ch in channels]), rule)
+    u = rng.standard_normal((2, length))
+    y = block_causal_conv(kernel_bank(c, disc.a_bar, disc.b_bar, STATE_BLOCK), disc.a_bar,
+                          2.0 * c * disc.b_bar, u)
+    full = kernel_bank(c, disc.a_bar, disc.b_bar, length)
+    for i in range(2):
+        direct = direct_causal_conv(full[i], u[i])
+        assert np.max(np.abs(y[i] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_block_causal_conv_rejects_kernels_that_are_not_one_block():
+    with pytest.raises(ContractError, match="block kernels"):
+        block_causal_conv(np.zeros((1, 7)), np.full((1, 1), 0.5 + 0j), np.ones((1, 1)),
+                          np.zeros((1, 2000)))
 
 
 def test_convolution_hand_case():
