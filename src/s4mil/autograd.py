@@ -231,8 +231,8 @@ class Tape:
                  d: Node, log_dt: Node, rule: str) -> Node:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
-        Forward materializes the per-channel kernels (running products in
-        64-bit) and convolves via FFT, over the full length or, past two
+        Forward materializes the per-channel kernels (two-level power tables
+        in 64-bit) and convolves via FFT, over the full length or, past two
         blocks, inside blocks with carried states; the feedthrough d u is
         the skip term.
         """
@@ -452,12 +452,13 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     taps = ssm.conv_taps(length)
-    kernels = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, taps)  # (H, taps)
+    w = 2.0 * c * disc.b_bar
+    kernels = ssm.kernel_bank(w, disc.a_bar, taps)  # (H, taps)
     # The backward reads all L taps.  They are built before the output
     # exists, so kernel_bank's transient buffers do not stack on it.
-    full = ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length) if keep_cache and taps < length else kernels
+    full = ssm.kernel_bank(w, disc.a_bar, length) if keep_cache and taps < length else kernels
     d64 = np.asarray(d, dtype=np.float64)
-    y = _chunked_conv(kernels, u, d64, disc.a_bar, 2.0 * c * disc.b_bar)
+    y = _chunked_conv(kernels, u, d64, disc.a_bar, w)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(
@@ -474,10 +475,10 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     The kernel gradient is the causal correlation of the upstream signal
     with the input, and the input gradient its correlation with the kernels;
     both share one transform of the upstream.  Pole and projection
-    gradients then chain through the cumulative powers and the
-    discretization map.  Complex adjoints use the convention
-    z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps multiply by the
-    conjugated derivative.
+    gradients then chain through the kernel's adjoint
+    (ssm.power_weighted_sum) and the discretization map.  Complex adjoints
+    use the convention z_hat = dL/d re(z) + i dL/d im(z), so holomorphic
+    steps multiply by the conjugated derivative.
     """
     if cache.u is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")

@@ -111,13 +111,19 @@ def read_sequence_file(path) -> np.ndarray:
 
 
 def _read_integral_file(path, dim: int, what: str) -> np.ndarray:
+    """The (L, dim) int64 values of a SEQF file; a value that is not an integer
+    of magnitude below 2^63 (int64's range) is a ParseError at its offset."""
     matrix = read_sequence_file(path)
     if matrix.shape[1] != dim:
         raise ParseError(f"{path}: {what} files need D={dim}, got D={matrix.shape[1]}", offset=12)
     as_f64 = matrix.astype(np.float64)
-    if np.any(as_f64 != np.round(as_f64)):
-        bad = int(np.argmax((as_f64 != np.round(as_f64)).any(axis=1)))
-        raise ParseError(f"{path}: non-integral {what} value at token {bad}")
+    in_range = np.abs(as_f64) < 2.0 ** 63  # false for NaN and +-inf too
+    bad = ~in_range | (as_f64 != np.round(as_f64))
+    if np.any(bad):
+        index = int(np.argmax(bad))
+        problem = "non-integral" if in_range.flat[index] else "non-finite or beyond-int64"
+        raise ParseError(f"{path}: {problem} {what} value {as_f64.flat[index]} at token {index // dim}",
+                         offset=_HEADER.size + 4 * index)
     return as_f64.astype(np.int64)
 
 

@@ -22,13 +22,13 @@ the state recurrence of S5), so no kernel longer than a block is built.
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
 
-Kernel powers are accumulated by running products in 64-bit complex
-arithmetic regardless of the model's working precision, using a sqrt(L)
-two-level factorization: powers 0..T-1 and powers of a_bar^T are cumulative
-products.  Their outer combination (the Vandermonde product of S4D) is one
-real matrix product, since the kernel needs only its real part.  Total work
-stays O(n_half * L) without materializing an (n_half, L) power table per
-evaluation step.
+Every power of a_bar comes from one two-level table (_power_tables), built
+by doubling in 64-bit complex arithmetic whatever the model's precision:
+a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L, so each level holds
+O(sqrt(L)) rows.  The kernel (the Vandermonde product of S4D), its adjoint
+power_weighted_sum and the block carry contract the two levels in real
+matrix products against the tables' float64 view, since only real parts
+are needed.  No (n_half, L) power table is ever materialized.
 """
 
 import functools
@@ -42,7 +42,6 @@ from .errors import ContractError, NumericalError
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
 STATE_BLOCK = 512  # tokens per block of block_causal_conv
-_BLOCK_STEP = 32  # its power tables step a_bar^32 at a time; divides STATE_BLOCK
 ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
 # Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
 # ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
@@ -118,70 +117,75 @@ def discretize(a, dt, rule: str) -> Discretization:
 
 
 # --------------------------------------------------------------------------
-# Kernel generation (running products, 64-bit)
+# Kernel generation (two-level power tables, 64-bit)
 # --------------------------------------------------------------------------
 
-def _sqrt_block(length: int) -> tuple[int, int]:
-    t = max(1, int(np.ceil(np.sqrt(length))))
-    q = -(-length // t)
-    return q, t
-
-
 def _power_tables(alpha: np.ndarray, length: int):
-    """Running-product tables P[..., r] = alpha^r (r < T) and B[..., q] = alpha^(qT)."""
-    q, t = _sqrt_block(length)
-    shape = alpha.shape
-    p = np.ones(shape + (t,), dtype=np.complex128)
-    if t > 1:
-        np.cumprod(np.broadcast_to(alpha[..., None], shape + (t - 1,)), axis=-1, out=p[..., 1:])
-    alpha_t = p[..., -1] * alpha
-    b = np.ones(shape + (q,), dtype=np.complex128)
-    if q > 1:
-        np.cumprod(np.broadcast_to(alpha_t[..., None], shape + (q - 1,)), axis=-1, out=b[..., 1:])
-    return p, b, q, t
+    """(fine, coarse, q, T): fine (..., T + 1, n) = alpha^s for s <= T and
+    coarse (..., q + 1, n) = alpha^(iT) for i <= q, for alpha (..., n).
+
+    T is the smallest power of two with T^2 >= length, q = ceil(length / T)
+    (q T = STATE_BLOCK at length = STATE_BLOCK).  Doubling fills each table
+    a whole (..., n) plane at a time, alpha^(m + i) = alpha^i alpha^m, so
+    the memory is power-major; the tables returned are channel-first views.
+    """
+    t = 1 << ((length - 1).bit_length() + 1) // 2
+    q = -(-length // t)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    fine = np.empty((t + 1,) + alpha.shape, dtype=np.complex128)
+    coarse = np.empty((q + 1,) + alpha.shape, dtype=np.complex128)
+    # fine[t] is a view, read once the fine table is filled
+    for table, base in ((fine, alpha), (coarse, fine[t])):
+        table[0] = 1.0
+        table[1] = base
+        m, last = 1, len(table) - 1
+        while m < last:
+            step = min(m, last - m)
+            np.multiply(table[1:step + 1], table[m], out=table[m + 1:m + step + 1])
+            m += step
+    return np.moveaxis(fine, 0, -2), np.moveaxis(coarse, 0, -2), q, t
 
 
 def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_l weights[..., l] * alpha[..., k]^l, the adjoint of the kernel_bank product.
+    """sum_l weights[..., l] * alpha[..., k]^l, the adjoint of kernel_bank.
 
     Shapes: alpha (..., n) and real weights (..., L), whose leading axes
-    broadcast -> (..., n), complex128.  Writing l = iT + r as in kernel_bank,
-    the sum over r is the real product of the weights' (q, T) blocks with
-    [Re P, Im P] (T, 2n), so the weights are neither promoted to complex nor
-    padded: whole blocks are a view, and a last partial block has its own
-    product with the first rows of the table.
+    broadcast -> (..., n), complex128.  With l = iT + s (_power_tables), the
+    real product of the weights' (q, T) blocks (a view; a last partial block
+    has its own product) with the fine powers' float64 view (T, 2n), read as
+    complex, is the (q, n) sum over s, which the coarse powers then weight.
     """
     length = weights.shape[-1]
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    p, b, q, t = _power_tables(alpha, length)
-    table = np.swapaxes(np.concatenate([p.real, p.imag], axis=-2), -1, -2)  # (..., T, 2n)
+    fine, coarse, q, t = _power_tables(alpha, length)
+    # copied: one channel's rows lie a plane apart in the power-major table,
+    # and the product read them 3.5x slower in place (H=512, n=16, L=30000)
+    rows = np.ascontiguousarray(fine[..., :t, :]).view(np.float64)
     whole = length // t
-    blocks = [np.matmul(weights[..., :whole * t].reshape(weights.shape[:-1] + (whole, t)), table)]
+    inner = np.empty(np.broadcast_shapes(weights.shape[:-1], rows.shape[:-2]) + (q, rows.shape[-1]))
+    np.matmul(weights[..., :whole * t].reshape(weights.shape[:-1] + (whole, t)),
+              rows, out=inner[..., :whole, :])
     if whole < q:
-        blocks.append(np.matmul(weights[..., None, whole * t:], table[..., : length - whole * t, :]))
-    inner = np.concatenate(blocks, axis=-2)  # (..., q, 2n)
-    n = alpha.shape[-1]
-    return np.sum((inner[..., :n] + 1j * inner[..., n:]) * np.swapaxes(b, -1, -2), axis=-2)
+        np.matmul(weights[..., None, whole * t:], rows[..., :length - whole * t, :],
+                  out=inner[..., whole:, :])
+    sums = inner.view(np.complex128)  # (..., q, n)
+    sums *= coarse[..., :q, :]
+    return sums.sum(axis=-2)
 
 
-def kernel_bank(c: np.ndarray, a_bar: np.ndarray, b_bar: np.ndarray, length: int) -> np.ndarray:
-    """Real kernels for stacked channels: (..., n) params -> (..., length).
+def kernel_bank(w: np.ndarray, a_bar: np.ndarray, length: int) -> np.ndarray:
+    """K_l = Re(sum_k w_k a_bar_k^l), (..., n) -> (..., length): the adjoint of
+    power_weighted_sum, and a channel's kernel at w = 2 c b_bar.
 
-    K_l = Re(sum_k w_k a_bar_k^l) with w = 2 c b_bar.  Writing l = iT + r,
-    the sum is the (q, n) x (n, T) product of U[i, k] = w_k a_bar_k^(iT) and
-    P[k, r] = a_bar_k^r, and only its real part is needed, so it is formed
-    as the one real product [Re U, -Im U] (q, 2n) x [Re P; Im P] (2n, T).
+    With l = iT + s (_power_tables), K[i, s] is one real product of float64
+    views: conj(w a_bar^(iT)) (q, 2n) against a_bar^s (2n, T).
     """
     if length < 1:
         raise ContractError(f"length must be >= 1, got {length}")
-    alpha = np.asarray(a_bar, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        p, b, q, t = _power_tables(alpha, length)
-        w = 2.0 * np.asarray(c, dtype=np.complex128) * b_bar
-        u = np.swapaxes(w[..., None] * b, -1, -2)
-        k = np.matmul(np.concatenate([u.real, -u.imag], axis=-1),
-                      np.concatenate([p.real, p.imag], axis=-2))  # (..., q, t)
-    k = k.reshape(alpha.shape[:-1] + (q * t,))[..., :length]
+        fine, coarse, q, t = _power_tables(a_bar, length)
+        left = np.conj(np.asarray(w, dtype=np.complex128)[..., None, :] * coarse[..., :q, :])
+        k = np.matmul(left.view(np.float64), fine[..., :t, :].view(np.float64).swapaxes(-1, -2))
+    k = k.reshape(k.shape[:-2] + (q * t,))[..., :length]
     if not np.all(np.isfinite(k)):
         raise NumericalError("kernel overflow: non-finite values in the materialized kernel")
     return k
@@ -254,19 +258,6 @@ def conv_taps(length: int) -> int:
     return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
 
 
-def _doubling_powers(base: np.ndarray, count: int) -> np.ndarray:
-    """base^m for m = 0 .. count - 1 (count - 1 a power of two), stacked on a
-    leading axis; each step doubles the span as base^(m+i) = base^i base^m."""
-    out = np.empty((count,) + base.shape, dtype=np.complex128)
-    out[0] = 1.0
-    out[1] = base
-    m = 1
-    while m < count - 1:
-        np.multiply(out[1:m + 1], out[m], out=out[m + 1:2 * m + 1])
-        m *= 2
-    return out
-
-
 def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
@@ -280,37 +271,35 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     X_j = a_bar^B X_{j-1} + Z_j, and token r of block j gains
     Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}).
 
-    Powers are two-level, a_bar^(iT+s) = a_bar^(iT) a_bar^s with
-    T = _BLOCK_STEP, so no (B, n) table is built.  Both contractions over s
-    are real matrix products with the float64 view of the T fine powers;
-    the coarse powers scale the (blocks, B/T, n) partial sums.  Runs in
+    Powers come from _power_tables(a_bar, B), a_bar^(iT+s) = a_bar^(iT) a_bar^s
+    with q T = B, so no (B, n) table is built.  Both contractions over s
+    are real matrix products with the float64 view of the T + 1 fine powers;
+    the coarse powers scale the (blocks, q, n) partial sums.  Runs in
     float64; returns (h, L).
     """
     h, length = u.shape
     if kernels.shape != (h, STATE_BLOCK):
         raise ContractError(f"block kernels must be ({h}, {STATE_BLOCK}), got {kernels.shape}")
-    t, q = _BLOCK_STEP, STATE_BLOCK // _BLOCK_STEP
     count = -(-length // STATE_BLOCK)
     padded = np.zeros((h, count, STATE_BLOCK))
     padded.reshape(h, -1)[:, :length] = u
     inner = fft_causal_conv(kernels[:, None, :], padded)
-    fine = _doubling_powers(a_bar, t + 1)  # a^s, s <= T: (T + 1, h, n)
-    coarse = _doubling_powers(fine[t], q + 1)  # a^(iT), i <= q
+    fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
     n = fine.shape[2]
-    fine_rows = fine.view(np.float64).transpose(1, 0, 2)  # (h, T + 1, 2n): [Re, Im] pairs
+    fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
     # Z_j = sum_i a^((q-1-i)T) sum_s u[j, i, s] a^(T-1-s), for every block but the last
     part = np.matmul(padded[:, :-1].reshape(h, (count - 1) * q, t),
                      np.ascontiguousarray(fine_rows[:, t - 1::-1]))
     part = part.view(np.complex128).reshape(h, count - 1, q, n)
-    part *= coarse[q - 1::-1].transpose(1, 0, 2)[:, None]
+    part *= coarse[:, q - 1::-1][:, None]
     states = part.sum(axis=2)
-    step = coarse[q]
+    step = coarse[:, q]
     for j in range(1, count - 1):
         states[:, j] += step * states[:, j - 1]
     # token iT+s of block j+1 gains Re(sum_k a^(s+1) (w a^(iT) X_j)_k), one
     # real product against the conjugate's float64 view; the inputs are no
     # longer read, so the carried part goes into their buffer
-    reach = np.multiply(np.conj(w * coarse[:q]).transpose(1, 0, 2)[:, None],
+    reach = np.multiply(np.conj(w[:, None, :] * coarse[:, :q])[:, None],
                         np.conj(states)[:, :, None], out=part)
     carried = padded[:, 1:].reshape(h, (count - 1) * q, t, copy=False)
     np.matmul(reach.view(np.float64).reshape(h, (count - 1) * q, 2 * n),

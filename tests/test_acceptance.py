@@ -127,7 +127,7 @@ def test_c02_bags_of_at_most_two_blocks_take_one_full_length_convolution(rule, l
     a, c, dt, _ = ssm_parameters(*(params[f"ssm0.{k}"] for k in names))
     disc = ssm.discretize(a, dt, rule)
     rows = np.ascontiguousarray(u.T)
-    direct = ssm.fft_causal_conv(ssm.kernel_bank(c, disc.a_bar, disc.b_bar, length), rows)
+    direct = ssm.fft_causal_conv(ssm.kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length), rows)
     direct += params["ssm0.d"][:, None] * rows
     conv = _grad_free_ssm_conv(params, u, rule)
     assert np.ascontiguousarray(conv.T).tobytes() == direct.tobytes()

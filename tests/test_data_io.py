@@ -86,6 +86,29 @@ def test_patch_labels_must_be_integral(tmp_path):
     np.testing.assert_array_equal(read_patch_labels(path), [0, 1, 1])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 2.0 ** 63, -2.0 ** 63, 1e38])
+def test_patch_labels_beyond_int64_are_rejected_at_their_offset(tmp_path, value):
+    # Such values would cast to -2^63 with no error, not to the label stored.
+    path = tmp_path / "p.seqf"
+    write_sequence_file(path, np.array([[0.0], [value], [1.0]], dtype=np.float32))
+    with pytest.raises(ParseError, match=r"p\.seqf: non-finite or beyond-int64 .*token 1") as exc:
+        read_patch_labels(path)
+    assert exc.value.offset == 16 + 4
+
+
+@pytest.mark.parametrize("value", [-np.inf, np.inf, np.nan, 2.0 ** 64])
+def test_coords_beyond_int64_are_rejected_at_their_offset(tmp_path, value):
+    from s4mil.data_io import read_coords
+
+    path = tmp_path / "c.seqf"
+    write_sequence_file(path, np.array([[0.0, 1.0], [2.0, 3.0], [4.0, value]], dtype=np.float32))
+    with pytest.raises(ParseError, match=r"c\.seqf: non-finite or beyond-int64 .*token 2") as exc:
+        read_coords(path)
+    assert exc.value.offset == 16 + 4 * 5
+    write_sequence_file(path, np.array([[0.0, 1.0], [-2.0 ** 62, 2.0 ** 62]], dtype=np.float32))
+    np.testing.assert_array_equal(read_coords(path), [[0, 1], [-2 ** 62, 2 ** 62]])
+
+
 # --------------------------------------------------------------------------
 # Manifests
 # --------------------------------------------------------------------------

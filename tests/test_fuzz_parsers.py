@@ -1,5 +1,5 @@
-"""Mutation fuzzing of the file readers: SEQF, checkpoints, manifests and
-config JSON.
+"""Mutation fuzzing of the file readers: SEQF, patch labels, coordinates,
+checkpoints, manifests and config JSON.
 
 Every case starts from a valid file, overwrites some bytes or whole u32
 words (the header words of a binary file most often), then cuts it short
@@ -13,12 +13,21 @@ import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
 from s4mil.cli import REGISTRY, RunSpec, resolve_config
-from s4mil.data_io import Bag, load_manifest, read_sequence_file, write_manifest, write_sequence_file
+from s4mil.data_io import (
+    Bag,
+    load_manifest,
+    read_coords,
+    read_patch_labels,
+    read_sequence_file,
+    write_manifest,
+    write_sequence_file,
+)
 from s4mil.errors import ConfigError, ParseError
 from s4mil.model import MilModel, ModelConfig, init_parameters
 
@@ -77,6 +86,30 @@ def test_seqf_reader_loads_or_raises_parse_error(tmp_path_factory):
         except ParseError:
             return
         assert matrix.ndim == 2 and 16 + 4 * matrix.size == len(data)
+
+    check()
+
+
+@pytest.mark.parametrize("reader, dim", [(read_patch_labels, 1), (read_coords, 2)])
+def test_integral_readers_load_their_payload_or_raise_parse_error(tmp_path_factory, reader, dim):
+    # Word edits reach every word of the file, payload included, so that
+    # NaN, +-inf and floats beyond int64 are drawn; none may load as some
+    # other integer.
+    path = tmp_path_factory.mktemp("integral") / "values.seqf"
+    write_sequence_file(path, np.arange(5 * dim, dtype=np.float32).reshape(5, dim) - 3)
+    blob = path.read_bytes()
+
+    @settings(max_examples=FUZZ_EXAMPLES)
+    @given(mutations(blob, header_words=len(blob) // 4))
+    def check(data):
+        path.write_bytes(data)
+        try:
+            values = reader(path)
+        except ParseError:
+            return
+        payload = read_sequence_file(path).astype(np.float64)
+        assert values.dtype == np.int64
+        assert np.array_equal(values.reshape(payload.shape).astype(np.float64), payload)
 
     check()
 

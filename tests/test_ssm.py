@@ -11,6 +11,7 @@ from s4mil.ssm import (
     STATE_BLOCK,
     ZERO_POLE_EPS,
     _fft_size,
+    _power_tables,
     block_causal_conv,
     direct_causal_conv,
     discretize,
@@ -182,13 +183,13 @@ def test_discretization_derivatives_match_central_differences(rule, dt, poles):
 # --------------------------------------------------------------------------
 
 def test_kernel_geometric_series():
-    # c = 1/2 cancels the conjugate-pair doubling, leaving a scalar system.
-    k = kernel_bank([0.5 + 0j], [0.5 + 0j], [1.0 + 0j], length=4)
+    # w = 2 c b_bar = 1 leaves the scalar system K_l = a_bar^l.
+    k = kernel_bank([1.0 + 0j], [0.5 + 0j], length=4)
     np.testing.assert_allclose(k, [1.0, 0.5, 0.25, 0.125], rtol=0, atol=0)
 
 
 def test_kernel_unit_pole():
-    k = kernel_bank([0.5 + 0j], [1.0 + 0j], [1.0 + 0j], length=3)
+    k = kernel_bank([1.0 + 0j], [1.0 + 0j], length=3)
     np.testing.assert_allclose(k, [1.0, 1.0, 1.0], rtol=0, atol=0)
 
 
@@ -207,7 +208,7 @@ def test_kernel_matches_brute_force_powers():
     for _ in range(20):
         a, c, _, dt = random_stable_channel(rng, n_half=5)
         disc = discretize(a, dt, "bilinear")
-        k = kernel_bank(c, disc.a_bar, disc.b_bar, length=64)
+        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=64)
         expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 64)
         np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-14)
 
@@ -224,7 +225,7 @@ def test_kernel_matches_brute_force_in_the_trained_regime(rule, dt, a_re):
     a = a_re + 1j * np.pi * np.arange(64)
     c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     disc = discretize(a, dt, rule)
-    k = kernel_bank(c, disc.a_bar, disc.b_bar, length=2048)
+    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=2048)
     expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 2048)
     np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -248,6 +249,56 @@ def test_power_weighted_sum_matches_brute_force(length):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
+def test_power_table_sizes_cover_every_exponent():
+    # T is the smallest power of two with T^2 >= L and q = ceil(L / T);
+    # block_causal_conv reshapes a block into (q, T).
+    alpha = np.array([[0.5 + 0.5j]])
+    for length in range(1, 4097):
+        fine, coarse, q, t = _power_tables(alpha, length)
+        assert t & (t - 1) == 0 and t * t >= length and (t == 1 or (t // 2) ** 2 < length)
+        assert q == -(-length // t)
+        assert fine.shape == (1, t + 1, 1) and coarse.shape == (1, q + 1, 1)
+    assert _power_tables(alpha, STATE_BLOCK)[2:] == (16, 32)
+
+
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+@pytest.mark.parametrize("a_re", [-0.5, -1e-4])
+@pytest.mark.parametrize("length", [1, 2, 3, 17, STATE_BLOCK, 4096, 65536])
+def test_power_tables_match_repeated_multiplication(length, a_re, rule):
+    # Poles -1/2 + i pi k and the -1e-4 clamp at dt = 1e-3, where |a_bar| is
+    # close to 1, for tables of up to 257 rows (L = 65536).  Doubling
+    # a^(m+i) = a^i a^m doubles the rounding of a^2 at every level, so the
+    # relative error of a table of `count` rows grows to about count/2 unit
+    # roundoffs; the bound is count unit roundoffs (1.4e-14 at 129 rows).
+    a_bar = discretize(a_re + 1j * np.pi * np.arange(64), 1e-3, rule).a_bar.reshape(2, 32)
+    fine, coarse, q, t = _power_tables(a_bar, length)
+    for table, base in ((fine, a_bar), (coarse, fine[:, t])):
+        count = table.shape[1]
+        expected = np.empty_like(table)
+        power = np.ones_like(base)
+        for i in range(count):
+            expected[:, i] = power
+            power = power * base
+        np.testing.assert_allclose(table, expected, rtol=count * 2.0 ** -53, atol=0)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 511, 512, 513, 1000, 30000])
+def test_kernel_bank_is_the_adjoint_of_power_weighted_sum(length):
+    # sum_l x_l K_l = Re sum_k w_k sum_l x_l a_k^l for real x, with (H, 1, n)
+    # poles against (H, 2, L) weights as the ssm-conv backward calls it.
+    # Both sides are bounded by sum_l |x_l| sum_k |w_k| |a_k|^l.
+    rng = np.random.default_rng(41)
+    a = np.concatenate([-0.5 + 1j * np.pi * np.arange(4), -1e-4 + 1j * np.pi * np.arange(4)])
+    a_bar = discretize(a, rng.uniform(1e-3, 0.1, 3), "zoh").a_bar[:, None, :]
+    w = (rng.standard_normal((3, 1, 8)) + 1j * rng.standard_normal((3, 1, 8))) * 2.0
+    x = rng.standard_normal((3, 2, length))
+    lhs = np.sum(x * kernel_bank(w, a_bar, length), axis=-1)
+    rhs = np.sum(w * power_weighted_sum(a_bar, x), axis=-1).real
+    scale = np.sum(np.abs(x) * kernel_bank(np.abs(w), np.abs(a_bar), length), axis=-1)
+    assert lhs.shape == rhs.shape == (3, 2)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+
+
 def test_model_regime_channel_matches_direct_convolution_at_l62235():
     # The longest slide length the model is run on: 125000 transform points.
     rng = np.random.default_rng(37)
@@ -256,7 +307,7 @@ def test_model_regime_channel_matches_direct_convolution_at_l62235():
     a = -0.5 + 1j * np.pi * np.arange(16)
     c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     disc = discretize(a, 0.01, "zoh")
-    k = kernel_bank(c, disc.a_bar, disc.b_bar, length)
+    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length)
     u = rng.standard_normal(length)
     direct = direct_causal_conv(k, u)
     assert np.max(np.abs(fft_causal_conv(k, u) - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -271,7 +322,7 @@ def test_kernel_decay_envelope():
         rho = np.max(np.abs(disc.a_bar))
         assert rho < 1
         length = min(4096, int(np.ceil(np.log(1e-3) / np.log(rho))) + 1)
-        k = kernel_bank(c, disc.a_bar, disc.b_bar, length=length)
+        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=length)
         envelope = 2.0 * np.sum(np.abs(c * disc.b_bar))
         bound = envelope * rho ** np.arange(length)
         assert np.all(np.abs(k) <= bound * (1 + 1e-9) + 1e-300)
@@ -280,7 +331,7 @@ def test_kernel_decay_envelope():
 
 def test_kernel_overflow_reported():
     with pytest.raises(NumericalError, match="overflow"):
-        kernel_bank([0.5e300 + 0j], [2.0 + 0j], [1.0 + 0j], length=2048)
+        kernel_bank([1e300 + 0j], [2.0 + 0j], length=2048)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +342,7 @@ def test_impulse_response_recovers_kernel():
     rng = np.random.default_rng(3)
     a, c, _, dt = random_stable_channel(rng)
     disc = discretize(a, dt, "bilinear")
-    k = kernel_bank(c, disc.a_bar, disc.b_bar, length=16)
+    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=16)
     u = np.zeros(16)
     u[0] = 1.0
     np.testing.assert_allclose(fft_causal_conv(k, u), k, rtol=1e-12)
@@ -319,9 +370,9 @@ def test_block_causal_conv_matches_direct_convolution(rule, length):
     c = np.array([ch[1] for ch in channels])
     disc = discretize(a, np.array([ch[3] for ch in channels]), rule)
     u = rng.standard_normal((2, length))
-    y = block_causal_conv(kernel_bank(c, disc.a_bar, disc.b_bar, STATE_BLOCK), disc.a_bar,
-                          2.0 * c * disc.b_bar, u)
-    full = kernel_bank(c, disc.a_bar, disc.b_bar, length)
+    w = 2.0 * c * disc.b_bar
+    y = block_causal_conv(kernel_bank(w, disc.a_bar, STATE_BLOCK), disc.a_bar, w, u)
+    full = kernel_bank(w, disc.a_bar, length)
     for i in range(2):
         direct = direct_causal_conv(full[i], u[i])
         assert np.max(np.abs(y[i] - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -455,7 +506,7 @@ def test_recurrence_convolution_duality(rule):
         length = int(rng.integers(1, 513))
         a, c, d, dt = random_stable_channel(rng, n_half=n_half)
         disc = discretize(a, dt, rule)
-        k = kernel_bank(c, disc.a_bar, disc.b_bar, length)
+        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length)
         y_conv = fft_causal_conv(k, u := rng.standard_normal(length)) + d * u
         y_rec = run_recurrence(disc.a_bar, disc.b_bar, c, d, u)
         err = np.max(np.abs(y_conv - y_rec)) / (1.0 + np.max(np.abs(y_rec)))
@@ -470,7 +521,8 @@ def test_parallel_channel_map_matches_sequential():
     a_bar = rng.uniform(0.1, 0.9, (h, n_half)) * np.exp(1j * rng.uniform(0, np.pi, (h, n_half)))
     b_bar = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
     c = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
-    stacked = kernel_bank(c, a_bar, b_bar, length)
+    w = 2.0 * c * b_bar
+    stacked = kernel_bank(w, a_bar, length)
     for i in range(h):
-        row = kernel_bank(c[i], a_bar[i], b_bar[i], length)
+        row = kernel_bank(w[i], a_bar[i], length)
         assert np.array_equal(stacked[i], row)
