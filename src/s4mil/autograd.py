@@ -28,9 +28,10 @@ each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
 On a bag longer than two blocks of ssm.STATE_BLOCK tokens the forward
 builds only the first block's kernel taps: in-block FFTs apply them and
-carried SSM states add every earlier block (ssm.block_causal_conv).  A
-gradient tape also builds all L taps, for the backward, whose
-correlations run over the full length.
+carried SSM states add every earlier block (ssm.block_causal_conv).  The
+input gradient is the same convolution run in reversed time, with the same
+taps, so a gradient tape builds no other kernel; the parameter gradients
+still correlate the upstream with the input over the full length.
 """
 
 from dataclasses import dataclass, field
@@ -344,6 +345,7 @@ class SsmConvCache:
     dt: np.ndarray
     clamp_mask: np.ndarray
     c: np.ndarray
+    w: np.ndarray
     d: np.ndarray
 
 
@@ -364,10 +366,9 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 def _conv_chunk(h: int, fft_len: int) -> int:
     # Channels per chunk of a full-length transform, so that one chunk's
     # transient FFT buffers stay bounded regardless of L.  tracemalloc
-    # measures a backward chunk at L=30000 (fft_len 60000, 33 channels) at a
-    # peak of 103 MB, since it correlates with the kernels and the inputs at
-    # once, and a forward chunk at L=1024 (fft_len 2048, all 512 channels)
-    # at 29 MB.
+    # measures a backward chunk at L=30000 (fft_len 60000, 33 channels),
+    # which correlates the upstream with the inputs, at a peak of 64 MB, and
+    # a forward chunk at L=1024 (fft_len 2048, all 512 channels) at 29 MB.
     return max(1, min(h, int(96e6 // (fft_len * 48))))
 
 
@@ -390,81 +391,71 @@ def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
 
 
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
-                  w: np.ndarray) -> np.ndarray:
+                  w: np.ndarray, reverse: bool = False) -> np.ndarray:
     """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
-    array in u's dtype.
+    array in u's dtype.  With reverse, the same convolution runs in
+    reversed time, sum_l K_l u[t + l] + d u[t]: its adjoint in u.
 
     ``kernels`` (H, ssm.conv_taps(L)) holds the first taps of
     K_l = Re(sum_k w_k a_bar_k^l).  With all L taps each chunk makes one
     full-length fft_causal_conv; with fewer, it carries states across
     blocks (ssm.block_causal_conv).  Each chunk casts its own channel rows
-    to float64 and back, so no whole float64 copy of u or of the output
+    to float64 and back (flipped in time as they are read and written, under
+    reverse), so no whole float64 or reversed copy of u or of the output
     exists.
     """
     length, h = u.shape
     out = np.empty((h, length), dtype=u.dtype)
+    src, dst = (u[::-1], out[:, ::-1]) if reverse else (u, out)
     blocked = kernels.shape[1] < length
 
     def work(s, e):
         if blocked:  # the blocks are cast to float64 as they are padded
-            rows = u[:, s:e].T
+            rows = src[:, s:e].T
             y = ssm.block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
         else:
-            rows = _rows(u, s, e)
+            rows = _rows(src, s, e)
             y = ssm.fft_causal_conv(kernels[s:e], rows)
         y += d[s:e, None] * rows
-        out[s:e] = y
+        dst[s:e] = y
 
     chunk = _block_chunk(h, length) if blocked else _conv_chunk(h, ssm._fft_size(length))
     parallel.run_chunked(h, chunk, work)
     return out.T
 
 
-def _chunked_corr(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray):
-    """Per-channel adjoints of _chunked_conv for the channel-major upstream g (L, H).
+def _chunked_corr(g: np.ndarray, u: np.ndarray):
+    """Parameter adjoints of _chunked_conv for the channel-major upstream g (L, H).
 
-    Returns the input gradient corr(g, K) + d g, laid out like u (channel
-    rows) and in its dtype, the kernel gradient corr(g, u) (H, L) and the
-    skip gradient sum_l g u (H,), all cast and formed chunk by chunk.
+    Returns the kernel gradient corr(g, u) (H, L) and the skip gradient
+    sum_l g u (H,), both cast and formed chunk by chunk.
     """
     length, h = u.shape
-    grad_u = np.empty_like(u)
     grad_k = np.empty((h, length))
     grad_d = np.empty(h)
 
     def work(s, e):
-        rows = _rows(g, s, e)
-        v = np.empty((2, e - s, length))
-        v[0] = kernels[s:e]
-        v[1] = u[:, s:e].T
-        grad_d[s:e] = np.einsum("hl,hl->h", rows, v[1])
-        corr = ssm.fft_causal_corr(rows, v)
-        grad_k[s:e] = corr[1]
-        corr[0] += d[s:e, None] * rows
-        grad_u[:, s:e] = corr[0].T
+        rows, v = _rows(g, s, e), _rows(u, s, e)
+        grad_d[s:e] = np.einsum("hl,hl->h", rows, v)
+        grad_k[s:e] = ssm.fft_causal_corr(rows, v)
 
     parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
-    return grad_u, grad_k, grad_d
+    return grad_k, grad_d
 
 
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
-    length = u.shape[0]
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
-    taps = ssm.conv_taps(length)
     w = 2.0 * c * disc.b_bar
-    kernels = ssm.kernel_bank(w, disc.a_bar, taps)  # (H, taps)
-    # The backward reads all L taps.  They are built before the output
-    # exists, so kernel_bank's transient buffers do not stack on it.
-    full = ssm.kernel_bank(w, disc.a_bar, length) if keep_cache and taps < length else kernels
+    kernels = ssm.kernel_bank(w, disc.a_bar, ssm.conv_taps(u.shape[0]))  # (H, taps)
     d64 = np.asarray(d, dtype=np.float64)
     y = _chunked_conv(kernels, u, d64, disc.a_bar, w)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(
         u=u if keep_cache else None,
-        kernels=full if keep_cache else None,
-        disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, d=d64,
+        kernels=kernels if keep_cache else None,
+        disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, w=w, d=d64,
     )
     return y, cache
 
@@ -472,18 +463,20 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
 def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.ndarray]:
     """Gradients of the convolution view w.r.t. (u, a, c, d, log_dt).
 
-    The kernel gradient is the causal correlation of the upstream signal
-    with the input, and the input gradient its correlation with the kernels;
-    both share one transform of the upstream.  Pole and projection
-    gradients then chain through the kernel's adjoint
-    (ssm.power_weighted_sum) and the discretization map.  Complex adjoints
-    use the convention z_hat = dL/d re(z) + i dL/d im(z), so holomorphic
-    steps multiply by the conjugated derivative.
+    The input gradient is the forward's own convolution (_chunked_conv, with
+    the cached taps) run in reversed time.  The kernel gradient is the
+    causal correlation of the upstream signal with the input over the full
+    length.  Pole and projection gradients then chain through the kernel's
+    adjoint (ssm.power_weighted_sum) and the discretization map.  Complex
+    adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z), so
+    holomorphic steps multiply by the conjugated derivative.
     """
     if cache.u is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")
     length = cache.u.shape[0]
-    grad_u, gk, grad_d = _chunked_corr(upstream, cache.u, cache.kernels, cache.d)
+    disc = cache.disc
+    grad_u = _chunked_conv(cache.kernels, upstream, cache.d, disc.a_bar, cache.w, reverse=True)
+    gk, grad_d = _chunked_corr(upstream, cache.u)
 
     # One power-table call sums gk and its index-weighted shift (l + 1) gk[l + 1].
     weights = np.empty((gk.shape[0], 2, length))
@@ -491,10 +484,9 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     np.multiply(gk[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
     weights[:, 1, -1] = 0.0
     del gk
-    disc = cache.disc
     sums = ssm.power_weighted_sum(np.conj(disc.a_bar)[:, None, :], weights)
     w_hat = 2.0 * sums[:, 0]
-    abar_hat = 2.0 * np.conj(cache.c * disc.b_bar) * sums[:, 1]
+    abar_hat = np.conj(cache.w) * sums[:, 1]
 
     c_hat = w_hat * np.conj(disc.b_bar)
     bbar_hat = w_hat * np.conj(cache.c)

@@ -258,6 +258,17 @@ def _load_training_bags(config: dict, seed: int) -> list[Bag]:
     return load_manifest(manifest)
 
 
+def _check_labels(bags: list[Bag], model_cfg: ModelConfig) -> None:
+    """Reject a bag whose labels name no class of the model, before any forward pass."""
+    for bag in bags:
+        if not 0 <= bag.slide_label < model_cfg.num_classes:
+            raise ContractError(f"bag {bag.id}: slide label {bag.slide_label} is outside "
+                                f"0..{model_cfg.num_classes - 1}")
+        patch = bag.patch_labels if model_cfg.multitask else None
+        if patch is not None and np.any((patch < 0) | (patch >= model_cfg.patch_classes)):
+            raise ContractError(f"bag {bag.id}: a patch label is outside 0..{model_cfg.patch_classes - 1}")
+
+
 def _fold_seed(seed: int, fold: int) -> int:
     return int(substream(seed, f"fold-{fold}").integers(0, 2**31))
 
@@ -268,6 +279,7 @@ def cmd_train(spec: RunSpec, config: dict) -> int:
     model_cfg = dataclass_from("model", config)
     if model_cfg.multitask and any(b.patch_labels is None for b in bags):
         raise ConfigError("multitask training needs patch labels for every bag")
+    _check_labels(bags, model_cfg)
     folds = config["train.folds"]
     splits = kfold([b.slide_label for b in bags], k=folds, seed=seed)  # fails before training
     rows = []
@@ -317,6 +329,7 @@ def cmd_evaluate(spec: RunSpec, config: dict) -> int:
         bags = long_sequence_split(bags, percentile=percentile)
         if not bags:
             raise ConfigError("long-sequence split left no bags to evaluate")
+    _check_labels(bags, model.config)
     stats = evaluate_model(model, bags)
     out_rows = [("count", len(bags)), ("loss", stats["loss"]),
                 ("accuracy", stats["accuracy"]), ("auroc", stats["auroc"])]
@@ -409,56 +422,29 @@ def cmd_kernel_check(spec: RunSpec, config: dict) -> int:
 def _grad_check_cases(seed: int):
     rng = substream(seed, "grad-check")
 
-    def scalarize(tape, node, labels):
-        return tape.softmax_log_loss(node, labels, reduction="sum")
+    def case(op, params, labels):
+        # the tape applies op to the named leaves of params and ends in a summed loss
+        def build(p):
+            tape = Tape(dtype=np.float64)
+            out = op(tape, {k: tape.leaf(v, k) for k, v in p.items()})
+            tape.softmax_log_loss(out, labels, reduction="sum")
+            return tape
 
-    cases = {}
+        return build, params
 
-    affine_params = {"x": rng.standard_normal((6, 3)), "w": rng.standard_normal((3, 4)),
-                     "b": rng.standard_normal(4)}
-    affine_labels = rng.integers(0, 4, 6)
-
-    def build_affine(p):
-        tape = Tape(dtype=np.float64)
-        z = tape.matvec(tape.leaf(p["x"], "x"), tape.leaf(p["w"], "w"), tape.leaf(p["b"], "b"))
-        scalarize(tape, z, affine_labels)
-        return tape
-
-    cases["affine"] = (build_affine, affine_params)
-
-    ew_params = {"a": rng.standard_normal((5, 3)), "g": rng.standard_normal((5, 3))}
-    ew_labels = rng.integers(0, 3, 5)
-
-    def build_elementwise(p):
-        tape = Tape(dtype=np.float64)
-        a = tape.leaf(p["a"], "a")
-        z = tape.scale(tape.mul(a, tape.sigmoid(tape.leaf(p["g"], "g"))), 0.31)
-        scalarize(tape, z, ew_labels)
-        return tape
-
-    cases["elementwise"] = (build_elementwise, ew_params)
-
-    ln_params = {"x": rng.standard_normal((7, 4)), "s": 1 + 0.2 * rng.standard_normal(4),
-                 "t": 0.1 * rng.standard_normal(4)}
-    ln_labels = rng.integers(0, 4, 7)
-
-    def build_layernorm(p):
-        tape = Tape(dtype=np.float64)
-        z = tape.layernorm(tape.leaf(p["x"], "x"), tape.leaf(p["s"], "s"), tape.leaf(p["t"], "t"))
-        scalarize(tape, z, ln_labels)
-        return tape
-
-    cases["layernorm"] = (build_layernorm, ln_params)
-
-    mp_params = {"x": rng.standard_normal((9, 5))}
-
-    def build_maxpool(p):
-        tape = Tape(dtype=np.float64)
-        tape.softmax_log_loss(tape.max_pool_sequence(tape.leaf(p["x"], "x")), [2])
-        return tape
-
-    cases["max-pool"] = (build_maxpool, mp_params)
-
+    cases = {
+        "affine": case(lambda t, n: t.matvec(n["x"], n["w"], n["b"]),
+                       {"x": rng.standard_normal((6, 3)), "w": rng.standard_normal((3, 4)),
+                        "b": rng.standard_normal(4)}, rng.integers(0, 4, 6)),
+        "elementwise": case(lambda t, n: t.scale(t.mul(n["a"], t.sigmoid(n["g"])), 0.31),
+                            {"a": rng.standard_normal((5, 3)), "g": rng.standard_normal((5, 3))},
+                            rng.integers(0, 3, 5)),
+        "layernorm": case(lambda t, n: t.layernorm(n["x"], n["s"], n["t"]),
+                          {"x": rng.standard_normal((7, 4)), "s": 1 + 0.2 * rng.standard_normal(4),
+                           "t": 0.1 * rng.standard_normal(4)}, rng.integers(0, 4, 7)),
+        "max-pool": case(lambda t, n: t.max_pool_sequence(n["x"]),
+                         {"x": rng.standard_normal((9, 5))}, [2]),
+    }
     for rule in ("bilinear", "zoh"):
         h, n_half = 3, 2
         p_ssm = {
@@ -470,17 +456,9 @@ def _grad_check_cases(seed: int):
             "d": rng.standard_normal(h),
             "log_dt": rng.uniform(np.log(0.01), np.log(0.5), h),
         }
-        ssm_labels = rng.integers(0, h, 10)
-
-        def build_ssm(p, rule=rule):
-            tape = Tape(dtype=np.float64)
-            nodes = {k: tape.leaf(v, k) for k, v in p.items()}
-            out = tape.ssm_conv(nodes["u"], nodes["a_re"], nodes["a_im"], nodes["c_re"],
-                                nodes["c_im"], nodes["d"], nodes["log_dt"], rule=rule)
-            scalarize(tape, out, ssm_labels)
-            return tape
-
-        cases[f"ssm-conv-{rule}"] = (build_ssm, p_ssm)
+        # p_ssm lists the leaves in the order ssm_conv takes them
+        cases[f"ssm-conv-{rule}"] = case(lambda t, n, rule=rule: t.ssm_conv(*n.values(), rule=rule),
+                                         p_ssm, rng.integers(0, h, 10))
 
     mil_cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
                           multitask=True, num_patch_classes=2)

@@ -13,6 +13,7 @@ Gradient accumulation and reduction follow the shuffled bag order, so runs
 are reproducible given the seed.
 """
 
+import contextlib
 import csv
 import math
 import warnings
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .data_io import Bag
-from .errors import ContractError, NumericalError
+from .errors import ContractError, NumericalError, S4MilError
 from .metrics import ScoredPrediction, UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
 from .model import MilModel, build_tape, forward_mil
 from .seeding import substream
@@ -87,13 +88,23 @@ def _clamped_log(p: np.ndarray) -> np.ndarray:
     return np.log(p)
 
 
+def _picked(probs: np.ndarray, labels: np.ndarray, what: str) -> np.ndarray:
+    """probs[..., label] along the last (class) axis; every label must be a class index."""
+    classes = probs.shape[-1]
+    bad = (labels < 0) | (labels >= classes)
+    if np.any(bad):
+        raise ContractError(f"{what} label {labels[bad].flat[0]} is outside 0..{classes - 1}")
+    return np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0]
+
+
 def mil_loss(slide_probs: Sequence[np.ndarray], labels: Sequence[int]) -> float:
     """Mean negative log probability of each bag's slide label."""
     if len(slide_probs) == 0 or len(slide_probs) != len(labels):
         raise ContractError(
             f"need matching non-empty probabilities and labels, got {len(slide_probs)} vs {len(labels)}"
         )
-    picked = np.array([np.asarray(p, dtype=np.float64)[int(y)] for p, y in zip(slide_probs, labels)])
+    picked = np.array([_picked(np.asarray(p, dtype=np.float64), np.int64(y), "slide")
+                       for p, y in zip(slide_probs, labels)])
     return float(-np.mean(_clamped_log(picked)))
 
 
@@ -111,8 +122,9 @@ def multitask_loss(slide_probs, slide_labels, patch_probs, patch_labels, lam: fl
         py = np.asarray(py, dtype=np.int64)
         if pp.ndim != 2 or py.shape != (pp.shape[0],):
             raise ContractError(f"patch inputs misaligned: probs {pp.shape}, labels {py.shape}")
-        slide_term = -float(_clamped_log(np.asarray(sp, dtype=np.float64)[int(sy)]))
-        token_terms = -_clamped_log(pp[np.arange(pp.shape[0]), py])
+        sp = np.asarray(sp, dtype=np.float64)
+        slide_term = -float(_clamped_log(_picked(sp, np.int64(sy), "slide")))
+        token_terms = -_clamped_log(_picked(pp, py, "patch"))
         total += slide_term + (lam / pp.shape[0]) * float(token_terms.sum())
     return total / len(slide_probs)
 
@@ -186,14 +198,25 @@ class FitResult:
     best_epoch: int
 
 
+@contextlib.contextmanager
+def _naming(prefix: str):
+    """Re-raise a package error as the same type, its message prefixed with ``prefix``."""
+    try:
+        yield
+    except S4MilError as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc
+
+
 def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> dict:
-    """Loss and metrics of a model on a set of bags (conv path, read-only)."""
+    """Loss and metrics of a model on a set of bags (conv path, read-only);
+    an error raised while a bag is processed names the bag."""
     if not bags:
         raise ContractError("evaluation needs a non-empty split")
     multitask = model.config.multitask and lam > 0 and all(b.patch_labels is not None for b in bags)
     slide_probs, patch_probs = [], []
     for bag in bags:
-        out = forward_mil(model, bag.features)
+        with _naming(f"bag {bag.id}: "):
+            out = forward_mil(model, bag.features)
         slide_probs.append(out.slide_probs)
         patch_probs.append(out.patch_probs)
     labels = [b.slide_label for b in bags]
@@ -220,7 +243,8 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
 
     Restores the parameters of the best validation epoch before returning.
     Deterministic given config.seed: bag order per epoch is a seeded shuffle
-    and gradients accumulate in that order.
+    and gradients accumulate in that order.  An error raised while a bag is
+    processed, in training or validation, names the epoch and the bag.
     """
     if not train_bags or not val_bags:
         raise ContractError("fit needs non-empty train and validation splits")
@@ -238,11 +262,12 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
         accumulated = 0
         for step_idx, bag_idx in enumerate(order):
             bag = train_bags[int(bag_idx)]
-            bundle = build_tape(model.config, model.params, bag.features,
-                                slide_label=bag.slide_label, patch_labels=bag.patch_labels,
-                                lam=lam)
-            epoch_losses.append(bundle.tape.forward())
-            grads = bundle.tape.backward()
+            with _naming(f"epoch {epoch}, bag {bag.id}: "):
+                bundle = build_tape(model.config, model.params, bag.features,
+                                    slide_label=bag.slide_label, patch_labels=bag.patch_labels,
+                                    lam=lam)
+                epoch_losses.append(bundle.tape.forward())
+                grads = bundle.tape.backward()
             if accum is None:
                 accum = {k: np.asarray(v, dtype=np.float64) for k, v in grads.items()}
             else:
@@ -250,10 +275,12 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
                     accum[k] += grads[k]
             accumulated += 1
             if accumulated == config.grad_accum or step_idx == len(order) - 1:
-                optimizer.step(model.params, {k: v / accumulated for k, v in accum.items()})
+                with _naming(f"epoch {epoch}, "):  # the step may sum several bags' gradients
+                    optimizer.step(model.params, {k: v / accumulated for k, v in accum.items()})
                 accum = None
                 accumulated = 0
-        stats = evaluate_model(model, val_bags, lam=lam)
+        with _naming(f"epoch {epoch}, "):
+            stats = evaluate_model(model, val_bags, lam=lam)
         history.append(EpochRecord(
             epoch=epoch,
             train_loss=float(np.mean(epoch_losses)),

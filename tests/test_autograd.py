@@ -328,7 +328,9 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
 def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
     # A gradient tape on a bag longer than two blocks.  Its forward carries
     # states across blocks from the first block's taps, exactly as a
-    # grad-free tape does, while the backward reads all L kernel taps.
+    # grad-free tape does, and its input gradient runs that same carried
+    # convolution in reversed time; the parameter gradients still correlate
+    # over all L tokens.
     from s4mil.ssm import STATE_BLOCK
 
     rng = np.random.default_rng(18)
@@ -351,6 +353,75 @@ def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
     plus, minus = (build_ssm_tape({**params, "u": u + s * direction}, rule, labels).forward()
                    for s in (step, -step))
     np.testing.assert_allclose(np.sum(grad_u * direction), (plus - minus) / (2 * step), rtol=1e-6)
+
+
+def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
+    # The backward reuses the forward's taps, so a gradient tape on a bag
+    # past two blocks builds conv_taps(L) = STATE_BLOCK taps per layer and
+    # no full-length kernel.
+    from s4mil import autograd, ssm
+    from s4mil.model import ModelConfig, build_tape, init_parameters
+
+    length = 3 * ssm.STATE_BLOCK + 37
+    kernel_bank = ssm.kernel_bank
+    taps = []
+
+    def spy(w, a_bar, n):
+        taps.append(n)
+        return kernel_bank(w, a_bar, n)
+
+    monkeypatch.setattr(ssm, "kernel_bank", spy)
+    cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2, num_ssm_layers=2)
+    model = init_parameters(cfg, seed=5)
+    features = np.random.default_rng(19).standard_normal((length, 8))
+    build_tape(cfg, model.params, features, slide_label=1, dtype=np.float64).tape.backward()
+    assert taps == [ssm.conv_taps(length)] * 2 == [ssm.STATE_BLOCK] * 2
+
+    p = ssm_params(np.random.default_rng(20), h=3, n_half=2)
+    p["u"] = np.random.default_rng(21).standard_normal((length, 3))
+    _, cache = autograd._ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
+                                          p["d"], p["log_dt"], "zoh", keep_cache=True)
+    assert cache.kernels.shape == (3, ssm.STATE_BLOCK)
+
+
+@pytest.mark.parametrize("length", [2 * 512 + 1, 8 * 512 + 1])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_ssm_conv_input_gradient_matches_the_quadratic_adjoint(rule, dt, length):
+    # grad_u[t] = sum_l K_l g[t + l] + d g[t]: direct_causal_conv of the
+    # reversed upstream with the brute-force full kernel, reversed back.
+    # Channels in the trained regime: poles -1/2 + i pi k (k < 16) and pole
+    # real parts at the -1e-4 clamp, set there or clamped from above.
+    from s4mil import ssm
+    from s4mil.autograd import POLE_REAL_CEILING, ssm_parameters
+
+    rng = np.random.default_rng(24)
+    n_half = 16
+    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
+    h = a_re.shape[0]
+    p = {"a_re": a_re, "a_im": np.tile(np.pi * np.arange(n_half), (h, 1)),
+         "c_re": rng.standard_normal((h, n_half)), "c_im": rng.standard_normal((h, n_half)),
+         "d": rng.standard_normal(h), "log_dt": np.full(h, np.log(dt))}
+    u_value = rng.standard_normal((length, h))
+    g = np.asfortranarray(rng.standard_normal((length, h)))
+
+    tape = f64_tape()
+    u = tape.leaf(u_value, "u")
+    others = [tape.leaf(p[k]) for k in ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+    tape.ssm_conv(u, *others, rule=rule).backward_fn(g)
+
+    a, c, dt_op, _ = ssm_parameters(p["a_re"], p["a_im"], p["c_re"], p["c_im"], p["log_dt"])
+    disc = ssm.discretize(a, dt_op, rule)
+    power = np.ones_like(disc.a_bar)
+    kernels = np.empty((h, length))
+    for ell in range(length):  # repeated multiplication, no power tables
+        kernels[:, ell] = 2.0 * np.sum(c * power * disc.b_bar, axis=1).real
+        power = power * disc.a_bar
+    expected = np.stack([ssm.direct_causal_conv(kernels[i], g[::-1, i])[::-1]
+                         for i in range(h)], axis=1) + p["d"] * g
+    scale = np.max(np.abs(expected), axis=0)
+    err = np.max(np.abs(u.grad - expected), axis=0) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
 
 
 def test_degenerate_pivot_inside_ssm_conv_names_channel_and_pole(monkeypatch):

@@ -66,6 +66,74 @@ def test_train_folds_exceeding_bags_fails_before_training(tmp_path, capsys):
     assert not (out / "fold_00").exists()
 
 
+def _forbid_forward_passes(monkeypatch):
+    from s4mil import train
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a forward pass ran")
+
+    monkeypatch.setattr(train, "build_tape", forbidden)
+    monkeypatch.setattr(train, "forward_mil", forbidden)
+
+
+def _relabel(manifest, bag_id, label):
+    with open(manifest, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if row["id"] == bag_id:
+            row["label"] = str(label)
+    write_manifest(manifest, rows)
+
+
+@pytest.mark.parametrize("label", [7, -1])
+def test_train_rejects_an_out_of_range_slide_label_before_any_forward_pass(tmp_path, capsys,
+                                                                           monkeypatch, label):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--seed", "1", "--output", corpus, *TINY_SYNTH,
+                "--set", "synth.num_bags=20"]) == 0
+    _relabel(corpus / "manifest.csv", "synth-0013", label)
+    _forbid_forward_passes(monkeypatch)
+    capsys.readouterr()
+    assert run(["train", "--manifest", corpus / "manifest.csv", "--folds", "4",
+                "--output", tmp_path / "run", *TINY_MODEL]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == f"error contract-violation: bag synth-0013: slide label {label} is outside 0..1"
+
+
+def test_multitask_train_rejects_an_out_of_range_patch_label(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--seed", "1", "--output", corpus, *TINY_SYNTH]) == 0
+    path = corpus / "bags" / "synth-0003.patch.seqf"
+    from s4mil.data_io import read_patch_labels
+
+    labels = read_patch_labels(path)
+    labels[-1] = 2
+    write_sequence_file(path, labels[:, None].astype(np.float32))
+    _forbid_forward_passes(monkeypatch)
+    capsys.readouterr()
+    assert run(["train", "--manifest", corpus / "manifest.csv", "--multitask", "--folds", "3",
+                "--output", tmp_path / "run", *TINY_MODEL]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error contract-violation: bag synth-0003: a patch label is outside 0..1"
+
+
+def test_evaluate_rejects_an_out_of_range_slide_label_before_any_forward_pass(tmp_path, capsys,
+                                                                              monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--seed", "1", "--output", corpus, *TINY_SYNTH]) == 0
+    _relabel(corpus / "manifest.csv", "synth-0005", 2)
+    checkpoint = tmp_path / "model.s4mc"
+    save_checkpoint(checkpoint, init_parameters(
+        ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, num_classes=2), seed=0))
+    _forbid_forward_passes(monkeypatch)
+    capsys.readouterr()
+    assert run(["evaluate", "--checkpoint", checkpoint, "--manifest", corpus / "manifest.csv",
+                "--output", tmp_path / "eval"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err == "error contract-violation: bag synth-0005: slide label 2 is outside 0..1"
+    assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+
 def test_resolved_config_refeed_reproduces(tmp_path):
     first = tmp_path / "first"
     assert run(["train", "--synthetic", "--folds", "3", "--seed", "4",

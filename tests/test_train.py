@@ -83,6 +83,24 @@ def test_losses_nonnegative_and_zero_iff_perfect():
     assert perfect == 0.0
 
 
+@pytest.mark.parametrize("label", [-1, 2, 7])
+def test_losses_reject_a_slide_label_outside_the_classes(label):
+    # -1 must not wrap around to the last class, nor 2 or 7 escape as an IndexError.
+    probs = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
+    with pytest.raises(ContractError, match=f"slide label {label} is outside 0..1"):
+        mil_loss(probs, [0, label])
+    with pytest.raises(ContractError, match=f"slide label {label} is outside 0..1"):
+        multitask_loss(probs, [0, label], [np.full((2, 3), 1 / 3)] * 2, [np.zeros(2, int)] * 2,
+                       lam=1.0)
+
+
+@pytest.mark.parametrize("label", [-1, 3])
+def test_multitask_loss_rejects_a_patch_label_outside_the_classes(label):
+    with pytest.raises(ContractError, match=f"patch label {label} is outside 0..2"):
+        multitask_loss([np.array([0.5, 0.5])], [1], [np.full((3, 3), 1 / 3)],
+                       [np.array([0, label, 1])], lam=1.0)
+
+
 # --------------------------------------------------------------------------
 # Optimizer
 # --------------------------------------------------------------------------
@@ -162,6 +180,26 @@ def test_fit_runs_to_max_epochs_without_stall():
     cfg = TrainConfig(learning_rate=5e-3, weight_decay=0.0, patience=50, max_epochs=4)
     result = fit(model, bags[:6], bags[6:], cfg)
     assert len(result.history) == 4
+
+
+@pytest.mark.parametrize("bag_index", [2, 6])
+def test_an_error_in_fit_names_the_epoch_and_the_bag(bag_index):
+    # A NaN feature in a training bag (2) or a validation bag (6) makes the
+    # ssm-conv output non-finite; the error keeps its type and says where.
+    bags = tiny_bags(n=8)
+    bags[bag_index].features[3, 1] = np.nan
+    cfg = TrainConfig(learning_rate=1e-3, max_epochs=2)
+    with pytest.raises(NumericalError, match=f"^epoch 1, bag {bags[bag_index].id}: ssm-conv produced non-finite"):
+        fit(tiny_model(), bags[:6], bags[6:], cfg)
+
+
+def test_an_error_in_evaluation_names_the_bag():
+    from s4mil.train import evaluate_model
+
+    bags = tiny_bags()
+    bags[4].features[0, 0] = np.inf
+    with pytest.raises(NumericalError, match=f"^bag {bags[4].id}: "):
+        evaluate_model(tiny_model(), bags)
 
 
 def test_fit_restores_best_validation_parameters():
