@@ -10,7 +10,12 @@ named differently (_FIELD_KEYS): TrainConfig.lam is train.lambda,
 TrainConfig.seed (the per-fold seed) has no key, and
 SyntheticTaskSpec.length_range is synth.length_min and synth.length_max.
 The remaining keys (run.*, bench.*, train.folds, ...) are declared in
-REGISTRY itself.  Each command-line flag is shorthand for one key.
+REGISTRY itself.
+
+COMMANDS declares each command: its handler, its help and its flags.  Each
+flag is shorthand for one key and carries no type of its own: its text is
+parsed exactly as ``--set key=text`` is, so REGISTRY alone types every value,
+and a flag for a boolean key takes no value and sets it true.
 
 Effective values come from, in increasing precedence: registry defaults, a
 JSON --config file (flat or nested), repeated --set key=value overrides, and
@@ -20,7 +25,9 @@ reproduces the run.  Unknown keys are rejected by name.  All randomness
 derives from run.seed through labelled substreams.
 
 Failures print a single line ``error <code>: <message>`` to stderr and exit
-nonzero.
+1; a bad flag value is a config-error like a bad ``--set`` value.  Only
+argparse's own usage errors (an unknown flag, a missing value) exit 2 with
+its usage message.
 """
 
 import argparse
@@ -31,7 +38,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args
+from typing import Callable, NamedTuple, get_args
 
 import numpy as np
 
@@ -294,10 +301,10 @@ def cmd_train(spec: RunSpec, config: dict) -> int:
             save_checkpoint(fold_dir / "checkpoint.s4mc", result.model)
             load_checkpoint(fold_dir / "checkpoint.s4mc")  # must be re-parseable
             write_history(fold_dir / "history.csv", result.history)
-            stats = evaluate_model(result.model, [bags[j] for j in val_idx],
-                                   lam=config["train.lambda"])
+            # fit restored the best epoch's parameters, which scored this record
+            best = result.history[result.best_epoch - 1]
             rows.append({"fold": i, "n_val": len(val_idx),
-                         "accuracy": stats["accuracy"], "auroc": stats["auroc"]})
+                         "accuracy": best.val_accuracy, "auroc": best.val_auroc})
         except S4MilError as exc:
             raise type(exc)(f"fold {i}: {exc}") from exc
     summary = spec.output_dir / "summary.csv"
@@ -317,6 +324,16 @@ def cmd_train(spec: RunSpec, config: dict) -> int:
           f"{np.mean([r['accuracy'] for r in rows]):.4f}, mean AUROC "
           f"{np.mean([r['auroc'] for r in rows]):.4f}; outputs in {spec.output_dir}")
     return 0
+
+
+def write_metrics(path: Path, rows: list[tuple[str, object]]) -> None:
+    """Write ``metric,value`` rows to a CSV file and print each as ``name: value``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "value"])
+        writer.writerows(rows)  # a float is written as its repr
+    for name, value in rows:
+        print(f"{name}: {value}")
 
 
 def cmd_evaluate(spec: RunSpec, config: dict) -> int:
@@ -340,14 +357,7 @@ def cmd_evaluate(spec: RunSpec, config: dict) -> int:
             out_rows.append(("patch_auroc", auroc_binary(token_scores, token_labels)))
         except UndefinedMetricError:
             out_rows.append(("patch_auroc", float("nan")))
-    path = spec.output_dir / "metrics.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in out_rows:
-            writer.writerow([name, repr(value) if isinstance(value, float) else value])
-    for name, value in out_rows:
-        print(f"{name}: {value}")
+    write_metrics(spec.output_dir / "metrics.csv", out_rows)
     return 0
 
 
@@ -596,13 +606,7 @@ def cmd_stats(spec: RunSpec, config: dict) -> int:
         ("long_count", len(long_bags)),
         ("long_min_length", min(b.length for b in long_bags)),
     ]
-    path = spec.output_dir / "stats.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerows(rows)
-    for name, value in rows:
-        print(f"{name}: {value}")
+    write_metrics(spec.output_dir / "stats.csv", rows)
     return 0
 
 
@@ -670,86 +674,59 @@ def cmd_export_heatmap(spec: RunSpec, config: dict) -> int:
 # argument parsing and dispatch
 # --------------------------------------------------------------------------
 
+class Command(NamedTuple):
+    run: Callable[[RunSpec, dict], int]
+    help: str
+    flags: dict[str, str]  # the command's own flag -> the registry key it sets
+
+
+COMMANDS = {
+    "train": Command(cmd_train, "k-fold training on a manifest or synthetic bags", {
+        "--manifest": "train.manifest", "--synthetic": "train.synthetic",
+        "--folds": "train.folds", "--multitask": "model.multitask", "--lambda": "train.lambda"}),
+    "evaluate": Command(cmd_evaluate, "metrics of a checkpoint on a manifest", {
+        "--checkpoint": "evaluate.checkpoint", "--manifest": "evaluate.manifest",
+        "--long-percentile": "evaluate.long_percentile"}),
+    "kernel-check": Command(cmd_kernel_check, "recurrence vs convolution duality check", {
+        "--trials": "kernel_check.trials", "--tolerance": "kernel_check.tolerance",
+        "--max-state": "kernel_check.max_state", "--max-length": "kernel_check.max_length",
+        "--inject-fault": "kernel_check.inject_fault"}),
+    "grad-check": Command(cmd_grad_check, "finite-difference gradient audit", {}),
+    "param-count": Command(cmd_param_count, "closed-form trainable parameter count", {
+        "--expect": "param_count.expect"}),
+    "bench": Command(cmd_bench, "forward-pass timing of both evaluation modes", {
+        "--length": "bench.length", "--dim": "bench.dim", "--repeats": "bench.repeats"}),
+    "synth": Command(cmd_synth, "generate a synthetic bag corpus", {}),
+    "export-heatmap": Command(cmd_export_heatmap, "patch-probability grid for one bag", {
+        "--checkpoint": "heatmap.checkpoint", "--manifest": "heatmap.manifest",
+        "--bag-id": "heatmap.bag_id"}),
+    "stats": Command(cmd_stats, "corpus length statistics", {
+        "--manifest": "stats.manifest", "--percentile": "stats.percentile"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Each flag's ``dest`` is the registry key it sets."""
+    """A subparser per COMMANDS entry; each flag's ``dest`` is the registry key it sets.
+
+    A flag keeps its text: resolve_config types it as it types a ``--set`` value.
+    """
     parser = argparse.ArgumentParser(
         prog="s4mil",
         description="Diagonal state space engine for long patch-feature sequences",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file (flat dotted or nested keys)")
-        p.add_argument("--seed", dest="run.seed", type=int, help="root random seed")
+        p.add_argument("--seed", dest="run.seed", help="root random seed")
         p.add_argument("--output", default="s4mil-out", help="output directory")
-        p.add_argument("--threads", dest="run.threads", type=int, help="worker thread cap")
+        p.add_argument("--threads", dest="run.threads", help="worker thread cap")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
-
-    p = sub.add_parser("train", help="k-fold training on a manifest or synthetic bags")
-    common(p)
-    p.add_argument("--manifest", dest="train.manifest")
-    p.add_argument("--synthetic", dest="train.synthetic", action="store_const", const=True)
-    p.add_argument("--folds", dest="train.folds", type=int)
-    p.add_argument("--multitask", dest="model.multitask", action="store_const", const=True)
-    p.add_argument("--lambda", dest="train.lambda", type=float)
-
-    p = sub.add_parser("evaluate", help="metrics of a checkpoint on a manifest")
-    common(p)
-    p.add_argument("--checkpoint", dest="evaluate.checkpoint")
-    p.add_argument("--manifest", dest="evaluate.manifest")
-    p.add_argument("--long-percentile", dest="evaluate.long_percentile", type=float)
-
-    p = sub.add_parser("kernel-check", help="recurrence vs convolution duality check")
-    common(p)
-    p.add_argument("--trials", dest="kernel_check.trials", type=int)
-    p.add_argument("--tolerance", dest="kernel_check.tolerance", type=float)
-    p.add_argument("--max-state", dest="kernel_check.max_state", type=int)
-    p.add_argument("--max-length", dest="kernel_check.max_length", type=int)
-    p.add_argument("--inject-fault", dest="kernel_check.inject_fault", action="store_const",
-                   const=True)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient audit")
-    common(p)
-
-    p = sub.add_parser("param-count", help="closed-form trainable parameter count")
-    common(p)
-    p.add_argument("--expect", dest="param_count.expect", type=int)
-
-    p = sub.add_parser("bench", help="forward-pass timing of both evaluation modes")
-    common(p)
-    p.add_argument("--length", dest="bench.length", type=int)
-    p.add_argument("--dim", dest="bench.dim", type=int)
-    p.add_argument("--repeats", dest="bench.repeats", type=int)
-
-    p = sub.add_parser("synth", help="generate a synthetic bag corpus")
-    common(p)
-
-    p = sub.add_parser("export-heatmap", help="patch-probability grid for one bag")
-    common(p)
-    p.add_argument("--checkpoint", dest="heatmap.checkpoint")
-    p.add_argument("--manifest", dest="heatmap.manifest")
-    p.add_argument("--bag-id", dest="heatmap.bag_id")
-
-    p = sub.add_parser("stats", help="corpus length statistics")
-    common(p)
-    p.add_argument("--manifest", dest="stats.manifest")
-    p.add_argument("--percentile", dest="stats.percentile", type=float)
-
+        for flag, key in command.flags.items():
+            switch = {"action": "store_const", "const": True} if REGISTRY[key][1] is bool else {}
+            p.add_argument(flag, dest=key, **switch)
     return parser
-
-
-_DISPATCH = {
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "kernel-check": cmd_kernel_check,
-    "grad-check": cmd_grad_check,
-    "param-count": cmd_param_count,
-    "bench": cmd_bench,
-    "synth": cmd_synth,
-    "export-heatmap": cmd_export_heatmap,
-    "stats": cmd_stats,
-}
 
 
 def main(argv=None) -> int:
@@ -761,7 +738,7 @@ def main(argv=None) -> int:
         config = resolve_config(spec, flag_values)
         parallel.set_threads(config["run.threads"])
         write_resolved_config(spec, config)
-        return _DISPATCH[spec.command](spec, config)
+        return COMMANDS[spec.command].run(spec, config)
     except S4MilError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)
         return 1

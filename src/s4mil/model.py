@@ -202,6 +202,11 @@ def _check_features(config: ModelConfig, features: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"feature dimension {features.shape[1]} does not match input_dim {config.input_dim}"
         )
+    finite = np.isfinite(features)
+    if not finite.all():
+        token, dim = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NumericalError(f"non-finite feature at token {token}, feature {dim}: "
+                             f"{features[token, dim]}")
     return features
 
 

@@ -402,6 +402,79 @@ def test_every_flag_sets_a_registry_key():
     assert dests - dotted == {"help", "config", "output", "set"}
 
 
+# Each command's own flags and the keys they set; every command also takes
+# -h/--help, --config, --seed, --output, --threads and --set.
+COMMON_FLAGS = {"-h": "help", "--help": "help", "--config": "config", "--seed": "run.seed",
+                "--output": "output", "--threads": "run.threads", "--set": "set"}
+COMMAND_FLAGS = {
+    "train": {"--manifest": "train.manifest", "--synthetic": "train.synthetic",
+              "--folds": "train.folds", "--multitask": "model.multitask",
+              "--lambda": "train.lambda"},
+    "evaluate": {"--checkpoint": "evaluate.checkpoint", "--manifest": "evaluate.manifest",
+                 "--long-percentile": "evaluate.long_percentile"},
+    "kernel-check": {"--trials": "kernel_check.trials", "--tolerance": "kernel_check.tolerance",
+                     "--max-state": "kernel_check.max_state",
+                     "--max-length": "kernel_check.max_length",
+                     "--inject-fault": "kernel_check.inject_fault"},
+    "grad-check": {},
+    "param-count": {"--expect": "param_count.expect"},
+    "bench": {"--length": "bench.length", "--dim": "bench.dim", "--repeats": "bench.repeats"},
+    "synth": {},
+    "export-heatmap": {"--checkpoint": "heatmap.checkpoint", "--manifest": "heatmap.manifest",
+                       "--bag-id": "heatmap.bag_id"},
+    "stats": {"--manifest": "stats.manifest", "--percentile": "stats.percentile"},
+}
+SWITCHES = {"--synthetic", "--multitask", "--inject-fault"}
+
+
+def test_each_command_keeps_its_flags_and_their_keys():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {(name, option): (action.dest, action.nargs == 0)
+             for name, sub in commands.choices.items()
+             for action in sub._actions for option in action.option_strings}
+    expected = {(name, flag): (dest, flag in SWITCHES or dest == "help")
+                for name, flags in COMMAND_FLAGS.items()
+                for flag, dest in {**COMMON_FLAGS, **flags}.items()}
+    assert found == expected
+
+
+TYPED_FLAGS = [(name, flag, key)
+               for name, flags in COMMAND_FLAGS.items()
+               for flag, key in {"--seed": "run.seed", "--threads": "run.threads", **flags}.items()
+               if REGISTRY[key][1] in (int, float)]
+
+
+@pytest.mark.parametrize("command,flag,key", TYPED_FLAGS,
+                         ids=[f"{name}{flag}" for name, flag, _ in TYPED_FLAGS])
+def test_a_bad_flag_value_fails_as_the_same_set_override_does(tmp_path, capsys, command, flag, key):
+    for value in ("x", "1.5" if REGISTRY[key][1] is int else "nan"):
+        assert run([command, flag, value, "--output", tmp_path / "flag"]) == 1
+        from_flag = capsys.readouterr().err
+        assert run([command, "--set", f"{key}={value}", "--output", tmp_path / "set"]) == 1
+        from_set = capsys.readouterr().err
+        assert from_flag == from_set
+        assert from_flag.startswith(f"error config-error: {key}: ") and from_flag.count("\n") == 1
+    assert not (tmp_path / "flag").exists()
+
+
+def test_train_summary_reports_each_folds_best_epoch(tmp_path):
+    # The bytes a second validation pass over each fold's restored model wrote.
+    # Fold 0 stops at epoch 3 with epoch 1 best, and the two epochs' accuracies
+    # differ, so the summary must read the best epoch's record.
+    assert run(["train", "--synthetic", "--folds", "3", "--seed", "3", *TINY_SYNTH, *TINY_MODEL,
+                "--set", "train.max_epochs=6", "--set", "train.patience=2",
+                "--set", "train.learning_rate=0.02", "--output", tmp_path]) == 0
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"fold,n_val,accuracy,auroc\r\n"
+        b"0,4,0.75,0.75\r\n"
+        b"1,4,0.5,0.25\r\n"
+        b"2,4,0.5,0.75\r\n"
+        b"mean,12,0.5833333333333334,0.5833333333333334\r\n"
+        b"weighted_mean,12,0.5833333333333334,0.5833333333333334\r\n"
+    )
+
+
 def test_flags_and_set_overrides_resolve_alike(tmp_path):
     base = ["train", "--synthetic", "--seed", "3", *TINY_SYNTH, *TINY_MODEL]
     assert run([*base, "--folds", "3", "--lambda", "2", "--output", tmp_path / "flags"]) == 0

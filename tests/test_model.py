@@ -156,6 +156,18 @@ def test_non_finite_ssm_parameter_raises_in_both_modes(mode):
         forward_mil(model, features, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["conv", "recurrence"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_feature_is_rejected_before_the_projection(mode):
+    model = init_parameters(small_config(), seed=3)
+    features = np.random.default_rng(4).standard_normal((10, 8)).astype(np.float32)
+    features[7, 1] = np.nan
+    features[6, 5] = -np.inf
+    features[9, 0] = np.inf
+    with pytest.raises(NumericalError, match=r"^non-finite feature at token 6, feature 5: -inf$"):
+        forward_mil(model, features, mode=mode)
+
+
 def test_multitask_head_is_a_pure_branch():
     # Slide output must not change when the patch head is attached.
     cfg = small_config()

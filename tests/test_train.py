@@ -184,12 +184,13 @@ def test_fit_runs_to_max_epochs_without_stall():
 
 @pytest.mark.parametrize("bag_index", [2, 6])
 def test_an_error_in_fit_names_the_epoch_and_the_bag(bag_index):
-    # A NaN feature in a training bag (2) or a validation bag (6) makes the
-    # ssm-conv output non-finite; the error keeps its type and says where.
+    # A NaN feature in a training bag (2) or a validation bag (6) is rejected
+    # before the projection; the error keeps its type and says where.
     bags = tiny_bags(n=8)
     bags[bag_index].features[3, 1] = np.nan
     cfg = TrainConfig(learning_rate=1e-3, max_epochs=2)
-    with pytest.raises(NumericalError, match=f"^epoch 1, bag {bags[bag_index].id}: ssm-conv produced non-finite"):
+    with pytest.raises(NumericalError, match=f"^epoch 1, bag {bags[bag_index].id}: "
+                                             r"non-finite feature at token 3, feature 1: nan$"):
         fit(tiny_model(), bags[:6], bags[6:], cfg)
 
 
