@@ -13,13 +13,15 @@ closure has consumed it.
 The op set is exactly what the aggregator model calls, and no more:
 `matvec` is the whole affine map x @ w + b (the bias is added in place into
 the matrix product), `add` sums two arrays of one shape (the multitask
-loss), and there is no broadcasting anywhere else.
+loss), and there is no broadcasting anywhere else.  Every activation is
+2-D, (rows, channels): L tokens, or the one pooled (1, H) row the
+classifier reads, so `matvec` and `softmax_log_loss` take no other shape.
 
-Every (L, H) activation is stored channel-major: its logical shape is
-(L, H), but its memory holds H contiguous rows of L tokens (Fortran order).
-`matvec` sets this layout, every elementwise op keeps the layout it is
-given, and the ssm-conv writes its output that way, so the ssm-conv reads
-each channel as a contiguous row and max-pool reduces over tokens along
+Every activation is stored channel-major: its logical shape is (L, H), but
+its memory holds H contiguous rows of L tokens (Fortran order).  `matvec`
+sets this layout, elementwise ops keep the layout they are given, and the
+ssm-conv and max-pool write theirs that way, so the ssm-conv reads each
+channel as a contiguous row and max-pool reduces over tokens along
 contiguous memory.  Gradients are laid out like the values they belong to.
 
 Training runs the tape in float32; gradient-check builds use float64.
@@ -58,21 +60,22 @@ class Node:
     backward_fn: object = field(default=None, repr=False)
 
 
-def _accumulate(node: Node, g, owned: bool = False) -> None:
+def _accumulate(node: Node, g) -> None:
     """node.grad += g, creating the gradient on first use.
 
-    A new gradient is g + 0, which turns -0 into +0 exactly as accumulating
-    into a zero-filled buffer does.  The sum goes into a new array, so no two
-    nodes share one, unless the caller passes owned=True for an array it has
-    just computed and nothing else holds: then, if g is laid out like the
-    node's value, the +0 is applied in place and g becomes the gradient.
-    Every closure owns what it passes except the upstream g it hands on
-    unchanged: both parents of `add`, and the bias of a 1-D `matvec`.
+    Every closure passes an array it has just computed and nothing else
+    holds.  A new gradient is g + 0, which turns -0 into +0 exactly as
+    accumulating into a zero-filled buffer does.  If g has the value's dtype
+    and is contiguous in its order (a single row is in both), the +0 is
+    applied in place and g becomes the gradient; otherwise the sum goes into
+    a new array laid out like the value.
     """
     if node.grad is None:
-        owned = (owned and isinstance(g, np.ndarray) and g.dtype == node.value.dtype
-                 and g.strides == node.value.strides)
-        node.grad = np.add(g, 0, out=g if owned else np.empty_like(node.value))
+        v = node.value
+        fits = (isinstance(g, np.ndarray) and g.dtype == v.dtype
+                and (g.flags.f_contiguous and v.flags.f_contiguous
+                     or g.flags.c_contiguous and v.flags.c_contiguous))
+        node.grad = np.add(g, 0, out=g if fits else np.empty_like(v))
     else:
         node.grad += g
 
@@ -114,26 +117,26 @@ class Tape:
     # -- ops -----------------------------------------------------------------
 
     def matvec(self, x: Node, w: Node, b: Node) -> Node:
-        """Affine map x @ w + b: x (L, D) or (D,), w (D, H), b (H,).
+        """Affine map x @ w + b: x (L, D), w (D, H), b (H,).
 
-        A 2-D result is written channel-major, as (H, L) rows, whatever the
+        The result is written channel-major, as (H, L) rows, whatever the
         layout of x; its x-gradient is laid out the same way.
         """
         xv, wv, bv = x.value, w.value, b.value
-        if wv.ndim != 2 or xv.ndim not in (1, 2) or xv.shape[-1] != wv.shape[0]:
+        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
             raise ContractError(f"matvec shape mismatch: {xv.shape} @ {wv.shape}")
         if bv.shape != (wv.shape[1],):
             raise ContractError(f"matvec bias shape {bv.shape} does not fit weight {wv.shape}")
-        value = np.matmul(wv.T, xv.T).T if xv.ndim == 2 else xv @ wv
+        value = np.matmul(wv.T, xv.T).T
         value += bv
 
         def backward_fn(g):
             if x.needs_grad:
-                _accumulate(x, np.matmul(wv, g.T).T if xv.ndim == 2 else wv @ g, owned=True)
+                _accumulate(x, np.matmul(wv, g.T).T)
             if w.needs_grad:
-                _accumulate(w, xv.T @ g if xv.ndim == 2 else np.outer(xv, g), owned=True)
+                _accumulate(w, xv.T @ g)
             if b.needs_grad:
-                _accumulate(b, g.sum(axis=0) if xv.ndim == 2 else g, owned=xv.ndim == 2)
+                _accumulate(b, g.sum(axis=0))
 
         return self._append("matvec", value, (x, w, b), backward_fn=backward_fn)
 
@@ -144,9 +147,9 @@ class Tape:
 
         def backward_fn(g):
             if a.needs_grad:
-                _accumulate(a, g)
+                _accumulate(a, g.copy())
             if b.needs_grad:
-                _accumulate(b, g)
+                _accumulate(b, g.copy())
 
         return self._append("add", value, (a, b), backward_fn=backward_fn)
 
@@ -157,9 +160,9 @@ class Tape:
 
         def backward_fn(g):
             if a.needs_grad:
-                _accumulate(a, g * b.value, owned=True)
+                _accumulate(a, g * b.value)
             if b.needs_grad:
-                _accumulate(b, g * a.value, owned=True)
+                _accumulate(b, g * a.value)
 
         return self._append("elementwise-mul", value, (a, b), backward_fn=backward_fn)
 
@@ -170,7 +173,7 @@ class Tape:
             gx = np.subtract(1.0, value)
             gx *= value
             gx *= g
-            _accumulate(x, gx, owned=True)
+            _accumulate(x, gx)
 
         return self._append("sigmoid", value, (x,), backward_fn=backward_fn)
 
@@ -179,23 +182,23 @@ class Tape:
         value = alpha * x.value
 
         def backward_fn(g):
-            _accumulate(x, alpha * g, owned=True)
+            _accumulate(x, alpha * g)
 
         return self._append("scale", value, (x,), backward_fn=backward_fn)
 
     def max_pool_sequence(self, x: Node) -> Node:
-        """(L, H) -> (H,) coordinate-wise max; ties go to the lowest index."""
+        """(L, H) -> (1, H) coordinate-wise max; ties go to the lowest index."""
         xv = x.value
         if xv.ndim != 2:
             raise ContractError(f"max-pool expects (L, H), got {xv.shape}")
         idx = np.argmax(xv, axis=0)  # first occurrence wins ties
         cols = np.arange(xv.shape[1])
-        value = xv[idx, cols]
+        value = xv[idx, cols][None, :]
 
         def backward_fn(g):
             if x.grad is None:
                 x.grad = np.zeros_like(xv)
-            np.add.at(x.grad, (idx, cols), g)
+            np.add.at(x.grad, (idx, cols), g[0])
 
         return self._append("max-pool-over-sequence", value, (x,), backward_fn=backward_fn)
 
@@ -215,16 +218,16 @@ class Tape:
 
         def backward_fn(g):
             if gamma.needs_grad:
-                _accumulate(gamma, (g * xhat).sum(axis=0), owned=True)
+                _accumulate(gamma, (g * xhat).sum(axis=0))
             if beta.needs_grad:
-                _accumulate(beta, g.sum(axis=0), owned=True)
+                _accumulate(beta, g.sum(axis=0))
             if x.needs_grad:
                 gx = g * gamma.value
                 proj = (gx * xhat).mean(axis=1, keepdims=True)
                 gx -= gx.mean(axis=1, keepdims=True)
                 gx -= xhat * proj
                 gx *= inv_std
-                _accumulate(x, gx, owned=True)
+                _accumulate(x, gx)
 
         return self._append("layernorm", value, (x, gamma, beta), backward_fn=backward_fn)
 
@@ -260,39 +263,30 @@ class Tape:
             grads = grad_ssm_conv(g, cache)
             for key, parent in parents.items():
                 if parent.needs_grad:
-                    _accumulate(parent, grads[key].astype(dtype, order="A", copy=False), owned=True)
+                    _accumulate(parent, grads[key].astype(dtype, order="A", copy=False))
 
         return self._append("ssm-conv", value, parents.values(), backward_fn=backward_fn)
 
-    def softmax_log_loss(self, logits: Node, labels, reduction: str = "mean") -> Node:
-        """Fused softmax + negative log likelihood; ends a classification tape."""
+    def softmax_log_loss(self, logits: Node, labels) -> Node:
+        """Fused softmax + negative log likelihood of (rows, C) logits, summed
+        over the rows; ends a classification tape."""
         lv = np.asarray(logits.value, dtype=np.float64)
-        squeeze = lv.ndim == 1
-        if squeeze:
-            lv = lv[None, :]
-        labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+        labels = np.asarray(labels, dtype=np.int64)
         if lv.ndim != 2 or labels.shape != (lv.shape[0],):
             raise ContractError(f"loss shape mismatch: logits {logits.value.shape}, labels {labels.shape}")
         if np.any(labels < 0) or np.any(labels >= lv.shape[1]):
             raise ContractError(f"label out of range for {lv.shape[1]} classes")
-        if reduction not in ("mean", "sum"):
-            raise ContractError(f"unknown reduction {reduction!r}")
         shifted = lv - lv.max(axis=1, keepdims=True)
         log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         log_p = shifted - log_z
         rows = np.arange(lv.shape[0])
-        per_row = -log_p[rows, labels]
-        total = per_row.sum() if reduction == "sum" else per_row.mean()
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
-        value = np.asarray(total, dtype=dtype)
+        value = np.asarray(-log_p[rows, labels].sum(), dtype=dtype)
 
         def backward_fn(g):
             p = np.exp(log_p)
             p[rows, labels] -= 1.0
-            if reduction == "mean":
-                p /= lv.shape[0]
-            gl = (float(g) * p).astype(dtype)
-            _accumulate(logits, gl[0] if squeeze else gl, owned=True)
+            _accumulate(logits, (float(g) * p).astype(dtype))
 
         return self._append("softmax-log-loss", value, (logits,), backward_fn=backward_fn)
 

@@ -25,9 +25,8 @@ reproduces the run.  Unknown keys are rejected by name.  All randomness
 derives from run.seed through labelled substreams.
 
 Failures print a single line ``error <code>: <message>`` to stderr and exit
-1; a bad flag value is a config-error like a bad ``--set`` value.  Only
-argparse's own usage errors (an unknown flag, a missing value) exit 2 with
-its usage message.
+1; a bad flag value is a config-error like a bad ``--set`` value, and so is
+a usage error (an unknown flag, a missing value, no command).
 """
 
 import argparse
@@ -437,7 +436,7 @@ def _grad_check_cases(seed: int):
         def build(p):
             tape = Tape(dtype=np.float64)
             out = op(tape, {k: tape.leaf(v, k) for k, v in p.items()})
-            tape.softmax_log_loss(out, labels, reduction="sum")
+            tape.softmax_log_loss(out, labels)
             return tape
 
         return build, params
@@ -705,12 +704,19 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigError; its subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A subparser per COMMANDS entry; each flag's ``dest`` is the registry key it sets.
 
     A flag keeps its text: resolve_config types it as it types a ``--set`` value.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="s4mil",
         description="Diagonal state space engine for long patch-feature sequences",
     )
@@ -730,10 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = RunSpec(command=args.command, config_file=args.config, overrides=list(args.set),
-                   output_dir=Path(args.output))
     try:
+        args = build_parser().parse_args(argv)
+        spec = RunSpec(command=args.command, config_file=args.config, overrides=list(args.set),
+                       output_dir=Path(args.output))
         flag_values = {key: value for key, value in vars(args).items() if "." in key}
         config = resolve_config(spec, flag_values)
         parallel.set_threads(config["run.threads"])

@@ -52,6 +52,8 @@ def auroc_binary(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ContractError(f"scores/labels must be matching vectors: {scores.shape} vs {labels.shape}")
+    if np.isnan(scores).any():
+        raise ContractError("AUROC scores must not be NaN: a NaN has no rank")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
@@ -59,17 +61,10 @@ def auroc_binary(scores, labels) -> float:
         raise UndefinedMetricError(
             f"AUROC undefined with {n_pos} positives and {n_neg} negatives"
         )
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = ranks[pos].sum()
+    # A run of c tied scores ending at 1-based rank e has midrank e - (c - 1) / 2.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - 0.5 * (counts - 1)
+    rank_sum = midranks[group][pos].sum()
     return float((rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg))
 
 

@@ -189,7 +189,6 @@ class TapeBundle(NamedTuple):
     tape: Tape
     slide_logits: Node
     patch_logits: Node | None
-    loss: Node | None
 
 
 def _check_features(config: ModelConfig, features: np.ndarray) -> np.ndarray:
@@ -228,7 +227,8 @@ def _recurrence_layer_output(params: dict, prefix: str, u: np.ndarray, rule: str
 def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.ndarray,
                slide_label: int | None = None, patch_labels=None, lam: float = 0.0,
                mode: str = "conv", dtype=np.float32, grad_enabled: bool = True) -> TapeBundle:
-    """Assemble the forward (and optional loss) graph for one bag."""
+    """Assemble one bag's forward graph (slide_logits is a (1, C) row); given a
+    slide label, the tape ends in the loss, which tape.forward() returns."""
     features = _check_features(config, features)
     if mode not in ("conv", "recurrence"):
         raise ContractError(f"unknown forward mode {mode!r}")
@@ -255,9 +255,8 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
         patch_logits = tape.matvec(x, leaves["patch_head.weight"], leaves["patch_head.bias"])
     pooled = tape.max_pool_sequence(x)
     slide_logits = tape.matvec(pooled, leaves["classifier.weight"], leaves["classifier.bias"])
-    loss = None
     if slide_label is not None:
-        loss = tape.softmax_log_loss(slide_logits, [int(slide_label)], reduction="mean")
+        loss = tape.softmax_log_loss(slide_logits, [int(slide_label)])
         if config.multitask and lam != 0.0:
             if patch_labels is None:
                 raise ContractError("multitask loss with lam != 0 requires patch labels")
@@ -266,9 +265,9 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
                 raise ContractError(
                     f"patch labels must have length {features.shape[0]}, got {patch_labels.shape}"
                 )
-            patch_term = tape.softmax_log_loss(patch_logits, patch_labels, reduction="sum")
-            loss = tape.add(loss, tape.scale(patch_term, lam / features.shape[0]))
-    return TapeBundle(tape=tape, slide_logits=slide_logits, patch_logits=patch_logits, loss=loss)
+            patch_term = tape.softmax_log_loss(patch_logits, patch_labels)
+            tape.add(loss, tape.scale(patch_term, lam / features.shape[0]))
+    return TapeBundle(tape=tape, slide_logits=slide_logits, patch_logits=patch_logits)
 
 
 class ForwardResult(NamedTuple):
@@ -281,7 +280,7 @@ def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
     """Class probabilities for one bag (and per-token probabilities when multitask)."""
     bundle = build_tape(model.config, model.params, features, mode=mode, dtype=dtype,
                         grad_enabled=False)
-    slide = softmax(bundle.slide_logits.value)
+    slide = softmax(bundle.slide_logits.value)[0]
     patch = softmax(bundle.patch_logits.value) if bundle.patch_logits is not None else None
     return ForwardResult(slide_probs=slide, patch_probs=patch)
 

@@ -34,6 +34,16 @@ def test_square_gradient():
     assert grads["w"] == pytest.approx(6.0)
 
 
+def test_add_gives_each_parent_its_own_gradient():
+    tape = f64_tape()
+    a = tape.leaf(1.5, name="a")
+    b = tape.leaf(-2.0, name="b")
+    tape.add(a, b)
+    grads = tape.backward()
+    assert grads["a"] == grads["b"] == 1.0
+    assert not np.shares_memory(grads["a"], grads["b"])
+
+
 def test_sigmoid_gradient_at_zero():
     tape = f64_tape()
     w = tape.leaf(0.0, name="w")
@@ -61,7 +71,7 @@ def test_backward_is_bitwise_deterministic():
     x = tape.leaf(rng.standard_normal((6, 3)), name="x")
     w = tape.leaf(rng.standard_normal((3, 4)), name="w")
     b = tape.leaf(rng.standard_normal(4), name="b")
-    tape.softmax_log_loss(tape.matvec(x, w, b), rng.integers(0, 4, 6), reduction="sum")
+    tape.softmax_log_loss(tape.matvec(x, w, b), rng.integers(0, 4, 6))
     first = tape.backward()
     second = tape.backward()
     for k in first:
@@ -73,7 +83,8 @@ def check_max_pool_ties(order):
     x = tape.leaf(np.array([[1.0, 2.0], [1.0, 0.0], [0.5, 2.0]], order=order), name="x")
     pooled = tape.max_pool_sequence(x)
     tape.softmax_log_loss(pooled, [0])
-    np.testing.assert_allclose(pooled.value, [1.0, 2.0])
+    assert pooled.value.shape == (1, 2)
+    np.testing.assert_allclose(pooled.value, [[1.0, 2.0]])
     grads = tape.backward()
     # column 0 ties rows 0/1 at 1.0; column 1 ties rows 0/2 at 2.0
     assert grads["x"][0, 0] != 0 and grads["x"][1, 0] == 0
@@ -132,15 +143,16 @@ def test_matvec_2d_fd():
     def build(p):
         tape = f64_tape()
         x, w, b = (tape.leaf(p[k], k) for k in ("x", "w", "b"))
-        tape.softmax_log_loss(tape.matvec(x, w, b), labels, reduction="sum")
+        tape.softmax_log_loss(tape.matvec(x, w, b), labels)
         return tape
 
     assert_gradcheck(build, params)
 
 
-def test_matvec_1d_fd():
+def test_matvec_single_row_fd():
+    # The classifier's shape: one pooled (1, D) row.  A 1-D x is not a row.
     rng = np.random.default_rng(2)
-    params = {"x": rng.standard_normal(3), "w": rng.standard_normal((3, 4)),
+    params = {"x": rng.standard_normal((1, 3)), "w": rng.standard_normal((3, 4)),
               "b": rng.standard_normal(4)}
 
     def build(p):
@@ -150,6 +162,9 @@ def test_matvec_1d_fd():
         return tape
 
     assert_gradcheck(build, params)
+    tape = f64_tape()
+    with pytest.raises(ContractError, match=r"\(3,\) @ \(3, 4\)"):
+        tape.matvec(tape.leaf(params["x"][0]), tape.leaf(params["w"]), tape.leaf(params["b"]))
 
 
 def test_glu_affine_scale_add_fd():
@@ -167,7 +182,7 @@ def test_glu_affine_scale_add_fd():
         tape = f64_tape()
         a, b, w, bias = (tape.leaf(p[k], k) for k in ("a", "b", "w", "bias"))
         z = tape.matvec(tape.mul(a, tape.sigmoid(b)), w, bias)
-        token_term = tape.softmax_log_loss(z, labels, reduction="sum")
+        token_term = tape.softmax_log_loss(z, labels)
         pooled_term = tape.softmax_log_loss(tape.max_pool_sequence(z), [1])
         tape.add(pooled_term, tape.scale(token_term, 0.7))
         return tape
@@ -199,7 +214,7 @@ def test_layernorm_fd():
     def build(p):
         tape = f64_tape()
         out = tape.layernorm(tape.leaf(p["x"], "x"), tape.leaf(p["g"], "g"), tape.leaf(p["b"], "b"))
-        tape.softmax_log_loss(out, labels, reduction="sum")
+        tape.softmax_log_loss(out, labels)
         return tape
 
     assert_gradcheck(build, params)
@@ -222,7 +237,7 @@ def build_ssm_tape(p, rule, labels):
     nodes = {k: tape.leaf(v, k) for k, v in p.items()}
     out = tape.ssm_conv(nodes["u"], nodes["a_re"], nodes["a_im"], nodes["c_re"],
                         nodes["c_im"], nodes["d"], nodes["log_dt"], rule=rule)
-    tape.softmax_log_loss(out, labels, reduction="sum")
+    tape.softmax_log_loss(out, labels)
     return tape
 
 
@@ -247,8 +262,7 @@ def test_ssm_conv_scalar_channel_l4_fd(rule):
         nodes = {k: tape.leaf(v, k) for k, v in p.items()}
         out = tape.ssm_conv(nodes["u"], nodes["a_re"], nodes["a_im"], nodes["c_re"],
                             nodes["c_im"], nodes["d"], nodes["log_dt"], rule=rule)
-        tape.softmax_log_loss(tape.matvec(out, tape.leaf(widen), tape.leaf(np.zeros(3))), labels,
-                              reduction="sum")
+        tape.softmax_log_loss(tape.matvec(out, tape.leaf(widen), tape.leaf(np.zeros(3))), labels)
         return tape
 
     assert_gradcheck(build, params)
@@ -491,7 +505,7 @@ def test_unreached_named_leaf_gets_zeros_of_its_shape():
     tape = f64_tape()
     w = tape.leaf(np.arange(6.0).reshape(2, 3), name="w")
     tape.leaf(np.ones((4, 2)), name="unused")
-    tape.softmax_log_loss(tape.matvec(tape.leaf(np.ones(2)), w, tape.leaf(np.zeros(3))), [1])
+    tape.softmax_log_loss(tape.matvec(tape.leaf(np.ones((1, 2))), w, tape.leaf(np.zeros(3))), [1])
     grads = tape.backward()
     assert grads["unused"].shape == (4, 2) and not np.any(grads["unused"])
     assert np.any(grads["w"])
@@ -521,9 +535,15 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
     accumulate = autograd._accumulate
     handed = []
 
-    def spy(node, g, owned=False):
-        accumulate(node, g, owned)
+    def spy(node, g):
+        accumulate(node, g)
         handed.append(node.grad is g)
+
+    def copying(node, g):  # every first gradient is a new array, zero plus g
+        if node.grad is None:
+            node.grad = np.add(g, 0, out=np.empty_like(node.value))
+        else:
+            node.grad += g
 
     monkeypatch.setattr(autograd, "_accumulate", spy)
     grads = small_mil_bundle().tape.backward()
@@ -532,7 +552,7 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
     for i, x in enumerate(arrays):
         for y in arrays[i + 1:]:
             assert not np.shares_memory(x, y)
-    monkeypatch.setattr(autograd, "_accumulate", lambda node, g, owned=False: accumulate(node, g))
+    monkeypatch.setattr(autograd, "_accumulate", copying)
     copied = small_mil_bundle().tape.backward()
     assert grads.keys() == copied.keys()
     for k in grads:
@@ -551,16 +571,17 @@ def test_model_activations_are_channel_major(grad_enabled, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_every_owned_first_gradient_is_handed_over(monkeypatch, dtype):
-    # A closure that owns its result should never see _accumulate copy it.
+    # Every closure owns the array it passes, laid out like the value it
+    # belongs to, so _accumulate should copy no first gradient of the model.
     from s4mil import autograd
 
     accumulate = autograd._accumulate
     copied = []
 
-    def spy(node, g, owned=False):
+    def spy(node, g):
         first = node.grad is None
-        accumulate(node, g, owned)
-        if owned and first and isinstance(g, np.ndarray) and node.grad is not g:
+        accumulate(node, g)
+        if first and isinstance(g, np.ndarray) and node.grad is not g:
             copied.append((node.op, node.name, g.shape))
 
     monkeypatch.setattr(autograd, "_accumulate", spy)
@@ -571,8 +592,8 @@ def test_every_owned_first_gradient_is_handed_over(monkeypatch, dtype):
 def test_first_gradient_turns_negative_zero_into_positive_zero():
     # g * -0 is -0 where g > 0; a gradient starts as +0 + g, as if zero-filled.
     tape = f64_tape()
-    w = tape.leaf(np.ones(3), name="w")
-    z = tape.leaf(np.full(3, -0.0), name="z")
+    w = tape.leaf(np.ones((1, 3)), name="w")
+    z = tape.leaf(np.full((1, 3), -0.0), name="z")
     tape.softmax_log_loss(tape.mul(w, z), [0])
     grads = tape.backward()
     assert np.all(grads["w"] == 0) and not np.any(np.signbit(grads["w"]))
@@ -625,7 +646,8 @@ def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(one_channel_pe
     finally:
         tracemalloc.stop()
     plane = h * length * 4
-    kept = sum(n.value.nbytes for n in bundle.tape.nodes if n.op != "leaf" and n.value.ndim == 2)
+    kept = sum(n.value.nbytes for n in bundle.tape.nodes
+               if n.op != "leaf" and n.value.shape == (length, h))
     assert kept == 7 * plane
     assert peak < 7.5 * plane, f"peak {peak / plane:.2f} planes"
 
@@ -676,13 +698,13 @@ def test_softmax_log_loss_fd():
     rng = np.random.default_rng(11)
     params = {"z": rng.standard_normal((5, 3))}
     labels = rng.integers(0, 3, 5)
-    for reduction in ("mean", "sum"):
-        def build(p, reduction=reduction):
-            tape = f64_tape()
-            tape.softmax_log_loss(tape.leaf(p["z"], "z"), labels, reduction=reduction)
-            return tape
 
-        assert_gradcheck(build, params)
+    def build(p):
+        tape = f64_tape()
+        tape.softmax_log_loss(tape.leaf(p["z"], "z"), labels)
+        return tape
+
+    assert_gradcheck(build, params)
 
 
 def test_full_mil_model_gradients_match_finite_differences():

@@ -331,6 +331,29 @@ def test_missing_inputs_give_single_line_errors(tmp_path, capsys):
     assert all(e.startswith("error config-error:") for e in errs)
 
 
+@pytest.mark.parametrize("argv,names", [
+    (["train", "--bogus", "1"], "--bogus 1"),
+    (["train", "--folds"], "--folds"),
+    ([], "command"),
+], ids=["unknown-flag", "missing-value", "no-command"])
+def test_a_usage_error_is_one_config_error_line(tmp_path, monkeypatch, capsys, argv, names):
+    monkeypatch.chdir(tmp_path)  # the default output directory stays unmade
+    assert run(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error config-error: ") and out.err.count("\n") == 1
+    assert names in out.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["train", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: s4mil")
+
+
 DEFAULT_PARAM_COUNT_CONFIG = {
     "run.command": "param-count",
     "bench.dim": 1024,

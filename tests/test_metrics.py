@@ -76,6 +76,11 @@ def test_auroc_single_class_is_an_error():
         auroc_binary([0.1, 0.9], [1, 1])
 
 
+def test_auroc_rejects_nan_scores():
+    with pytest.raises(ContractError, match="NaN"):
+        auroc_binary([np.nan, 0.2, np.nan, 0.1], [1, 0, 0, 1])
+
+
 def test_auroc_matches_brute_force_exactly():
     rng = np.random.default_rng(42)
     scores = np.round(rng.random(200), 2)  # coarse grid forces plenty of ties

@@ -122,7 +122,8 @@ def test_forward_single_token_pool_is_identity():
     features = rng.standard_normal((1, 8)).astype(np.float32)
     bundle = build_tape(model.config, model.params, features, grad_enabled=False)
     pooled = next(n for n in bundle.tape.nodes if n.op == "max-pool-over-sequence")
-    token = pooled.parents[0].value[0]
+    token = pooled.parents[0].value
+    assert token.shape == (1, model.config.hidden_dim)
     assert np.array_equal(pooled.value, token)
 
 

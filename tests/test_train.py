@@ -233,6 +233,52 @@ def test_fit_seeded_runs_identical_histories():
         assert np.array_equal(r1.model.params[k], r2.model.params[k])
 
 
+def test_fit_with_grad_accum_steps_on_the_mean_of_each_group_of_bags(monkeypatch):
+    # 3 training bags, grad_accum=2: the epoch's first step gets the float64
+    # mean of the first two shuffled bags' tape gradients, taken at the
+    # initial parameters, and its second the last bag's gradients alone,
+    # taken at the parameters the first step left.
+    from s4mil.model import build_tape
+
+    model = tiny_model()
+    bags = tiny_bags(n=4, seed=2)
+    train_bags = bags[:3]
+    initial = model.copy_params()
+    calls = []
+    step = AdamLookahead.step
+
+    def spy(self, params, grads):
+        calls.append(({k: v.copy() for k, v in params.items()},
+                      {k: v.copy() for k, v in grads.items()}))
+        step(self, params, grads)
+
+    monkeypatch.setattr(AdamLookahead, "step", spy)
+    fit(model, train_bags, bags[3:], TrainConfig(learning_rate=1e-2, max_epochs=1, grad_accum=2))
+    assert len(calls) == 2
+    (params1, grads1), (params2, grads2) = calls
+    for k in initial:
+        assert params1[k].tobytes() == initial[k].tobytes(), k
+        assert grads1[k].dtype == grads2[k].dtype == np.float64, k
+
+    def tape_grads(params, bag):
+        bundle = build_tape(model.config, params, bag.features, slide_label=bag.slide_label)
+        return bundle.tape.backward()
+
+    def same(got, expected):
+        return all(got[k].tobytes() == expected[k].tobytes() for k in got)
+
+    def pair_mean(a, b):  # fit's accumulation: float64 from the first bag on
+        return {k: (np.asarray(a[k], dtype=np.float64) + b[k]) / 2 for k in a}
+
+    at_start = [tape_grads(params1, bag) for bag in train_bags]
+    firsts = [(i, j) for i in range(3) for j in range(i + 1, 3)
+              if same(grads1, pair_mean(at_start[i], at_start[j]))]
+    assert len(firsts) == 1
+    (last,) = set(range(3)) - set(firsts[0])
+    alone = tape_grads(params2, train_bags[last])
+    assert same(grads2, {k: np.asarray(v, dtype=np.float64) / 1 for k, v in alone.items()})
+
+
 def test_fit_rejects_empty_splits():
     model = tiny_model()
     bags = tiny_bags()
