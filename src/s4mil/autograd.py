@@ -32,8 +32,10 @@ On a bag longer than two blocks of ssm.STATE_BLOCK tokens the forward
 builds only the first block's kernel taps: in-block FFTs apply them and
 carried SSM states add every earlier block (ssm.block_causal_conv).  The
 input gradient is the same convolution run in reversed time, with the same
-taps, so a gradient tape builds no other kernel; the parameter gradients
-still correlate the upstream with the input over the full length.
+taps, so a gradient tape builds no other kernel.  The parameter gradients
+sum the in-block correlations of the upstream with the input and add the
+carried states' part (ssm.block_pole_sums), so the backward forms no
+(H, L) float64 array either.
 """
 
 from dataclasses import dataclass, field
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericalError
+from .seeding import substream
 from . import parallel, ssm
 
 # Trainable pole real parts are kept strictly negative; values at or above
@@ -358,11 +361,11 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 
 
 def _conv_chunk(h: int, fft_len: int) -> int:
-    # Channels per chunk of a full-length transform, so that one chunk's
-    # transient FFT buffers stay bounded regardless of L.  tracemalloc
-    # measures a backward chunk at L=30000 (fft_len 60000, 33 channels),
-    # which correlates the upstream with the inputs, at a peak of 64 MB, and
-    # a forward chunk at L=1024 (fft_len 2048, all 512 channels) at 29 MB.
+    # Channels per chunk of a full-length transform (a bag of at most two
+    # blocks), so that one chunk's transient FFT buffers stay bounded.
+    # tracemalloc measures chunks at L=1024 (fft_len 2048, all 512
+    # channels): the forward at 29 MB, the backward's correlation of the
+    # upstream with the inputs at 38 MB.
     return max(1, min(h, int(96e6 // (fft_len * 48))))
 
 
@@ -370,8 +373,10 @@ def _block_chunk(h: int, length: int) -> int:
     # Channels per chunk when states are carried across blocks.  The short
     # transforms run fastest when a chunk's padded rows hold about 2^18
     # float64 values (2 MB): at H=512, N=32 that beat _conv_chunk's chunks
-    # by up to 1.4x for L 1025-62235 (1 BLAS thread).  tracemalloc measures
-    # a forward chunk at L=30000 (8 channels) at a peak of 10 MB.
+    # by up to 1.4x for L 1025-62235 (1 BLAS thread), and the backward's
+    # pole sums run fastest there too (2^16-2^20 swept at L=4096 and 30000,
+    # H=512).  tracemalloc measures chunks at L=30000 (8 channels): the
+    # forward at a peak of 10 MB, the backward's pole sums at 16 MB.
     padded = -(-length // ssm.STATE_BLOCK) * ssm.STATE_BLOCK
     return max(1, min(h, (1 << 18) // padded))
 
@@ -437,6 +442,27 @@ def _chunked_corr(g: np.ndarray, u: np.ndarray):
     return grad_k, grad_d
 
 
+def _chunked_block_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray):
+    """The pole sums and the skip gradient of _chunked_corr's outputs, from blocks.
+
+    Each chunk casts its channel rows of the upstream g and the input u
+    (channel-major (L, H)) into padded float64 blocks once; the skip
+    gradient sum_l g u and ssm.block_pole_sums both read them.  Returns
+    the (H, 2, n) sums and the (H,) skip gradient.
+    """
+    length, h = u.shape
+    sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
+    grad_d = np.empty(h)
+
+    def work(s, e):
+        rows, v = ssm.to_blocks(g[:, s:e].T), ssm.to_blocks(u[:, s:e].T)
+        grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v)
+        sums[s:e] = ssm.block_pole_sums(rows, v, a_bar[s:e])
+
+    parallel.run_chunked(h, _block_chunk(h, length), work)
+    return sums, grad_d
+
+
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
@@ -459,9 +485,13 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
 
     The input gradient is the forward's own convolution (_chunked_conv, with
     the cached taps) run in reversed time.  The kernel gradient is the
-    causal correlation of the upstream signal with the input over the full
-    length.  Pole and projection gradients then chain through the kernel's
-    adjoint (ssm.power_weighted_sum) and the discretization map.  Complex
+    causal correlation of the upstream signal with the input; its two pole
+    sums (ssm.correlation_pole_sums, the kernel's adjoint) feed the pole and
+    projection gradients.  The split follows the forward's: a bag of at most
+    two blocks correlates over the full length and weights every lag by the
+    pole powers; a longer one takes the sums from blocks and carried states
+    (ssm.block_pole_sums) without forming the correlation.  The pole and
+    projection gradients then chain through the discretization map.  Complex
     adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z), so
     holomorphic steps multiply by the conjugated derivative.
     """
@@ -470,15 +500,11 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     length = cache.u.shape[0]
     disc = cache.disc
     grad_u = _chunked_conv(cache.kernels, upstream, cache.d, disc.a_bar, cache.w, reverse=True)
-    gk, grad_d = _chunked_corr(upstream, cache.u)
-
-    # One power-table call sums gk and its index-weighted shift (l + 1) gk[l + 1].
-    weights = np.empty((gk.shape[0], 2, length))
-    weights[:, 0] = gk
-    np.multiply(gk[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
-    weights[:, 1, -1] = 0.0
-    del gk
-    sums = ssm.power_weighted_sum(np.conj(disc.a_bar)[:, None, :], weights)
+    if cache.kernels.shape[1] < length:
+        sums, grad_d = _chunked_block_sums(upstream, cache.u, disc.a_bar)
+    else:
+        gk, grad_d = _chunked_corr(upstream, cache.u)
+        sums = ssm.correlation_pole_sums(gk, disc.a_bar)
     w_hat = 2.0 * sums[:, 0]
     abar_hat = np.conj(cache.w) * sums[:, 1]
 
@@ -558,3 +584,80 @@ def check_gradients(build_tape, params: dict[str, np.ndarray], step: float = 1e-
                 if rel > rtol:
                     failures.append(f"{name}[{i}]: analytic={ai:.6e} fd={fi:.6e} rel={rel:.2e}")
     return worst, failures
+
+
+def grad_check_cases(seed: int) -> dict:
+    """The ``s4mil grad-check`` audit: name -> (build_tape, params) for check_gradients.
+
+    One small case per op, the ssm-conv under both rules on a 10-token bag
+    (the full-length path) and on a bag of 2 STATE_BLOCK + 37 tokens
+    (states carried across blocks, with the input held fixed as an unnamed
+    leaf so that the differences cover the six parameter arrays), and a
+    small multitask aggregator.  Every value derives from ``seed``.
+    """
+    from .model import ModelConfig, build_tape, init_parameters  # model imports this module
+
+    rng = substream(seed, "grad-check")
+
+    def case(op, params, labels):
+        # the tape applies op to the named leaves of params and ends in a summed loss
+        def build(p):
+            tape = Tape(dtype=np.float64)
+            out = op(tape, {k: tape.leaf(v, k) for k, v in p.items()})
+            tape.softmax_log_loss(out, labels)
+            return tape
+
+        return build, params
+
+    def ssm_case(length):
+        h, n_half = 3, 2
+        u = rng.standard_normal((length, h))
+        params = {
+            "a_re": -rng.uniform(0.2, 1.5, (h, n_half)),
+            "a_im": np.pi * rng.uniform(0, 2, (h, n_half)),
+            "c_re": rng.standard_normal((h, n_half)),
+            "c_im": rng.standard_normal((h, n_half)),
+            "d": rng.standard_normal(h),
+            "log_dt": rng.uniform(np.log(0.01), np.log(0.5), h),
+        }
+        return u, params, rng.integers(0, h, length)
+
+    cases = {
+        "affine": case(lambda t, n: t.matvec(n["x"], n["w"], n["b"]),
+                       {"x": rng.standard_normal((6, 3)), "w": rng.standard_normal((3, 4)),
+                        "b": rng.standard_normal(4)}, rng.integers(0, 4, 6)),
+        "elementwise": case(lambda t, n: t.scale(t.mul(n["a"], t.sigmoid(n["g"])), 0.31),
+                            {"a": rng.standard_normal((5, 3)), "g": rng.standard_normal((5, 3))},
+                            rng.integers(0, 3, 5)),
+        "layernorm": case(lambda t, n: t.layernorm(n["x"], n["s"], n["t"]),
+                          {"x": rng.standard_normal((7, 4)), "s": 1 + 0.2 * rng.standard_normal(4),
+                           "t": 0.1 * rng.standard_normal(4)}, rng.integers(0, 4, 7)),
+        "max-pool": case(lambda t, n: t.max_pool_sequence(n["x"]),
+                         {"x": rng.standard_normal((9, 5))}, [2]),
+    }
+    for rule in ("bilinear", "zoh"):
+        u, params, labels = ssm_case(10)
+        # u leads the leaves, which follow the order ssm_conv takes them
+        cases[f"ssm-conv-{rule}"] = case(lambda t, n, rule=rule: t.ssm_conv(*n.values(), rule=rule),
+                                         {"u": u, **params}, labels)
+
+    mil_cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
+                          multitask=True, num_patch_classes=2)
+    mil_model = init_parameters(mil_cfg, seed=seed)
+    mil_features = rng.standard_normal((16, 8))
+    mil_patch = rng.integers(0, 2, 16)
+    mil_params = {k: v.astype(np.float64) for k, v in mil_model.parameters().items()}
+
+    def build_mil(p):
+        bundle = build_tape(mil_cfg, p, mil_features, slide_label=1, patch_labels=mil_patch,
+                            lam=5.0, dtype=np.float64)
+        return bundle.tape
+
+    cases["mil-model"] = (build_mil, mil_params)
+
+    for rule in ("bilinear", "zoh"):
+        u, params, labels = ssm_case(2 * ssm.STATE_BLOCK + 37)
+        cases[f"ssm-conv-blocks-{rule}"] = case(
+            lambda t, n, u=u, rule=rule: t.ssm_conv(t.leaf(u), *n.values(), rule=rule),
+            params, labels)
+    return cases

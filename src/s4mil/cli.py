@@ -42,14 +42,13 @@ from typing import Callable, NamedTuple, get_args
 import numpy as np
 
 from . import parallel, ssm
-from .autograd import Tape, check_gradients, ssm_parameters
+from .autograd import Tape, check_gradients, grad_check_cases, ssm_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data_io import Bag, corpus_stats, load_manifest, long_sequence_split, write_manifest, write_sequence_file
 from .errors import ConfigError, ContractError, ParseError, S4MilError
 from .metrics import UndefinedMetricError, auroc_binary
 from .model import (
     ModelConfig,
-    build_tape,
     count_parameters,
     forward_mil,
     forward_pooling_baseline,
@@ -428,69 +427,12 @@ def cmd_kernel_check(spec: RunSpec, config: dict) -> int:
     return 0
 
 
-def _grad_check_cases(seed: int):
-    rng = substream(seed, "grad-check")
-
-    def case(op, params, labels):
-        # the tape applies op to the named leaves of params and ends in a summed loss
-        def build(p):
-            tape = Tape(dtype=np.float64)
-            out = op(tape, {k: tape.leaf(v, k) for k, v in p.items()})
-            tape.softmax_log_loss(out, labels)
-            return tape
-
-        return build, params
-
-    cases = {
-        "affine": case(lambda t, n: t.matvec(n["x"], n["w"], n["b"]),
-                       {"x": rng.standard_normal((6, 3)), "w": rng.standard_normal((3, 4)),
-                        "b": rng.standard_normal(4)}, rng.integers(0, 4, 6)),
-        "elementwise": case(lambda t, n: t.scale(t.mul(n["a"], t.sigmoid(n["g"])), 0.31),
-                            {"a": rng.standard_normal((5, 3)), "g": rng.standard_normal((5, 3))},
-                            rng.integers(0, 3, 5)),
-        "layernorm": case(lambda t, n: t.layernorm(n["x"], n["s"], n["t"]),
-                          {"x": rng.standard_normal((7, 4)), "s": 1 + 0.2 * rng.standard_normal(4),
-                           "t": 0.1 * rng.standard_normal(4)}, rng.integers(0, 4, 7)),
-        "max-pool": case(lambda t, n: t.max_pool_sequence(n["x"]),
-                         {"x": rng.standard_normal((9, 5))}, [2]),
-    }
-    for rule in ("bilinear", "zoh"):
-        h, n_half = 3, 2
-        p_ssm = {
-            "u": rng.standard_normal((10, h)),
-            "a_re": -rng.uniform(0.2, 1.5, (h, n_half)),
-            "a_im": np.pi * rng.uniform(0, 2, (h, n_half)),
-            "c_re": rng.standard_normal((h, n_half)),
-            "c_im": rng.standard_normal((h, n_half)),
-            "d": rng.standard_normal(h),
-            "log_dt": rng.uniform(np.log(0.01), np.log(0.5), h),
-        }
-        # p_ssm lists the leaves in the order ssm_conv takes them
-        cases[f"ssm-conv-{rule}"] = case(lambda t, n, rule=rule: t.ssm_conv(*n.values(), rule=rule),
-                                         p_ssm, rng.integers(0, h, 10))
-
-    mil_cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
-                          multitask=True, num_patch_classes=2)
-    mil_model = init_parameters(mil_cfg, seed=seed)
-    mil_features = rng.standard_normal((16, 8))
-    mil_patch = rng.integers(0, 2, 16)
-    mil_params = {k: v.astype(np.float64) for k, v in mil_model.parameters().items()}
-
-    def build_mil(p):
-        bundle = build_tape(mil_cfg, p, mil_features, slide_label=1, patch_labels=mil_patch,
-                            lam=5.0, dtype=np.float64)
-        return bundle.tape
-
-    cases["mil-model"] = (build_mil, mil_params)
-    return cases
-
-
 def cmd_grad_check(spec: RunSpec, config: dict) -> int:
     step = config["grad_check.step"]
     tolerance = config["grad_check.tolerance"]
     lines = []
     all_ok = True
-    for name, (build, params) in _grad_check_cases(config["run.seed"]).items():
+    for name, (build, params) in grad_check_cases(config["run.seed"]).items():
         worst, failures = check_gradients(build, params, step=step, rtol=tolerance)
         ok = not failures
         all_ok &= ok

@@ -23,6 +23,8 @@ class ScoredPrediction:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 1 or scores.size < 2:
             raise ContractError(f"scores must be a vector of >= 2 classes, got shape {scores.shape}")
+        if not np.all(np.isfinite(scores)):
+            raise ContractError(f"scores must be finite, got {scores}")
         if abs(scores.sum() - 1.0) > 1e-6 or np.any(scores < -1e-12):
             raise ContractError("scores must lie on the probability simplex (within 1e-6)")
         if not 0 <= self.true_label < scores.size:

@@ -18,6 +18,10 @@ two blocks (2 * STATE_BLOCK tokens) meets the full-length kernel in one FFT
 taps, and the n_half complex states, stepped once per block, carry every
 earlier block into the next (the block decomposition of Mamba-2/SSD with
 the state recurrence of S5), so no kernel longer than a block is built.
+The parameter gradients take the same split: for a short input the
+full-length correlation fft_causal_corr is weighted by the pole powers
+(correlation_pole_sums); a longer one sums in-block correlations and the
+carried states (block_pole_sums), so no full-length correlation is formed.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -26,9 +30,9 @@ Every power of a_bar comes from one two-level table (_power_tables), built
 by doubling in 64-bit complex arithmetic whatever the model's precision:
 a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L, so each level holds
 O(sqrt(L)) rows.  The kernel (the Vandermonde product of S4D), its adjoint
-power_weighted_sum and the block carry contract the two levels in real
-matrix products against the tables' float64 view, since only real parts
-are needed.  No (n_half, L) power table is ever materialized.
+power_weighted_sum, the block carry and the block pole sums contract the
+two levels in real matrix products against the tables' float64 view, since
+only real parts are needed.  No (n_half, L) power table is ever materialized.
 """
 
 import functools
@@ -172,6 +176,21 @@ def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums.sum(axis=-2)
 
 
+def correlation_pole_sums(corr: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+    """[sum_l corr_l conj(a_bar)^l, sum_l (l + 1) corr_{l+1} conj(a_bar)^l], (h, 2, n).
+
+    For the kernel gradient corr (h, L), these are the adjoints of w and of
+    a_bar in K_l = Re(sum_k w_k a_bar_k^l).  One power_weighted_sum call
+    weights corr and its index-weighted shift.
+    """
+    h, length = corr.shape
+    weights = np.empty((h, 2, length))
+    weights[:, 0] = corr
+    np.multiply(corr[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
+    weights[:, 1, -1] = 0.0
+    return power_weighted_sum(np.conj(a_bar)[:, None, :], weights)
+
+
 def kernel_bank(w: np.ndarray, a_bar: np.ndarray, length: int) -> np.ndarray:
     """K_l = Re(sum_k w_k a_bar_k^l), (..., n) -> (..., length): the adjoint of
     power_weighted_sum, and a channel's kernel at w = 2 c b_bar.
@@ -253,9 +272,40 @@ def conv_taps(length: int) -> int:
     identical code spreads +-5%, then win 1.3x at 2049 and 1.5x at 4096.
     Forced onto shorter inputs, the blocks lose at L=513 (0.78x and 0.71x)
     and 800 (0.85x and 0.89x) and win at 1024 (1.37x and 1.11x), so the
-    crossover sits near two blocks.
+    crossover sits near two blocks.  The backward's pole sums take the same
+    split (block_pole_sums past it, the full-length fft_causal_corr up to
+    it).  A sweep of those sums from float32 channel-major inputs, blocks
+    against the full-length correlation and weighting (1 BLAS thread, median
+    of 7 alternating pairs, 3 at L >= 30000): at H=512, N=32 the blocks win
+    1.14x at L=1025, 1.5x at 2049, 1.8-1.9x at 4096-8192 and 2.1x at
+    30000-62235; at H=32, N=8 they read 0.97x at L=1025, then win 1.4-1.5x
+    at 2049-8192.
     """
     return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
+
+
+def to_blocks(x: np.ndarray) -> np.ndarray:
+    """Rows x (h, L) as float64 (h, blocks, STATE_BLOCK), zero-padded to whole blocks."""
+    h, length = x.shape
+    blocks = np.zeros((h, -(-length // STATE_BLOCK), STATE_BLOCK))
+    blocks.reshape(h, -1)[:, :length] = x
+    return blocks
+
+
+def _block_power_sums(blocks: np.ndarray, powers: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """sum_r blocks[..., r] p_r over each block's r = iT + s, with
+    p_(iT+s) = scales_i powers_s: (h, ..., qT) float64 -> (h, ..., n) complex.
+
+    powers (h, T, 2n) is the float64 view of T fine powers and scales
+    (h, q, n) holds coarse powers (_power_tables); the sum over s is one
+    real matrix product, whose (..., q, n) partial sums the scales weight.
+    """
+    h, q, n = scales.shape
+    t = powers.shape[1]
+    part = np.matmul(blocks.reshape(h, -1, t), np.ascontiguousarray(powers))
+    part = part.view(np.complex128).reshape(blocks.shape[:-1] + (q, n))
+    part *= scales.reshape((h,) + (1,) * (blocks.ndim - 2) + (q, n))
+    return part.sum(axis=-2)
 
 
 def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
@@ -273,40 +323,89 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
 
     Powers come from _power_tables(a_bar, B), a_bar^(iT+s) = a_bar^(iT) a_bar^s
     with q T = B, so no (B, n) table is built.  Both contractions over s
-    are real matrix products with the float64 view of the T + 1 fine powers;
-    the coarse powers scale the (blocks, q, n) partial sums.  Runs in
-    float64; returns (h, L).
+    are real matrix products with the float64 view of the T + 1 fine powers
+    (_block_power_sums for Z); the coarse powers scale the (blocks, q, n)
+    partial sums.  Runs in float64; returns (h, L).
     """
     h, length = u.shape
     if kernels.shape != (h, STATE_BLOCK):
         raise ContractError(f"block kernels must be ({h}, {STATE_BLOCK}), got {kernels.shape}")
-    count = -(-length // STATE_BLOCK)
-    padded = np.zeros((h, count, STATE_BLOCK))
-    padded.reshape(h, -1)[:, :length] = u
+    padded = to_blocks(u)
+    count = padded.shape[1]
     inner = fft_causal_conv(kernels[:, None, :], padded)
     fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
     n = fine.shape[2]
     fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
-    # Z_j = sum_i a^((q-1-i)T) sum_s u[j, i, s] a^(T-1-s), for every block but the last
-    part = np.matmul(padded[:, :-1].reshape(h, (count - 1) * q, t),
-                     np.ascontiguousarray(fine_rows[:, t - 1::-1]))
-    part = part.view(np.complex128).reshape(h, count - 1, q, n)
-    part *= coarse[:, q - 1::-1][:, None]
-    states = part.sum(axis=2)
+    # Z_j for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
+    states = _block_power_sums(padded[:, :-1], fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
     step = coarse[:, q]
     for j in range(1, count - 1):
         states[:, j] += step * states[:, j - 1]
     # token iT+s of block j+1 gains Re(sum_k a^(s+1) (w a^(iT) X_j)_k), one
     # real product against the conjugate's float64 view; the inputs are no
     # longer read, so the carried part goes into their buffer
-    reach = np.multiply(np.conj(w[:, None, :] * coarse[:, :q])[:, None],
-                        np.conj(states)[:, :, None], out=part)
+    reach = np.conj(w[:, None, :] * coarse[:, :q])[:, None] * np.conj(states)[:, :, None]
     carried = padded[:, 1:].reshape(h, (count - 1) * q, t, copy=False)
     np.matmul(reach.view(np.float64).reshape(h, (count - 1) * q, 2 * n),
               fine_rows[:, 1:].swapaxes(1, 2), out=carried)
     padded[:, 1:] += inner[:, 1:]
     padded[:, 0] = inner[:, 0]
     return padded.reshape(h, -1)[:, :length]
+
+
+def block_pole_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+    """correlation_pole_sums(fft_causal_corr(g, u), a_bar) from the blocks of
+    g and u, (h, blocks, STATE_BLOCK) float64 (to_blocks), and a_bar (h, n).
+
+    g and u are real, so with x_t = a x_{t-1} + u_t (a = a_bar) and
+    P = sum_t g_t x_t the two sums are conj(P) and conj(dP/da).  Cut t into
+    blocks, t = jB + r, with B = STATE_BLOCK:
+      * in-block: P gains sum_{l<B} c_l a^l, where c is the causal
+        correlation of g with u inside each block, summed over blocks.  The
+        sum is taken on the blocks' spectra, so each channel makes one
+        inverse transform; correlation_pole_sums weights the B lags;
+      * across blocks: with E_j = sum_r g[jB+r] a^r and
+        E'_j = sum_r (r+1) g[jB+r] a^r, P gains a (sum_j E_j X_{j-1}) and
+        dP/da gains sum_j (E'_j X_{j-1} + E_j Y_{j-1}).  X_j are the
+        forward's carried states (block_causal_conv),
+        X_j = a^B X_{j-1} + Z_j with Z_j = sum_r u[jB+r] a^(B-1-r), and
+        Y_j = a dX_j/da steps as Y_j = a^B (B X_{j-1} + Y_{j-1}) + W_j with
+        W_j = sum_r (B-1-r) u[jB+r] a^(B-1-r), so no power is divided by a.
+    E and E' (Z and W) come from one _block_power_sums of the stacked
+    blocks [g, (r+1) g] ([u, (B-1-r) u]), as Z does in block_causal_conv.
+    Returns (h, 2, n) complex.
+    """
+    h, count, _ = g.shape
+    n_fft = _fft_size(STATE_BLOCK)
+    spectra = np.fft.rfft(u, n_fft)
+    np.conjugate(spectra, out=spectra)
+    spectra *= np.fft.rfft(g, n_fft)
+    sums = correlation_pole_sums(np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :STATE_BLOCK], a_bar)
+
+    fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
+    fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
+    ramp = np.arange(1.0, STATE_BLOCK + 1)
+    stacked = np.empty((h, 2, count - 1, STATE_BLOCK))
+
+    def weighted(blocks, weight):
+        stacked[:, 0] = blocks
+        np.multiply(blocks, weight, out=stacked[:, 1])
+        return stacked
+
+    # [E_j, E'_j] for every block but the first: a^r = a^(iT) a^s
+    later = _block_power_sums(weighted(g[:, 1:], ramp), fine_rows[:, :t], coarse[:, :q])
+    # [Z_j, W_j] for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
+    earlier = _block_power_sums(weighted(u[:, :-1], ramp[::-1] - 1.0),
+                                fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
+    states, slopes = earlier[:, 0], earlier[:, 1]  # becoming X_j and Y_j
+    step = coarse[:, q]
+    for j in range(1, count - 1):
+        slopes[:, j] += step * (STATE_BLOCK * states[:, j - 1] + slopes[:, j - 1])
+        states[:, j] += step * states[:, j - 1]
+    sums[:, 0] += np.conj(a_bar * np.einsum("hjn,hjn->hn", later[:, 0], states))
+    sums[:, 1] += np.conj(np.einsum("hjn,hjn->hn", later[:, 1], states)
+                          + np.einsum("hjn,hjn->hn", later[:, 0], slopes))
+    return sums
 
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -342,9 +342,9 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
 def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
     # A gradient tape on a bag longer than two blocks.  Its forward carries
     # states across blocks from the first block's taps, exactly as a
-    # grad-free tape does, and its input gradient runs that same carried
-    # convolution in reversed time; the parameter gradients still correlate
-    # over all L tokens.
+    # grad-free tape does, its input gradient runs that same carried
+    # convolution in reversed time, and its parameter gradients sum
+    # in-block correlations and carried block states (ssm.block_pole_sums).
     from s4mil.ssm import STATE_BLOCK
 
     rng = np.random.default_rng(18)
@@ -396,6 +396,45 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     _, cache = autograd._ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
                                           p["d"], p["log_dt"], "zoh", keep_cache=True)
     assert cache.kernels.shape == (3, ssm.STATE_BLOCK)
+
+
+def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(
+        monkeypatch, one_channel_per_chunk):
+    # Past two blocks the pole sums come from blocks and carried states, so
+    # no full-length correlation runs and the ssm-conv backward holds no
+    # (H, L) float64 array: one channel per chunk, so one such array
+    # outweighs every buffer of a chunk, and the peak is the float32 input
+    # gradient (half of one) and a chunk's buffers.  The full-length
+    # correlation alone would be one such array and its weights two more.
+    # A bag of at most two blocks still makes one correlation per chunk.
+    import tracemalloc
+
+    from s4mil import ssm
+
+    calls = []
+    corr = ssm.fft_causal_corr
+    monkeypatch.setattr(ssm, "fft_causal_corr", lambda g, v: calls.append(g.shape) or corr(g, v))
+    rng = np.random.default_rng(26)
+    h = 64
+    params = ssm_params(rng, h=h, n_half=4)
+    for length, correlations in ((8 * ssm.STATE_BLOCK + 1, 0), (2 * ssm.STATE_BLOCK, h)):
+        calls.clear()
+        params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
+        tape = Tape(dtype=np.float32)
+        nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+        out = tape.ssm_conv(*nodes, rule="bilinear")
+        g = np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out.backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == correlations, length
+        if not correlations:
+            plane = h * length * 8
+            assert nodes[0].grad.dtype == np.float32
+            assert peak < plane, f"peak {peak / plane:.2f} planes"
 
 
 @pytest.mark.parametrize("length", [2 * 512 + 1, 8 * 512 + 1])

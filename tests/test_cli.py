@@ -294,6 +294,28 @@ def test_grad_check_command(tmp_path):
     assert "mil-model: pass" in report
 
 
+def test_grad_check_covers_the_ssm_conv_across_carried_blocks(tmp_path, monkeypatch):
+    # Two cases run the ssm-conv on a bag past two blocks, where the
+    # parameter gradients come from blocks; a fault in those sums fails them.
+    from s4mil import ssm
+
+    calls = []
+    block_pole_sums = ssm.block_pole_sums
+    monkeypatch.setattr(ssm, "block_pole_sums",
+                        lambda g, u, a_bar: calls.append(g.shape) or block_pole_sums(g, u, a_bar))
+    assert run(["grad-check", "--output", tmp_path / "ok"]) == 0
+    report = (tmp_path / "ok" / "grad_check.txt").read_text()
+    for rule in ("bilinear", "zoh"):
+        assert f"ssm-conv-blocks-{rule}: pass" in report
+    assert calls
+
+    monkeypatch.setattr(ssm, "block_pole_sums",
+                        lambda g, u, a_bar: 1.01 * block_pole_sums(g, u, a_bar))
+    assert run(["grad-check", "--output", tmp_path / "bad"]) == 1
+    report = (tmp_path / "bad" / "grad_check.txt").read_text()
+    assert "ssm-conv-blocks-bilinear: fail" in report and "mil-model: pass" in report
+
+
 def test_bench_small_and_degenerate(tmp_path):
     out = tmp_path / "bench"
     assert run(["bench", "--length", "64", "--dim", "8", "--repeats", "2",

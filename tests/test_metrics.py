@@ -55,6 +55,15 @@ def test_scored_prediction_validates_simplex():
         ScoredPrediction(scores=np.array([0.9, 0.9]), true_label=0)
 
 
+@pytest.mark.parametrize("scores", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
+                                    [1.0, 0.0, np.inf]])
+def test_scored_prediction_rejects_non_finite_scores(scores):
+    # A NaN sum passes the simplex tolerance check, and argmax would then
+    # score [nan, nan] as a correct class 0.
+    with pytest.raises(ContractError, match="finite"):
+        ScoredPrediction(scores=np.array(scores), true_label=0)
+
+
 # --------------------------------------------------------------------------
 # binary AUROC
 # --------------------------------------------------------------------------

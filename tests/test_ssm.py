@@ -13,6 +13,8 @@ from s4mil.ssm import (
     _fft_size,
     _power_tables,
     block_causal_conv,
+    block_pole_sums,
+    correlation_pole_sums,
     direct_causal_conv,
     discretize,
     fft_causal_conv,
@@ -20,6 +22,7 @@ from s4mil.ssm import (
     kernel_bank,
     power_weighted_sum,
     run_recurrence,
+    to_blocks,
 )
 
 
@@ -477,6 +480,33 @@ def test_correlation_matches_direct_sum(length):
 def test_correlation_length_mismatch():
     with pytest.raises(ContractError, match="length"):
         fft_causal_corr(np.zeros(4), np.zeros(5))
+
+
+@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
+    # The ssm-conv backward's two pole sums from blocks (in-block spectra
+    # plus carried states) against the full-length correlation weighted by
+    # every power.  Channels in the trained regime: poles -1/2 + i pi k
+    # (k < 16) and pole real parts at the -1e-4 clamp, set there or clamped
+    # from above.  Each sum of each channel is held to its own scale.
+    from s4mil.autograd import POLE_REAL_CEILING, ssm_parameters
+
+    rng = np.random.default_rng(length)
+    n_half = 16
+    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
+    h = a_re.shape[0]
+    a, _, dt_op, _ = ssm_parameters(a_re, np.tile(np.pi * np.arange(n_half), (h, 1)),
+                                    a_re, a_re, np.full(h, np.log(dt)))
+    a_bar = discretize(a, dt_op, rule).a_bar
+    g, u = rng.standard_normal((2, h, length))
+    expected = correlation_pole_sums(fft_causal_corr(g, u), a_bar)
+    got = block_pole_sums(to_blocks(g), to_blocks(u), a_bar)
+    assert got.shape == expected.shape == (h, 2, n_half)
+    scale = np.max(np.abs(expected), axis=-1)
+    err = np.max(np.abs(got - expected), axis=-1) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
 
 
 # --------------------------------------------------------------------------
