@@ -7,8 +7,8 @@ Layout (all integers little-endian u32 unless noted):
     8..39        config: input_dim, hidden_dim, state_dim, num_classes,
                  num_patch_classes, num_ssm_layers, multitask (0/1),
                  discretization (0 = bilinear, 1 = zoh)
-    40..         parameter payload: every array in declaration order as raw
-                 32-bit IEEE little-endian values
+    40..         parameter payload: the model's parameter vector (every array
+                 in declaration order) as raw 32-bit IEEE little-endian values
 
 Writer and reader round-trip bitwise.  The reader raises ParseError, with
 the byte offset of the fault, for a malformed config word, a payload whose
@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .model import DISCRETIZATIONS, MilModel, ModelConfig, count_parameters, parameter_shapes
+from .model import (DISCRETIZATIONS, MilModel, ModelConfig, ParameterVector, count_parameters,
+                    parameter_shapes)
 
 MAGIC = b"S4MC"
 VERSION = 1
@@ -45,8 +46,7 @@ def save_checkpoint(path, model: MilModel) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for name in parameter_shapes(cfg):
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
+        fh.write(model.params.vector.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> MilModel:
@@ -73,15 +73,10 @@ def load_checkpoint(path) -> MilModel:
                          offset=len(blob))
     if end < len(blob):
         raise ParseError(f"{len(blob) - end} trailing bytes after parameters", offset=end)
-    offset = _HEADER.size
-    params: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config).items():
-        count = int(np.prod(shape, dtype=np.int64))
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ParseError(f"non-finite value {values[bad[0]]} in {name}",
-                             offset=offset + 4 * int(bad[0]))
-        params[name] = values.reshape(shape).copy()
-        offset += 4 * count
+    params = ParameterVector(np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).astype(np.float32),
+                             parameter_shapes(config))
+    if not np.isfinite(params.vector).all():
+        index = int(np.argmin(np.isfinite(params.vector)))
+        raise ParseError(f"non-finite value {params.vector[index]} in {params.name_at(index)}",
+                         offset=_HEADER.size + 4 * index)
     return MilModel(config=config, params=params)

@@ -15,6 +15,8 @@ separate trainable arrays so one channel contributes 2N pole/projection
 parameters, plus one timestep and one feedthrough.
 """
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -104,12 +106,114 @@ def count_parameters(config: ModelConfig) -> int:
     return total
 
 
+class ParameterVector(Mapping):
+    """Named arrays that are views into one 1-D vector, laid out in the order
+    of ``shapes``.
+
+    Whole-vector work (an optimizer step, a best-epoch copy, a checkpoint's
+    payload) reads and writes ``vector``; everything else reads the named
+    views.  Assigning to a name copies into its view, so every name stays
+    backed by the vector.
+    """
+
+    def __init__(self, vector: np.ndarray, shapes: Mapping[str, tuple]):
+        self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self._views = {}
+        start = 0
+        for name, shape in self.shapes.items():
+            stop = start + math.prod(shape)
+            self._views[name] = vector[start:stop].reshape(shape)
+            start = stop
+        if vector.shape != (start,):
+            raise ContractError(f"the parameters need a vector of {start} values, got shape {vector.shape}")
+        self.vector = vector
+
+    @classmethod
+    def pack(cls, arrays: Mapping[str, np.ndarray], dtype=None) -> "ParameterVector":
+        """Copies of ``arrays``, in their order, in one new vector (of ``dtype``
+        if given, else of the arrays' common type)."""
+        arrays = {name: np.asarray(value) for name, value in arrays.items()}
+        vector = _gathered(arrays.values(), dtype or np.result_type(*arrays.values()))
+        return cls(vector, {name: a.shape for name, a in arrays.items()})
+
+    def flatten(self, arrays: Mapping[str, np.ndarray], dtype=None) -> np.ndarray:
+        """``arrays`` as one vector in this layout, of ``dtype`` if given, else
+        of the arrays' common type.
+
+        A ParameterVector with this layout gives its own vector (cast only
+        if its dtype differs); any other mapping is copied into a new one.
+        Its names and shapes must be this layout's.
+        """
+        if isinstance(arrays, ParameterVector) and list(arrays.shapes.items()) == list(self.shapes.items()):
+            return arrays.vector.astype(dtype or arrays.vector.dtype, copy=False)
+        if arrays.keys() != self.shapes.keys():
+            missing = [name for name in self.shapes if name not in arrays]
+            if missing:
+                raise ContractError(f"no value for parameter {missing[0]!r}")
+            raise ContractError(f"{next(n for n in arrays if n not in self.shapes)!r} is not a parameter")
+        values = [np.asarray(arrays[name]) for name in self.shapes]
+        for (name, shape), value in zip(self.shapes.items(), values):
+            if value.shape != shape:
+                raise ContractError(f"parameter {name!r} has shape {shape}, got {value.shape}")
+        return _gathered(values, dtype or np.result_type(*values))
+
+    def name_at(self, index: int) -> str:
+        """The name whose view holds vector[index]."""
+        for name, view in self._views.items():
+            index -= view.size
+            if index < 0:
+                return name
+        raise IndexError(index)
+
+    def copy(self) -> "ParameterVector":
+        return ParameterVector(self.vector.copy(), self.shapes)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views[name]
+        if np.shape(value) != view.shape:
+            raise ContractError(f"parameter {name!r} has shape {view.shape}, got {np.shape(value)}")
+        view[...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    # dict's own views: build_tape reads the items of every bag's parameters
+    def keys(self):
+        return self._views.keys()
+
+    def items(self):
+        return self._views.items()
+
+    def values(self):
+        return self._views.values()
+
+
+def _gathered(arrays, dtype) -> np.ndarray:
+    """The arrays' values, one after another, in a new vector of ``dtype``.
+    Each is copied straight into place: a concatenated temporary (at paper
+    scale, megabytes) would stay resident in the heap after it is freed."""
+    vector = np.empty(sum(a.size for a in arrays), dtype)
+    start = 0
+    for a in arrays:
+        vector[start:start + a.size] = a.reshape(-1)
+        start += a.size
+    return vector
+
+
 @dataclass
 class MilModel:
-    """Configuration plus the full trainable parameter set (float32)."""
+    """Configuration plus the full trainable parameter set: float32 views
+    into one vector, in ``parameter_shapes`` order (the checkpoint's payload
+    order).  Parameters given as any other mapping are copied into one."""
 
     config: ModelConfig
-    params: dict[str, np.ndarray] = field(repr=False)
+    params: ParameterVector = field(repr=False)
 
     def __post_init__(self):
         expected = parameter_shapes(self.config)
@@ -120,12 +224,14 @@ class MilModel:
         for name, shape in expected.items():
             if self.params[name].shape != shape:
                 raise ContractError(f"{name} must have shape {shape}, got {self.params[name].shape}")
+        if not (isinstance(self.params, ParameterVector) and self.params.vector.dtype == np.float32):
+            self.params = ParameterVector.pack(self.params, np.float32)
 
-    def parameters(self) -> dict[str, np.ndarray]:
+    def parameters(self) -> ParameterVector:
         return self.params
 
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
+    def copy_params(self) -> ParameterVector:
+        return self.params.copy()
 
 
 def init_parameters(config: ModelConfig, seed: int) -> MilModel:
@@ -171,7 +277,7 @@ def init_parameters(config: ModelConfig, seed: int) -> MilModel:
         hw, hb = affine(h, (h, config.patch_classes), (config.patch_classes,))
         params["patch_head.weight"] = hw
         params["patch_head.bias"] = hb
-    return MilModel(config=config, params={k: v.astype(np.float32) for k, v in params.items()})
+    return MilModel(config=config, params=params)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Optimization is one bag per step (optionally accumulating over
 ``grad_accum`` bags) with decoupled weight decay applied on every inner
 step, and lookahead slow weights synchronized every ``lookahead_k`` steps.
 Gradient accumulation and reduction follow the shuffled bag order, so runs
-are reproducible given the seed.
+are reproducible given the seed.  Gradients, optimizer state and the
+best-epoch copy are each one vector in the model's parameter order.
 """
 
 import contextlib
@@ -18,17 +19,18 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .data_io import Bag
 from .errors import ContractError, NumericalError, S4MilError
 from .metrics import ScoredPrediction, UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
-from .model import MilModel, build_tape, forward_mil
+from .model import MilModel, ParameterVector, build_tape, forward_mil
 from .seeding import substream
 
 LOSS_FLOOR = 1e-12
+STEP_SLICE = 1 << 16  # values per optimizer-step slice: its temporaries are reused, not left in the heap
 
 
 class _FloorCounter:
@@ -61,18 +63,21 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.patience < 1:
-            raise ContractError(f"patience must be >= 1, got {self.patience}")
-        if self.lam < 0:
-            raise ContractError(f"lambda must be >= 0, got {self.lam}")
-        if self.max_epochs < 1:
-            raise ContractError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.grad_accum < 1:
-            raise ContractError(f"grad_accum must be >= 1, got {self.grad_accum}")
-        if not 0 <= self.lookahead_alpha <= 1 or self.lookahead_k < 1:
-            raise ContractError("lookahead needs alpha in [0, 1] and k >= 1")
+        for name, value, ok, rule in (
+            ("learning_rate", self.learning_rate, self.learning_rate > 0, "> 0"),
+            ("patience", self.patience, self.patience >= 1, ">= 1"),
+            ("lambda", self.lam, self.lam >= 0, ">= 0"),
+            ("max_epochs", self.max_epochs, self.max_epochs >= 1, ">= 1"),
+            ("grad_accum", self.grad_accum, self.grad_accum >= 1, ">= 1"),
+            ("lookahead_alpha", self.lookahead_alpha, 0 <= self.lookahead_alpha <= 1, "in [0, 1]"),
+            ("lookahead_k", self.lookahead_k, self.lookahead_k >= 1, ">= 1"),
+            ("adam_beta1", self.adam_beta1, 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+            ("adam_beta2", self.adam_beta2, 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps, self.adam_eps > 0, "> 0"),
+            ("weight_decay", self.weight_decay, self.weight_decay >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ContractError(f"{name} must be {rule}, got {value}")
 
 
 # --------------------------------------------------------------------------
@@ -140,42 +145,46 @@ class AdamLookahead:
     + weight_decay * theta).  Every ``lookahead_k`` inner steps the slow
     copy moves by alpha toward the fast weights and the fast weights are
     reset onto it.
+
+    The state is flat, in the parameters' order: m and v in float64, the slow
+    weights in the parameters' dtype.  A step updates the parameters' vector
+    (a plain mapping is packed and written back) STEP_SLICE values at a time.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], config: TrainConfig):
+    def __init__(self, params: Mapping[str, np.ndarray], config: TrainConfig):
         self.config = config
         self.step_count = 0
-        self.m = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
-        self.v = {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
-        self.slow = {k: v.copy() for k, v in params.items()}
+        self.slow = ParameterVector.pack(params)
+        self.m = np.zeros(self.slow.vector.size)
+        self.v = np.zeros(self.slow.vector.size)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
         cfg = self.config
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise NumericalError(f"non-finite gradient for parameter {name!r}; step aborted")
+        g = self.slow.flatten(grads)  # in the gradients' dtype, widened one slice at a time
+        if not np.isfinite(g).all():
+            name = self.slow.name_at(int(np.argmin(np.isfinite(g))))
+            raise NumericalError(f"non-finite gradient for parameter {name!r}; step aborted")
+        theta = self.slow.flatten(params, self.slow.vector.dtype)
         self.step_count += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        bias1 = 1.0 - b1 ** self.step_count
-        bias2 = 1.0 - b2 ** self.step_count
-        for name, value in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
+        bias1, bias2 = 1.0 - b1 ** self.step_count, 1.0 - b2 ** self.step_count
+        for start in range(0, theta.size, STEP_SLICE):
+            part = slice(start, start + STEP_SLICE)
+            value, m, v = theta[part], self.m[part], self.v[part]
+            grad = g[part].astype(np.float64, copy=False)
+            m[...] = b1 * m + (1 - b1) * grad
+            v[...] = b2 * v + (1 - b2) * grad * grad
             update = (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
             if cfg.weight_decay:
-                update = update + cfg.weight_decay * value.astype(np.float64)
+                update += cfg.weight_decay * value.astype(np.float64)
             value -= (cfg.learning_rate * update).astype(value.dtype)
-        if self.step_count % cfg.lookahead_k == 0:
-            for name, value in params.items():
-                slow = self.slow[name].astype(np.float64)
-                slow += cfg.lookahead_alpha * (value.astype(np.float64) - slow)
-                self.slow[name] = slow.astype(value.dtype)
-                value[...] = self.slow[name]
+            if self.step_count % cfg.lookahead_k == 0:
+                slow = self.slow.vector[part]
+                slow[...] = slow + cfg.lookahead_alpha * (value.astype(np.float64) - slow)
+                value[...] = slow
+        if theta is not getattr(params, "vector", None):
+            for name, value in ParameterVector(theta, self.slow.shapes).items():
+                params[name][...] = value
 
 
 # --------------------------------------------------------------------------
@@ -253,13 +262,13 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
     history: list[EpochRecord] = []
     best_loss = math.inf
     best_params = model.copy_params()
+    mean = ParameterVector(np.empty(best_params.vector.size), best_params.shapes)  # each step's gradient
     best_epoch = 0
     stall = 0
+    accumulated = 0  # bags summed into accum; every epoch's last bag ends a step
     for epoch in range(1, config.max_epochs + 1):
         order = substream(config.seed, f"shuffle-epoch-{epoch}").permutation(len(train_bags))
         epoch_losses = []
-        accum: dict[str, np.ndarray] | None = None
-        accumulated = 0
         for step_idx, bag_idx in enumerate(order):
             bag = train_bags[int(bag_idx)]
             with _naming(f"epoch {epoch}, bag {bag.id}: "):
@@ -267,17 +276,13 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
                                     slide_label=bag.slide_label, patch_labels=bag.patch_labels,
                                     lam=lam)
                 epoch_losses.append(bundle.tape.forward())
-                grads = bundle.tape.backward()
-            if accum is None:
-                accum = {k: np.asarray(v, dtype=np.float64) for k, v in grads.items()}
-            else:
-                for k in accum:
-                    accum[k] += grads[k]
+                grads = model.params.flatten(bundle.tape.backward(), np.float64)
+            accum = grads if accumulated == 0 else accum + grads
             accumulated += 1
             if accumulated == config.grad_accum or step_idx == len(order) - 1:
+                np.divide(accum, accumulated, out=mean.vector)
                 with _naming(f"epoch {epoch}, "):  # the step may sum several bags' gradients
-                    optimizer.step(model.params, {k: v / accumulated for k, v in accum.items()})
-                accum = None
+                    optimizer.step(model.params, mean)
                 accumulated = 0
         with _naming(f"epoch {epoch}, "):
             stats = evaluate_model(model, val_bags, lam=lam)
@@ -297,8 +302,7 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
             stall += 1
             if stall >= config.patience:
                 break
-    for k, v in best_params.items():
-        model.params[k][...] = v
+    model.params.vector[...] = best_params.vector
     return FitResult(model=model, history=history, best_epoch=best_epoch)
 
 

@@ -177,6 +177,7 @@ def _needle_split(seed):
     return [bags[i] for i in train_idx], [bags[i] for i in val_idx]
 
 
+@pytest.mark.slow
 def test_c05_synthetic_mil_learning():
     # Needle task, 200 bags, L in [128, 512], D=16: held-out AUROC >= 0.95
     # within 100 epochs at lr 2e-4 / patience 10.
@@ -195,6 +196,7 @@ def test_c05_synthetic_mil_learning():
     assert numerical_floor_events.count == 0  # the loss floor never fired
 
 
+@pytest.mark.slow
 def test_c06_multitask_benefit():
     # lam=5 with patch labels: patch AUROC >= 0.9 and slide AUROC within
     # 0.02 of the lam=0 run, over 3 seeds.
@@ -221,6 +223,7 @@ def test_c06_multitask_benefit():
     )
 
 
+@pytest.mark.slow
 def test_c07_long_sequence_robustness():
     # L = 62,235 (the corpus maximum) at D_in=1024, N=32: finite outputs and
     # peak additional memory scaling linearly in L (ratio within [1.8, 2.3]).
@@ -244,6 +247,7 @@ def test_c07_long_sequence_robustness():
     assert 1.8 <= ratio <= 2.3, f"memory ratio {ratio:.3f} outside [1.8, 2.3]"
 
 
+@pytest.mark.slow
 def test_c08_bench_protocol():
     # At L=30000, D=1024 the convolution-mode forward must be >= 5x faster
     # than the recurrence mode.  Absolute milliseconds are hardware-bound and

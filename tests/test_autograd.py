@@ -515,6 +515,34 @@ def test_finished_tape_is_freed_without_the_cyclic_collector(grad_enabled):
         gc.enable()
 
 
+def test_forward_mil_and_block_path_tapes_are_freed_without_the_cyclic_collector(monkeypatch):
+    # As above, for the tape forward_mil builds and drops, and for a
+    # gradient tape on a bag long enough for the carried-block path.
+    from s4mil import model as model_module
+    from s4mil.model import ModelConfig, forward_mil, init_parameters
+
+    cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2)
+    model = init_parameters(cfg, seed=6)
+    features = np.random.default_rng(16).standard_normal((2 * 512 + 37, 8)).astype(np.float32)
+    built = []
+    build_tape = model_module.build_tape
+
+    def recording(*args, **kwargs):
+        bundle = build_tape(*args, **kwargs)
+        built.append(weakref.ref(bundle.tape))
+        return bundle
+
+    monkeypatch.setattr(model_module, "build_tape", recording)
+    gc.disable()
+    try:
+        forward_mil(model, features)
+        model_module.build_tape(cfg, model.params, features, slide_label=0).tape.backward()
+        assert len(built) == 2
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------------------------------
 # Tape contract: which nodes hold gradients and closures
 # --------------------------------------------------------------------------

@@ -66,6 +66,20 @@ def test_train_folds_exceeding_bags_fails_before_training(tmp_path, capsys):
     assert not (out / "fold_00").exists()
 
 
+@pytest.mark.parametrize("setting", ["train.adam_beta1=1.0", "train.adam_beta2=-0.5",
+                                     "train.adam_eps=0", "train.weight_decay=-1"])
+def test_an_optimizer_setting_out_of_range_fails_as_other_train_settings_do(tmp_path, capsys,
+                                                                           setting):
+    key, value = setting.split("=")
+    name = key.split(".")[1]
+    assert run(["train", "--synthetic", "--folds", "2", "--set", setting, "--output", tmp_path,
+                *TINY_SYNTH, *TINY_MODEL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error contract-violation: fold 0: {name} must be ")
+    assert err.endswith(f", got {float(value)}\n") and err.count("\n") == 1
+    assert not (tmp_path / "fold_00").exists()
+
+
 def _forbid_forward_passes(monkeypatch):
     from s4mil import train
 

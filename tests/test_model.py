@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,9 @@ from s4mil.autograd import Tape
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
 from s4mil.errors import ContractError, EmptyBagError, NumericalError, ParseError
 from s4mil.model import (
+    MilModel,
     ModelConfig,
+    ParameterVector,
     build_tape,
     count_parameters,
     forward_mil,
@@ -274,6 +278,57 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     second = tmp_path / "again.s4mc"
     save_checkpoint(second, loaded)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_checkpoint_payload_is_the_parameter_vector_bit_for_bit(tmp_path):
+    # -0.0 and a subnormal would pass array_equal with +0.0 and 0.0; the bytes must not.
+    model = init_parameters(small_config(multitask=True, num_ssm_layers=2), seed=6)
+    model.params["norm.shift"][:2] = [-0.0, np.float32(1e-45)]
+    path = tmp_path / "model.s4mc"
+    save_checkpoint(path, model)
+    assert path.read_bytes()[40:] == model.params.vector.astype("<f4").tobytes()
+    loaded = load_checkpoint(path)
+    assert loaded.params.vector.tobytes() == model.params.vector.tobytes()
+    assert loaded.params.vector.dtype == np.float32
+    for name, view in loaded.params.items():
+        assert np.shares_memory(view, loaded.params.vector), name
+
+
+_SHAPES = parameter_shapes(small_config(multitask=True, num_ssm_layers=2))
+
+
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("name", list(_SHAPES))
+def test_checkpoint_names_the_array_and_offset_of_a_non_finite_value(tmp_path, name, position):
+    # The first or last value of each array in turn: the offset counts every value before it.
+    model = init_parameters(small_config(multitask=True, num_ssm_layers=2), seed=3)
+    model.params[name].reshape(-1)[position] = np.inf
+    path = tmp_path / "bad.s4mc"
+    save_checkpoint(path, model)
+    names = list(_SHAPES)
+    before = sum(math.prod(_SHAPES[n]) for n in names[:names.index(name)])
+    before += math.prod(_SHAPES[name]) - 1 if position == -1 else 0
+    with pytest.raises(ParseError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"non-finite value inf in {name} (byte offset {40 + 4 * before})"
+    assert info.value.offset == 40 + 4 * before
+
+
+def test_model_parameters_are_named_views_of_one_float32_vector():
+    shapes = parameter_shapes(small_config())
+    arrays = {k: np.full(shape, i, dtype=np.float64) for i, (k, shape) in enumerate(shapes.items())}
+    model = MilModel(config=small_config(), params=arrays)
+    assert isinstance(model.params, ParameterVector) and model.params.vector.dtype == np.float32
+    assert model.params.vector.tolist() == [float(i) for i, shape in enumerate(shapes.values())
+                                            for _ in range(math.prod(shape))]
+    model.params["norm.scale"] = np.arange(4)  # assignment writes through to the vector
+    assert np.shares_memory(model.params["norm.scale"], model.params.vector)
+    assert model.params["norm.scale"].tolist() == [0.0, 1.0, 2.0, 3.0]
+    with pytest.raises(ContractError, match="'norm.scale' has shape"):
+        model.params["norm.scale"] = np.ones(3)
+    copy = model.copy_params()
+    copy["norm.scale"] = np.zeros(4)
+    assert model.params["norm.scale"].tolist() == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from s4mil import train
 from s4mil.errors import ContractError, NumericalError
-from s4mil.model import ModelConfig, init_parameters
+from s4mil.model import ModelConfig, ParameterVector, init_parameters
 from s4mil.train import (
     AdamLookahead,
     SyntheticTaskSpec,
@@ -146,6 +147,87 @@ def test_non_finite_gradient_names_parameter():
     opt = AdamLookahead(params, TrainConfig())
     with pytest.raises(NumericalError, match="broken"):
         opt.step(params, {"good": np.zeros(2), "broken": np.array([1.0, np.nan])})
+
+
+def reference_step(cfg, state, params, grads):
+    # The optimizer's arithmetic one array at a time, as it ran before the
+    # state became one vector; state holds per-name m, v, slow and a count.
+    state["count"] += 1
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    bias1 = 1.0 - b1 ** state["count"]
+    bias2 = 1.0 - b2 ** state["count"]
+    for name, value in params.items():
+        g = np.asarray(grads[name], dtype=np.float64)
+        m, v = state["m"][name], state["v"][name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+        if cfg.weight_decay:
+            update = update + cfg.weight_decay * value.astype(np.float64)
+        value -= (cfg.learning_rate * update).astype(value.dtype)
+    if state["count"] % cfg.lookahead_k == 0:
+        for name, value in params.items():
+            slow = state["slow"][name].astype(np.float64)
+            slow += cfg.lookahead_alpha * (value.astype(np.float64) - slow)
+            state["slow"][name] = slow.astype(value.dtype)
+            value[...] = state["slow"][name]
+
+
+@pytest.mark.parametrize("step_slice", [None, 7], ids=["one-slice", "slices-of-7"])
+def test_flat_step_is_bytewise_the_per_array_reference(monkeypatch, step_slice):
+    # 64 steps with 12 lookahead syncs and weight decay on, fed float32
+    # gradients in both memory orders, as the tape hands them over, and every
+    # third step float64 ones as fit passes them; slices of 7 values cross
+    # every array boundary and leave a short last slice.
+    if step_slice is not None:
+        monkeypatch.setattr(train, "STEP_SLICE", step_slice)
+    cfg = TrainConfig(learning_rate=3e-2, weight_decay=1e-2, lookahead_k=5, lookahead_alpha=0.5)
+    model = init_parameters(ModelConfig(input_dim=6, hidden_dim=4, state_dim=4, num_classes=3,
+                                        multitask=True, num_patch_classes=2), seed=11)
+    expected = {k: v.copy() for k, v in model.params.items()}
+    state = {"count": 0, "slow": {k: v.copy() for k, v in expected.items()},
+             "m": {k: np.zeros(v.shape) for k, v in expected.items()},
+             "v": {k: np.zeros(v.shape) for k, v in expected.items()}}
+    opt = AdamLookahead(model.params, cfg)
+    rng = np.random.default_rng(12)
+    for step in range(64):
+        grads = {}
+        for i, (name, value) in enumerate(expected.items()):
+            g = rng.standard_normal(value.shape).astype(np.float32)
+            grads[name] = np.asfortranarray(g) if (i + step) % 2 else g
+        assert any(g.ndim == 2 and not g.flags.c_contiguous for g in grads.values())
+        if step % 3 == 0:  # fit's form: the float64 mean in the parameters' own layout
+            grads = ParameterVector.pack(grads, np.float64)
+        opt.step(model.params, grads)
+        reference_step(cfg, state, expected, grads)
+    assert state["count"] // cfg.lookahead_k == 12
+
+    def flat(arrays):
+        return np.concatenate([arrays[k].ravel() for k in expected]).tobytes()
+
+    if step_slice:
+        assert model.params.vector.size % step_slice  # the last slice is a short one
+    assert model.params.vector.tobytes() == flat(expected)
+    assert opt.m.tobytes() == flat(state["m"])
+    assert opt.v.tobytes() == flat(state["v"])
+    assert opt.slow.vector.tobytes() == flat(state["slow"])
+    assert opt.slow.vector.dtype == np.float32
+
+
+@pytest.mark.parametrize("grads,message", [
+    ({"b": np.zeros(2)}, "no value for parameter 'w'"),
+    ({}, "no value for parameter 'w'"),
+    ({"w": np.zeros(3), "b": np.zeros(2), "x": np.zeros(1)}, "'x' is not a parameter"),
+    ({"w": np.ones(1), "b": np.zeros(2)}, r"parameter 'w' has shape \(3,\), got \(1,\)"),
+], ids=["missing", "empty", "unknown", "broadcastable-shape"])
+def test_a_gradient_that_does_not_match_the_parameters_is_rejected(grads, message):
+    params = {"w": np.array([1.0, 2.0, 3.0], dtype=np.float32), "b": np.zeros(2, dtype=np.float32)}
+    opt = AdamLookahead(params, TrainConfig())
+    with pytest.raises(ContractError, match=message):
+        opt.step(params, grads)
+    assert params["w"].tolist() == [1.0, 2.0, 3.0] and opt.step_count == 0
 
 
 # --------------------------------------------------------------------------
@@ -417,6 +499,18 @@ def test_patch_head_gradient_zero_when_lambda_zero():
                         patch_labels=np.zeros(6, dtype=np.int64), lam=5.0)
     grads = bundle.tape.backward()
     assert np.any(grads["patch_head.weight"] != 0.0)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("adam_beta1", 1.0), ("adam_beta1", -0.1),
+    ("adam_beta2", 1.0), ("adam_beta2", 1.5),
+    ("adam_eps", 0.0), ("adam_eps", -1e-8),
+    ("weight_decay", -1e-4),
+])
+def test_train_config_rejects_an_optimizer_setting_out_of_range(key, value):
+    # adam_beta1 = 1 used to turn every parameter into NaN on the first step.
+    with pytest.raises(ContractError, match=f"^{key} must be "):
+        TrainConfig(**{key: value})
 
 
 def test_train_config_validation():
