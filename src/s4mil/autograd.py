@@ -24,6 +24,15 @@ ssm-conv and max-pool write theirs that way, so the ssm-conv reads each
 channel as a contiguous row and max-pool reduces over tokens along
 contiguous memory.  Gradients are laid out like the values they belong to.
 
+A gradient-free tape has no backward pass, so its elementwise ops reuse
+the arrays they consume: `layernorm`, `ssm_conv`, `sigmoid` and `mul` write
+their result into their first input's array when that input is not a leaf.
+That input node gives its value up (it becomes None), so no node reports an
+array that a later op overwrote, and an op handed the node afterwards
+raises ContractError.  The model reads no such input twice.  Leaves are
+never written, so neither are the caller's features nor the parameters; a
+gradient tape never reuses an array.
+
 Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
@@ -83,9 +92,10 @@ def _accumulate(node: Node, g) -> None:
         node.grad += g
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)), computed step by step inside one new array."""
-    out = np.negative(x, out=np.empty_like(x))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), computed step by step inside one array: ``out``
+    (which may be x itself) or a new one."""
+    out = np.negative(x, out=np.empty_like(x) if out is None else out)
     # exp(-x) overflows to inf for very negative x, which gives the exact limit 0
     with np.errstate(over="ignore"):
         np.exp(out, out=out)
@@ -93,8 +103,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
+def _values(op: str, *nodes: Node) -> tuple:
+    """The nodes' values, for an op about to read them."""
+    if any(n.value is None for n in nodes):
+        raise ContractError(f"{op}: an input's value was taken by a later op "
+                            f"of a gradient-free tape")
+    return tuple(n.value for n in nodes)
+
+
 class Tape:
-    """Single-owner computation record; one per bag during training."""
+    """Single-owner computation record; one per bag during training.
+
+    On a gradient-free tape the elementwise ops (layernorm, ssm-conv,
+    sigmoid, elementwise-mul) reuse a non-leaf first input's array for their
+    result, and that input node's value becomes None.
+    """
 
     def __init__(self, dtype=np.float32, grad_enabled: bool = True):
         self.dtype = np.dtype(dtype)
@@ -113,6 +136,15 @@ class Tape:
         self.nodes.append(node)
         return node
 
+    def _take(self, node: Node) -> np.ndarray | None:
+        """The array of a non-leaf input on a gradient-free tape, which the op
+        consuming it writes its result into; the node gives its value up.
+        None on a gradient tape or for a leaf."""
+        if self.grad_enabled or node.op == "leaf":
+            return None
+        value, node.value = node.value, None
+        return value
+
     def leaf(self, value, name: str | None = None) -> Node:
         value = np.asarray(value, dtype=self.dtype)
         return self._append("leaf", value, name=name)
@@ -125,7 +157,7 @@ class Tape:
         The result is written channel-major, as (H, L) rows, whatever the
         layout of x; its x-gradient is laid out the same way.
         """
-        xv, wv, bv = x.value, w.value, b.value
+        xv, wv, bv = _values("matvec", x, w, b)
         if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
             raise ContractError(f"matvec shape mismatch: {xv.shape} @ {wv.shape}")
         if bv.shape != (wv.shape[1],):
@@ -144,9 +176,10 @@ class Tape:
         return self._append("matvec", value, (x, w, b), backward_fn=backward_fn)
 
     def add(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ContractError(f"add shape mismatch: {a.value.shape} + {b.value.shape}")
-        value = a.value + b.value
+        av, bv = _values("add", a, b)
+        if av.shape != bv.shape:
+            raise ContractError(f"add shape mismatch: {av.shape} + {bv.shape}")
+        value = av + bv
 
         def backward_fn(g):
             if a.needs_grad:
@@ -157,9 +190,10 @@ class Tape:
         return self._append("add", value, (a, b), backward_fn=backward_fn)
 
     def mul(self, a: Node, b: Node) -> Node:
-        if a.value.shape != b.value.shape:
-            raise ContractError(f"elementwise-mul shape mismatch: {a.value.shape} * {b.value.shape}")
-        value = a.value * b.value
+        av, bv = _values("elementwise-mul", a, b)
+        if av.shape != bv.shape:
+            raise ContractError(f"elementwise-mul shape mismatch: {av.shape} * {bv.shape}")
+        value = np.multiply(av, bv, out=self._take(a))
 
         def backward_fn(g):
             if a.needs_grad:
@@ -170,7 +204,8 @@ class Tape:
         return self._append("elementwise-mul", value, (a, b), backward_fn=backward_fn)
 
     def sigmoid(self, x: Node) -> Node:
-        value = _sigmoid(x.value)
+        (xv,) = _values("sigmoid", x)
+        value = _sigmoid(xv, out=self._take(x))
 
         def backward_fn(g):
             gx = np.subtract(1.0, value)
@@ -182,7 +217,8 @@ class Tape:
 
     def scale(self, x: Node, alpha: float) -> Node:
         alpha = self.dtype.type(alpha)
-        value = alpha * x.value
+        (xv,) = _values("scale", x)
+        value = alpha * xv
 
         def backward_fn(g):
             _accumulate(x, alpha * g)
@@ -191,7 +227,7 @@ class Tape:
 
     def max_pool_sequence(self, x: Node) -> Node:
         """(L, H) -> (1, H) coordinate-wise max; ties go to the lowest index."""
-        xv = x.value
+        (xv,) = _values("max-pool-over-sequence", x)
         if xv.ndim != 2:
             raise ContractError(f"max-pool expects (L, H), got {xv.shape}")
         idx = np.argmax(xv, axis=0)  # first occurrence wins ties
@@ -207,17 +243,18 @@ class Tape:
 
     def layernorm(self, x: Node, gamma: Node, beta: Node) -> Node:
         """Per-token normalization over the feature axis of (L, H)."""
-        xv = x.value
-        if xv.ndim != 2 or gamma.value.shape != (xv.shape[1],) or beta.value.shape != (xv.shape[1],):
+        xv, gv, bv = _values("layernorm", x, gamma, beta)
+        if xv.ndim != 2 or gv.shape != (xv.shape[1],) or bv.shape != (xv.shape[1],):
             raise ContractError(
-                f"layernorm shape mismatch: x {xv.shape}, scale {gamma.value.shape}, shift {beta.value.shape}"
+                f"layernorm shape mismatch: x {xv.shape}, scale {gv.shape}, shift {bv.shape}"
             )
-        xhat = xv - xv.mean(axis=1, keepdims=True)
+        out = self._take(x)
+        xhat = np.subtract(xv, xv.mean(axis=1, keepdims=True), out=out)
         var = np.square(xhat).mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
         xhat *= inv_std
-        value = gamma.value * xhat
-        value += beta.value
+        value = np.multiply(gv, xhat, out=out)
+        value += bv
 
         def backward_fn(g):
             if gamma.needs_grad:
@@ -243,7 +280,9 @@ class Tape:
         blocks, inside blocks with carried states; the feedthrough d u is
         the skip term.
         """
-        uv = u.value
+        parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
+                   "d": d, "log_dt": log_dt}
+        uv, *params = _values("ssm-conv", *parents.values())
         if uv.ndim != 2:
             raise ContractError(f"ssm-conv expects (L, H) input, got {uv.shape}")
         h = uv.shape[1]
@@ -254,11 +293,8 @@ class Tape:
             raise ContractError(
                 f"ssm-conv d/log_dt must be ({h},): {d.value.shape}, {log_dt.value.shape}"
             )
-        parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
-                   "d": d, "log_dt": log_dt}
         value, cache = _ssm_conv_forward(
-            uv, a_re.value, a_im.value, c_re.value, c_im.value, d.value,
-            log_dt.value, rule, keep_cache=self._needs_grad(parents.values()),
+            uv, *params, rule, keep_cache=self._needs_grad(parents.values()), out=self._take(u),
         )
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
 
@@ -273,7 +309,7 @@ class Tape:
     def softmax_log_loss(self, logits: Node, labels) -> Node:
         """Fused softmax + negative log likelihood of (rows, C) logits, summed
         over the rows; ends a classification tape."""
-        lv = np.asarray(logits.value, dtype=np.float64)
+        lv = np.asarray(_values("softmax-log-loss", logits)[0], dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if lv.ndim != 2 or labels.shape != (lv.shape[0],):
             raise ContractError(f"loss shape mismatch: logits {logits.value.shape}, labels {labels.shape}")
@@ -390,10 +426,11 @@ def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
 
 
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
-                  w: np.ndarray, reverse: bool = False) -> np.ndarray:
+                  w: np.ndarray, reverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
-    array in u's dtype.  With reverse, the same convolution runs in
-    reversed time, sum_l K_l u[t + l] + d u[t]: its adjoint in u.
+    array in u's dtype: ``out`` (which may be u itself) or a new one.  With
+    reverse, the same convolution runs in reversed time,
+    sum_l K_l u[t + l] + d u[t]: its adjoint in u.
 
     ``kernels`` (H, ssm.conv_taps(L)) holds the first taps of
     K_l = Re(sum_k w_k a_bar_k^l).  With all L taps each chunk makes one
@@ -401,10 +438,12 @@ def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.n
     blocks (ssm.block_causal_conv).  Each chunk casts its own channel rows
     to float64 and back (flipped in time as they are read and written, under
     reverse), so no whole float64 or reversed copy of u or of the output
-    exists.
+    exists.  Each chunk reads its channels' rows of u (a view of them, on
+    a float64 u) before it writes the same channels of the output, and the
+    chunks' channels are disjoint, so u may be the output.
     """
     length, h = u.shape
-    out = np.empty((h, length), dtype=u.dtype)
+    out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
     src, dst = (u[::-1], out[:, ::-1]) if reverse else (u, out)
     blocked = kernels.shape[1] < length
 
@@ -463,13 +502,13 @@ def _chunked_block_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray):
     return sums, grad_d
 
 
-def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache):
+def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache, out=None):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     w = 2.0 * c * disc.b_bar
     kernels = ssm.kernel_bank(w, disc.a_bar, ssm.conv_taps(u.shape[0]))  # (H, taps)
     d64 = np.asarray(d, dtype=np.float64)
-    y = _chunked_conv(kernels, u, d64, disc.a_bar, w)
+    y = _chunked_conv(kernels, u, d64, disc.a_bar, w, out=out)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     cache = SsmConvCache(

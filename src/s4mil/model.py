@@ -383,7 +383,12 @@ class ForwardResult(NamedTuple):
 
 def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
                 dtype=np.float32) -> ForwardResult:
-    """Class probabilities for one bag (and per-token probabilities when multitask)."""
+    """Class probabilities for one bag (and per-token probabilities when multitask).
+
+    The tape is gradient-free, so its elementwise ops reuse the arrays they
+    consume: a one-layer model holds at most 3 (L, H) planes (the ssm-conv
+    output, the value and GLU, the gate and sigmoid) besides the features.
+    """
     bundle = build_tape(model.config, model.params, features, mode=mode, dtype=dtype,
                         grad_enabled=False)
     slide = softmax(bundle.slide_logits.value)[0]

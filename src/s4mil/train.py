@@ -147,8 +147,9 @@ class AdamLookahead:
     reset onto it.
 
     The state is flat, in the parameters' order: m and v in float64, the slow
-    weights in the parameters' dtype.  A step updates the parameters' vector
-    (a plain mapping is packed and written back) STEP_SLICE values at a time.
+    weights in the parameters' dtype.  A step updates the vector of the
+    parameters it is given, STEP_SLICE values at a time: a ParameterVector
+    with the layout and dtype of the one the optimizer was built from.
     """
 
     def __init__(self, params: Mapping[str, np.ndarray], config: TrainConfig):
@@ -158,13 +159,18 @@ class AdamLookahead:
         self.m = np.zeros(self.slow.vector.size)
         self.v = np.zeros(self.slow.vector.size)
 
-    def step(self, params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> None:
+    def step(self, params: ParameterVector, grads: Mapping[str, np.ndarray]) -> None:
         cfg = self.config
+        if not (isinstance(params, ParameterVector)
+                and list(params.shapes.items()) == list(self.slow.shapes.items())
+                and params.vector.dtype == self.slow.vector.dtype):
+            raise ContractError("a step needs a ParameterVector with the layout and dtype "
+                                "of the parameters the optimizer was built from")
         g = self.slow.flatten(grads)  # in the gradients' dtype, widened one slice at a time
         if not np.isfinite(g).all():
             name = self.slow.name_at(int(np.argmin(np.isfinite(g))))
             raise NumericalError(f"non-finite gradient for parameter {name!r}; step aborted")
-        theta = self.slow.flatten(params, self.slow.vector.dtype)
+        theta = params.vector
         self.step_count += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         bias1, bias2 = 1.0 - b1 ** self.step_count, 1.0 - b2 ** self.step_count
@@ -182,9 +188,6 @@ class AdamLookahead:
                 slow = self.slow.vector[part]
                 slow[...] = slow + cfg.lookahead_alpha * (value.astype(np.float64) - slow)
                 value[...] = slow
-        if theta is not getattr(params, "vector", None):
-            for name, value in ParameterVector(theta, self.slow.shapes).items():
-                params[name][...] = value
 
 
 # --------------------------------------------------------------------------

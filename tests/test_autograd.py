@@ -629,9 +629,18 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
 @pytest.mark.parametrize("grad_enabled", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_activations_are_channel_major(grad_enabled, dtype):
+    # Every value still held is channel-major.  A gradient-free tape's
+    # elementwise ops take the array of their first input unless it is a
+    # leaf, and exactly those inputs hold no value; a gradient tape takes none.
     tape = small_mil_bundle(grad_enabled=grad_enabled, dtype=dtype).tape
-    planes = [n for n in tape.nodes if n.op != "leaf" and n.value.ndim == 2]
-    assert {n.op for n in planes} >= {"matvec", "layernorm", "ssm-conv", "sigmoid", "elementwise-mul"}
+    reusing = {"layernorm", "ssm-conv", "sigmoid", "elementwise-mul"}
+    taken = {id(n.parents[0]) for n in tape.nodes
+             if n.op in reusing and n.parents[0].op != "leaf" and not grad_enabled}
+    assert {id(n) for n in tape.nodes if n.value is None} == taken
+    assert len(taken) == (0 if grad_enabled else 7)  # 1 + 3 per layer
+    planes = [n for n in tape.nodes if n.op != "leaf" and n.value is not None and n.value.ndim == 2]
+    held = {"matvec", "ssm-conv", "sigmoid", "elementwise-mul"} | ({"layernorm"} if grad_enabled else set())
+    assert {n.op for n in planes} >= held
     for n in planes:
         assert n.value.flags.f_contiguous, n.op
 
@@ -694,10 +703,15 @@ def test_ssm_conv_forward_keeps_no_whole_float64_copy_of_its_input(one_channel_p
 
 def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(one_channel_per_chunk):
     # One channel per chunk, so the ssm-conv's transient buffers stay below
-    # the planes the tape keeps.  A grad-free tape keeps 7 (L, H) float32
-    # planes: projection, layernorm, ssm-conv, value, gate, sigmoid and GLU.
-    # A sigmoid or layernorm that allocates a plane per step lifts the peak to
-    # 8 planes; the bound leaves half a plane above the 7.
+    # the planes the tape keeps.  A grad-free tape's elementwise ops write
+    # into the arrays they consume, so a one-layer forward keeps 3 (L, H)
+    # float32 planes:
+    #   - the ssm-conv output, in the projection's array, which the layernorm
+    #     and the ssm-conv reuse in turn and the two mixing matvecs read;
+    #   - the GLU output, in the value's array;
+    #   - the sigmoid, in the gate's array.
+    # An op that allocates its result instead keeps its input alive, one
+    # plane more; the bound leaves half a plane above the 3.
     import tracemalloc
 
     from s4mil.model import ModelConfig, build_tape, init_parameters
@@ -713,10 +727,45 @@ def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(one_channel_pe
     finally:
         tracemalloc.stop()
     plane = h * length * 4
-    kept = sum(n.value.nbytes for n in bundle.tape.nodes
-               if n.op != "leaf" and n.value.shape == (length, h))
-    assert kept == 7 * plane
-    assert peak < 7.5 * plane, f"peak {peak / plane:.2f} planes"
+    kept = {n.op: n.value.nbytes for n in bundle.tape.nodes
+            if n.op != "leaf" and n.value is not None and n.value.shape == (length, h)}
+    assert kept == {"ssm-conv": plane, "sigmoid": plane, "elementwise-mul": plane}
+    assert peak < 3.5 * plane, f"peak {peak / plane:.2f} planes"
+
+
+def test_an_input_taken_on_a_gradient_free_tape_raises_a_contract_error():
+    # The sigmoid takes m's array on a gradient-free tape, so m has no value
+    # for the mul; a gradient tape keeps every value and runs the same graph.
+    rng = np.random.default_rng(27)
+    x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
+    for grad_enabled in (False, True):
+        tape = Tape(dtype=np.float64, grad_enabled=grad_enabled)
+        m = tape.matvec(tape.leaf(x), tape.leaf(w, "w"), tape.leaf(b, "b"))
+        s = tape.sigmoid(m)
+        if not grad_enabled:
+            assert m.value is None and s.value is not None
+            with pytest.raises(ContractError, match="elementwise-mul: an input's value was taken "
+                                                    "by a later op of a gradient-free tape"):
+                tape.mul(m, s)
+            continue
+        tape.softmax_log_loss(tape.mul(m, s), rng.integers(0, 4, 5))
+        grads = tape.backward()
+        assert grads["w"].shape == (3, 4) and np.all(np.isfinite(grads["w"]))
+
+
+def test_gradient_free_ops_never_write_a_leaf():
+    # Leaves hold the caller's arrays (float64 ones uncopied on a float64
+    # tape), so an op whose first input is a leaf writes a new array.
+    p = ssm_params(np.random.default_rng(28), h=3, n_half=2)
+    before = {k: v.tobytes() for k, v in p.items()}
+    tape = Tape(dtype=np.float64, grad_enabled=False)
+    nodes = {k: tape.leaf(v) for k, v in p.items()}
+    u = nodes["u"]
+    tape.ssm_conv(*nodes.values(), rule="zoh")
+    tape.layernorm(u, nodes["d"], nodes["log_dt"])
+    tape.mul(u, tape.sigmoid(u))
+    assert all(n.value is p[k] for k, n in nodes.items())
+    assert {k: v.tobytes() for k, v in p.items()} == before
 
 
 def test_gradient_free_tape_keeps_no_closures():
@@ -726,7 +775,10 @@ def test_gradient_free_tape_keeps_no_closures():
 
 def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_channel_per_chunk):
     # One channel per chunk, so run_chunked hands four ranges to the pool;
-    # one bag takes the full-length transform, the other carries states.
+    # one bag takes the full-length transform, the other carries states.  A
+    # grad-free float64 tape whose ssm-conv input is not a leaf writes the
+    # output into the input's array, whose channel rows each chunk reads as
+    # a view; it gives the gradient tape's output at either thread count.
     from concurrent.futures import ThreadPoolExecutor
 
     from s4mil import parallel
@@ -750,11 +802,16 @@ def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_chann
             for threads in (1, 2):
                 parallel.set_threads(threads)
                 tape = build_ssm_tape(params, "bilinear", labels)
-                runs[threads] = (tape.nodes[-2].value, tape.backward())
+                free = Tape(dtype=np.float64, grad_enabled=False)
+                nodes = [free.leaf(params[k]) for k in ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+                u = free.scale(free.leaf(np.asfortranarray(params["u"])), 1.0)  # channel-major
+                in_place = free.ssm_conv(u, *nodes, rule="bilinear")
+                assert u.value is None
+                runs[threads] = (tape.nodes[-2].value, tape.backward(), in_place.value)
         finally:
             parallel.set_threads(before)
-        (v1, g1), (v2, g2) = runs[1], runs[2]
-        assert v1.tobytes() == v2.tobytes()
+        (v1, g1, f1), (v2, g2, f2) = runs[1], runs[2]
+        assert v1.tobytes() == v2.tobytes() == f1.tobytes() == f2.tobytes()
         assert g1.keys() == g2.keys()
         for k in g1:
             assert g1[k].tobytes() == g2[k].tobytes(), (length, k)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from s4mil import ssm
 from s4mil.autograd import Tape
 from s4mil.checkpoint import load_checkpoint, save_checkpoint
 from s4mil.errors import ContractError, EmptyBagError, NumericalError, ParseError
@@ -129,6 +130,46 @@ def test_forward_single_token_pool_is_identity():
     token = pooled.parents[0].value
     assert token.shape == (1, model.config.hidden_dim)
     assert np.array_equal(pooled.value, token)
+
+
+@pytest.mark.parametrize("multitask", [False, True])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gradient_free_tape_matches_gradient_tape_bytewise(dtype, layers, multitask):
+    # A gradient-free tape writes its elementwise ops into the arrays they
+    # consume; its pool input and logits are the gradient tape's, byte for
+    # byte, on a bag of two state blocks (the full-length transform) and on
+    # a longer one (states carried across blocks).
+    cfg = small_config(num_ssm_layers=layers, multitask=multitask)
+    model = init_parameters(cfg, seed=6)
+    rng = np.random.default_rng(7)
+    for length in (2 * ssm.STATE_BLOCK, 2 * ssm.STATE_BLOCK + 37):
+        features = rng.standard_normal((length, 8)).astype(np.float32)
+        outputs = []
+        for grad_enabled in (True, False):
+            bundle = build_tape(cfg, model.params, features, dtype=dtype, grad_enabled=grad_enabled)
+            pool = next(n for n in bundle.tape.nodes if n.op == "max-pool-over-sequence")
+            logits = [bundle.slide_logits] + ([bundle.patch_logits] if multitask else [])
+            outputs.append([pool.parents[0].value] + [n.value for n in logits])
+        for kept, reused in zip(*outputs):
+            assert kept.dtype == reused.dtype == dtype
+            assert kept.tobytes() == reused.tobytes(), length
+
+
+def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
+    # Only non-leaf arrays are reused.  The caller's float32 features enter
+    # the tape uncopied, as a leaf, and the parameter leaves are views of the
+    # parameter vector: neither is written.
+    cfg = small_config(num_ssm_layers=2, multitask=True)
+    model = init_parameters(cfg, seed=8)
+    features = np.random.default_rng(9).standard_normal((2 * ssm.STATE_BLOCK + 37, 8))
+    features = features.astype(np.float32)
+    before = features.tobytes(), model.params.vector.tobytes()
+    assert Tape(dtype=np.float32, grad_enabled=False).leaf(features).value is features
+    forward_mil(model, features)
+    bundle = build_tape(cfg, model.params, features, grad_enabled=False)
+    assert any(n.value is features for n in bundle.tape.nodes if n.op == "leaf")
+    assert (features.tobytes(), model.params.vector.tobytes()) == before
 
 
 def test_forward_rejects_empty_and_mismatched_bags():

@@ -108,7 +108,7 @@ def test_multitask_loss_rejects_a_patch_label_outside_the_classes(label):
 
 def test_adam_first_step_hand_value():
     # f(w) = w^2 at w=1: g=2, bias-corrected ratio == 1, so w <- 1 - lr.
-    params = {"w": np.array([1.0])}
+    params = ParameterVector.pack({"w": np.array([1.0])})
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.0)
     opt = AdamLookahead(params, cfg)
     opt.step(params, {"w": np.array([2.0])})
@@ -116,7 +116,7 @@ def test_adam_first_step_hand_value():
 
 
 def test_lookahead_alpha_one_sync_equals_fast():
-    params = {"w": np.array([1.0, -2.0])}
+    params = ParameterVector.pack({"w": np.array([1.0, -2.0])})
     cfg = TrainConfig(learning_rate=0.05, weight_decay=0.0, lookahead_k=3, lookahead_alpha=1.0)
     opt = AdamLookahead(params, cfg)
     for _ in range(3):
@@ -126,7 +126,7 @@ def test_lookahead_alpha_one_sync_equals_fast():
 
 def test_zero_gradients_are_a_fixed_point():
     start = np.array([0.5, -1.5, 3.0], dtype=np.float32)
-    params = {"w": start.copy()}
+    params = ParameterVector.pack({"w": start})
     cfg = TrainConfig(weight_decay=0.0)
     opt = AdamLookahead(params, cfg)
     for _ in range(12):
@@ -135,7 +135,7 @@ def test_zero_gradients_are_a_fixed_point():
 
 
 def test_weight_decay_shrinks_without_gradient():
-    params = {"w": np.array([1.0])}
+    params = ParameterVector.pack({"w": np.array([1.0])})
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, lookahead_k=1000)
     opt = AdamLookahead(params, cfg)
     opt.step(params, {"w": np.array([0.0])})
@@ -143,7 +143,7 @@ def test_weight_decay_shrinks_without_gradient():
 
 
 def test_non_finite_gradient_names_parameter():
-    params = {"good": np.zeros(2), "broken": np.zeros(2)}
+    params = ParameterVector.pack({"good": np.zeros(2), "broken": np.zeros(2)})
     opt = AdamLookahead(params, TrainConfig())
     with pytest.raises(NumericalError, match="broken"):
         opt.step(params, {"good": np.zeros(2), "broken": np.array([1.0, np.nan])})
@@ -223,11 +223,29 @@ def test_flat_step_is_bytewise_the_per_array_reference(monkeypatch, step_slice):
     ({"w": np.ones(1), "b": np.zeros(2)}, r"parameter 'w' has shape \(3,\), got \(1,\)"),
 ], ids=["missing", "empty", "unknown", "broadcastable-shape"])
 def test_a_gradient_that_does_not_match_the_parameters_is_rejected(grads, message):
-    params = {"w": np.array([1.0, 2.0, 3.0], dtype=np.float32), "b": np.zeros(2, dtype=np.float32)}
+    params = ParameterVector.pack({"w": np.array([1.0, 2.0, 3.0], dtype=np.float32),
+                                   "b": np.zeros(2, dtype=np.float32)})
     opt = AdamLookahead(params, TrainConfig())
     with pytest.raises(ContractError, match=message):
         opt.step(params, grads)
     assert params["w"].tolist() == [1.0, 2.0, 3.0] and opt.step_count == 0
+
+
+def test_a_step_needs_the_parameter_vector_the_optimizer_was_built_from():
+    # A plain mapping, another layout or another dtype is rejected before
+    # anything moves.
+    arrays = {"w": np.array([1.0, 2.0, 3.0], dtype=np.float32), "b": np.zeros(2, dtype=np.float32)}
+    params = ParameterVector.pack(arrays)
+    opt = AdamLookahead(params, TrainConfig())
+    grads = {"w": np.ones(3), "b": np.ones(2)}
+    for other in ({k: v.copy() for k, v in arrays.items()},
+                  ParameterVector.pack({"b": arrays["b"], "w": arrays["w"]}),
+                  ParameterVector.pack(arrays, np.float64)):
+        with pytest.raises(ContractError, match="ParameterVector with the layout and dtype"):
+            opt.step(other, grads)
+    assert params["w"].tolist() == [1.0, 2.0, 3.0] and opt.step_count == 0
+    opt.step(params, grads)
+    assert opt.step_count == 1 and params["w"].tolist() != [1.0, 2.0, 3.0]
 
 
 # --------------------------------------------------------------------------
