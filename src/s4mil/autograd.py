@@ -39,12 +39,15 @@ each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
 On a bag longer than two blocks of ssm.STATE_BLOCK tokens the forward
 builds only the first block's kernel taps: in-block FFTs apply them and
-carried SSM states add every earlier block (ssm.block_causal_conv).  The
-input gradient is the same convolution run in reversed time, with the same
-taps, so a gradient tape builds no other kernel.  The parameter gradients
-sum the in-block correlations of the upstream with the input and add the
-carried states' part (ssm.block_pole_sums), so the backward forms no
-(H, L) float64 array either.
+carried SSM states add every earlier block (ssm.block_causal_conv).  Its
+backward is one pass over the blocks of the upstream and the input
+(ssm.block_adjoint), which reads the same taps, so a gradient tape builds
+no other kernel: one spectrum of each upstream block gives the in-block
+input gradient and the in-block correlations with the input, and the
+upstream's block sums, carried back across blocks, add the rest of both
+the input gradient and the parameter gradients.  The backward forms no
+(H, L) float64 array either.  A bag of at most two blocks runs the forward
+convolution in reversed time for its input gradient.
 """
 
 from dataclasses import dataclass, field
@@ -412,7 +415,8 @@ def _block_chunk(h: int, length: int) -> int:
     # by up to 1.4x for L 1025-62235 (1 BLAS thread), and the backward's
     # pole sums run fastest there too (2^16-2^20 swept at L=4096 and 30000,
     # H=512).  tracemalloc measures chunks at L=30000 (8 channels): the
-    # forward at a peak of 10 MB, the backward's pole sums at 16 MB.
+    # forward at a peak of 10 MB, the backward's block_adjoint (with the
+    # blocks of the upstream and the input) at 17 MB.
     padded = -(-length // ssm.STATE_BLOCK) * ssm.STATE_BLOCK
     return max(1, min(h, (1 << 18) // padded))
 
@@ -430,7 +434,9 @@ def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.n
     """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
     array in u's dtype: ``out`` (which may be u itself) or a new one.  With
     reverse, the same convolution runs in reversed time,
-    sum_l K_l u[t + l] + d u[t]: its adjoint in u.
+    sum_l K_l u[t + l] + d u[t]: its adjoint in u, which the backward takes
+    from here only for a bag of at most two blocks (all L taps); a longer
+    bag's comes from _chunked_block_backward.
 
     ``kernels`` (H, ssm.conv_taps(L)) holds the first taps of
     K_l = Re(sum_k w_k a_bar_k^l).  With all L taps each chunk makes one
@@ -481,25 +487,32 @@ def _chunked_corr(g: np.ndarray, u: np.ndarray):
     return grad_k, grad_d
 
 
-def _chunked_block_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray):
-    """The pole sums and the skip gradient of _chunked_corr's outputs, from blocks.
+def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray,
+                            a_bar: np.ndarray, w: np.ndarray):
+    """The adjoints of _chunked_conv past two blocks for the channel-major
+    upstream g (L, H): the input gradient, the pole sums and the skip gradient.
 
-    Each chunk casts its channel rows of the upstream g and the input u
-    (channel-major (L, H)) into padded float64 blocks once; the skip
-    gradient sum_l g u and ssm.block_pole_sums both read them.  Returns
-    the (H, 2, n) sums and the (H,) skip gradient.
+    Each chunk casts its channel rows of g and of the input u (channel-major
+    (L, H)) into padded float64 blocks once; the skip gradient sum_l g u and
+    ssm.block_adjoint both read them.  Returns the channel-major (L, H) input
+    gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n) sums
+    and the (H,) skip gradient.
     """
     length, h = u.shape
+    grad_u = np.empty((h, length), dtype=g.dtype)
     sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
     grad_d = np.empty(h)
 
     def work(s, e):
         rows, v = ssm.to_blocks(g[:, s:e].T), ssm.to_blocks(u[:, s:e].T)
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v)
-        sums[s:e] = ssm.block_pole_sums(rows, v, a_bar[s:e])
+        grad_in, sums[s:e] = ssm.block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
+        y = grad_in.reshape(e - s, -1)[:, :length]
+        y += d[s:e, None] * rows.reshape(e - s, -1)[:, :length]
+        grad_u[s:e] = y
 
     parallel.run_chunked(h, _block_chunk(h, length), work)
-    return sums, grad_d
+    return grad_u.T, sums, grad_d
 
 
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache, out=None):
@@ -522,26 +535,30 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache, ou
 def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.ndarray]:
     """Gradients of the convolution view w.r.t. (u, a, c, d, log_dt).
 
-    The input gradient is the forward's own convolution (_chunked_conv, with
-    the cached taps) run in reversed time.  The kernel gradient is the
-    causal correlation of the upstream signal with the input; its two pole
-    sums (ssm.correlation_pole_sums, the kernel's adjoint) feed the pole and
-    projection gradients.  The split follows the forward's: a bag of at most
-    two blocks correlates over the full length and weights every lag by the
-    pole powers; a longer one takes the sums from blocks and carried states
-    (ssm.block_pole_sums) without forming the correlation.  The pole and
-    projection gradients then chain through the discretization map.  Complex
-    adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z), so
-    holomorphic steps multiply by the conjugated derivative.
+    The input gradient is sum_l K_l g[t + l] + d g[t].  The kernel gradient
+    is the causal correlation of the upstream signal g with the input; its
+    two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
+    the pole and projection gradients.  The split follows the forward's: a
+    bag of at most two blocks runs the forward's own convolution
+    (_chunked_conv, with the cached taps) in reversed time, correlates over
+    the full length and weights every lag by the pole powers; a longer one
+    makes one pass over blocks (_chunked_block_backward, ssm.block_adjoint),
+    which gives the input gradient and the sums from the cached taps,
+    in-block spectra and carried block sums without forming the
+    correlation.  The pole and projection gradients then chain through the
+    discretization map.  Complex adjoints use the convention
+    z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps multiply by the
+    conjugated derivative.
     """
     if cache.u is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")
     length = cache.u.shape[0]
     disc = cache.disc
-    grad_u = _chunked_conv(cache.kernels, upstream, cache.d, disc.a_bar, cache.w, reverse=True)
     if cache.kernels.shape[1] < length:
-        sums, grad_d = _chunked_block_sums(upstream, cache.u, disc.a_bar)
+        grad_u, sums, grad_d = _chunked_block_backward(upstream, cache.u, cache.kernels, cache.d,
+                                                       disc.a_bar, cache.w)
     else:
+        grad_u = _chunked_conv(cache.kernels, upstream, cache.d, disc.a_bar, cache.w, reverse=True)
         gk, grad_d = _chunked_corr(upstream, cache.u)
         sums = ssm.correlation_pole_sums(gk, disc.a_bar)
     w_hat = 2.0 * sums[:, 0]

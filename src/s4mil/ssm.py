@@ -18,10 +18,15 @@ two blocks (2 * STATE_BLOCK tokens) meets the full-length kernel in one FFT
 taps, and the n_half complex states, stepped once per block, carry every
 earlier block into the next (the block decomposition of Mamba-2/SSD with
 the state recurrence of S5), so no kernel longer than a block is built.
-The parameter gradients take the same split: for a short input the
-full-length correlation fft_causal_corr is weighted by the pole powers
-(correlation_pole_sums); a longer one sums in-block correlations and the
-carried states (block_pole_sums), so no full-length correlation is formed.
+The backward takes the same split.  For a short input the input gradient
+is fft_causal_conv in reversed time, and the full-length correlation
+fft_causal_corr, weighted by the pole powers (correlation_pole_sums), gives
+the parameter gradients.  A longer one makes one pass over the blocks
+(block_adjoint): one spectrum of each block of the upstream serves both
+the in-block input gradient and the in-block correlations with the input,
+and the upstream's block sums, carried back across blocks, add the rest of
+the input gradient and, with the forward's carried states, the rest of the
+pole sums, so no full-length correlation is formed.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -30,9 +35,10 @@ Every power of a_bar comes from one two-level table (_power_tables), built
 by doubling in 64-bit complex arithmetic whatever the model's precision:
 a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L, so each level holds
 O(sqrt(L)) rows.  The kernel (the Vandermonde product of S4D), its adjoint
-power_weighted_sum, the block carry and the block pole sums contract the
-two levels in real matrix products against the tables' float64 view, since
-only real parts are needed.  No (n_half, L) power table is ever materialized.
+power_weighted_sum, the block carry and read-out and the block adjoint
+contract the two levels in real matrix products against the tables'
+float64 view, since only real parts are needed.  No (n_half, L) power
+table is ever materialized.
 """
 
 import functools
@@ -272,14 +278,14 @@ def conv_taps(length: int) -> int:
     identical code spreads +-5%, then win 1.3x at 2049 and 1.5x at 4096.
     Forced onto shorter inputs, the blocks lose at L=513 (0.78x and 0.71x)
     and 800 (0.85x and 0.89x) and win at 1024 (1.37x and 1.11x), so the
-    crossover sits near two blocks.  The backward's pole sums take the same
-    split (block_pole_sums past it, the full-length fft_causal_corr up to
-    it).  A sweep of those sums from float32 channel-major inputs, blocks
-    against the full-length correlation and weighting (1 BLAS thread, median
-    of 7 alternating pairs, 3 at L >= 30000): at H=512, N=32 the blocks win
-    1.14x at L=1025, 1.5x at 2049, 1.8-1.9x at 4096-8192 and 2.1x at
-    30000-62235; at H=32, N=8 they read 0.97x at L=1025, then win 1.4-1.5x
-    at 2049-8192.
+    crossover sits near two blocks.  The backward takes the same split
+    (block_adjoint past it; up to it, the reversed fft_causal_conv and the
+    full-length fft_causal_corr).  A sweep of its pole sums from float32
+    channel-major inputs, blocks against the full-length correlation and
+    weighting (1 BLAS thread, median of 7 alternating pairs, 3 at
+    L >= 30000): at H=512, N=32 the blocks win 1.14x at L=1025, 1.5x at
+    2049, 1.8-1.9x at 4096-8192 and 2.1x at 30000-62235; at H=32, N=8 they
+    read 0.97x at L=1025, then win 1.4-1.5x at 2049-8192.
     """
     return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
 
@@ -308,6 +314,24 @@ def _block_power_sums(blocks: np.ndarray, powers: np.ndarray, scales: np.ndarray
     return part.sum(axis=-2)
 
 
+def _carried_readout(w: np.ndarray, coarse: np.ndarray, fine_rows: np.ndarray,
+                     states: np.ndarray, out: np.ndarray) -> None:
+    """out[:, j, iT + s] = Re(sum_k w_k coarse_ik fine_sk states_jk), float64.
+
+    The read-out of carried states into the tokens of a block: states
+    (h, blocks, n), w (h, n), coarse (h, q, n) the powers that reach row i
+    of a block's (q, T) tokens and fine_rows (h, T, 2n) the float64 view of
+    those that reach column s (_power_tables); out is (h, blocks, qT).  The
+    sum over k is one real product of the conjugate's float64 view with
+    fine_rows, as Re(x p) = Re(x) Re(p) - Im(x) Im(p).
+    """
+    h, count, n = states.shape
+    q, t = coarse.shape[1], fine_rows.shape[1]
+    reach = np.conj(w[:, None, :] * coarse)[:, None] * np.conj(states)[:, :, None]
+    np.matmul(reach.view(np.float64).reshape(h, count * q, 2 * n), fine_rows.swapaxes(1, 2),
+              out=out.reshape(h, count * q, t, copy=False))
+
+
 def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
@@ -319,7 +343,7 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     n complex states carry the past: block j's inputs sum to
     Z_j = sum_r u[jB+r] a_bar^(B-1-r), the states step as
     X_j = a_bar^B X_{j-1} + Z_j, and token r of block j gains
-    Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}).
+    Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}) (_carried_readout).
 
     Powers come from _power_tables(a_bar, B), a_bar^(iT+s) = a_bar^(iT) a_bar^s
     with q T = B, so no (B, n) table is built.  Both contractions over s
@@ -334,53 +358,68 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     count = padded.shape[1]
     inner = fft_causal_conv(kernels[:, None, :], padded)
     fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
-    n = fine.shape[2]
     fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
     # Z_j for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
     states = _block_power_sums(padded[:, :-1], fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
     step = coarse[:, q]
     for j in range(1, count - 1):
         states[:, j] += step * states[:, j - 1]
-    # token iT+s of block j+1 gains Re(sum_k a^(s+1) (w a^(iT) X_j)_k), one
-    # real product against the conjugate's float64 view; the inputs are no
-    # longer read, so the carried part goes into their buffer
-    reach = np.conj(w[:, None, :] * coarse[:, :q])[:, None] * np.conj(states)[:, :, None]
-    carried = padded[:, 1:].reshape(h, (count - 1) * q, t, copy=False)
-    np.matmul(reach.view(np.float64).reshape(h, (count - 1) * q, 2 * n),
-              fine_rows[:, 1:].swapaxes(1, 2), out=carried)
+    # token iT+s of block j+1 gains Re(sum_k w_k a^(iT) a^(s+1) X_j); the
+    # inputs are no longer read, so the carried part goes into their buffer
+    _carried_readout(w, coarse[:, :q], fine_rows[:, 1:], states, padded[:, 1:])
     padded[:, 1:] += inner[:, 1:]
     padded[:, 0] = inner[:, 0]
     return padded.reshape(h, -1)[:, :length]
 
 
-def block_pole_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
-    """correlation_pole_sums(fft_causal_corr(g, u), a_bar) from the blocks of
-    g and u, (h, blocks, STATE_BLOCK) float64 (to_blocks), and a_bar (h, n).
+def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
+                  w: np.ndarray):
+    """The adjoints of block_causal_conv in its input and in its poles, from
+    the blocks of the upstream g and of the input u, (h, blocks, STATE_BLOCK)
+    float64 (to_blocks), with kernels, a_bar and w as block_causal_conv takes
+    them.  Returns (grad_in, sums):
 
-    g and u are real, so with x_t = a x_{t-1} + u_t (a = a_bar) and
-    P = sum_t g_t x_t the two sums are conj(P) and conj(dP/da).  Cut t into
-    blocks, t = jB + r, with B = STATE_BLOCK:
-      * in-block: P gains sum_{l<B} c_l a^l, where c is the causal
-        correlation of g with u inside each block, summed over blocks.  The
-        sum is taken on the blocks' spectra, so each channel makes one
-        inverse transform; correlation_pole_sums weights the B lags;
-      * across blocks: with E_j = sum_r g[jB+r] a^r and
-        E'_j = sum_r (r+1) g[jB+r] a^r, P gains a (sum_j E_j X_{j-1}) and
-        dP/da gains sum_j (E'_j X_{j-1} + E_j Y_{j-1}).  X_j are the
-        forward's carried states (block_causal_conv),
-        X_j = a^B X_{j-1} + Z_j with Z_j = sum_r u[jB+r] a^(B-1-r), and
-        Y_j = a dX_j/da steps as Y_j = a^B (B X_{j-1} + Y_{j-1}) + W_j with
+      * grad_in (h, blocks, B): sum_l K_l g[t + l] at every token t of the
+        blocks, the correlation fft_causal_corr(g, K) with the full kernel;
+      * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), a_bar),
+        the adjoints of w and a_bar.
+
+    Each of g, u and the kernels is transformed once.  With G, U and K the
+    block spectra (_fft_size(B) points, so nothing wraps):
+      * in-block input gradient: irfft(G conj(K))[:B] is the correlation of
+        each block of g with the B taps;
+      * in-block pole sums: the correlation irfft(sum_j G_j conj(U_j))[:B],
+        summed over blocks on the spectra, so each channel makes one
+        inverse transform; correlation_pole_sums weights the B lags.
+    Across blocks, with a = a_bar, E_j = sum_r g[jB+r] a^r and
+    E'_j = sum_r (r+1) g[jB+r] a^r:
+      * input gradient: F_i = sum_(j>i) a^((j-i-1)B) E_j steps back as
+        F_i = a^B F_(i+1) + E_(i+1), and token r of block i gains
+        Re(sum_k w_k a_k^(B-r) F_(i,k)) (_carried_readout);
+      * pole sums: g and u are real, so with x_t = a x_(t-1) + u_t and
+        P = sum_t g_t x_t the two sums are conj(P) and conj(dP/da).  P gains
+        a (sum_j E_j X_(j-1)) and dP/da gains sum_j (E'_j X_(j-1) +
+        E_j Y_(j-1)).  X_j are the forward's carried states
+        (block_causal_conv), X_j = a^B X_(j-1) + Z_j with
+        Z_j = sum_r u[jB+r] a^(B-1-r), and Y_j = a dX_j/da steps as
+        Y_j = a^B (B X_(j-1) + Y_(j-1)) + W_j with
         W_j = sum_r (B-1-r) u[jB+r] a^(B-1-r), so no power is divided by a.
     E and E' (Z and W) come from one _block_power_sums of the stacked
     blocks [g, (r+1) g] ([u, (B-1-r) u]), as Z does in block_causal_conv.
-    Returns (h, 2, n) complex.
     """
     h, count, _ = g.shape
     n_fft = _fft_size(STATE_BLOCK)
+    g_spectra = np.fft.rfft(g, n_fft)
     spectra = np.fft.rfft(u, n_fft)
     np.conjugate(spectra, out=spectra)
-    spectra *= np.fft.rfft(g, n_fft)
+    spectra *= g_spectra
     sums = correlation_pole_sums(np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :STATE_BLOCK], a_bar)
+    del spectra  # so the transforms below can reuse its memory
+    kernel_spectra = np.fft.rfft(kernels, n_fft)
+    np.conjugate(kernel_spectra, out=kernel_spectra)
+    g_spectra *= kernel_spectra[:, None]
+    inner = np.fft.irfft(g_spectra, n_fft)[..., :STATE_BLOCK]
+    del g_spectra
 
     fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
     fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
@@ -405,7 +444,18 @@ def block_pole_sums(g: np.ndarray, u: np.ndarray, a_bar: np.ndarray) -> np.ndarr
     sums[:, 0] += np.conj(a_bar * np.einsum("hjn,hjn->hn", later[:, 0], states))
     sums[:, 1] += np.conj(np.einsum("hjn,hjn->hn", later[:, 1], states)
                           + np.einsum("hjn,hjn->hn", later[:, 0], slopes))
-    return sums
+
+    ahead = later[:, 0].copy()  # becoming F_i, for every block but the last
+    for i in range(count - 3, -1, -1):
+        ahead[:, i] += step * ahead[:, i + 1]
+    grad_in = np.empty_like(g)
+    # token iT+s of block i gains Re(sum_k w_k a^((q-1-i)T) a^(T-s) F_i); the
+    # reversed fine rows are copied, as a matrix product reads them in order
+    _carried_readout(w, coarse[:, q - 1::-1], np.ascontiguousarray(fine_rows[:, t:0:-1]),
+                     ahead, grad_in[:, :-1])
+    grad_in[:, :-1] += inner[:, :-1]
+    grad_in[:, -1] = inner[:, -1]
+    return grad_in, sums
 
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -342,9 +342,8 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
 def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
     # A gradient tape on a bag longer than two blocks.  Its forward carries
     # states across blocks from the first block's taps, exactly as a
-    # grad-free tape does, its input gradient runs that same carried
-    # convolution in reversed time, and its parameter gradients sum
-    # in-block correlations and carried block states (ssm.block_pole_sums).
+    # grad-free tape does, and its input and parameter gradients come from
+    # in-block correlations and the carried block sums (ssm.block_adjoint).
     from s4mil.ssm import STATE_BLOCK
 
     rng = np.random.default_rng(18)
@@ -435,6 +434,46 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
             plane = h * length * 8
             assert nodes[0].grad.dtype == np.float32
             assert peak < plane, f"peak {peak / plane:.2f} planes"
+
+
+def test_block_backward_transforms_each_block_once(monkeypatch):
+    # Past two blocks one pass serves the input and the parameter gradients:
+    # each block of the upstream and of the input has one forward transform,
+    # each block of the input gradient one inverse, and each channel adds the
+    # kernel's transform and the pole sums' inverse.  Transform rows times
+    # points are counted as perfbench/spans.py counts them.
+    from s4mil import ssm
+
+    rng = np.random.default_rng(27)
+    h, length = 4, 8 * ssm.STATE_BLOCK + 1
+    blocks, n_fft = -(-length // ssm.STATE_BLOCK), ssm._fft_size(ssm.STATE_BLOCK)
+    params = ssm_params(rng, h=h, n_half=3)
+    params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
+    tape = Tape(dtype=np.float32)
+    nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+    out = tape.ssm_conv(*nodes, rule="zoh")
+    g = np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32)
+
+    points = {}
+
+    def counted(name, transform):
+        def run(a, n=None, axis=-1, **kwargs):
+            result = transform(a, n, axis, **kwargs)
+            size = result.shape[axis] if n is None else n
+            key = (name, size)
+            points[key] = points.get(key, 0) + result.size // result.shape[axis] * size
+            return result
+        return run
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+    convolutions = []
+    conv = ssm.fft_causal_conv
+    monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: convolutions.append(args) or conv(*args))
+    out.backward_fn(g)
+    assert points == {("rfft", n_fft): (2 * blocks * h + h) * n_fft,
+                      ("irfft", n_fft): (blocks * h + h) * n_fft}
+    assert convolutions == []
 
 
 @pytest.mark.parametrize("length", [2 * 512 + 1, 8 * 512 + 1])

@@ -314,17 +314,24 @@ def test_grad_check_covers_the_ssm_conv_across_carried_blocks(tmp_path, monkeypa
     from s4mil import ssm
 
     calls = []
-    block_pole_sums = ssm.block_pole_sums
-    monkeypatch.setattr(ssm, "block_pole_sums",
-                        lambda g, u, a_bar: calls.append(g.shape) or block_pole_sums(g, u, a_bar))
+    block_adjoint = ssm.block_adjoint
+
+    def spy(g, *args):
+        calls.append(g.shape)
+        return block_adjoint(g, *args)
+
+    def faulty(*args):
+        grad_in, sums = block_adjoint(*args)
+        return grad_in, 1.01 * sums
+
+    monkeypatch.setattr(ssm, "block_adjoint", spy)
     assert run(["grad-check", "--output", tmp_path / "ok"]) == 0
     report = (tmp_path / "ok" / "grad_check.txt").read_text()
     for rule in ("bilinear", "zoh"):
         assert f"ssm-conv-blocks-{rule}: pass" in report
     assert calls
 
-    monkeypatch.setattr(ssm, "block_pole_sums",
-                        lambda g, u, a_bar: 1.01 * block_pole_sums(g, u, a_bar))
+    monkeypatch.setattr(ssm, "block_adjoint", faulty)
     assert run(["grad-check", "--output", tmp_path / "bad"]) == 1
     report = (tmp_path / "bad" / "grad_check.txt").read_text()
     assert "ssm-conv-blocks-bilinear: fail" in report and "mil-model: pass" in report

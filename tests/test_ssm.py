@@ -12,8 +12,8 @@ from s4mil.ssm import (
     ZERO_POLE_EPS,
     _fft_size,
     _power_tables,
+    block_adjoint,
     block_causal_conv,
-    block_pole_sums,
     correlation_pole_sums,
     direct_causal_conv,
     discretize,
@@ -482,15 +482,10 @@ def test_correlation_length_mismatch():
         fft_causal_corr(np.zeros(4), np.zeros(5))
 
 
-@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
-@pytest.mark.parametrize("dt", [1e-3, 0.1])
-@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
-def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
-    # The ssm-conv backward's two pole sums from blocks (in-block spectra
-    # plus carried states) against the full-length correlation weighted by
-    # every power.  Channels in the trained regime: poles -1/2 + i pi k
-    # (k < 16) and pole real parts at the -1e-4 clamp, set there or clamped
-    # from above.  Each sum of each channel is held to its own scale.
+def trained_regime_blocks(rule, dt, length):
+    """(g, u, a_bar, w) for three channels in the trained regime: poles
+    -1/2 + i pi k (k < 16) and pole real parts at the -1e-4 clamp, set
+    there or clamped from above; g and u are random (3, length) rows."""
     from s4mil.autograd import POLE_REAL_CEILING, ssm_parameters
 
     rng = np.random.default_rng(length)
@@ -499,11 +494,47 @@ def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
     h = a_re.shape[0]
     a, _, dt_op, _ = ssm_parameters(a_re, np.tile(np.pi * np.arange(n_half), (h, 1)),
                                     a_re, a_re, np.full(h, np.log(dt)))
-    a_bar = discretize(a, dt_op, rule).a_bar
+    disc = discretize(a, dt_op, rule)
     g, u = rng.standard_normal((2, h, length))
+    w = 2.0 * (rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))) * disc.b_bar
+    return g, u, disc.a_bar, w
+
+
+def block_adjoint_of(g, u, a_bar, w):
+    return block_adjoint(to_blocks(g), to_blocks(u), kernel_bank(w, a_bar, STATE_BLOCK), a_bar, w)
+
+
+@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
+    # The ssm-conv backward's two pole sums from blocks (in-block spectra
+    # plus carried states) against the full-length correlation weighted by
+    # every power, for channels in the trained regime.  Each sum of each
+    # channel is held to its own scale.
+    g, u, a_bar, w = trained_regime_blocks(rule, dt, length)
     expected = correlation_pole_sums(fft_causal_corr(g, u), a_bar)
-    got = block_pole_sums(to_blocks(g), to_blocks(u), a_bar)
-    assert got.shape == expected.shape == (h, 2, n_half)
+    got = block_adjoint_of(g, u, a_bar, w)[1]
+    assert got.shape == expected.shape == (3, 2, 16)
+    scale = np.max(np.abs(expected), axis=-1)
+    err = np.max(np.abs(got - expected), axis=-1) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+
+
+@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_block_adjoint_input_gradient_matches_the_full_length_correlation(rule, dt, length):
+    # The ssm-conv backward's input gradient sum_l K_l g[t + l] from blocks
+    # (in-block spectra plus the upstream's carried block sums) against the
+    # full-length correlation of g with the whole kernel, for channels in
+    # the trained regime.  Each channel is held to its own scale; the
+    # padded tail of the last block is left out.
+    g, u, a_bar, w = trained_regime_blocks(rule, dt, length)
+    expected = fft_causal_corr(g, kernel_bank(w, a_bar, length))
+    grad_in = block_adjoint_of(g, u, a_bar, w)[0]
+    assert grad_in.shape == (3, -(-length // STATE_BLOCK), STATE_BLOCK)
+    got = grad_in.reshape(3, -1)[:, :length]
     scale = np.max(np.abs(expected), axis=-1)
     err = np.max(np.abs(got - expected), axis=-1) / scale
     assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
