@@ -46,7 +46,7 @@ def save_checkpoint(path, model: MilModel) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(model.params.vector.astype("<f4", copy=False).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(model.params.vector, dtype="<f4")))
 
 
 def load_checkpoint(path) -> MilModel:

@@ -15,12 +15,19 @@ A manifest is comma-separated text with header
 ``id,label,features,patch_labels,coords``; the two optional cells may be
 empty.  Paths are resolved relative to the manifest's directory and bags
 are returned in row order.
+
+A manifest bag keeps the path of its feature file, not the features.
+``load_manifest`` checks each feature file's header and size (the same
+checks ``read_sequence_file`` makes) and reads no payload; ``Bag.features``
+reads the file each time it is used and keeps nothing.  Evaluation thus
+holds one bag's features at a time; training re-reads each bag once per
+epoch and holds at most two bags' features.  Patch labels and coordinates
+are small and are read at load.
 """
 
 import csv
 import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,37 +42,65 @@ MAX_PAYLOAD_BYTES = 1 << 40  # guards L*D overflow before allocating
 MANIFEST_COLUMNS = ["id", "label", "features", "patch_labels", "coords"]
 
 
-@dataclass
 class Bag:
-    """One slide: its token features, slide label, optional extras."""
+    """One slide: its (L, D) float32 token features, slide label, and
+    optional (L,) patch labels and (L, 2) coordinates.
 
-    id: str
-    features: np.ndarray  # (L, D) float32
-    slide_label: int
-    patch_labels: np.ndarray | None = None  # (L,) int
-    coords: np.ndarray | None = None  # (L, 2) int
+    ``features`` is either the array itself, held in memory, or the path of
+    a SEQF file together with its ``shape`` (L, D) as checked at load.  A
+    file-backed bag reads the file on every access of ``.features`` and
+    keeps no copy; a file that can no longer be read, or whose shape is no
+    longer ``shape``, is a ParseError.
+    """
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float32)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ContractError(f"bag {self.id}: features must be (L>=1, D), got {self.features.shape}")
-        length = self.features.shape[0]
-        if self.patch_labels is not None:
-            self.patch_labels = np.asarray(self.patch_labels, dtype=np.int64)
+    def __init__(self, id: str, features, slide_label: int,
+                 patch_labels: np.ndarray | None = None, coords: np.ndarray | None = None,
+                 shape: tuple[int, int] | None = None):
+        self.id = id
+        self.slide_label = slide_label
+        if shape is None:
+            self._held = np.asarray(features, dtype=np.float32)
+            self._path = None
+            self.shape = self._held.shape
+        else:
+            self._held = None
+            self._path = features
+            self.shape = tuple(shape)
+        if len(self.shape) != 2 or self.shape[0] < 1:
+            raise ContractError(f"bag {self.id}: features must be (L>=1, D), got {self.shape}")
+        length = self.shape[0]
+        self.patch_labels = None
+        if patch_labels is not None:
+            self.patch_labels = np.asarray(patch_labels, dtype=np.int64)
             if self.patch_labels.shape != (length,):
                 raise ContractError(
                     f"bag {self.id}: patch labels must have length {length}, got {self.patch_labels.shape}"
                 )
-        if self.coords is not None:
-            self.coords = np.asarray(self.coords, dtype=np.int64)
+        self.coords = None
+        if coords is not None:
+            self.coords = np.asarray(coords, dtype=np.int64)
             if self.coords.shape != (length, 2):
                 raise ContractError(
                     f"bag {self.id}: coords must be ({length}, 2), got {self.coords.shape}"
                 )
 
     @property
+    def features(self) -> np.ndarray:
+        if self._path is None:
+            return self._held
+        try:
+            matrix = read_sequence_file(self._path)  # the module global, so a wrapper sees each read
+        except OSError as exc:
+            raise ParseError(f"{self._path}: feature file cannot be read: {exc.strerror}") from None
+        if matrix.shape != self.shape:
+            (length, dim), (now_length, now_dim) = self.shape, matrix.shape
+            raise ParseError(f"{self._path}: header now says L={now_length}, D={now_dim}, "
+                             f"but the file had L={length}, D={dim} at load", offset=8)
+        return matrix
+
+    @property
     def length(self) -> int:
-        return self.features.shape[0]
+        return self.shape[0]
 
 
 # --------------------------------------------------------------------------
@@ -73,33 +108,17 @@ class Bag:
 # --------------------------------------------------------------------------
 
 def write_sequence_file(path, matrix: np.ndarray) -> None:
-    matrix = np.asarray(matrix, dtype=np.float32)
+    matrix = np.asarray(matrix, dtype="<f4")
     if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 1:
         raise ContractError(f"sequence files hold (L>=1, D>=1) matrices, got {matrix.shape}")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, matrix.shape[0], matrix.shape[1]))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(matrix)))
 
 
-def read_sequence_file(path) -> np.ndarray:
-    """The (L, D) float32 matrix of a SEQF file, read straight into its array."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise ParseError(f"{path}: file shorter than the 16-byte header", offset=len(header))
-        magic, version, length, dim = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}", offset=0)
-        if version != VERSION:
-            raise ParseError(f"{path}: unsupported version {version}", offset=4)
-        if length < 1 or dim < 1 or 4 * length * dim > MAX_PAYLOAD_BYTES:
-            raise ParseError(f"{path}: implausible dimensions L={length}, D={dim}", offset=8)
-        expected_end = _HEADER.size + 4 * length * dim
-        if size == expected_end:
-            # Re-measure by what the reads return, in case the file changed since fstat.
-            values = np.empty((length, dim), dtype="<f4")
-            size = _HEADER.size + fh.readinto(values) + len(fh.read())
+def _check_size(path, size: int, length: int, dim: int) -> None:
+    """ParseError unless a file of ``size`` bytes holds exactly an (L, D) payload."""
+    expected_end = _HEADER.size + 4 * length * dim
     if size < expected_end:
         raise ParseError(
             f"{path}: payload truncated, expected {expected_end} bytes, have {size}",
@@ -107,6 +126,38 @@ def read_sequence_file(path) -> np.ndarray:
         )
     if size > expected_end:
         raise ParseError(f"{path}: {size - expected_end} trailing bytes", offset=expected_end)
+
+
+def _sequence_header(fh, path) -> tuple[int, int]:
+    """The (L, D) of the SEQF file open as ``fh``, positioned at its payload.
+
+    Checks the magic, the version, that (L, D) is plausible and that the
+    file's size is exactly header plus payload; each failure is a ParseError
+    at its byte offset.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise ParseError(f"{path}: file shorter than the 16-byte header", offset=len(header))
+    magic, version, length, dim = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}", offset=0)
+    if version != VERSION:
+        raise ParseError(f"{path}: unsupported version {version}", offset=4)
+    if length < 1 or dim < 1 or 4 * length * dim > MAX_PAYLOAD_BYTES:
+        raise ParseError(f"{path}: implausible dimensions L={length}, D={dim}", offset=8)
+    _check_size(path, size, length, dim)
+    return length, dim
+
+
+def read_sequence_file(path) -> np.ndarray:
+    """The (L, D) float32 matrix of a SEQF file, read straight into its array."""
+    with open(path, "rb") as fh:
+        length, dim = _sequence_header(fh, path)
+        values = np.empty((length, dim), dtype="<f4")
+        # Re-measure by what the reads return, in case the file changed since the header check.
+        size = _HEADER.size + fh.readinto(values) + len(fh.read())
+    _check_size(path, size, length, dim)
     return values
 
 
@@ -164,7 +215,12 @@ def _listed_file(manifest: Path, lineno: int, kind: str, file_path: Path) -> Pat
 
 
 def load_manifest(path) -> list[Bag]:
-    """Read every referenced file; bags come back in manifest row order."""
+    """The manifest's bags, in row order.
+
+    Each feature file's header and size are checked here and its payload is
+    left on disk for ``Bag.features`` to read; patch-label and coordinate
+    files are read and checked against the bag's length.
+    """
     path = Path(path)
     base = path.parent
     try:
@@ -194,7 +250,9 @@ def load_manifest(path) -> list[Bag]:
             raise ParseError(f"{path}:{lineno}: label {row['label']!r} is not an integer") from None
         if not row["features"]:
             raise ParseError(f"{path}:{lineno}: empty features cell")
-        features = read_sequence_file(_listed_file(path, lineno, "feature", base / row["features"]))
+        features = _listed_file(path, lineno, "feature", base / row["features"])
+        with open(features, "rb") as fh:
+            shape = _sequence_header(fh, features)
         patch_labels = None
         if row.get("patch_labels"):
             patch_labels = read_patch_labels(
@@ -203,8 +261,9 @@ def load_manifest(path) -> list[Bag]:
         if row.get("coords"):
             coords = read_coords(_listed_file(path, lineno, "coords", base / row["coords"]))
         try:
-            bags.append(Bag(id=bag_id, features=features, slide_label=label,
-                            patch_labels=patch_labels, coords=coords))
+            # Absolute, so that a later change of working directory reads the same file.
+            bags.append(Bag(id=bag_id, features=features.absolute(), shape=shape,
+                            slide_label=label, patch_labels=patch_labels, coords=coords))
         except ContractError as exc:
             raise ParseError(f"{path}:{lineno}: {exc}") from None
     return bags

@@ -221,7 +221,12 @@ def _naming(prefix: str):
 
 def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> dict:
     """Loss and metrics of a model on a set of bags (conv path, read-only);
-    an error raised while a bag is processed names the bag."""
+    an error raised while a bag is processed names the bag.
+
+    Each bag's features are read once, for its forward, and dropped before
+    the next bag's: a manifest's bags are evaluated holding one bag's
+    features at a time.
+    """
     if not bags:
         raise ContractError("evaluation needs a non-empty split")
     multitask = model.config.multitask and lam > 0 and all(b.patch_labels is not None for b in bags)
@@ -257,6 +262,10 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
     Deterministic given config.seed: bag order per epoch is a seeded shuffle
     and gradients accumulate in that order.  An error raised while a bag is
     processed, in training or validation, names the epoch and the bag.
+
+    A manifest bag's features are read from disk once per epoch; the
+    previous bag's tape lives until the next one is built, so at most two
+    bags' features are held.
     """
     if not train_bags or not val_bags:
         raise ContractError("fit needs non-empty train and validation splits")

@@ -367,6 +367,31 @@ def test_stats_command(tmp_path):
     assert int(metrics["long_count"]) >= 1
 
 
+def test_stats_and_export_heatmap_read_only_the_features_they_use(tmp_path, monkeypatch):
+    from s4mil import data_io
+
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--seed", "0", "--output", corpus, *TINY_SYNTH]) == 0
+    save_checkpoint(tmp_path / "mt.s4mc", init_parameters(
+        ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, multitask=True), seed=0))
+    # Patch-label and coordinate files are read through the same function,
+    # so feature reads are told apart by file name.
+    feature_reads = []
+    read = data_io.read_sequence_file
+
+    def counted(path):
+        if not path.name.endswith((".patch.seqf", ".coords.seqf")):
+            feature_reads.append(path.name)
+        return read(path)
+
+    monkeypatch.setattr(data_io, "read_sequence_file", counted)
+    assert run(["stats", "--manifest", corpus / "manifest.csv", "--output", tmp_path / "stats"]) == 0
+    assert feature_reads == []
+    assert run(["export-heatmap", "--checkpoint", tmp_path / "mt.s4mc", "--manifest",
+                corpus / "manifest.csv", "--bag-id", "synth-0002", "--output", tmp_path / "hm"]) == 0
+    assert feature_reads == ["synth-0002.seqf"]
+
+
 def test_missing_inputs_give_single_line_errors(tmp_path, capsys):
     assert run(["stats", "--output", tmp_path]) == 1
     assert run(["evaluate", "--output", tmp_path]) == 1

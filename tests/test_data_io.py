@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -77,6 +78,16 @@ def test_trailing_bytes_rejected(tmp_path):
     assert exc.value.offset == 16 + 16
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_writer_bytes_are_the_header_and_the_little_endian_float32_payload(tmp_path, dtype, order):
+    matrix = np.asarray(np.random.default_rng(5).standard_normal((7, 3)), dtype=dtype, order=order)
+    path = tmp_path / "m.seqf"
+    write_sequence_file(path, matrix)
+    payload = np.ascontiguousarray(matrix.astype(np.float32), dtype="<f4").tobytes()
+    assert path.read_bytes() == struct.pack("<4sIII", b"SEQF", 1, 7, 3) + payload
+
+
 def test_patch_labels_must_be_integral(tmp_path):
     path = tmp_path / "p.seqf"
     write_sequence_file(path, np.array([[0.0], [1.0], [1.5]], dtype=np.float32))
@@ -127,6 +138,104 @@ def write_corpus(tmp_path, n=4, with_patches=False):
         rows.append(row)
     write_manifest(tmp_path / "manifest.csv", rows)
     return rows
+
+
+PAYLOAD = np.arange(6, dtype="<f4").tobytes()
+MALFORMED = {
+    "short-header": b"SEQF\x01\x00",
+    "bad-magic": struct.pack("<4sIII", b"NOPE", 1, 2, 3) + PAYLOAD,
+    "bad-version": struct.pack("<4sIII", b"SEQF", 9, 2, 3) + PAYLOAD,
+    "zero-length": struct.pack("<4sIII", b"SEQF", 1, 0, 3) + PAYLOAD,
+    "oversized": struct.pack("<4sIII", b"SEQF", 1, 2**31, 2**31) + PAYLOAD,
+    "truncated": struct.pack("<4sIII", b"SEQF", 1, 2, 3) + PAYLOAD[:-4],
+    "trailing": struct.pack("<4sIII", b"SEQF", 1, 2, 3) + PAYLOAD + b"!",
+}
+
+
+@pytest.mark.parametrize("blob", MALFORMED.values(), ids=MALFORMED.keys())
+def test_a_malformed_feature_file_fails_at_load_as_it_fails_to_read(tmp_path, blob):
+    (tmp_path / "feat.seqf").write_bytes(blob)
+    write_manifest(tmp_path / "manifest.csv", [{"id": "x", "label": 0, "features": "feat.seqf"}])
+    with pytest.raises(ParseError) as read:
+        read_sequence_file(tmp_path / "feat.seqf")
+    with pytest.raises(ParseError) as loaded:
+        load_manifest(tmp_path / "manifest.csv")
+    assert (str(loaded.value), loaded.value.offset) == (str(read.value), read.value.offset)
+
+
+def test_load_reads_no_feature_payload_and_each_access_reads_the_file(tmp_path, monkeypatch):
+    import s4mil.data_io as data_io
+
+    rows = write_corpus(tmp_path, n=3)
+    reads = []
+    read = data_io.read_sequence_file
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(data_io, "read_sequence_file", counted)
+    bags = load_manifest(tmp_path / "manifest.csv")
+    assert reads == []
+    lengths = [read(tmp_path / row["features"]).shape[0] for row in rows]
+    assert [bag.length for bag in bags] == lengths and reads == []
+    first, again = bags[1].features, bags[1].features
+    assert first is not again and np.array_equal(first, again)
+    assert first.dtype == np.float32 and first.shape == (bags[1].length, 3)
+    assert reads == [tmp_path / rows[1]["features"]] * 2
+
+
+def test_a_bag_from_a_relative_manifest_path_reads_its_file_from_any_directory(tmp_path,
+                                                                               monkeypatch):
+    rows = write_corpus(tmp_path, n=2)
+    monkeypatch.chdir(tmp_path)
+    bags = load_manifest("manifest.csv")
+    # The same name and shape in the new working directory, other values.
+    (tmp_path / "elsewhere").mkdir()
+    write_sequence_file(tmp_path / "elsewhere" / rows[1]["features"], np.zeros(bags[1].shape))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert np.array_equal(bags[1].features, read_sequence_file(tmp_path / rows[1]["features"]))
+    assert np.any(bags[1].features != 0)
+
+
+def _file_backed_bags(tmp_path, n=4, length=4, dim=6):
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(n):
+        write_sequence_file(tmp_path / f"feat{i}.seqf", rng.standard_normal((length, dim)))
+        rows.append({"id": f"bag{i}", "label": i % 2, "features": f"feat{i}.seqf"})
+    write_manifest(tmp_path / "manifest.csv", rows)
+    return load_manifest(tmp_path / "manifest.csv")
+
+
+# (change to the file after load, what the error then says)
+CHANGED_AFTER_LOAD = {
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:-4]), "payload truncated"),
+    # The same byte count: read as (6, 4) it would be a silent reshape.
+    "reshaped": (lambda path: path.write_bytes(struct.pack("<4sIII", b"SEQF", 1, 6, 4)
+                                               + path.read_bytes()[16:]),
+                 "header now says L=6, D=4, but the file had L=4, D=6 at load"),
+    "removed": (lambda path: path.unlink(), "feature file cannot be read: No such file or directory"),
+}
+
+
+@pytest.mark.parametrize("change", CHANGED_AFTER_LOAD)
+@pytest.mark.parametrize("caller, prefix", [("evaluate", "bag bag1: "), ("fit", "epoch 1, bag bag1: ")])
+def test_a_feature_file_changed_after_load_is_a_parse_error_naming_the_bag(tmp_path, change,
+                                                                           caller, prefix):
+    from s4mil.model import ModelConfig, init_parameters
+    from s4mil.train import TrainConfig, evaluate_model, fit
+
+    bags = _file_backed_bags(tmp_path)
+    path = tmp_path / "feat1.seqf"
+    edit, message = CHANGED_AFTER_LOAD[change]
+    edit(path)
+    model = init_parameters(ModelConfig(input_dim=6, hidden_dim=4, state_dim=4), seed=0)
+    with pytest.raises(ParseError, match="^" + re.escape(f"{prefix}{path}: {message}")):
+        if caller == "evaluate":
+            evaluate_model(model, bags)
+        else:
+            fit(model, bags[:2], bags[2:], TrainConfig(max_epochs=1))
 
 
 def test_manifest_round_trip_order_stable(tmp_path):

@@ -165,6 +165,33 @@ def test_manifest_reader_loads_or_raises_parse_error(tmp_path_factory):
     check()
 
 
+def test_a_feature_file_that_passes_load_reads_back_at_its_shape(tmp_path_factory):
+    # load_manifest checks only the header and size of a feature file; what
+    # passes those checks must read back later without error.
+    root = tmp_path_factory.mktemp("features")
+    for i, length in enumerate((5, 4)):
+        write_sequence_file(root / f"b{i}.seqf", np.arange(3 * length, dtype=np.float32).reshape(length, 3))
+    path = root / "manifest.csv"
+    write_manifest(path, [{"id": f"b{i}", "label": i, "features": f"b{i}.seqf"} for i in range(2)])
+    features = root / "b0.seqf"
+    blob = features.read_bytes()
+
+    @settings(max_examples=FUZZ_EXAMPLES)
+    @given(mutations(blob, header_words=4))
+    def check(data):
+        features.write_bytes(data)
+        try:
+            bags = load_manifest(path)
+        except ParseError:
+            return
+        for bag in bags:
+            matrix = bag.features
+            assert matrix.dtype == np.float32 and matrix.shape == (bag.length, bag.shape[1])
+        assert 16 + 4 * bags[0].features.size == len(data)
+
+    check()
+
+
 def test_config_reader_resolves_or_raises_config_error(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "config.json"
     path.write_text(json.dumps({

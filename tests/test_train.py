@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from s4mil import train
+from s4mil import data_io, train
 from s4mil.errors import ContractError, NumericalError
 from s4mil.model import ModelConfig, ParameterVector, init_parameters
 from s4mil.train import (
@@ -301,6 +302,50 @@ def test_an_error_in_evaluation_names_the_bag():
     bags[4].features[0, 0] = np.inf
     with pytest.raises(NumericalError, match=f"^bag {bags[4].id}: "):
         evaluate_model(tiny_model(), bags)
+
+
+def _stream_from_disk(tmp_path, monkeypatch, bags):
+    """The bags as a loaded manifest, and for each feature read the count of
+    arrays from earlier reads still alive at that moment."""
+    for bag in bags:
+        data_io.write_sequence_file(tmp_path / f"{bag.id}.seqf", bag.features)
+    data_io.write_manifest(tmp_path / "manifest.csv", [
+        {"id": bag.id, "label": bag.slide_label, "features": f"{bag.id}.seqf"} for bag in bags])
+    on_disk = data_io.load_manifest(tmp_path / "manifest.csv")
+    earlier, alive_at_read = [], []
+    read = data_io.read_sequence_file
+
+    def tracked(path):
+        alive_at_read.append(sum(ref() is not None for ref in earlier))
+        matrix = read(path)
+        earlier.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(data_io, "read_sequence_file", tracked)
+    return on_disk, alive_at_read
+
+
+def test_evaluating_a_manifest_holds_one_bag_and_matches_the_bags_in_memory(tmp_path, monkeypatch):
+    from s4mil.train import evaluate_model
+
+    bags = tiny_bags(n=3)
+    on_disk, alive_at_read = _stream_from_disk(tmp_path, monkeypatch, bags)
+    streamed = evaluate_model(tiny_model(), on_disk)
+    assert alive_at_read == [0, 0, 0]
+    held = evaluate_model(tiny_model(), bags)
+    assert [p.tobytes() for p in streamed["slide_probs"]] == [p.tobytes() for p in held["slide_probs"]]
+
+
+def test_fit_on_a_manifest_holds_at_most_two_bags_and_matches_the_bags_in_memory(tmp_path,
+                                                                                 monkeypatch):
+    # The previous bag's tape (and its features) lives until the next one is built.
+    bags = tiny_bags(n=6)
+    on_disk, alive_at_read = _stream_from_disk(tmp_path, monkeypatch, bags)
+    cfg = TrainConfig(learning_rate=3e-3, max_epochs=2)
+    streamed = fit(tiny_model(), on_disk[:4], on_disk[4:], cfg)
+    assert len(alive_at_read) == 2 * 6 and max(alive_at_read) == 1
+    held = fit(tiny_model(), bags[:4], bags[4:], cfg)
+    assert streamed.model.params.vector.tobytes() == held.model.params.vector.tobytes()
 
 
 def test_fit_restores_best_validation_parameters():
