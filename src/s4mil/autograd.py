@@ -33,6 +33,13 @@ raises ContractError.  The model reads no such input twice.  Leaves are
 never written, so neither are the caller's features nor the parameters; a
 gradient tape never reuses an array.
 
+`rows` gathers some rows of an (L, H) activation and scatters their
+gradient back into a zero (L, H) one.  A gradient tape of a model without
+a patch head uses it to record the last layer's mixing and GLU on the
+tokens the max-pool picks, at most H of them, since the max-pool passes
+gradient to no other token (model.build_tape).  A multitask model's patch
+head reads every token, so its tape records the head densely.
+
 Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
@@ -243,6 +250,25 @@ class Tape:
             np.add.at(x.grad, (idx, cols), g[0])
 
         return self._append("max-pool-over-sequence", value, (x,), backward_fn=backward_fn)
+
+    def rows(self, x: Node, index) -> Node:
+        """Rows ``index`` of (L, H), as a channel-major (len(index), H) array.
+
+        The backward scatters the gradient into a zero (L, H) gradient of x,
+        laid out like x.
+        """
+        (xv,) = _values("rows", x)
+        index = np.asarray(index, dtype=np.intp)
+        if xv.ndim != 2 or index.ndim != 1:
+            raise ContractError(f"rows expects (L, H) and a 1-D index, got {xv.shape}, {index.shape}")
+        value = np.take(xv.T, index, axis=1).T
+
+        def backward_fn(g):
+            gx = np.zeros_like(xv)
+            gx[index] = g
+            _accumulate(x, gx)
+
+        return self._append("rows", value, (x,), backward_fn=backward_fn)
 
     def layernorm(self, x: Node, gamma: Node, beta: Node) -> Node:
         """Per-token normalization over the feature axis of (L, H)."""
@@ -648,8 +674,11 @@ def grad_check_cases(seed: int) -> dict:
     One small case per op, the ssm-conv under both rules on a 10-token bag
     (the full-length path) and on a bag of 2 STATE_BLOCK + 37 tokens
     (states carried across blocks, with the input held fixed as an unnamed
-    leaf so that the differences cover the six parameter arrays), and a
-    small multitask aggregator.  Every value derives from ``seed``.
+    leaf so that the differences cover the six parameter arrays), and two
+    small aggregators: a multitask one on 16 tokens, and one whose loss
+    reads the max-pool only (so its tape records the last layer's mixing
+    and GLU on the pooled tokens alone) on 2 STATE_BLOCK + 37 tokens.
+    Every value derives from ``seed``.
     """
     from .model import ModelConfig, build_tape, init_parameters  # model imports this module
 
@@ -697,23 +726,25 @@ def grad_check_cases(seed: int) -> dict:
         cases[f"ssm-conv-{rule}"] = case(lambda t, n, rule=rule: t.ssm_conv(*n.values(), rule=rule),
                                          {"u": u, **params}, labels)
 
-    mil_cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
-                          multitask=True, num_patch_classes=2)
-    mil_model = init_parameters(mil_cfg, seed=seed)
-    mil_features = rng.standard_normal((16, 8))
-    mil_patch = rng.integers(0, 2, 16)
-    mil_params = {k: v.astype(np.float64) for k, v in mil_model.parameters().items()}
+    def mil_case(multitask, length):
+        # a small aggregator; a multitask one's loss adds the patch head's term
+        cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2,
+                          multitask=multitask, num_patch_classes=2 if multitask else None)
+        params = {k: v.astype(np.float64) for k, v in init_parameters(cfg, seed=seed).params.items()}
+        features = rng.standard_normal((length, 8))
+        loss = {"patch_labels": rng.integers(0, 2, length), "lam": 5.0} if multitask else {}
 
-    def build_mil(p):
-        bundle = build_tape(mil_cfg, p, mil_features, slide_label=1, patch_labels=mil_patch,
-                            lam=5.0, dtype=np.float64)
-        return bundle.tape
+        def build(p):
+            return build_tape(cfg, p, features, slide_label=1, dtype=np.float64, **loss).tape
 
-    cases["mil-model"] = (build_mil, mil_params)
+        return build, params
+
+    cases["mil-model"] = mil_case(True, 16)
 
     for rule in ("bilinear", "zoh"):
         u, params, labels = ssm_case(2 * ssm.STATE_BLOCK + 37)
         cases[f"ssm-conv-blocks-{rule}"] = case(
             lambda t, n, u=u, rule=rule: t.ssm_conv(t.leaf(u), *n.values(), rule=rule),
             params, labels)
+    cases["mil-model-pooled"] = mil_case(False, 2 * ssm.STATE_BLOCK + 37)
     return cases

@@ -307,8 +307,9 @@ def _check_features(config: ModelConfig, features: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"feature dimension {features.shape[1]} does not match input_dim {config.input_dim}"
         )
-    finite = np.isfinite(features)
-    if not finite.all():
+    # NaN and +-inf reach the extremes, so the (L, D) mask is built only to name one
+    if not (np.isfinite(features.min()) and np.isfinite(features.max())):
+        finite = np.isfinite(features)
         token, dim = np.unravel_index(np.argmin(finite), finite.shape)
         raise NumericalError(f"non-finite feature at token {token}, feature {dim}: "
                              f"{features[token, dim]}")
@@ -334,12 +335,34 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
                slide_label: int | None = None, patch_labels=None, lam: float = 0.0,
                mode: str = "conv", dtype=np.float32, grad_enabled: bool = True) -> TapeBundle:
     """Assemble one bag's forward graph (slide_logits is a (1, C) row); given a
-    slide label, the tape ends in the loss, which tape.forward() returns."""
+    slide label, the tape ends in the loss, which tape.forward() returns.
+
+    A gradient tape of a model without a patch head records the last layer's
+    mixing and GLU only on the tokens the max-pool picks: the max-pool passes
+    gradient to at most one token per channel, so the head's backward over
+    every other token would multiply zeros.  The GLU first runs over every
+    token on a gradient-free tape to find those tokens; a ``rows`` node then
+    gathers them (sorted, so the max-pool's lowest-index rule still picks
+    the same token on a tie) and scatters their gradient back.  The loss,
+    logits and gradients are the dense tape's up to BLAS rounding: a
+    product of the gathered rows may take another kernel than one of all
+    L rows (a single row, a matrix-vector product) and differ in the last
+    bit.  At paper scale (L=30000, H=512, float32) they are byte-identical
+    with OpenBLAS 0.3.31.  A multitask model's patch head reads every
+    token's GLU output, so its tape records the head on every token.
+    """
     features = _check_features(config, features)
     if mode not in ("conv", "recurrence"):
         raise ContractError(f"unknown forward mode {mode!r}")
     tape = Tape(dtype=dtype, grad_enabled=grad_enabled)
     leaves = {name: tape.leaf(value, name) for name, value in params.items()}
+
+    def glu(tape: Tape, y: Node, i: int) -> Node:
+        # layer i's mixing to 2H and gated linear unit back to H, recorded on tape
+        value = tape.matvec(y, leaves[f"mix{i}.value_weight"], leaves[f"mix{i}.value_bias"])
+        gate = tape.matvec(y, leaves[f"mix{i}.gate_weight"], leaves[f"mix{i}.gate_bias"])
+        return tape.mul(value, tape.sigmoid(gate))
+
     x = tape.leaf(features)
     x = tape.matvec(x, leaves["projection.weight"], leaves["projection.bias"])
     x = tape.layernorm(x, leaves["norm.scale"], leaves["norm.shift"])
@@ -353,9 +376,12 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
             # Oracle path: forward-only, parameters enter as a plain input.
             y = tape.leaf(_recurrence_layer_output(params, f"ssm{i}", x.value.astype(np.float64),
                                                    config.discretization))
-        value = tape.matvec(y, leaves[f"mix{i}.value_weight"], leaves[f"mix{i}.value_bias"])
-        gate = tape.matvec(y, leaves[f"mix{i}.gate_weight"], leaves[f"mix{i}.gate_bias"])
-        x = tape.mul(value, tape.sigmoid(gate))
+        if i == config.num_ssm_layers - 1 and tape.grad_enabled and not config.multitask:
+            # each channel's max-pool token (first occurrence wins) from every
+            # token's GLU output, on a gradient-free tape freed right away
+            winners = np.argmax(glu(Tape(dtype=dtype, grad_enabled=False), y, i).value, axis=0)
+            y = tape.rows(y, np.unique(winners))
+        x = glu(tape, y, i)
     patch_logits = None
     if config.multitask:
         patch_logits = tape.matvec(x, leaves["patch_head.weight"], leaves["patch_head.bias"])

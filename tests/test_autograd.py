@@ -202,6 +202,32 @@ def test_max_pool_fd():
     assert_gradcheck(build, params)
 
 
+def test_rows_gathers_channel_major_and_scatters_its_gradient():
+    # The gathered rows keep the channel-major layout; rows left out get a
+    # zero gradient, and a row gathered into the max-pool gets its share.
+    rng = np.random.default_rng(30)
+    x = np.asfortranarray(rng.standard_normal((9, 4)))
+    index = np.array([1, 4, 8])
+    tape = f64_tape()
+    leaf = tape.leaf(x, "x")
+    picked = tape.rows(leaf, index)
+    assert picked.value.flags.f_contiguous and np.array_equal(picked.value, x[index])
+    tape.softmax_log_loss(tape.max_pool_sequence(picked), [2])
+    grad = tape.backward()["x"]
+    assert grad.flags.f_contiguous
+    assert not np.any(np.delete(grad, index, axis=0))
+    assert np.count_nonzero(grad[index]) == 4  # one token per channel
+
+    params = {"x": x}
+
+    def build(p):
+        t = f64_tape()
+        t.softmax_log_loss(t.rows(t.leaf(p["x"], "x"), index), [0, 3, 1])
+        return t
+
+    assert_gradcheck(build, params)
+
+
 def test_layernorm_fd():
     rng = np.random.default_rng(5)
     params = {
@@ -770,6 +796,39 @@ def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(one_channel_pe
             if n.op != "leaf" and n.value is not None and n.value.shape == (length, h)}
     assert kept == {"ssm-conv": plane, "sigmoid": plane, "elementwise-mul": plane}
     assert peak < 3.5 * plane, f"peak {peak / plane:.2f} planes"
+
+
+def test_gradient_tape_without_a_patch_head_holds_no_dense_head_planes():
+    # A gradient tape of a one-layer model without a patch head holds 4
+    # (L, H) float32 planes once build_tape returns:
+    #   - the projection;
+    #   - the layernorm's output and its normalized input, which its
+    #     backward reads;
+    #   - the ssm-conv output, whose rows the head gathers.
+    # The last layer's mixing and GLU run over every token on a
+    # gradient-free tape that is gone by then, and the gradient tape keeps
+    # them on the pooled rows only.  Dense head planes (value, gate,
+    # sigmoid, GLU) would add 4; the bound leaves half a plane above the 4.
+    import tracemalloc
+
+    from s4mil.model import ModelConfig, build_tape, init_parameters
+
+    h, length = 64, 16384
+    cfg = ModelConfig(input_dim=64, hidden_dim=h, state_dim=8, num_classes=2)
+    model = init_parameters(cfg, seed=3)
+    features = np.random.default_rng(4).standard_normal((length, 64)).astype(np.float32)
+    build_tape(cfg, model.params, features[:64], slide_label=1)  # imports stay out of the count
+    tracemalloc.start()
+    try:
+        bundle = build_tape(cfg, model.params, features, slide_label=1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    plane = h * length * 4
+    planes = sorted(n.op for n in bundle.tape.nodes
+                    if n.op != "leaf" and n.value.shape == (length, h))
+    assert planes == ["layernorm", "matvec", "ssm-conv"]
+    assert held < 4.5 * plane, f"holds {held / plane:.2f} planes"
 
 
 def test_an_input_taken_on_a_gradient_free_tape_raises_a_contract_error():

@@ -306,6 +306,27 @@ def test_grad_check_command(tmp_path):
     assert run(["grad-check", "--output", tmp_path]) == 0
     report = (tmp_path / "grad_check.txt").read_text()
     assert "mil-model: pass" in report
+    assert "mil-model-pooled: pass" in report
+
+
+def test_grad_check_covers_the_slide_head_on_the_pooled_rows(tmp_path, monkeypatch):
+    # mil-model-pooled is the one case whose tape records the last layer's
+    # mixing and GLU on the pooled rows; a fault in their scatter fails it only.
+    from s4mil.autograd import Tape
+
+    rows = Tape.rows
+
+    def faulty(self, x, index):
+        node = rows(self, x, index)
+        scatter = node.backward_fn
+        node.backward_fn = lambda g: scatter(1.01 * g)
+        return node
+
+    monkeypatch.setattr(Tape, "rows", faulty)
+    assert run(["grad-check", "--output", tmp_path]) == 1
+    report = (tmp_path / "grad_check.txt").read_text()
+    failed = [line.split(":")[0] for line in report.splitlines() if ": fail" in line]
+    assert failed == ["mil-model-pooled"]
 
 
 def test_grad_check_covers_the_ssm_conv_across_carried_blocks(tmp_path, monkeypatch):

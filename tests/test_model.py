@@ -139,7 +139,9 @@ def test_gradient_free_tape_matches_gradient_tape_bytewise(dtype, layers, multit
     # A gradient-free tape writes its elementwise ops into the arrays they
     # consume; its pool input and logits are the gradient tape's, byte for
     # byte, on a bag of two state blocks (the full-length transform) and on
-    # a longer one (states carried across blocks).
+    # a longer one (states carried across blocks).  Without a patch head the
+    # gradient tape's pool input holds only the tokens the max-pool picks,
+    # so it is compared with those rows of the gradient-free plane.
     cfg = small_config(num_ssm_layers=layers, multitask=multitask)
     model = init_parameters(cfg, seed=6)
     rng = np.random.default_rng(7)
@@ -151,9 +153,101 @@ def test_gradient_free_tape_matches_gradient_tape_bytewise(dtype, layers, multit
             pool = next(n for n in bundle.tape.nodes if n.op == "max-pool-over-sequence")
             logits = [bundle.slide_logits] + ([bundle.patch_logits] if multitask else [])
             outputs.append([pool.parents[0].value] + [n.value for n in logits])
-        for kept, reused in zip(*outputs):
-            assert kept.dtype == reused.dtype == dtype
-            assert kept.tobytes() == reused.tobytes(), length
+        kept, reused = outputs
+        if not multitask:
+            picked = np.unique(np.argmax(reused[0], axis=0))
+            assert kept[0].shape == (len(picked), cfg.hidden_dim)
+            reused[0] = reused[0][picked]
+        for k, r in zip(kept, reused):
+            assert k.dtype == r.dtype == dtype
+            assert k.tobytes() == r.tobytes(), length
+
+
+SSM_NAMES = ("a_re", "a_im", "c_re", "c_im", "d", "log_dt")
+
+
+def dense_gradient_tape(cfg, params, features, slide_label, dtype):
+    """The model's gradient tape with every layer's mixing and GLU over
+    every token, recorded op by op; returns the tape and its pool and
+    slide-logit nodes."""
+    tape = Tape(dtype=dtype)
+    leaves = {name: tape.leaf(value, name) for name, value in params.items()}
+    x = tape.matvec(tape.leaf(features), leaves["projection.weight"], leaves["projection.bias"])
+    x = tape.layernorm(x, leaves["norm.scale"], leaves["norm.shift"])
+    for i in range(cfg.num_ssm_layers):
+        y = tape.ssm_conv(x, *(leaves[f"ssm{i}.{k}"] for k in SSM_NAMES), rule=cfg.discretization)
+        value = tape.matvec(y, leaves[f"mix{i}.value_weight"], leaves[f"mix{i}.value_bias"])
+        gate = tape.matvec(y, leaves[f"mix{i}.gate_weight"], leaves[f"mix{i}.gate_bias"])
+        x = tape.mul(value, tape.sigmoid(gate))
+    pooled = tape.max_pool_sequence(x)
+    logits = tape.matvec(pooled, leaves["classifier.weight"], leaves["classifier.bias"])
+    tape.softmax_log_loss(logits, [slide_label])
+    return tape, pooled, logits
+
+
+def assert_gathered_tape_is_the_dense_tape(cfg, params, features, dtype):
+    """build_tape's gradient tape against the dense one: loss, slide logits,
+    pooled row and every parameter gradient byte for byte.  Returns the
+    tape's rows node."""
+    bundle = build_tape(cfg, params, features, slide_label=1, dtype=dtype)
+    dense, dense_pooled, dense_logits = dense_gradient_tape(cfg, params, features, 1, dtype)
+    (rows,) = [n for n in bundle.tape.nodes if n.op == "rows"]
+    assert rows.value.shape[0] <= cfg.hidden_dim
+    pooled = next(n for n in bundle.tape.nodes if n.op == "max-pool-over-sequence")
+    assert bundle.tape.nodes[-1].value.tobytes() == dense.nodes[-1].value.tobytes()
+    assert bundle.slide_logits.value.tobytes() == dense_logits.value.tobytes()
+    assert pooled.value.tobytes() == dense_pooled.value.tobytes()
+    grads, dense_grads = bundle.tape.backward(), dense.backward()
+    assert grads.keys() == dense_grads.keys() == set(params)
+    for k in grads:
+        assert grads[k].dtype == dtype
+        assert grads[k].tobytes() == dense_grads[k].tobytes(), k
+    return rows
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_gathered_gradient_tape_matches_a_dense_tape_bytewise(dtype, layers):
+    # Without a patch head the last layer's mixing and GLU are recorded on
+    # the pooled tokens only, on a bag of two state blocks and on a longer one.
+    cfg = small_config(num_ssm_layers=layers)
+    model = init_parameters(cfg, seed=6)
+    rng = np.random.default_rng(8)
+    for length in (2 * ssm.STATE_BLOCK, 2 * ssm.STATE_BLOCK + 37):
+        features = rng.standard_normal((length, 8)).astype(np.float32)
+        rows = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
+        assert rows.parents[0].op == "ssm-conv" and rows.parents[0].value.shape[0] == length
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_gathered_tape_gives_a_tied_channel_to_its_first_occurrence(dtype):
+    # With zero SSM projections a layer's output at a token is the
+    # feedthrough of that token alone, so a bag that repeats five tokens
+    # ties every channel of the GLU output across the repeats.  Two channels
+    # of the last layer's mixing also read no input, so they are one
+    # constant over all tokens and tie across the gathered rows as well.
+    # The gathered rows are sorted, so the max-pool over them keeps its
+    # lowest-index rule and picks each channel's first occurrence, as the
+    # dense tape does.
+    cfg = small_config(num_ssm_layers=2)
+    model = init_parameters(cfg, seed=6)
+    for i in range(cfg.num_ssm_layers):
+        for name in ("c_re", "c_im"):
+            model.params[f"ssm{i}.{name}"] = np.zeros(model.params[f"ssm{i}.{name}"].shape)
+    for name in ("value_weight", "gate_weight"):
+        model.params[f"mix1.{name}"][:, :2] = 0.0
+    tokens = np.random.default_rng(9).standard_normal((5, 8)).astype(np.float32)
+    features = tokens[np.arange(2 * ssm.STATE_BLOCK + 37) % 5]
+    free = build_tape(cfg, model.params, features, dtype=dtype, grad_enabled=False)
+    plane = next(n for n in free.tape.nodes if n.op == "max-pool-over-sequence").parents[0].value
+    assert np.all((plane == plane.max(axis=0)).sum(axis=0) > 1)
+    assert np.all(plane[:, :2] == plane[0, :2])
+    first = np.argmax(plane, axis=0)
+    assert np.all(first < 5) and first[0] == first[1] == 0
+    rows = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
+    picked = np.unique(first)
+    assert len(picked) > 1
+    assert rows.value.tobytes() == rows.parents[0].value[picked].tobytes()
 
 
 def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
@@ -212,6 +306,17 @@ def test_non_finite_feature_is_rejected_before_the_projection(mode):
     features[9, 0] = np.inf
     with pytest.raises(NumericalError, match=r"^non-finite feature at token 6, feature 5: -inf$"):
         forward_mil(model, features, mode=mode)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_single_non_finite_feature_is_named_by_token_feature_and_value(value):
+    model = init_parameters(small_config(), seed=3)
+    features = np.random.default_rng(5).standard_normal((10, 8)).astype(np.float32)
+    features[4, 6] = float(value)
+    with pytest.raises(NumericalError) as info:
+        forward_mil(model, features)
+    assert str(info.value) == f"non-finite feature at token 4, feature 6: {value}"
 
 
 def test_multitask_head_is_a_pure_branch():
