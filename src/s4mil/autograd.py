@@ -44,17 +44,17 @@ Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
-On a bag longer than two blocks of ssm.STATE_BLOCK tokens the forward
-builds only the first block's kernel taps: in-block FFTs apply them and
-carried SSM states add every earlier block (ssm.block_causal_conv).  Its
-backward is one pass over the blocks of the upstream and the input
-(ssm.block_adjoint), which reads the same taps, so a gradient tape builds
-no other kernel: one spectrum of each upstream block gives the in-block
-input gradient and the in-block correlations with the input, and the
-upstream's block sums, carried back across blocks, add the rest of both
-the input gradient and the parameter gradients.  The backward forms no
-(H, L) float64 array either.  A bag of at most two blocks runs the forward
-convolution in reversed time for its input gradient.
+The forward builds only the first block's kernel taps, ssm.conv_taps(L):
+all L of them for a bag of at most two blocks of ssm.STATE_BLOCK tokens,
+which is then one block, and STATE_BLOCK past that.  In-block FFTs apply
+them and carried SSM states add every earlier block
+(ssm.block_causal_conv).  Its backward is one pass over the blocks of the
+upstream and the input (ssm.block_adjoint), which reads the same taps, so
+a gradient tape builds no other kernel: one spectrum of each upstream
+block gives the in-block input gradient and the in-block correlations
+with the input, and the upstream's block sums, carried back across
+blocks, add the rest of both the input gradient and the parameter
+gradients.  The backward forms no (H, L) float64 array either.
 """
 
 from dataclasses import dataclass, field
@@ -304,10 +304,10 @@ class Tape:
                  d: Node, log_dt: Node, rule: str) -> Node:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
-        Forward materializes the per-channel kernels (two-level power tables
-        in 64-bit) and convolves via FFT, over the full length or, past two
-        blocks, inside blocks with carried states; the feedthrough d u is
-        the skip term.
+        Forward materializes the per-channel kernels' first block of taps
+        (two-level power tables in 64-bit) and convolves via FFT inside
+        blocks of ssm.conv_taps(L) tokens, with states carried across them
+        past two STATE_BLOCKs; the feedthrough d u is the skip term.
         """
         parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
                    "d": d, "log_dt": log_dt}
@@ -425,112 +425,68 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
     return a, c, dt, clamp_mask
 
 
-def _conv_chunk(h: int, fft_len: int) -> int:
-    # Channels per chunk of a full-length transform (a bag of at most two
-    # blocks), so that one chunk's transient FFT buffers stay bounded.
-    # tracemalloc measures chunks at L=1024 (fft_len 2048, all 512
-    # channels): the forward at 29 MB, the backward's correlation of the
-    # upstream with the inputs at 38 MB.
-    return max(1, min(h, int(96e6 // (fft_len * 48))))
-
-
 def _block_chunk(h: int, length: int) -> int:
-    # Channels per chunk when states are carried across blocks.  The short
-    # transforms run fastest when a chunk's padded rows hold about 2^18
-    # float64 values (2 MB): at H=512, N=32 that beat _conv_chunk's chunks
-    # by up to 1.4x for L 1025-62235 (1 BLAS thread), and the backward's
-    # pole sums run fastest there too (2^16-2^20 swept at L=4096 and 30000,
-    # H=512).  tracemalloc measures chunks at L=30000 (8 channels): the
-    # forward at a peak of 10 MB, the backward's block_adjoint (with the
-    # blocks of the upstream and the input) at 17 MB.
-    padded = -(-length // ssm.STATE_BLOCK) * ssm.STATE_BLOCK
+    # Channels per chunk of the blocked convolution and its adjoint.  The
+    # short transforms run fastest when a chunk's padded rows hold about
+    # 2^18 float64 values (2 MB): at H=512, N=32 that beat chunks sized for
+    # one full-length transform by up to 1.4x for L 1025-62235 (1 BLAS
+    # thread), and the backward's pole sums run fastest there too (2^16-2^20
+    # swept at L=4096 and 30000, H=512).  tracemalloc measures the peak of
+    # _chunked_conv and of _chunked_block_backward (ssm.block_adjoint with
+    # the blocks of the upstream and the input) above their float32 (L, H)
+    # outputs: 10 MB and 17 MB at L=30000, H=512 (8 channels a chunk), and
+    # 11 MB and 28 MB at L=1024 (one block, 256 channels a chunk).
+    block = ssm.conv_taps(length)
+    padded = -(-length // block) * block
     return max(1, min(h, (1 << 18) // padded))
 
 
-def _rows(x: np.ndarray, s: int, e: int) -> np.ndarray:
-    """Channels s:e of a channel-major (L, H) array as float64 (e - s, L) rows.
-
-    The rows are contiguous in x already, so this is a plain cast.
-    """
-    return np.ascontiguousarray(x[:, s:e].T, dtype=np.float64)
-
-
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
-                  w: np.ndarray, reverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+                  w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
-    array in u's dtype: ``out`` (which may be u itself) or a new one.  With
-    reverse, the same convolution runs in reversed time,
-    sum_l K_l u[t + l] + d u[t]: its adjoint in u, which the backward takes
-    from here only for a bag of at most two blocks (all L taps); a longer
-    bag's comes from _chunked_block_backward.
+    array in u's dtype: ``out`` (which may be u itself) or a new one.
 
-    ``kernels`` (H, ssm.conv_taps(L)) holds the first taps of
-    K_l = Re(sum_k w_k a_bar_k^l).  With all L taps each chunk makes one
-    full-length fft_causal_conv; with fewer, it carries states across
-    blocks (ssm.block_causal_conv).  Each chunk casts its own channel rows
-    to float64 and back (flipped in time as they are read and written, under
-    reverse), so no whole float64 or reversed copy of u or of the output
-    exists.  Each chunk reads its channels' rows of u (a view of them, on
-    a float64 u) before it writes the same channels of the output, and the
-    chunks' channels are disjoint, so u may be the output.
+    ``kernels`` (H, ssm.conv_taps(L)) holds the first block of taps of
+    K_l = Re(sum_k w_k a_bar_k^l).  Each chunk of channels runs
+    ssm.block_causal_conv: one full-length block for a bag of at most two
+    STATE_BLOCKs, and states carried across blocks past that.  Each chunk
+    casts its own channel rows to float64 blocks and its result back, so no
+    whole float64 copy of u or of the output exists.  Each chunk reads its
+    channels' rows of u before it writes the same channels of the output,
+    and the chunks' channels are disjoint, so u may be the output.
     """
     length, h = u.shape
     out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
-    src, dst = (u[::-1], out[:, ::-1]) if reverse else (u, out)
-    blocked = kernels.shape[1] < length
 
     def work(s, e):
-        if blocked:  # the blocks are cast to float64 as they are padded
-            rows = src[:, s:e].T
-            y = ssm.block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
-        else:
-            rows = _rows(src, s, e)
-            y = ssm.fft_causal_conv(kernels[s:e], rows)
+        rows = u[:, s:e].T
+        y = ssm.block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
         y += d[s:e, None] * rows
-        dst[s:e] = y
+        out[s:e] = y
 
-    chunk = _block_chunk(h, length) if blocked else _conv_chunk(h, ssm._fft_size(length))
-    parallel.run_chunked(h, chunk, work)
+    parallel.run_chunked(h, _block_chunk(h, length), work)
     return out.T
-
-
-def _chunked_corr(g: np.ndarray, u: np.ndarray):
-    """Parameter adjoints of _chunked_conv for the channel-major upstream g (L, H).
-
-    Returns the kernel gradient corr(g, u) (H, L) and the skip gradient
-    sum_l g u (H,), both cast and formed chunk by chunk.
-    """
-    length, h = u.shape
-    grad_k = np.empty((h, length))
-    grad_d = np.empty(h)
-
-    def work(s, e):
-        rows, v = _rows(g, s, e), _rows(u, s, e)
-        grad_d[s:e] = np.einsum("hl,hl->h", rows, v)
-        grad_k[s:e] = ssm.fft_causal_corr(rows, v)
-
-    parallel.run_chunked(h, _conv_chunk(h, ssm._fft_size(length)), work)
-    return grad_k, grad_d
 
 
 def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray,
                             a_bar: np.ndarray, w: np.ndarray):
-    """The adjoints of _chunked_conv past two blocks for the channel-major
-    upstream g (L, H): the input gradient, the pole sums and the skip gradient.
+    """The adjoints of _chunked_conv for the channel-major upstream g (L, H):
+    the input gradient, the pole sums and the skip gradient.
 
     Each chunk casts its channel rows of g and of the input u (channel-major
-    (L, H)) into padded float64 blocks once; the skip gradient sum_l g u and
-    ssm.block_adjoint both read them.  Returns the channel-major (L, H) input
-    gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n) sums
-    and the (H,) skip gradient.
+    (L, H)) into float64 blocks of the forward's block length once; the skip
+    gradient sum_l g u and ssm.block_adjoint both read them.  Returns the
+    channel-major (L, H) input gradient sum_l K_l g[t + l] + d g[t] in g's
+    dtype, the (H, 2, n) sums and the (H,) skip gradient.
     """
     length, h = u.shape
+    block = kernels.shape[1]
     grad_u = np.empty((h, length), dtype=g.dtype)
     sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
     grad_d = np.empty(h)
 
     def work(s, e):
-        rows, v = ssm.to_blocks(g[:, s:e].T), ssm.to_blocks(u[:, s:e].T)
+        rows, v = ssm.to_blocks(g[:, s:e].T, block), ssm.to_blocks(u[:, s:e].T, block)
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v)
         grad_in, sums[s:e] = ssm.block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
         y = grad_in.reshape(e - s, -1)[:, :length]
@@ -564,29 +520,19 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     The input gradient is sum_l K_l g[t + l] + d g[t].  The kernel gradient
     is the causal correlation of the upstream signal g with the input; its
     two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
-    the pole and projection gradients.  The split follows the forward's: a
-    bag of at most two blocks runs the forward's own convolution
-    (_chunked_conv, with the cached taps) in reversed time, correlates over
-    the full length and weights every lag by the pole powers; a longer one
-    makes one pass over blocks (_chunked_block_backward, ssm.block_adjoint),
-    which gives the input gradient and the sums from the cached taps,
-    in-block spectra and carried block sums without forming the
-    correlation.  The pole and projection gradients then chain through the
-    discretization map.  Complex adjoints use the convention
-    z_hat = dL/d re(z) + i dL/d im(z), so holomorphic steps multiply by the
-    conjugated derivative.
+    the pole and projection gradients.  Both come from one pass over the
+    forward's blocks (_chunked_block_backward, ssm.block_adjoint), from the
+    cached taps, in-block spectra and, past one block, carried block sums,
+    so the correlation over more than one block is never formed.  The pole
+    and projection gradients then chain through the discretization map.
+    Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
+    so holomorphic steps multiply by the conjugated derivative.
     """
     if cache.u is None:
         raise ContractError("ssm-conv was evaluated without gradient caching")
-    length = cache.u.shape[0]
     disc = cache.disc
-    if cache.kernels.shape[1] < length:
-        grad_u, sums, grad_d = _chunked_block_backward(upstream, cache.u, cache.kernels, cache.d,
-                                                       disc.a_bar, cache.w)
-    else:
-        grad_u = _chunked_conv(cache.kernels, upstream, cache.d, disc.a_bar, cache.w, reverse=True)
-        gk, grad_d = _chunked_corr(upstream, cache.u)
-        sums = ssm.correlation_pole_sums(gk, disc.a_bar)
+    grad_u, sums, grad_d = _chunked_block_backward(upstream, cache.u, cache.kernels, cache.d,
+                                                   disc.a_bar, cache.w)
     w_hat = 2.0 * sums[:, 0]
     abar_hat = np.conj(cache.w) * sums[:, 1]
 
@@ -672,12 +618,12 @@ def grad_check_cases(seed: int) -> dict:
     """The ``s4mil grad-check`` audit: name -> (build_tape, params) for check_gradients.
 
     One small case per op, the ssm-conv under both rules on a 10-token bag
-    (the full-length path) and on a bag of 2 STATE_BLOCK + 37 tokens
-    (states carried across blocks, with the input held fixed as an unnamed
-    leaf so that the differences cover the six parameter arrays), and two
-    small aggregators: a multitask one on 16 tokens, and one whose loss
-    reads the max-pool only (so its tape records the last layer's mixing
-    and GLU on the pooled tokens alone) on 2 STATE_BLOCK + 37 tokens.
+    (one block, with no carried state) and on a bag of 2 STATE_BLOCK + 37
+    tokens (states carried across blocks, with the input held fixed as an
+    unnamed leaf so that the differences cover the six parameter arrays),
+    and two small aggregators: a multitask one on 16 tokens, and one whose
+    loss reads the max-pool only (so its tape records the last layer's
+    mixing and GLU on the pooled tokens alone) on 2 STATE_BLOCK + 37 tokens.
     Every value derives from ``seed``.
     """
     from .model import ModelConfig, build_tape, init_parameters  # model imports this module

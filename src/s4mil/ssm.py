@@ -11,22 +11,22 @@ be evaluated two ways:
   * convolution:  y = K * u + d u   with   K_l = 2 Re(sum_k c_k a_bar_k^l b_bar_k)
 
 The two views must agree to near machine precision; the recurrence is the
-slow oracle-grade path, the convolution the fast one.  An input of at most
-two blocks (2 * STATE_BLOCK tokens) meets the full-length kernel in one FFT
-(fft_causal_conv).  A longer one is cut into blocks of STATE_BLOCK tokens
-(block_causal_conv): in-block FFTs apply the kernel's first STATE_BLOCK
-taps, and the n_half complex states, stepped once per block, carry every
-earlier block into the next (the block decomposition of Mamba-2/SSD with
-the state recurrence of S5), so no kernel longer than a block is built.
-The backward takes the same split.  For a short input the input gradient
-is fft_causal_conv in reversed time, and the full-length correlation
-fft_causal_corr, weighted by the pole powers (correlation_pole_sums), gives
-the parameter gradients.  A longer one makes one pass over the blocks
-(block_adjoint): one spectrum of each block of the upstream serves both
-the in-block input gradient and the in-block correlations with the input,
-and the upstream's block sums, carried back across blocks, add the rest of
-the input gradient and, with the forward's carried states, the rest of the
-pole sums, so no full-length correlation is formed.
+slow oracle-grade path, the convolution the fast one.  The convolution cuts
+its input into blocks of conv_taps(L) tokens (block_causal_conv): all L
+tokens for an input of at most two blocks (2 * STATE_BLOCK tokens), and
+STATE_BLOCK tokens past that.  In-block FFTs apply the kernel's first block
+of taps, and the n_half complex states, stepped once per block, carry every
+earlier block into the next (the block decomposition of Mamba-2/SSD, with a
+block that adapts to the input, and the state recurrence of S5), so no kernel
+longer than a block is built; an input of one block carries nothing.  The
+backward is one pass over the same blocks (block_adjoint): one spectrum of
+each block of the upstream serves both the in-block input gradient and the
+in-block correlations with the input, which the pole powers weight
+(correlation_pole_sums), and the upstream's block sums, carried back across
+blocks, add the rest of the input gradient and, with the forward's carried
+states, the rest of the pole sums, so no correlation longer than a block
+is formed.  fft_causal_corr and direct_causal_conv stay as the oracles'
+references.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -51,7 +51,7 @@ from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
-STATE_BLOCK = 512  # tokens per block of block_causal_conv
+STATE_BLOCK = 512  # tokens per block of an input longer than two blocks (conv_taps)
 ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
 # Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
 # ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
@@ -266,34 +266,39 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def conv_taps(length: int) -> int:
-    """Kernel taps the convolution of a length-L input reads.
+    """Block length of the convolution of a length-L input, and so the
+    kernel taps it reads.
 
-    Inputs longer than two blocks carry states across blocks of STATE_BLOCK
-    tokens (block_causal_conv) and read the first block's taps only; shorter
-    ones make one full-length fft_causal_conv.  The split follows a sweep of
-    the grad-free float32 ssm-conv forward, blocks against the full-length
-    path (1 BLAS thread, median of alternating pairs): at H=512, N=32 the
-    blocks win 1.14x at L=1025, 1.6x at 2049, 1.8x at 8192 and 2.5-2.7x at
-    30000-62235; at H=32, N=8 they read 0.94-0.98x at L=1025, where even
-    identical code spreads +-5%, then win 1.3x at 2049 and 1.5x at 4096.
-    Forced onto shorter inputs, the blocks lose at L=513 (0.78x and 0.71x)
-    and 800 (0.85x and 0.89x) and win at 1024 (1.37x and 1.11x), so the
-    crossover sits near two blocks.  The backward takes the same split
-    (block_adjoint past it; up to it, the reversed fft_causal_conv and the
-    full-length fft_causal_corr).  A sweep of its pole sums from float32
-    channel-major inputs, blocks against the full-length correlation and
-    weighting (1 BLAS thread, median of 7 alternating pairs, 3 at
-    L >= 30000): at H=512, N=32 the blocks win 1.14x at L=1025, 1.5x at
-    2049, 1.8-1.9x at 4096-8192 and 2.1x at 30000-62235; at H=32, N=8 they
-    read 0.97x at L=1025, then win 1.4-1.5x at 2049-8192.
+    An input of at most two blocks (2 * STATE_BLOCK tokens) is one block of
+    all L tokens: one full-length FFT with no carried state.  A longer one
+    is cut into blocks of STATE_BLOCK tokens that carry states from block to
+    block (block_causal_conv) and reads the first block's taps only.  The
+    threshold follows a sweep of the grad-free float32 ssm-conv forward,
+    512-token blocks against one full-length block (1 BLAS thread, median of
+    alternating pairs): at H=512, N=32 the blocks win 1.14x at L=1025, 1.6x
+    at 2049, 1.8x at 8192 and 2.5-2.7x at 30000-62235; at H=32, N=8 they
+    read 0.94-0.98x at L=1025, where even identical code spreads +-5%, then
+    win 1.3x at 2049 and 1.5x at 4096.  Forced onto shorter inputs, the
+    blocks lose at L=513 (0.78x and 0.71x) and 800 (0.85x and 0.89x) and win
+    at 1024 (1.37x and 1.11x), so the crossover sits near two blocks.  The
+    backward (block_adjoint) takes the same blocks.  A sweep of its pole sums
+    from float32 channel-major inputs, 512-token blocks against the
+    full-length correlation and weighting (1 BLAS thread, median of 7
+    alternating pairs, 3 at L >= 30000): at H=512, N=32 the blocks win 1.14x
+    at L=1025, 1.5x at 2049, 1.8-1.9x at 4096-8192 and 2.1x at 30000-62235;
+    at H=32, N=8 they read 0.97x at L=1025, then win 1.4-1.5x at 2049-8192.
     """
     return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
 
 
-def to_blocks(x: np.ndarray) -> np.ndarray:
-    """Rows x (h, L) as float64 (h, blocks, STATE_BLOCK), zero-padded to whole blocks."""
+def to_blocks(x: np.ndarray, block: int) -> np.ndarray:
+    """Rows x (h, L) as a new float64 (h, blocks, block) array, zero-padded
+    to whole blocks; a length that fills its blocks is only cast."""
     h, length = x.shape
-    blocks = np.zeros((h, -(-length // STATE_BLOCK), STATE_BLOCK))
+    count = -(-length // block)
+    if count * block == length:
+        return x.astype(np.float64, order="C").reshape(h, count, block)
+    blocks = np.zeros((h, count, block))
     blocks.reshape(h, -1)[:, :length] = x
     return blocks
 
@@ -336,12 +341,13 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
 
-    ``kernels`` (h, B) holds the first B = STATE_BLOCK taps of
+    ``kernels`` (h, B) holds the first B = conv_taps(L) taps of
     K_l = Re(sum_k w_k a_bar_k^l), with a_bar and w of shape (h, n).  u is
     zero-padded to whole blocks.  Inside a block, fft_causal_conv applies
-    the B taps, with one kernel spectrum for every block.  Across blocks the
-    n complex states carry the past: block j's inputs sum to
-    Z_j = sum_r u[jB+r] a_bar^(B-1-r), the states step as
+    the B taps, with one kernel spectrum for every block; an input of at
+    most two STATE_BLOCKs is one block, and that is the whole convolution.
+    Across blocks the n complex states carry the past: block j's inputs sum
+    to Z_j = sum_r u[jB+r] a_bar^(B-1-r), the states step as
     X_j = a_bar^B X_{j-1} + Z_j, and token r of block j gains
     Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}) (_carried_readout).
 
@@ -352,12 +358,15 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     partial sums.  Runs in float64; returns (h, L).
     """
     h, length = u.shape
-    if kernels.shape != (h, STATE_BLOCK):
-        raise ContractError(f"block kernels must be ({h}, {STATE_BLOCK}), got {kernels.shape}")
-    padded = to_blocks(u)
+    block = conv_taps(length)
+    if kernels.shape != (h, block):
+        raise ContractError(f"block kernels must be ({h}, {block}), got {kernels.shape}")
+    padded = to_blocks(u, block)
     count = padded.shape[1]
     inner = fft_causal_conv(kernels[:, None, :], padded)
-    fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
+    if count == 1:
+        return inner[:, 0]
+    fine, coarse, q, t = _power_tables(a_bar, block)  # (h, T + 1, n), (h, q + 1, n)
     fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
     # Z_j for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
     states = _block_power_sums(padded[:, :-1], fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
@@ -375,9 +384,9 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
 def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
                   w: np.ndarray):
     """The adjoints of block_causal_conv in its input and in its poles, from
-    the blocks of the upstream g and of the input u, (h, blocks, STATE_BLOCK)
-    float64 (to_blocks), with kernels, a_bar and w as block_causal_conv takes
-    them.  Returns (grad_in, sums):
+    the blocks of the upstream g and of the input u, (h, blocks, B) float64
+    (to_blocks with B = conv_taps(L)), with kernels, a_bar and w as
+    block_causal_conv takes them.  Returns (grad_in, sums):
 
       * grad_in (h, blocks, B): sum_l K_l g[t + l] at every token t of the
         blocks, the correlation fft_causal_corr(g, K) with the full kernel;
@@ -391,6 +400,7 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
       * in-block pole sums: the correlation irfft(sum_j G_j conj(U_j))[:B],
         summed over blocks on the spectra, so each channel makes one
         inverse transform; correlation_pole_sums weights the B lags.
+    One block (an input of at most two STATE_BLOCKs) has nothing more.
     Across blocks, with a = a_bar, E_j = sum_r g[jB+r] a^r and
     E'_j = sum_r (r+1) g[jB+r] a^r:
       * input gradient: F_i = sum_(j>i) a^((j-i-1)B) E_j steps back as
@@ -407,24 +417,31 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     E and E' (Z and W) come from one _block_power_sums of the stacked
     blocks [g, (r+1) g] ([u, (B-1-r) u]), as Z does in block_causal_conv.
     """
-    h, count, _ = g.shape
-    n_fft = _fft_size(STATE_BLOCK)
+    h, count, block = g.shape
+    n_fft = _fft_size(block)
     g_spectra = np.fft.rfft(g, n_fft)
     spectra = np.fft.rfft(u, n_fft)
     np.conjugate(spectra, out=spectra)
     spectra *= g_spectra
-    sums = correlation_pole_sums(np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :STATE_BLOCK], a_bar)
+    corr = np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :block]
     del spectra  # so the transforms below can reuse its memory
     kernel_spectra = np.fft.rfft(kernels, n_fft)
     np.conjugate(kernel_spectra, out=kernel_spectra)
     g_spectra *= kernel_spectra[:, None]
-    inner = np.fft.irfft(g_spectra, n_fft)[..., :STATE_BLOCK]
+    del kernel_spectra
+    inner = np.fft.irfft(g_spectra, n_fft)[..., :block]
     del g_spectra
+    # weighted once the spectra are freed: a smaller live set leaves the
+    # allocator less heap to trim and fault back in on the next bag
+    sums = correlation_pole_sums(corr, a_bar)
+    del corr
+    if count == 1:
+        return inner, sums
 
-    fine, coarse, q, t = _power_tables(a_bar, STATE_BLOCK)  # (h, T + 1, n), (h, q + 1, n)
+    fine, coarse, q, t = _power_tables(a_bar, block)  # (h, T + 1, n), (h, q + 1, n)
     fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
-    ramp = np.arange(1.0, STATE_BLOCK + 1)
-    stacked = np.empty((h, 2, count - 1, STATE_BLOCK))
+    ramp = np.arange(1.0, block + 1)
+    stacked = np.empty((h, 2, count - 1, block))
 
     def weighted(blocks, weight):
         stacked[:, 0] = blocks
@@ -439,7 +456,7 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     states, slopes = earlier[:, 0], earlier[:, 1]  # becoming X_j and Y_j
     step = coarse[:, q]
     for j in range(1, count - 1):
-        slopes[:, j] += step * (STATE_BLOCK * states[:, j - 1] + slopes[:, j - 1])
+        slopes[:, j] += step * (block * states[:, j - 1] + slopes[:, j - 1])
         states[:, j] += step * states[:, j - 1]
     sums[:, 0] += np.conj(a_bar * np.einsum("hjn,hjn->hn", later[:, 0], states))
     sums[:, 1] += np.conj(np.einsum("hjn,hjn->hn", later[:, 1], states)
@@ -459,7 +476,8 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
 
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l].
+    """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l], the
+    oracles' reference for block_adjoint; the model does not call it.
 
     This is the adjoint of fft_causal_conv in its kernel argument.  Shapes:
     g (..., L) and v (k, ..., L) or (..., L); g broadcasts against the

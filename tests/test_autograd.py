@@ -17,7 +17,6 @@ def f64_tape():
 def one_channel_per_chunk(monkeypatch):
     from s4mil import autograd
 
-    monkeypatch.setattr(autograd, "_conv_chunk", lambda h, fft_len: 1)
     monkeypatch.setattr(autograd, "_block_chunk", lambda h, length: 1)
 
 
@@ -425,13 +424,13 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
 
 def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(
         monkeypatch, one_channel_per_chunk):
-    # Past two blocks the pole sums come from blocks and carried states, so
-    # no full-length correlation runs and the ssm-conv backward holds no
-    # (H, L) float64 array: one channel per chunk, so one such array
-    # outweighs every buffer of a chunk, and the peak is the float32 input
-    # gradient (half of one) and a chunk's buffers.  The full-length
-    # correlation alone would be one such array and its weights two more.
-    # A bag of at most two blocks still makes one correlation per chunk.
+    # The pole sums come from blocks (and, past one block, carried states),
+    # so no bag length runs a full-length correlation and the ssm-conv
+    # backward holds no (H, L) float64 array: one channel per chunk, so one
+    # such array outweighs every buffer of a chunk, and the peak is the
+    # float32 input gradient (half of one) and a chunk's buffers.  The
+    # full-length correlation alone would be one such array and its weights
+    # two more.
     import tracemalloc
 
     from s4mil import ssm
@@ -442,8 +441,7 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
     rng = np.random.default_rng(26)
     h = 64
     params = ssm_params(rng, h=h, n_half=4)
-    for length, correlations in ((8 * ssm.STATE_BLOCK + 1, 0), (2 * ssm.STATE_BLOCK, h)):
-        calls.clear()
+    for length in (8 * ssm.STATE_BLOCK + 1, 2 * ssm.STATE_BLOCK):
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
         tape = Tape(dtype=np.float32)
         nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
@@ -455,30 +453,33 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(calls) == correlations, length
-        if not correlations:
-            plane = h * length * 8
-            assert nodes[0].grad.dtype == np.float32
-            assert peak < plane, f"peak {peak / plane:.2f} planes"
+        assert calls == [], length
+        plane = h * length * 8
+        assert nodes[0].grad.dtype == np.float32
+        assert peak < plane, f"L={length}: peak {peak / plane:.2f} planes"
 
 
 def test_block_backward_transforms_each_block_once(monkeypatch):
-    # Past two blocks one pass serves the input and the parameter gradients:
-    # each block of the upstream and of the input has one forward transform,
-    # each block of the input gradient one inverse, and each channel adds the
-    # kernel's transform and the pole sums' inverse.  Transform rows times
-    # points are counted as perfbench/spans.py counts them.
+    # One pass serves the input and the parameter gradients: each block of
+    # the upstream and of the input has one forward transform, each block of
+    # the input gradient one inverse, and each channel adds the kernel's
+    # transform and the pole sums' inverse.  A bag of one block (2 * 512
+    # tokens) thus makes one rfft of the upstream per channel, and no
+    # reversed convolution.  Transform rows times points are counted as
+    # perfbench/spans.py counts them.
     from s4mil import ssm
 
     rng = np.random.default_rng(27)
-    h, length = 4, 8 * ssm.STATE_BLOCK + 1
-    blocks, n_fft = -(-length // ssm.STATE_BLOCK), ssm._fft_size(ssm.STATE_BLOCK)
-    params = ssm_params(rng, h=h, n_half=3)
-    params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
-    tape = Tape(dtype=np.float32)
-    nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
-    out = tape.ssm_conv(*nodes, rule="zoh")
-    g = np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32)
+    h = 4
+    cases = []
+    for length in (8 * ssm.STATE_BLOCK + 1, 2 * ssm.STATE_BLOCK):
+        params = ssm_params(rng, h=h, n_half=3)
+        params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
+        tape = Tape(dtype=np.float32)
+        nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
+        out = tape.ssm_conv(*nodes, rule="zoh")
+        g = np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32)
+        cases.append((length, out, g))
 
     points = {}
 
@@ -496,13 +497,18 @@ def test_block_backward_transforms_each_block_once(monkeypatch):
     convolutions = []
     conv = ssm.fft_causal_conv
     monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: convolutions.append(args) or conv(*args))
-    out.backward_fn(g)
-    assert points == {("rfft", n_fft): (2 * blocks * h + h) * n_fft,
-                      ("irfft", n_fft): (blocks * h + h) * n_fft}
+    for length, out, g in cases:
+        block = ssm.conv_taps(length)
+        blocks, n_fft = -(-length // block), ssm._fft_size(block)
+        points.clear()
+        out.backward_fn(g)
+        assert points == {("rfft", n_fft): (2 * blocks * h + h) * n_fft,
+                          ("irfft", n_fft): (blocks * h + h) * n_fft}, length
     assert convolutions == []
 
 
-@pytest.mark.parametrize("length", [2 * 512 + 1, 8 * 512 + 1])
+# One block with no carried state (1 to 2 * 512 tokens), then carried blocks.
+@pytest.mark.parametrize("length", [1, 17, 512, 2 * 512, 2 * 512 + 1, 8 * 512 + 1])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_ssm_conv_input_gradient_matches_the_quadratic_adjoint(rule, dt, length):

@@ -277,6 +277,7 @@ def test_kernel_check_passes_and_fault_injection_fails(tmp_path, capsys):
 def test_kernel_check_runs_the_op_across_carried_blocks(tmp_path, monkeypatch, capsys):
     # Trials up to 4096 tokens span several blocks, so kernel-check passes
     # through the op's state-passing path, and a fault still fails it.
+    # Every trial runs block_causal_conv; some must be longer than two blocks.
     from s4mil import ssm
 
     calls = []
@@ -285,7 +286,8 @@ def test_kernel_check_runs_the_op_across_carried_blocks(tmp_path, monkeypatch, c
                         lambda *args: calls.append(args[-1].shape) or block_causal_conv(*args))
     assert run(["kernel-check", "--trials", "6", "--max-length", "4096",
                 "--output", tmp_path / "ok"]) == 0
-    assert calls, "no trial was longer than two blocks"
+    assert any(shape[-1] > 2 * ssm.STATE_BLOCK for shape in calls), \
+        "no trial was longer than two blocks"
     assert run(["kernel-check", "--trials", "6", "--max-length", "4096", "--inject-fault",
                 "--output", tmp_path / "bad"]) == 1
     assert "check-failed" in capsys.readouterr().err
@@ -330,8 +332,10 @@ def test_grad_check_covers_the_slide_head_on_the_pooled_rows(tmp_path, monkeypat
 
 
 def test_grad_check_covers_the_ssm_conv_across_carried_blocks(tmp_path, monkeypatch):
-    # Two cases run the ssm-conv on a bag past two blocks, where the
-    # parameter gradients come from blocks; a fault in those sums fails them.
+    # Every ssm-conv takes its parameter gradients from block_adjoint: two
+    # cases run it on a bag past two blocks and three (the 10-token ones and
+    # the 16-token multitask model) on one block, so a fault in those sums
+    # fails every case that runs an ssm-conv and no other.
     from s4mil import ssm
 
     calls = []
@@ -355,7 +359,9 @@ def test_grad_check_covers_the_ssm_conv_across_carried_blocks(tmp_path, monkeypa
     monkeypatch.setattr(ssm, "block_adjoint", faulty)
     assert run(["grad-check", "--output", tmp_path / "bad"]) == 1
     report = (tmp_path / "bad" / "grad_check.txt").read_text()
-    assert "ssm-conv-blocks-bilinear: fail" in report and "mil-model: pass" in report
+    failed = {line.split(":")[0] for line in report.splitlines() if ": fail" in line}
+    assert failed == {"ssm-conv-bilinear", "ssm-conv-zoh", "mil-model", "ssm-conv-blocks-bilinear",
+                      "ssm-conv-blocks-zoh", "mil-model-pooled"}
 
 
 def test_bench_small_and_degenerate(tmp_path):

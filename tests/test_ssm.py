@@ -14,6 +14,7 @@ from s4mil.ssm import (
     _power_tables,
     block_adjoint,
     block_causal_conv,
+    conv_taps,
     correlation_pole_sums,
     direct_causal_conv,
     discretize,
@@ -374,7 +375,7 @@ def test_block_causal_conv_matches_direct_convolution(rule, length):
     disc = discretize(a, np.array([ch[3] for ch in channels]), rule)
     u = rng.standard_normal((2, length))
     w = 2.0 * c * disc.b_bar
-    y = block_causal_conv(kernel_bank(w, disc.a_bar, STATE_BLOCK), disc.a_bar, w, u)
+    y = block_causal_conv(kernel_bank(w, disc.a_bar, conv_taps(length)), disc.a_bar, w, u)
     full = kernel_bank(w, disc.a_bar, length)
     for i in range(2):
         direct = direct_causal_conv(full[i], u[i])
@@ -501,10 +502,17 @@ def trained_regime_blocks(rule, dt, length):
 
 
 def block_adjoint_of(g, u, a_bar, w):
-    return block_adjoint(to_blocks(g), to_blocks(u), kernel_bank(w, a_bar, STATE_BLOCK), a_bar, w)
+    block = conv_taps(g.shape[-1])
+    return block_adjoint(to_blocks(g, block), to_blocks(u, block), kernel_bank(w, a_bar, block),
+                         a_bar, w)
 
 
-@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
+# One block with no carried state (1 to 2 STATE_BLOCK tokens), then carried blocks.
+BLOCK_ADJOINT_LENGTHS = [1, 17, STATE_BLOCK, 2 * STATE_BLOCK,
+                         2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235]
+
+
+@pytest.mark.parametrize("length", BLOCK_ADJOINT_LENGTHS)
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
@@ -516,12 +524,13 @@ def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
     expected = correlation_pole_sums(fft_causal_corr(g, u), a_bar)
     got = block_adjoint_of(g, u, a_bar, w)[1]
     assert got.shape == expected.shape == (3, 2, 16)
+    # a one-token bag has no lag 1, so its second sum is zero on both sides
     scale = np.max(np.abs(expected), axis=-1)
-    err = np.max(np.abs(got - expected), axis=-1) / scale
-    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+    err = np.max(np.abs(got - expected), axis=-1)
+    assert np.all(err <= 1e-12 * scale), f"per-channel error over the channel's scale {err / scale}"
 
 
-@pytest.mark.parametrize("length", [2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235])
+@pytest.mark.parametrize("length", BLOCK_ADJOINT_LENGTHS)
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_adjoint_input_gradient_matches_the_full_length_correlation(rule, dt, length):
@@ -533,7 +542,8 @@ def test_block_adjoint_input_gradient_matches_the_full_length_correlation(rule, 
     g, u, a_bar, w = trained_regime_blocks(rule, dt, length)
     expected = fft_causal_corr(g, kernel_bank(w, a_bar, length))
     grad_in = block_adjoint_of(g, u, a_bar, w)[0]
-    assert grad_in.shape == (3, -(-length // STATE_BLOCK), STATE_BLOCK)
+    block = conv_taps(length)
+    assert grad_in.shape == (3, -(-length // block), block)
     got = grad_in.reshape(3, -1)[:, :length]
     scale = np.max(np.abs(expected), axis=-1)
     err = np.max(np.abs(got - expected), axis=-1) / scale
