@@ -41,20 +41,22 @@ gradient to no other token (model.build_tape).  A multitask model's patch
 head reads every token, so its tape records the head densely.
 
 Training runs the tape in float32; gradient-check builds use float64.
-The ssm-conv op always performs its internal kernel/FFT math in 64-bit;
+The ssm-conv op always performs its internal kernel and block math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
 The forward builds only the first block's kernel taps, ssm.conv_taps(L):
-all L of them for a bag of at most two blocks of ssm.STATE_BLOCK tokens,
-which is then one block, and STATE_BLOCK past that.  In-block FFTs apply
-them and carried SSM states add every earlier block
-(ssm.block_causal_conv).  Its backward is one pass over the blocks of the
-upstream and the input (ssm.block_adjoint), which reads the same taps, so
-a gradient tape builds no other kernel: one spectrum of each upstream
-block gives the in-block input gradient and the in-block correlations
-with the input, and the upstream's block sums, carried back across
-blocks, add the rest of both the input gradient and the parameter
-gradients.  The backward forms no (H, L) float64 array either.
+all L of them for a bag of at most ssm.ONE_BLOCK_MAX tokens, which is then
+one block convolved by one FFT, and ssm.STATE_BLOCK past that, where each
+block applies them as one product with a Toeplitz matrix and carried SSM
+states add every earlier block (ssm.block_causal_conv).  Its backward is one
+pass over the blocks of the upstream and the input (ssm.block_adjoint),
+which reads the same taps, so a gradient tape builds no other kernel: the
+in-block input gradient and the in-block correlations with the input come
+from one spectrum of the upstream's block, or past one block from products
+with the transposed Toeplitz matrices and of the blocks themselves, and
+the upstream's block sums, carried back across blocks, add the rest of
+both the input gradient and the parameter gradients.  The backward forms
+no (H, L) float64 array either.
 """
 
 from dataclasses import dataclass, field
@@ -305,9 +307,10 @@ class Tape:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
         Forward materializes the per-channel kernels' first block of taps
-        (two-level power tables in 64-bit) and convolves via FFT inside
-        blocks of ssm.conv_taps(L) tokens, with states carried across them
-        past two STATE_BLOCKs; the feedthrough d u is the skip term.
+        (power tables in 64-bit) and convolves blocks of ssm.conv_taps(L)
+        tokens: one FFT for a bag of at most ssm.ONE_BLOCK_MAX tokens, and
+        Toeplitz products with states carried across blocks past that; the
+        feedthrough d u is the skip term.
         """
         parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
                    "d": d, "log_dt": log_dt}
@@ -426,19 +429,23 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
 
 
 def _block_chunk(h: int, length: int) -> int:
-    # Channels per chunk of the blocked convolution and its adjoint.  The
-    # short transforms run fastest when a chunk's padded rows hold about
-    # 2^18 float64 values (2 MB): at H=512, N=32 that beat chunks sized for
-    # one full-length transform by up to 1.4x for L 1025-62235 (1 BLAS
-    # thread), and the backward's pole sums run fastest there too (2^16-2^20
-    # swept at L=4096 and 30000, H=512).  tracemalloc measures the peak of
-    # _chunked_conv and of _chunked_block_backward (ssm.block_adjoint with
-    # the blocks of the upstream and the input) above their float32 (L, H)
-    # outputs: 10 MB and 17 MB at L=30000, H=512 (8 channels a chunk), and
-    # 11 MB and 28 MB at L=1024 (one block, 256 channels a chunk).
+    # Channels per chunk of the blocked convolution and its adjoint.  One
+    # block (L <= ssm.ONE_BLOCK_MAX) runs its FFTs fastest when a chunk's
+    # padded rows hold about 2^18 float64 values (2 MB).  Carried blocks
+    # run their products fastest at about 2^17 values, but with at least 8
+    # channels, so that each per-block step of the states works on whole
+    # (8, n) planes: 1 BLAS thread, H=512, N=32, 2-5 alternating runs, 128
+    # channels best at L=1025, 64 at 2049, 16-32 at 8192 and 8-16 at
+    # 30000-62235; twice that lost 1.07-1.33x at every length.  tracemalloc
+    # measures the peak of _chunked_conv and of _chunked_block_backward above
+    # their float32 (L, H) outputs at H=512, N=32: 11 MB and 26 MB at
+    # L=1024 (one block, 256 channels a chunk), 6.8 MB and 17 MB at 1025
+    # (120), 5.2 MB and 13 MB at 30000 (8) and 10 MB and 27 MB at 62235 (8).
     block = ssm.conv_taps(length)
     padded = -(-length // block) * block
-    return max(1, min(h, (1 << 18) // padded))
+    if padded == block:
+        return min(h, (1 << 18) // padded)
+    return min(h, max(8, (1 << 17) // padded))
 
 
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
@@ -448,12 +455,13 @@ def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.n
 
     ``kernels`` (H, ssm.conv_taps(L)) holds the first block of taps of
     K_l = Re(sum_k w_k a_bar_k^l).  Each chunk of channels runs
-    ssm.block_causal_conv: one full-length block for a bag of at most two
-    STATE_BLOCKs, and states carried across blocks past that.  Each chunk
-    casts its own channel rows to float64 blocks and its result back, so no
-    whole float64 copy of u or of the output exists.  Each chunk reads its
-    channels' rows of u before it writes the same channels of the output,
-    and the chunks' channels are disjoint, so u may be the output.
+    ssm.block_causal_conv: one full-length block for a bag of at most
+    ssm.ONE_BLOCK_MAX tokens, and states carried across blocks past that.
+    Each chunk casts its own channel rows to float64 blocks and its result
+    back, so no whole float64 copy of u or of the output exists.  Each
+    chunk reads its channels' rows of u before it writes the same channels
+    of the output, and the chunks' channels are disjoint, so u may be the
+    output.
     """
     length, h = u.shape
     out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
@@ -489,9 +497,9 @@ def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d
         rows, v = ssm.to_blocks(g[:, s:e].T, block), ssm.to_blocks(u[:, s:e].T, block)
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v)
         grad_in, sums[s:e] = ssm.block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
-        y = grad_in.reshape(e - s, -1)[:, :length]
-        y += d[s:e, None] * rows.reshape(e - s, -1)[:, :length]
-        grad_u[s:e] = y
+        rows *= d[s:e, None, None]  # the upstream blocks are not read again
+        grad_in += rows
+        grad_u[s:e] = grad_in.reshape(e - s, -1)[:, :length]
 
     parallel.run_chunked(h, _block_chunk(h, length), work)
     return grad_u.T, sums, grad_d
@@ -522,9 +530,10 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
     the pole and projection gradients.  Both come from one pass over the
     forward's blocks (_chunked_block_backward, ssm.block_adjoint), from the
-    cached taps, in-block spectra and, past one block, carried block sums,
-    so the correlation over more than one block is never formed.  The pole
-    and projection gradients then chain through the discretization map.
+    cached taps: one block's spectra, or past one block in-block products
+    and carried block sums, so the correlation over more than one block is
+    never formed.  The pole and projection gradients then chain through
+    the discretization map.
     Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
     so holomorphic steps multiply by the conjugated derivative.
     """
@@ -618,12 +627,12 @@ def grad_check_cases(seed: int) -> dict:
     """The ``s4mil grad-check`` audit: name -> (build_tape, params) for check_gradients.
 
     One small case per op, the ssm-conv under both rules on a 10-token bag
-    (one block, with no carried state) and on a bag of 2 STATE_BLOCK + 37
+    (one block, with no carried state) and on a bag of ONE_BLOCK_MAX + 37
     tokens (states carried across blocks, with the input held fixed as an
     unnamed leaf so that the differences cover the six parameter arrays),
     and two small aggregators: a multitask one on 16 tokens, and one whose
     loss reads the max-pool only (so its tape records the last layer's
-    mixing and GLU on the pooled tokens alone) on 2 STATE_BLOCK + 37 tokens.
+    mixing and GLU on the pooled tokens alone) on ONE_BLOCK_MAX + 37 tokens.
     Every value derives from ``seed``.
     """
     from .model import ModelConfig, build_tape, init_parameters  # model imports this module
@@ -688,9 +697,9 @@ def grad_check_cases(seed: int) -> dict:
     cases["mil-model"] = mil_case(True, 16)
 
     for rule in ("bilinear", "zoh"):
-        u, params, labels = ssm_case(2 * ssm.STATE_BLOCK + 37)
+        u, params, labels = ssm_case(ssm.ONE_BLOCK_MAX + 37)
         cases[f"ssm-conv-blocks-{rule}"] = case(
             lambda t, n, u=u, rule=rule: t.ssm_conv(t.leaf(u), *n.values(), rule=rule),
             params, labels)
-    cases["mil-model-pooled"] = mil_case(False, 2 * ssm.STATE_BLOCK + 37)
+    cases["mil-model-pooled"] = mil_case(False, ssm.ONE_BLOCK_MAX + 37)
     return cases

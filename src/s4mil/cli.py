@@ -376,10 +376,10 @@ def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: fl
     """Recurrence vs the model's convolution over random stable channels.
 
     Each channel runs through the grad-free float64 ``Tape.ssm_conv``, the
-    op the model runs (one block for inputs of at most two STATE_BLOCKs,
-    states carried across blocks past that), and through its stepped
-    recurrence.  The injected fault negates the first trial's c, and so its
-    kernel.
+    op the model runs (one FFT block for inputs of at most
+    ssm.ONE_BLOCK_MAX tokens, Toeplitz blocks with states carried across
+    them past that), and through its stepped recurrence.  The injected
+    fault negates the first trial's c, and so its kernel.
     """
     rng = substream(seed, "kernel-check")
     worst = 0.0

@@ -13,30 +13,33 @@ be evaluated two ways:
 The two views must agree to near machine precision; the recurrence is the
 slow oracle-grade path, the convolution the fast one.  The convolution cuts
 its input into blocks of conv_taps(L) tokens (block_causal_conv): all L
-tokens for an input of at most two blocks (2 * STATE_BLOCK tokens), and
-STATE_BLOCK tokens past that.  In-block FFTs apply the kernel's first block
-of taps, and the n_half complex states, stepped once per block, carry every
-earlier block into the next (the block decomposition of Mamba-2/SSD, with a
-block that adapts to the input, and the state recurrence of S5), so no kernel
-longer than a block is built; an input of one block carries nothing.  The
-backward is one pass over the same blocks (block_adjoint): one spectrum of
-each block of the upstream serves both the in-block input gradient and the
-in-block correlations with the input, which the pole powers weight
-(correlation_pole_sums), and the upstream's block sums, carried back across
-blocks, add the rest of the input gradient and, with the forward's carried
-states, the rest of the pole sums, so no correlation longer than a block
-is formed.  fft_causal_corr and direct_causal_conv stay as the oracles'
+tokens for an input of at most ONE_BLOCK_MAX tokens, and STATE_BLOCK tokens
+past that.  One block is one FFT convolution by the kernel's L taps and
+carries nothing.  Past that, each block's convolution by the kernel's first
+STATE_BLOCK taps is one real product with the channel's Toeplitz matrix,
+and the n_half complex states, stepped once per block, carry every earlier
+block into the next (the chunked form of Mamba-2/SSD, with the state
+recurrence of S5), so no kernel longer than a block is built and no
+transform is made.  The backward is one pass over the same blocks
+(block_adjoint): the transposed Toeplitz matrices give the in-block input
+gradient, and the diagonal sums of one product of the input's and the
+upstream's blocks give the in-block correlations, which the pole powers
+weight (correlation_pole_sums).  The upstream's and the input's block sums
+against the pole powers, carried across blocks, add the rest of the input
+gradient and of the pole sums, so no correlation longer than a block is
+formed.  fft_causal_corr and direct_causal_conv stay as the oracles'
 references.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
 
-Every power of a_bar comes from one two-level table (_power_tables), built
-by doubling in 64-bit complex arithmetic whatever the model's precision:
-a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L, so each level holds
-O(sqrt(L)) rows.  The kernel (the Vandermonde product of S4D), its adjoint
-power_weighted_sum, the block carry and read-out and the block adjoint
-contract the two levels in real matrix products against the tables'
+Powers of a_bar are formed in 64-bit complex arithmetic or wider, whatever
+the model's precision.  The kernel (the Vandermonde product of S4D) and its
+adjoint power_weighted_sum read a two-level table built by doubling,
+a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L (_power_tables), so each
+level holds O(sqrt(L)) rows.  The carried blocks read one table of
+STATE_BLOCK + 1 rows, a running product in extended precision (_powers).
+Every contraction with powers is a real matrix product against a table's
 float64 view, since only real parts are needed.  No (n_half, L) power
 table is ever materialized.
 """
@@ -46,12 +49,14 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
-STATE_BLOCK = 512  # tokens per block of an input longer than two blocks (conv_taps)
+ONE_BLOCK_MAX = 1024  # the longest input convolved as one block (conv_taps)
+STATE_BLOCK = 64  # tokens per block of a longer input (conv_taps)
 ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
 # Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
 # ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
@@ -269,26 +274,38 @@ def conv_taps(length: int) -> int:
     """Block length of the convolution of a length-L input, and so the
     kernel taps it reads.
 
-    An input of at most two blocks (2 * STATE_BLOCK tokens) is one block of
-    all L tokens: one full-length FFT with no carried state.  A longer one
-    is cut into blocks of STATE_BLOCK tokens that carry states from block to
-    block (block_causal_conv) and reads the first block's taps only.  The
-    threshold follows a sweep of the grad-free float32 ssm-conv forward,
-    512-token blocks against one full-length block (1 BLAS thread, median of
-    alternating pairs): at H=512, N=32 the blocks win 1.14x at L=1025, 1.6x
-    at 2049, 1.8x at 8192 and 2.5-2.7x at 30000-62235; at H=32, N=8 they
-    read 0.94-0.98x at L=1025, where even identical code spreads +-5%, then
-    win 1.3x at 2049 and 1.5x at 4096.  Forced onto shorter inputs, the
-    blocks lose at L=513 (0.78x and 0.71x) and 800 (0.85x and 0.89x) and win
-    at 1024 (1.37x and 1.11x), so the crossover sits near two blocks.  The
-    backward (block_adjoint) takes the same blocks.  A sweep of its pole sums
-    from float32 channel-major inputs, 512-token blocks against the
-    full-length correlation and weighting (1 BLAS thread, median of 7
-    alternating pairs, 3 at L >= 30000): at H=512, N=32 the blocks win 1.14x
-    at L=1025, 1.5x at 2049, 1.8-1.9x at 4096-8192 and 2.1x at 30000-62235;
-    at H=32, N=8 they read 0.97x at L=1025, then win 1.4-1.5x at 2049-8192.
+    An input of at most ONE_BLOCK_MAX tokens is one block of all L tokens:
+    one full-length FFT with no carried state.  A longer one is cut into
+    blocks of STATE_BLOCK tokens, applied by Toeplitz products, that carry
+    states from block to block (block_causal_conv), and reads the first
+    block's taps only.  ONE_BLOCK_MAX is where 512-token FFT blocks began to
+    beat one full-length FFT.  Forced below it, 64-token Toeplitz blocks
+    lose at L=512 (forward plus backward 0.81x at H=32, N=8 and 0.68x at
+    H=512, N=32) and win at 1024 (1.65x and 1.41x); the cutoff stays at
+    1024, so bags of at most 1024 tokens keep the one-block path.
+
+    STATE_BLOCK follows a sweep of the ssm-conv forward and backward
+    (autograd._chunked_conv and _chunked_block_backward on float32
+    channel-major inputs, chunks from _block_chunk) against the 512-token
+    FFT blocks they replace, in the trained regime (bilinear, poles
+    -1/2 + i pi k and at the -1e-4 clamp, dt 1e-3 to 0.1); 1 BLAS thread,
+    minimum of 3-9 alternating runs.  Speed-ups, forward/backward:
+
+        L        H=32, N=8              H=512, N=32
+                 B=64       B=128       B=64       B=128
+        1025     2.0/1.9    1.1/0.67    2.0/1.4    0.81/0.63
+        2049     2.3/2.2    1.5/0.94    2.1/1.5    1.1/0.78
+        4096     2.4/2.3    1.7/1.3     2.1/1.5    1.5/0.93
+        8192     2.9/2.5    2.5/1.2     2.6/1.7    1.9/1.4
+        30000    2.0/2.3    2.1/1.6     2.1/1.6    2.1/2.8
+        62235    2.4/2.3    2.1/2.1     1.3/1.4    1.5/1.7
+
+    B=128 loses below about 4096 tokens, where the backward's products with
+    (B, B) matrices dominate, so B=64, which wins at every point.  At the
+    two longest H=512 lengths the FFT blocks' own times moved by up to 1.5x
+    between runs on the shared 2-core machine.
     """
-    return length if length <= 2 * STATE_BLOCK else STATE_BLOCK
+    return length if length <= ONE_BLOCK_MAX else STATE_BLOCK
 
 
 def to_blocks(x: np.ndarray, block: int) -> np.ndarray:
@@ -303,38 +320,54 @@ def to_blocks(x: np.ndarray, block: int) -> np.ndarray:
     return blocks
 
 
-def _block_power_sums(blocks: np.ndarray, powers: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """sum_r blocks[..., r] p_r over each block's r = iT + s, with
-    p_(iT+s) = scales_i powers_s: (h, ..., qT) float64 -> (h, ..., n) complex.
+def _powers(alpha: np.ndarray, count: int) -> np.ndarray:
+    """alpha^s for s <= count, (..., n) -> (..., count + 1, n) complex128.
 
-    powers (h, T, 2n) is the float64 view of T fine powers and scales
-    (h, q, n) holds coarse powers (_power_tables); the sum over s is one
-    real matrix product, whose (..., q, n) partial sums the scales weight.
+    A running product in extended precision (np.clongdouble), rounded once.
+    The carried blocks step their states by alpha^B once per block, so the
+    error of alpha^B grows with the number of blocks: doubled in complex128
+    it is off by up to B - 1 units in the last place, and the ssm-conv at
+    L=62235 (bilinear, dt 0.1, a pole at the -1e-4 clamp) missed the stepped
+    recurrence by 1.04e-12 of the channel's scale, against 2.5e-14 this
+    way.  Where clongdouble is plain double, this is a complex128 running
+    product, 2.2e-13 there.
     """
-    h, q, n = scales.shape
-    t = powers.shape[1]
-    part = np.matmul(blocks.reshape(h, -1, t), np.ascontiguousarray(powers))
-    part = part.view(np.complex128).reshape(blocks.shape[:-1] + (q, n))
-    part *= scales.reshape((h,) + (1,) * (blocks.ndim - 2) + (q, n))
-    return part.sum(axis=-2)
+    alpha = np.asarray(alpha, dtype=np.clongdouble)
+    table = np.empty(alpha.shape[:-1] + (count + 1, alpha.shape[-1]), dtype=np.clongdouble)
+    table[..., 0, :] = 1.0
+    table[..., 1:, :] = alpha[..., None, :]
+    return np.cumprod(table, axis=-2).astype(np.complex128)
 
 
-def _carried_readout(w: np.ndarray, coarse: np.ndarray, fine_rows: np.ndarray,
-                     states: np.ndarray, out: np.ndarray) -> None:
-    """out[:, j, iT + s] = Re(sum_k w_k coarse_ik fine_sk states_jk), float64.
+def _toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The in-block convolution matrices of taps (h, B), (h, B, B) float64:
+    T[i, r, s] = taps[i, s - r] for s >= r and 0 below, so that a row of
+    blocks (h, blocks, B) times T convolves each block with its channel's taps.
 
-    The read-out of carried states into the tokens of a block: states
-    (h, blocks, n), w (h, n), coarse (h, q, n) the powers that reach row i
-    of a block's (q, T) tokens and fine_rows (h, T, 2n) the float64 view of
-    those that reach column s (_power_tables); out is (h, blocks, qT).  The
-    sum over k is one real product of the conjugate's float64 view with
-    fine_rows, as Re(x p) = Re(x) Re(p) - Im(x) Im(p).
+    Row r is the window of B values that starts at B - 1 - r in the taps
+    after B - 1 zeros; T is a copy of that strided view.
     """
-    h, count, n = states.shape
-    q, t = coarse.shape[1], fine_rows.shape[1]
-    reach = np.conj(w[:, None, :] * coarse)[:, None] * np.conj(states)[:, :, None]
-    np.matmul(reach.view(np.float64).reshape(h, count * q, 2 * n), fine_rows.swapaxes(1, 2),
-              out=out.reshape(h, count * q, t, copy=False))
+    h, block = taps.shape
+    lead = np.zeros((h, 2 * block - 1))
+    lead[:, block - 1:] = taps
+    return sliding_window_view(lead, block, axis=-1)[:, ::-1].copy()
+
+
+def _lag_sums(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """corr[l] = sum_j sum_r g[j, r] u[j, r - l] for the lags l < B, (h, B):
+    the correlation of the blocks g and u (h, blocks, B) within each block.
+
+    S = sum_j u_j^T g_j, one (h, B, B) product, holds S[r, s] = sum_j
+    u_j[r] g_j[s], so lag l is the sum of its l-th upper diagonal.  S fills
+    the top left of a zeroed (h, B + 1, 2B) array, whose flat rows of
+    2B + 1 values start one column further right each time: column l of
+    the first B such rows is diagonal l of S, then zeros.
+    """
+    h, count, block = g.shape
+    square = np.zeros((h, block + 1, 2 * block))
+    np.matmul(u.swapaxes(1, 2), g, out=square[:, :block, :block])
+    flat = square.reshape(h, -1)[:, :block * (2 * block + 1)]
+    return flat.reshape(h, block, 2 * block + 1)[:, :, :block].sum(axis=1)
 
 
 def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
@@ -342,40 +375,41 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
 
     ``kernels`` (h, B) holds the first B = conv_taps(L) taps of
-    K_l = Re(sum_k w_k a_bar_k^l), with a_bar and w of shape (h, n).  u is
-    zero-padded to whole blocks.  Inside a block, fft_causal_conv applies
-    the B taps, with one kernel spectrum for every block; an input of at
-    most two STATE_BLOCKs is one block, and that is the whole convolution.
-    Across blocks the n complex states carry the past: block j's inputs sum
-    to Z_j = sum_r u[jB+r] a_bar^(B-1-r), the states step as
-    X_j = a_bar^B X_{j-1} + Z_j, and token r of block j gains
-    Re(sum_k w_k a_bar_k^(r+1) X_{j-1,k}) (_carried_readout).
-
-    Powers come from _power_tables(a_bar, B), a_bar^(iT+s) = a_bar^(iT) a_bar^s
-    with q T = B, so no (B, n) table is built.  Both contractions over s
-    are real matrix products with the float64 view of the T + 1 fine powers
-    (_block_power_sums for Z); the coarse powers scale the (blocks, q, n)
-    partial sums.  Runs in float64; returns (h, L).
+    K_l = Re(sum_k w_k a_bar_k^l), with a_bar and w of shape (h, n).  An
+    input of at most ONE_BLOCK_MAX tokens is one block, and one
+    fft_causal_conv by its L taps is the whole convolution.  A longer one
+    is zero-padded to blocks of STATE_BLOCK tokens.  Inside a block the
+    taps apply as one real product with the channel's Toeplitz matrix
+    (_toeplitz).  Across blocks the n complex states carry the past, with
+    a = a_bar and s = a^B: block j's inputs sum to
+    V_j = sum_r u[jB+r] a^(B-r), the states step as X_j = s X_(j-1) + V_j,
+    and token r of block j + 1 gains Re(sum_k w_k a_k^r X_(j,k)).  V and the
+    read-out are real products with the float64 view of one (B + 1, n)
+    power table (_powers); the states are stepped block-major, so each step
+    is one contiguous (h, n) plane.  Runs in float64; returns (h, L).
     """
     h, length = u.shape
     block = conv_taps(length)
     if kernels.shape != (h, block):
         raise ContractError(f"block kernels must be ({h}, {block}), got {kernels.shape}")
+    if block == length:
+        return fft_causal_conv(kernels, u)
     padded = to_blocks(u, block)
     count = padded.shape[1]
-    inner = fft_causal_conv(kernels[:, None, :], padded)
-    if count == 1:
-        return inner[:, 0]
-    fine, coarse, q, t = _power_tables(a_bar, block)  # (h, T + 1, n), (h, q + 1, n)
-    fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
-    # Z_j for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
-    states = _block_power_sums(padded[:, :-1], fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
-    step = coarse[:, q]
+    inner = np.matmul(padded, _toeplitz(kernels))
+    powers = _powers(a_bar, block)  # (h, B + 1, n)
+    rows = np.ascontiguousarray(powers[:, block:0:-1]).view(np.float64)  # a^(B-r): (h, B, 2n)
+    states = np.empty((count - 1, h, rows.shape[-1]))
+    np.matmul(padded[:, :-1], rows, out=states.transpose(1, 0, 2))
+    states = states.view(np.complex128)  # V_j, becoming X_j, for every block but the last
+    step = powers[:, block].copy()  # contiguous, as each step multiplies whole planes
     for j in range(1, count - 1):
-        states[:, j] += step * states[:, j - 1]
-    # token iT+s of block j+1 gains Re(sum_k w_k a^(iT) a^(s+1) X_j); the
-    # inputs are no longer read, so the carried part goes into their buffer
-    _carried_readout(w, coarse[:, :q], fine_rows[:, 1:], states, padded[:, 1:])
+        states[j] += step * states[j - 1]
+    states *= w
+    np.conjugate(states, out=states)  # Re(x p) is the real product of conj(x) with p's view
+    # the inputs are no longer read, so the carried part goes into their buffer
+    np.matmul(states.view(np.float64).transpose(1, 0, 2),
+              powers[:, :block].view(np.float64).swapaxes(1, 2), out=padded[:, 1:])
     padded[:, 1:] += inner[:, 1:]
     padded[:, 0] = inner[:, 0]
     return padded.reshape(h, -1)[:, :length]
@@ -393,85 +427,88 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
       * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), a_bar),
         the adjoints of w and a_bar.
 
-    Each of g, u and the kernels is transformed once.  With G, U and K the
-    block spectra (_fft_size(B) points, so nothing wraps):
-      * in-block input gradient: irfft(G conj(K))[:B] is the correlation of
-        each block of g with the B taps;
-      * in-block pole sums: the correlation irfft(sum_j G_j conj(U_j))[:B],
-        summed over blocks on the spectra, so each channel makes one
-        inverse transform; correlation_pole_sums weights the B lags.
-    One block (an input of at most two STATE_BLOCKs) has nothing more.
-    Across blocks, with a = a_bar, E_j = sum_r g[jB+r] a^r and
-    E'_j = sum_r (r+1) g[jB+r] a^r:
-      * input gradient: F_i = sum_(j>i) a^((j-i-1)B) E_j steps back as
-        F_i = a^B F_(i+1) + E_(i+1), and token r of block i gains
-        Re(sum_k w_k a_k^(B-r) F_(i,k)) (_carried_readout);
-      * pole sums: g and u are real, so with x_t = a x_(t-1) + u_t and
-        P = sum_t g_t x_t the two sums are conj(P) and conj(dP/da).  P gains
-        a (sum_j E_j X_(j-1)) and dP/da gains sum_j (E'_j X_(j-1) +
-        E_j Y_(j-1)).  X_j are the forward's carried states
-        (block_causal_conv), X_j = a^B X_(j-1) + Z_j with
-        Z_j = sum_r u[jB+r] a^(B-1-r), and Y_j = a dX_j/da steps as
-        Y_j = a^B (B X_(j-1) + Y_(j-1)) + W_j with
-        W_j = sum_r (B-1-r) u[jB+r] a^(B-1-r), so no power is divided by a.
-    E and E' (Z and W) come from one _block_power_sums of the stacked
-    blocks [g, (r+1) g] ([u, (B-1-r) u]), as Z does in block_causal_conv.
+    One block (an input of at most ONE_BLOCK_MAX tokens) takes spectra of
+    _fft_size(B) points, so nothing wraps: one spectrum G of each block of
+    g gives the input gradient irfft(G conj(K))[:B] and, with U the input's
+    spectrum, the correlation irfft(G conj(U))[:B], whose B lags
+    correlation_pole_sums weights.  Past one block no transform is made:
+      * in-block input gradient: g times the transposed Toeplitz matrices;
+      * in-block pole sums: the lags of _lag_sums, weighted as above.
+    Across blocks, with a = a_bar, s = a^B, the blocks j of g and i of u,
+    E_j = sum_r g[jB+r] a^r, E'_j = sum_r r g[jB+r] a^(r-1),
+    V_i = sum_r u[iB+r] a^(B-r) and V'_i = sum_r (B-r) u[iB+r] a^(B-1-r):
+      * input gradient: F_i = sum_(j>i) s^(j-1-i) E_j steps back as
+        F_i = s F_(i+1) + E_(i+1), and token r of block i gains
+        Re(sum_k w_k a_k^(B-r) F_(i,k));
+      * pole sums: g and u are real, so with P = sum_l corr_l a^l the two
+        sums are conj(P) and conj(dP/da).  The pairs of tokens in different
+        blocks add sum_i V_i F_i to P, and
+        sum_i (F'_i V_i + F_i V'_i + B a^(B-1) G_i V_i) to dP/da, where F'
+        steps back from E' as F does from E and
+        G_i = sum_(j>i) (j-1-i) s^(j-2-i) E_j as G_i = s G_(i+1) + F_(i+1),
+        so no power is divided by a.
+    E, E', V and V' are each one real product of the blocks with the
+    float64 view of a (B, n) table drawn from one (B + 1, n) power table
+    (_powers); F, F' and G are stepped back together, one contiguous
+    block-major (3, h, n) plane a step.
     """
     h, count, block = g.shape
-    n_fft = _fft_size(block)
-    g_spectra = np.fft.rfft(g, n_fft)
-    spectra = np.fft.rfft(u, n_fft)
-    np.conjugate(spectra, out=spectra)
-    spectra *= g_spectra
-    corr = np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :block]
-    del spectra  # so the transforms below can reuse its memory
-    kernel_spectra = np.fft.rfft(kernels, n_fft)
-    np.conjugate(kernel_spectra, out=kernel_spectra)
-    g_spectra *= kernel_spectra[:, None]
-    del kernel_spectra
-    inner = np.fft.irfft(g_spectra, n_fft)[..., :block]
-    del g_spectra
-    # weighted once the spectra are freed: a smaller live set leaves the
-    # allocator less heap to trim and fault back in on the next bag
-    sums = correlation_pole_sums(corr, a_bar)
-    del corr
     if count == 1:
-        return inner, sums
+        n_fft = _fft_size(block)
+        g_spectra = np.fft.rfft(g, n_fft)
+        spectra = np.fft.rfft(u, n_fft)
+        np.conjugate(spectra, out=spectra)
+        spectra *= g_spectra
+        corr = np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :block]
+        del spectra  # so the transforms below can reuse its memory
+        kernel_spectra = np.fft.rfft(kernels, n_fft)
+        np.conjugate(kernel_spectra, out=kernel_spectra)
+        g_spectra *= kernel_spectra[:, None]
+        del kernel_spectra
+        grad_in = np.fft.irfft(g_spectra, n_fft)[..., :block]
+        del g_spectra
+        # weighted once the spectra are freed: a smaller live set leaves the
+        # allocator less heap to trim and fault back in on the next bag
+        return grad_in, correlation_pole_sums(corr, a_bar)
 
-    fine, coarse, q, t = _power_tables(a_bar, block)  # (h, T + 1, n), (h, q + 1, n)
-    fine_rows = fine.view(np.float64)  # (h, T + 1, 2n): [Re, Im] pairs
-    ramp = np.arange(1.0, block + 1)
-    stacked = np.empty((h, 2, count - 1, block))
-
-    def weighted(blocks, weight):
-        stacked[:, 0] = blocks
-        np.multiply(blocks, weight, out=stacked[:, 1])
-        return stacked
-
-    # [E_j, E'_j] for every block but the first: a^r = a^(iT) a^s
-    later = _block_power_sums(weighted(g[:, 1:], ramp), fine_rows[:, :t], coarse[:, :q])
-    # [Z_j, W_j] for every block but the last: a^(B-1-r) = a^((q-1-i)T) a^(T-1-s)
-    earlier = _block_power_sums(weighted(u[:, :-1], ramp[::-1] - 1.0),
-                                fine_rows[:, t - 1::-1], coarse[:, q - 1::-1])
-    states, slopes = earlier[:, 0], earlier[:, 1]  # becoming X_j and Y_j
-    step = coarse[:, q]
-    for j in range(1, count - 1):
-        slopes[:, j] += step * (block * states[:, j - 1] + slopes[:, j - 1])
-        states[:, j] += step * states[:, j - 1]
-    sums[:, 0] += np.conj(a_bar * np.einsum("hjn,hjn->hn", later[:, 0], states))
-    sums[:, 1] += np.conj(np.einsum("hjn,hjn->hn", later[:, 1], states)
-                          + np.einsum("hjn,hjn->hn", later[:, 0], slopes))
-
-    ahead = later[:, 0].copy()  # becoming F_i, for every block but the last
+    n = a_bar.shape[1]
+    grad_in = np.matmul(g, _toeplitz(kernels).swapaxes(1, 2))
+    sums = correlation_pole_sums(_lag_sums(g, u), a_bar)
+    powers = _powers(a_bar, block)  # (h, B + 1, n)
+    ramp = np.arange(block, dtype=np.float64)[:, None]
+    # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
+    tables = np.empty((4, h, block, n), dtype=np.complex128)
+    tables[0] = powers[:, :block]
+    tables[1, :, 0] = 0.0
+    np.multiply(powers[:, :block - 1], ramp[1:], out=tables[1, :, 1:])
+    tables[2] = powers[:, block:0:-1]
+    np.multiply(powers[:, block - 1::-1], block - ramp, out=tables[3])
+    rows = tables.view(np.float64)  # (4, h, B, 2n)
+    # block-major: [E_j, E'_j, 0] for every block but the first, becoming
+    # [F_i, F'_i, G_i], and [V_i, V'_i] for every block but the last
+    ahead = np.empty((count - 1, 3, h, n), dtype=np.complex128)
+    reach = np.empty((count - 1, 2, h, n), dtype=np.complex128)
+    for k in range(2):
+        np.matmul(g[:, 1:], rows[k], out=ahead[:, k].view(np.float64).transpose(1, 0, 2))
+        np.matmul(u[:, :-1], rows[2 + k], out=reach[:, k].view(np.float64).transpose(1, 0, 2))
+    ahead[:, 2] = 0.0
+    # each step multiplies whole contiguous (3, h, n) planes
+    step = np.repeat(powers[None, :, block], 3, axis=0)
+    carry = np.empty((3, h, n), dtype=np.complex128)
     for i in range(count - 3, -1, -1):
-        ahead[:, i] += step * ahead[:, i + 1]
-    grad_in = np.empty_like(g)
-    # token iT+s of block i gains Re(sum_k w_k a^((q-1-i)T) a^(T-s) F_i); the
-    # reversed fine rows are copied, as a matrix product reads them in order
-    _carried_readout(w, coarse[:, q - 1::-1], np.ascontiguousarray(fine_rows[:, t:0:-1]),
-                     ahead, grad_in[:, :-1])
-    grad_in[:, :-1] += inner[:, :-1]
-    grad_in[:, -1] = inner[:, -1]
+        np.multiply(step, ahead[i + 1], out=carry)
+        carry[2] += ahead[i + 1, 0]
+        ahead[i] += carry
+    f, v = ahead[:, 0], reach[:, 0]
+    sums[:, 0] += np.conj(np.einsum("jhn,jhn->hn", f, v))
+    slopes = ahead[:, 1]  # becoming F' + B a^(B-1) G
+    ahead[:, 2] *= block * powers[:, block - 1]
+    slopes += ahead[:, 2]
+    sums[:, 1] += np.conj(np.einsum("jhn,jhn->hn", slopes, v)
+                          + np.einsum("jhn,jhn->hn", f, reach[:, 1]))
+    f *= w
+    np.conjugate(f, out=f)
+    grad_in[:, :-1] += np.matmul(f.view(np.float64).transpose(1, 0, 2), rows[2].swapaxes(1, 2))
     return grad_in, sums
 
 

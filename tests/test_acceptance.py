@@ -23,7 +23,7 @@ from s4mil.model import (
     init_parameters,
 )
 from s4mil.seeding import substream
-from s4mil.ssm import STATE_BLOCK, conv_taps
+from s4mil.ssm import ONE_BLOCK_MAX, STATE_BLOCK, conv_taps
 from s4mil.train import (
     SyntheticTaskSpec,
     TrainConfig,
@@ -100,14 +100,16 @@ def test_c02_duality_in_the_trained_regime(rule, length):
     _assert_op_matches_recurrence(params, u, rule)
 
 
-@pytest.mark.parametrize("length", [2 * 512 + 1, 3 * 512 - 1, 3 * 512, 3 * 512 + 37, 8 * 512 + 1, 20000])
+@pytest.mark.parametrize("length", [1024 + 1, 1024 + 64, 1024 + 64 + 1, 3 * 512 - 1, 3 * 512,
+                                    3 * 512 + 37, 8 * 512 + 1, 20000, 62235])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_c02_duality_across_carried_blocks(rule, dt, length):
-    # Bags longer than two 512-token blocks carry the SSM states from block
-    # to block; the layer op must still match the recurrence, per channel,
-    # in the trained regime.
-    assert STATE_BLOCK == 512 and conv_taps(length) == STATE_BLOCK
+    # Bags longer than one block of 1024 tokens are cut into 64-token blocks
+    # that carry the SSM states from block to block (a last block of one
+    # token at 1024 + 64 + 1); the layer op must still match the
+    # recurrence, per channel, in the trained regime.
+    assert ONE_BLOCK_MAX == 1024 and STATE_BLOCK == 64 and conv_taps(length) == STATE_BLOCK
     rng = np.random.default_rng(22)
     params = _trained_regime_channels(rng, 16, dt)
     u = rng.standard_normal((length, 3))

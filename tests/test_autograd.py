@@ -365,14 +365,14 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
-    # A gradient tape on a bag longer than two blocks.  Its forward carries
+    # A gradient tape on a bag longer than one block.  Its forward carries
     # states across blocks from the first block's taps, exactly as a
     # grad-free tape does, and its input and parameter gradients come from
     # in-block correlations and the carried block sums (ssm.block_adjoint).
-    from s4mil.ssm import STATE_BLOCK
+    from s4mil.ssm import ONE_BLOCK_MAX
 
     rng = np.random.default_rng(18)
-    length = 3 * STATE_BLOCK + 37
+    length = ONE_BLOCK_MAX + 37
     params = ssm_params(rng, h=3, n_half=2)
     params["u"] = rng.standard_normal((length, 3))
     labels = rng.integers(0, 3, length)
@@ -395,12 +395,12 @@ def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
 
 def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     # The backward reuses the forward's taps, so a gradient tape on a bag
-    # past two blocks builds conv_taps(L) = STATE_BLOCK taps per layer and
+    # past one block builds conv_taps(L) = STATE_BLOCK taps per layer and
     # no full-length kernel.
     from s4mil import autograd, ssm
     from s4mil.model import ModelConfig, build_tape, init_parameters
 
-    length = 3 * ssm.STATE_BLOCK + 37
+    length = ssm.ONE_BLOCK_MAX + 37
     kernel_bank = ssm.kernel_bank
     taps = []
 
@@ -441,7 +441,7 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
     rng = np.random.default_rng(26)
     h = 64
     params = ssm_params(rng, h=h, n_half=4)
-    for length in (8 * ssm.STATE_BLOCK + 1, 2 * ssm.STATE_BLOCK):
+    for length in (4 * ssm.ONE_BLOCK_MAX + 1, ssm.ONE_BLOCK_MAX):
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
         tape = Tape(dtype=np.float32)
         nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
@@ -460,19 +460,20 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
 
 
 def test_block_backward_transforms_each_block_once(monkeypatch):
-    # One pass serves the input and the parameter gradients: each block of
-    # the upstream and of the input has one forward transform, each block of
-    # the input gradient one inverse, and each channel adds the kernel's
-    # transform and the pole sums' inverse.  A bag of one block (2 * 512
-    # tokens) thus makes one rfft of the upstream per channel, and no
-    # reversed convolution.  Transform rows times points are counted as
-    # perfbench/spans.py counts them.
+    # On a bag of one block (ONE_BLOCK_MAX tokens) one pass serves the
+    # input and the parameter gradients: the upstream and the input have one
+    # forward transform each, the input gradient one inverse, and each
+    # channel adds the kernel's transform and the pole sums' inverse, so
+    # there is one rfft of the upstream per channel and no reversed
+    # convolution.  Past one block the blocks apply by matrix products, and
+    # the backward makes no transform at all.  Transform rows times points
+    # are counted as perfbench/spans.py counts them.
     from s4mil import ssm
 
     rng = np.random.default_rng(27)
     h = 4
     cases = []
-    for length in (8 * ssm.STATE_BLOCK + 1, 2 * ssm.STATE_BLOCK):
+    for length in (4 * ssm.ONE_BLOCK_MAX + 1, ssm.ONE_BLOCK_MAX):
         params = ssm_params(rng, h=h, n_half=3)
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
         tape = Tape(dtype=np.float32)
@@ -498,17 +499,20 @@ def test_block_backward_transforms_each_block_once(monkeypatch):
     conv = ssm.fft_causal_conv
     monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: convolutions.append(args) or conv(*args))
     for length, out, g in cases:
-        block = ssm.conv_taps(length)
-        blocks, n_fft = -(-length // block), ssm._fft_size(block)
+        n_fft = ssm._fft_size(length)
         points.clear()
         out.backward_fn(g)
-        assert points == {("rfft", n_fft): (2 * blocks * h + h) * n_fft,
-                          ("irfft", n_fft): (blocks * h + h) * n_fft}, length
+        if length > ssm.ONE_BLOCK_MAX:
+            assert points == {}, length
+        else:
+            assert points == {("rfft", n_fft): 3 * h * n_fft, ("irfft", n_fft): 2 * h * n_fft}
     assert convolutions == []
 
 
-# One block with no carried state (1 to 2 * 512 tokens), then carried blocks.
-@pytest.mark.parametrize("length", [1, 17, 512, 2 * 512, 2 * 512 + 1, 8 * 512 + 1])
+# One block with no carried state (1 to ONE_BLOCK_MAX = 1024 tokens), then
+# carried blocks of STATE_BLOCK = 64 tokens: whole ones, a last block of one
+# token, and a partial last block.
+@pytest.mark.parametrize("length", [1, 17, 512, 1024, 1025, 1024 + 64, 1024 + 64 + 1, 4097])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_ssm_conv_input_gradient_matches_the_quadratic_adjoint(rule, dt, length):

@@ -138,14 +138,14 @@ def test_forward_single_token_pool_is_identity():
 def test_gradient_free_tape_matches_gradient_tape_bytewise(dtype, layers, multitask):
     # A gradient-free tape writes its elementwise ops into the arrays they
     # consume; its pool input and logits are the gradient tape's, byte for
-    # byte, on a bag of two state blocks (the full-length transform) and on
+    # byte, on a bag of one block (the full-length transform) and on
     # a longer one (states carried across blocks).  Without a patch head the
     # gradient tape's pool input holds only the tokens the max-pool picks,
     # so it is compared with those rows of the gradient-free plane.
     cfg = small_config(num_ssm_layers=layers, multitask=multitask)
     model = init_parameters(cfg, seed=6)
     rng = np.random.default_rng(7)
-    for length in (2 * ssm.STATE_BLOCK, 2 * ssm.STATE_BLOCK + 37):
+    for length in (ssm.ONE_BLOCK_MAX, ssm.ONE_BLOCK_MAX + 37):
         features = rng.standard_normal((length, 8)).astype(np.float32)
         outputs = []
         for grad_enabled in (True, False):
@@ -209,11 +209,11 @@ def assert_gathered_tape_is_the_dense_tape(cfg, params, features, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_gathered_gradient_tape_matches_a_dense_tape_bytewise(dtype, layers):
     # Without a patch head the last layer's mixing and GLU are recorded on
-    # the pooled tokens only, on a bag of two state blocks and on a longer one.
+    # the pooled tokens only, on a bag of one block and on a longer one.
     cfg = small_config(num_ssm_layers=layers)
     model = init_parameters(cfg, seed=6)
     rng = np.random.default_rng(8)
-    for length in (2 * ssm.STATE_BLOCK, 2 * ssm.STATE_BLOCK + 37):
+    for length in (ssm.ONE_BLOCK_MAX, ssm.ONE_BLOCK_MAX + 37):
         features = rng.standard_normal((length, 8)).astype(np.float32)
         rows = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
         assert rows.parents[0].op == "ssm-conv" and rows.parents[0].value.shape[0] == length
@@ -237,7 +237,7 @@ def test_row_gathered_tape_gives_a_tied_channel_to_its_first_occurrence(dtype):
     for name in ("value_weight", "gate_weight"):
         model.params[f"mix1.{name}"][:, :2] = 0.0
     tokens = np.random.default_rng(9).standard_normal((5, 8)).astype(np.float32)
-    features = tokens[np.arange(2 * ssm.STATE_BLOCK + 37) % 5]
+    features = tokens[np.arange(ssm.ONE_BLOCK_MAX + 37) % 5]
     free = build_tape(cfg, model.params, features, dtype=dtype, grad_enabled=False)
     plane = next(n for n in free.tape.nodes if n.op == "max-pool-over-sequence").parents[0].value
     assert np.all((plane == plane.max(axis=0)).sum(axis=0) > 1)
@@ -256,7 +256,7 @@ def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
     # parameter vector: neither is written.
     cfg = small_config(num_ssm_layers=2, multitask=True)
     model = init_parameters(cfg, seed=8)
-    features = np.random.default_rng(9).standard_normal((2 * ssm.STATE_BLOCK + 37, 8))
+    features = np.random.default_rng(9).standard_normal((ssm.ONE_BLOCK_MAX + 37, 8))
     features = features.astype(np.float32)
     before = features.tobytes(), model.params.vector.tobytes()
     assert Tape(dtype=np.float32, grad_enabled=False).leaf(features).value is features

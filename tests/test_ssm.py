@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from s4mil.errors import ContractError, NumericalError
 from s4mil.ssm import (
+    ONE_BLOCK_MAX,
     STATE_BLOCK,
     ZERO_POLE_EPS,
     _fft_size,
+    _lag_sums,
     _power_tables,
+    _powers,
+    _toeplitz,
     block_adjoint,
     block_causal_conv,
     conv_taps,
-    correlation_pole_sums,
     direct_causal_conv,
     discretize,
     fft_causal_conv,
@@ -255,14 +258,15 @@ def test_power_weighted_sum_matches_brute_force(length):
 
 def test_power_table_sizes_cover_every_exponent():
     # T is the smallest power of two with T^2 >= L and q = ceil(L / T);
-    # block_causal_conv reshapes a block into (q, T).
+    # kernel_bank reshapes its taps into (q, T).
     alpha = np.array([[0.5 + 0.5j]])
     for length in range(1, 4097):
         fine, coarse, q, t = _power_tables(alpha, length)
         assert t & (t - 1) == 0 and t * t >= length and (t == 1 or (t // 2) ** 2 < length)
         assert q == -(-length // t)
         assert fine.shape == (1, t + 1, 1) and coarse.shape == (1, q + 1, 1)
-    assert _power_tables(alpha, STATE_BLOCK)[2:] == (16, 32)
+    # the longest kernel the model builds, one block's ONE_BLOCK_MAX taps
+    assert _power_tables(alpha, ONE_BLOCK_MAX)[2:] == (32, 32)
 
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
@@ -362,12 +366,15 @@ def test_fft_causal_conv_broadcasts_one_kernel_over_blocks():
         assert np.array_equal(blocks[:, j], fft_causal_conv(k[:, 0], u[:, j]))
 
 
-@pytest.mark.parametrize("length", [1, STATE_BLOCK - 1, STATE_BLOCK, STATE_BLOCK + 1,
-                                    2 * STATE_BLOCK, 3 * STATE_BLOCK + 37])
+@pytest.mark.parametrize("length", [1, STATE_BLOCK + 1, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1,
+                                    ONE_BLOCK_MAX + STATE_BLOCK, ONE_BLOCK_MAX + STATE_BLOCK + 1,
+                                    3 * ONE_BLOCK_MAX + 37])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_causal_conv_matches_direct_convolution(rule, length):
     # The first block's taps plus carried states give the full-kernel
-    # convolution, for a partial first block, whole blocks and a partial last.
+    # convolution: one block of all L tokens up to ONE_BLOCK_MAX, then
+    # STATE_BLOCK-token blocks, whole or with a partial last block (of one
+    # token at ONE_BLOCK_MAX + STATE_BLOCK + 1).
     rng = np.random.default_rng(25)
     channels = [random_stable_channel(rng, n_half=3, dt_range=(1e-3, 0.5)) for _ in range(2)]
     a = np.array([ch[0] for ch in channels])
@@ -501,27 +508,111 @@ def trained_regime_blocks(rule, dt, length):
     return g, u, disc.a_bar, w
 
 
+def extended_pole_sums(corr, a_bar):
+    """correlation_pole_sums(corr, a_bar) by Horner's rule in extended
+    precision (np.clongdouble), rounded once.  The two-level power tables
+    of correlation_pole_sums err by up to 1.8e-12 of the sums' scale at
+    L=62235 in the trained regime, more than the oracles below allow."""
+    h, length = corr.shape
+    terms = np.zeros((h, 2, length), dtype=np.longdouble)
+    terms[:, 0] = corr
+    terms[:, 1, :-1] = corr[:, 1:] * np.arange(1, length, dtype=np.longdouble)
+    z = np.conj(a_bar).astype(np.clongdouble)[:, None, :]
+    sums = np.zeros((h, 2, a_bar.shape[-1]), dtype=np.clongdouble)
+    for lag in range(length - 1, -1, -1):
+        sums = sums * z + terms[:, :, lag, None]
+    return sums.astype(np.complex128)
+
+
+def extended_kernel(w, a_bar, length):
+    """kernel_bank(w, a_bar, length) from a running product of the powers in
+    extended precision (np.clongdouble), rounded once.  kernel_bank's
+    two-level tables err by up to 1.3e-12 of the kernel's scale at L=62235
+    in the trained regime, more than the oracles below allow."""
+    poles, weights = a_bar.astype(np.clongdouble), w.astype(np.clongdouble)
+    power = np.ones_like(poles)
+    kernel = np.empty((a_bar.shape[0], length), dtype=np.longdouble)
+    for lag in range(length):
+        kernel[:, lag] = np.sum(weights * power, axis=-1).real
+        power *= poles
+    return kernel.astype(np.float64)
+
+
 def block_adjoint_of(g, u, a_bar, w):
     block = conv_taps(g.shape[-1])
     return block_adjoint(to_blocks(g, block), to_blocks(u, block), kernel_bank(w, a_bar, block),
                          a_bar, w)
 
 
-# One block with no carried state (1 to 2 STATE_BLOCK tokens), then carried blocks.
-BLOCK_ADJOINT_LENGTHS = [1, 17, STATE_BLOCK, 2 * STATE_BLOCK,
-                         2 * STATE_BLOCK + 1, 8 * STATE_BLOCK + 1, 30000, 62235]
+# One block with no carried state (1 to ONE_BLOCK_MAX tokens), then carried
+# blocks: whole ones, and a last block of one token.
+BLOCK_ADJOINT_LENGTHS = [1, 17, 512, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1, ONE_BLOCK_MAX + STATE_BLOCK,
+                         ONE_BLOCK_MAX + STATE_BLOCK + 1, 4 * ONE_BLOCK_MAX + 1, 30000, 62235]
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_toeplitz_product_matches_direct_convolution_block_by_block(rule, dt):
+    # The in-block convolution of the carried path: blocks times the
+    # channel's Toeplitz matrix of its first STATE_BLOCK taps, for channels
+    # in the trained regime.  Each block is held to its channel's scale.
+    _, u, a_bar, w = trained_regime_blocks(rule, dt, 5 * STATE_BLOCK)
+    taps = kernel_bank(w, a_bar, STATE_BLOCK)
+    blocks = u.reshape(3, 5, STATE_BLOCK)
+    got = np.matmul(blocks, _toeplitz(taps))
+    expected = np.array([[direct_causal_conv(taps[i], blocks[i, j]) for j in range(5)]
+                         for i in range(3)])
+    scale = np.max(np.abs(expected), axis=(1, 2))
+    err = np.max(np.abs(got - expected), axis=(1, 2)) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+
+
+@pytest.mark.parametrize("count", [1, 7])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_lag_sums_match_the_in_block_correlations(rule, dt, count):
+    # The diagonal sums of sum_j u_j^T g_j: for one block the first
+    # STATE_BLOCK lags of the full correlation, and for several the sum of
+    # each block's own correlation.  g is the ssm-conv output of channels in
+    # the trained regime, so the lags carry the channels' scales.
+    g, u, a_bar, w = trained_regime_blocks(rule, dt, count * STATE_BLOCK)
+    g = block_causal_conv(kernel_bank(w, a_bar, conv_taps(g.shape[1])), a_bar, w, g)
+    blocks_g, blocks_u = (x.reshape(3, count, STATE_BLOCK) for x in (g, u))
+    got = _lag_sums(blocks_g, blocks_u)
+    if count == 1:
+        expected = fft_causal_corr(g, u)[:, :STATE_BLOCK]
+    else:
+        expected = fft_causal_corr(blocks_g, blocks_u).sum(axis=1)
+    assert got.shape == expected.shape == (3, STATE_BLOCK)
+    scale = np.max(np.abs(expected), axis=-1)
+    err = np.max(np.abs(got - expected), axis=-1) / scale
+    assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
+
+
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+@pytest.mark.parametrize("a_re", [-0.5, -1e-4])
+def test_block_power_table_matches_repeated_multiplication(a_re, rule):
+    # The carried path's one (STATE_BLOCK + 1, n) table, at dt = 1e-3.
+    a_bar = discretize(a_re + 1j * np.pi * np.arange(32), 1e-3, rule).a_bar.reshape(2, 16)
+    table = _powers(a_bar, STATE_BLOCK)
+    expected = np.empty_like(table)
+    power = np.ones_like(a_bar)
+    for s in range(STATE_BLOCK + 1):
+        expected[:, s] = power
+        power = power * a_bar
+    np.testing.assert_allclose(table, expected, rtol=(STATE_BLOCK + 1) * 2.0 ** -53, atol=0)
 
 
 @pytest.mark.parametrize("length", BLOCK_ADJOINT_LENGTHS)
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
-    # The ssm-conv backward's two pole sums from blocks (in-block spectra
-    # plus carried states) against the full-length correlation weighted by
-    # every power, for channels in the trained regime.  Each sum of each
-    # channel is held to its own scale.
+    # The ssm-conv backward's two pole sums from blocks (one block's spectra,
+    # or in-block products plus carried states) against the full-length
+    # correlation weighted by every power, for channels in the trained
+    # regime.  Each sum of each channel is held to its own scale.
     g, u, a_bar, w = trained_regime_blocks(rule, dt, length)
-    expected = correlation_pole_sums(fft_causal_corr(g, u), a_bar)
+    expected = extended_pole_sums(fft_causal_corr(g, u), a_bar)
     got = block_adjoint_of(g, u, a_bar, w)[1]
     assert got.shape == expected.shape == (3, 2, 16)
     # a one-token bag has no lag 1, so its second sum is zero on both sides
@@ -535,12 +626,12 @@ def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_adjoint_input_gradient_matches_the_full_length_correlation(rule, dt, length):
     # The ssm-conv backward's input gradient sum_l K_l g[t + l] from blocks
-    # (in-block spectra plus the upstream's carried block sums) against the
-    # full-length correlation of g with the whole kernel, for channels in
-    # the trained regime.  Each channel is held to its own scale; the
-    # padded tail of the last block is left out.
+    # (one block's spectra, or in-block products plus the upstream's carried
+    # block sums) against the full-length correlation of g with the whole
+    # kernel, for channels in the trained regime.  Each channel is held to
+    # its own scale; the padded tail of the last block is left out.
     g, u, a_bar, w = trained_regime_blocks(rule, dt, length)
-    expected = fft_causal_corr(g, kernel_bank(w, a_bar, length))
+    expected = fft_causal_corr(g, extended_kernel(w, a_bar, length))
     grad_in = block_adjoint_of(g, u, a_bar, w)[0]
     block = conv_taps(length)
     assert grad_in.shape == (3, -(-length // block), block)
