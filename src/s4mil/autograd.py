@@ -123,6 +123,22 @@ def _values(op: str, *nodes: Node) -> tuple:
     return tuple(n.value for n in nodes)
 
 
+def log_softmax(logits) -> np.ndarray:
+    """Log-probabilities along the last (class) axis, in float64, shifted by
+    the max: the package's only softmax, for training and validation alike."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def picked(log_probs: np.ndarray, labels, what: str) -> np.ndarray:
+    """log_probs[..., label] along the last (class) axis; every label must be a class index."""
+    labels, classes = np.asarray(labels, dtype=np.int64), log_probs.shape[-1]
+    if np.any(bad := (labels < 0) | (labels >= classes)):
+        raise ContractError(f"{what} label {labels[bad].flat[0]} is outside 0..{classes - 1}")
+    return np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0]
+
+
 class Tape:
     """Single-owner computation record; one per bag during training.
 
@@ -338,25 +354,20 @@ class Tape:
 
         return self._append("ssm-conv", value, parents.values(), backward_fn=backward_fn)
 
-    def softmax_log_loss(self, logits: Node, labels) -> Node:
+    def softmax_log_loss(self, logits: Node, labels, what: str = "class") -> Node:
         """Fused softmax + negative log likelihood of (rows, C) logits, summed
-        over the rows; ends a classification tape."""
-        lv = np.asarray(_values("softmax-log-loss", logits)[0], dtype=np.float64)
+        over the rows; ends a classification tape; ``what`` names its labels in errors."""
+        lv = _values("softmax-log-loss", logits)[0]
         labels = np.asarray(labels, dtype=np.int64)
         if lv.ndim != 2 or labels.shape != (lv.shape[0],):
             raise ContractError(f"loss shape mismatch: logits {logits.value.shape}, labels {labels.shape}")
-        if np.any(labels < 0) or np.any(labels >= lv.shape[1]):
-            raise ContractError(f"label out of range for {lv.shape[1]} classes")
-        shifted = lv - lv.max(axis=1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        log_p = shifted - log_z
-        rows = np.arange(lv.shape[0])
+        log_p = log_softmax(lv)
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
-        value = np.asarray(-log_p[rows, labels].sum(), dtype=dtype)
+        value = np.asarray(-picked(log_p, labels, what).sum(), dtype=dtype)
 
         def backward_fn(g):
             p = np.exp(log_p)
-            p[rows, labels] -= 1.0
+            p[np.arange(p.shape[0]), labels] -= 1.0
             _accumulate(logits, (float(g) * p).astype(dtype))
 
         return self._append("softmax-log-loss", value, (logits,), backward_fn=backward_fn)

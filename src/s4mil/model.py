@@ -4,7 +4,7 @@ Pipeline per bag: linear projection to H channels, per-token layer
 normalization, then one or more blocks of [feature-wise SSM with skip ->
 token-wise mixing to 2H -> gated linear unit back to H], an optional
 per-token patch head, max pooling over the sequence, and a linear
-classifier with softmax.
+classifier with a log-softmax (autograd.log_softmax).
 
 The mixing affine is stored as two H->H maps (value half and gate half of
 the 2H output); together they are exactly the doubling affine feeding the
@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ssm
-from .autograd import Node, Tape, ssm_parameters
+from .autograd import Node, Tape, log_softmax, ssm_parameters
 from .errors import ContractError, EmptyBagError, NumericalError
 from .seeding import substream
 
@@ -284,13 +284,6 @@ def init_parameters(config: ModelConfig, seed: int) -> MilModel:
 # Forward passes
 # --------------------------------------------------------------------------
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class TapeBundle(NamedTuple):
     tape: Tape
     slide_logits: Node
@@ -388,28 +381,36 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
     pooled = tape.max_pool_sequence(x)
     slide_logits = tape.matvec(pooled, leaves["classifier.weight"], leaves["classifier.bias"])
     if slide_label is not None:
-        loss = tape.softmax_log_loss(slide_logits, [int(slide_label)])
+        loss = tape.softmax_log_loss(slide_logits, [int(slide_label)], "slide")
         if config.multitask and lam != 0.0:
-            if patch_labels is None:
-                raise ContractError("multitask loss with lam != 0 requires patch labels")
-            patch_labels = np.asarray(patch_labels, dtype=np.int64)
-            if patch_labels.shape != (features.shape[0],):
-                raise ContractError(
-                    f"patch labels must have length {features.shape[0]}, got {patch_labels.shape}"
-                )
-            patch_term = tape.softmax_log_loss(patch_logits, patch_labels)
+            patch_labels = checked_patch_labels(patch_labels, features.shape[0])
+            patch_term = tape.softmax_log_loss(patch_logits, patch_labels, "patch")
             tape.add(loss, tape.scale(patch_term, lam / features.shape[0]))
     return TapeBundle(tape=tape, slide_logits=slide_logits, patch_logits=patch_logits)
 
 
+def checked_patch_labels(patch_labels, length: int) -> np.ndarray:
+    """A bag's patch labels for a multitask loss with lam != 0: one per token."""
+    if patch_labels is None:
+        raise ContractError("multitask loss with lam != 0 requires patch labels")
+    patch_labels = np.asarray(patch_labels, dtype=np.int64)
+    if patch_labels.shape != (length,):
+        raise ContractError(f"patch labels must have length {length}, got {patch_labels.shape}")
+    return patch_labels
+
+
 class ForwardResult(NamedTuple):
-    slide_probs: np.ndarray
-    patch_probs: np.ndarray | None
+    slide_log_probs: np.ndarray
+    patch_log_probs: np.ndarray | None
+    slide_probs = property(lambda self: np.exp(self.slide_log_probs))
+    patch_probs = property(lambda self: None if self.patch_log_probs is None
+                           else np.exp(self.patch_log_probs))
 
 
 def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
                 dtype=np.float32) -> ForwardResult:
-    """Class probabilities for one bag (and per-token probabilities when multitask).
+    """Class log-probabilities for one bag (and per-token ones when multitask) by the
+    training loss's autograd.log_softmax; ``slide_probs`` and ``patch_probs`` are their exp.
 
     The tape is gradient-free, so its elementwise ops reuse the arrays they
     consume: a one-layer model holds at most 3 (L, H) planes (the ssm-conv
@@ -417,9 +418,9 @@ def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
     """
     bundle = build_tape(model.config, model.params, features, mode=mode, dtype=dtype,
                         grad_enabled=False)
-    slide = softmax(bundle.slide_logits.value)[0]
-    patch = softmax(bundle.patch_logits.value) if bundle.patch_logits is not None else None
-    return ForwardResult(slide_probs=slide, patch_probs=patch)
+    patch = bundle.patch_logits
+    return ForwardResult(slide_log_probs=log_softmax(bundle.slide_logits.value)[0],
+                         patch_log_probs=None if patch is None else log_softmax(patch.value))
 
 
 # --------------------------------------------------------------------------
@@ -475,4 +476,4 @@ def forward_pooling_baseline(model: PoolingModel, features: np.ndarray) -> np.nd
             f"feature dimension {pooled.shape[0]} does not match head input {model.weight.shape[0]}"
         )
     logits = pooled @ model.weight.astype(np.float64) + model.bias.astype(np.float64)
-    return softmax(logits)
+    return np.exp(log_softmax(logits))

@@ -252,10 +252,10 @@ def _fft_size(length: int) -> int:
 def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Causal convolution of stacked kernels (..., L) with inputs (..., L).
 
-    The kernels' leading axes broadcast against the inputs', so one kernel
-    spectrum serves every block of a (h, 1, B) kernel against (h, blocks, B)
-    inputs.  Zero-padded to _fft_size(L) >= 2L - 1 points, so the circular
-    product is linear on the first L samples.  Runs in float64.
+    The kernels' leading axes broadcast against the inputs'; the model's
+    one-block bags pass (h, L) kernel and input rows.  Zero-padded to
+    _fft_size(L) >= 2L - 1 points, so the circular product is linear on the
+    first L samples.  Runs in float64.
     """
     length = u.shape[-1]
     if kernels.shape[-1] != length:

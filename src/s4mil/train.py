@@ -2,8 +2,9 @@
 
 The slide-level objective is the mean negative log probability of each
 bag's label; the multitask objective adds, per bag, lam/L times the summed
-negative log probabilities of its token labels.  Probabilities are floored
-at 1e-12 before the log; every floor hit is counted in
+negative log probabilities of its token labels.  Validation and the
+training tape take them from one log-softmax (autograd.log_softmax) and
+are not clamped: each below log(LOSS_FLOOR) is counted in
 ``numerical_floor_events`` so healthy runs can assert it never fired.
 
 Optimization is one bag per step (optionally accumulating over
@@ -23,10 +24,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .autograd import picked
 from .data_io import Bag
 from .errors import ContractError, NumericalError, S4MilError
 from .metrics import ScoredPrediction, UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
-from .model import MilModel, ParameterVector, build_tape, forward_mil
+from .model import MilModel, ParameterVector, build_tape, checked_patch_labels, forward_mil
 from .seeding import substream
 
 LOSS_FLOOR = 1e-12
@@ -36,9 +38,6 @@ STEP_SLICE = 1 << 16  # values per optimizer-step slice: its temporaries are reu
 class _FloorCounter:
     def __init__(self):
         self.count = 0
-
-    def record(self, n: int = 1):
-        self.count += n
 
     def reset(self):
         self.count = 0
@@ -84,54 +83,38 @@ class TrainConfig:
 # Losses
 # --------------------------------------------------------------------------
 
-def _clamped_log(p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    below = p < LOSS_FLOOR
-    if np.any(below):
-        numerical_floor_events.record(int(below.sum()))
-        p = np.maximum(p, LOSS_FLOOR)
-    return np.log(p)
+def _floor_counted(log_probs, labels, what: str) -> np.ndarray:
+    """The labels' log-probabilities, each one below log(LOSS_FLOOR) counted."""
+    log_p = picked(np.asarray(log_probs, dtype=np.float64), labels, what)
+    numerical_floor_events.count += int(np.count_nonzero(log_p < np.log(LOSS_FLOOR)))
+    return log_p
 
 
-def _picked(probs: np.ndarray, labels: np.ndarray, what: str) -> np.ndarray:
-    """probs[..., label] along the last (class) axis; every label must be a class index."""
-    classes = probs.shape[-1]
-    bad = (labels < 0) | (labels >= classes)
-    if np.any(bad):
-        raise ContractError(f"{what} label {labels[bad].flat[0]} is outside 0..{classes - 1}")
-    return np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0]
-
-
-def mil_loss(slide_probs: Sequence[np.ndarray], labels: Sequence[int]) -> float:
+def mil_loss(slide_log_probs: Sequence[np.ndarray], labels: Sequence[int]) -> float:
     """Mean negative log probability of each bag's slide label."""
-    if len(slide_probs) == 0 or len(slide_probs) != len(labels):
-        raise ContractError(
-            f"need matching non-empty probabilities and labels, got {len(slide_probs)} vs {len(labels)}"
-        )
-    picked = np.array([_picked(np.asarray(p, dtype=np.float64), np.int64(y), "slide")
-                       for p, y in zip(slide_probs, labels)])
-    return float(-np.mean(_clamped_log(picked)))
+    if len(slide_log_probs) == 0 or len(slide_log_probs) != len(labels):
+        raise ContractError(f"need matching non-empty log-probabilities and labels, "
+                            f"got {len(slide_log_probs)} vs {len(labels)}")
+    return float(-np.mean([_floor_counted(p, y, "slide") for p, y in zip(slide_log_probs, labels)]))
 
 
-def multitask_loss(slide_probs, slide_labels, patch_probs, patch_labels, lam: float) -> float:
+def multitask_loss(slide_log_probs, slide_labels, patch_log_probs, patch_labels, lam: float) -> float:
     """Slide loss plus lam/L-weighted token losses, averaged over bags."""
     if lam < 0:
         raise ContractError(f"lambda must be >= 0, got {lam}")
     if lam == 0.0:
-        return mil_loss(slide_probs, slide_labels)  # identical code path for the slide term
-    if not (len(slide_probs) == len(slide_labels) == len(patch_probs) == len(patch_labels)):
+        return mil_loss(slide_log_probs, slide_labels)  # identical code path for the slide term
+    if not (len(slide_log_probs) == len(slide_labels) == len(patch_log_probs) == len(patch_labels)):
         raise ContractError("multitask loss needs aligned slide and patch inputs")
     total = 0.0
-    for sp, sy, pp, py in zip(slide_probs, slide_labels, patch_probs, patch_labels):
-        pp = np.asarray(pp, dtype=np.float64)
-        py = np.asarray(py, dtype=np.int64)
+    for sp, sy, pp, py in zip(slide_log_probs, slide_labels, patch_log_probs, patch_labels):
+        pp, py = np.asarray(pp), np.asarray(py)
         if pp.ndim != 2 or py.shape != (pp.shape[0],):
-            raise ContractError(f"patch inputs misaligned: probs {pp.shape}, labels {py.shape}")
-        sp = np.asarray(sp, dtype=np.float64)
-        slide_term = -float(_clamped_log(_picked(sp, np.int64(sy), "slide")))
-        token_terms = -_clamped_log(_picked(pp, py, "patch"))
+            raise ContractError(f"patch inputs misaligned: log-probs {pp.shape}, labels {py.shape}")
+        slide_term = -float(_floor_counted(sp, sy, "slide"))
+        token_terms = -_floor_counted(pp, py, "patch")
         total += slide_term + (lam / pp.shape[0]) * float(token_terms.sum())
-    return total / len(slide_probs)
+    return total / len(slide_log_probs)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +204,9 @@ def _naming(prefix: str):
 
 def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> dict:
     """Loss and metrics of a model on a set of bags (conv path, read-only);
-    an error raised while a bag is processed names the bag.
+    an error raised while a bag is processed names the bag.  The loss is the
+    mean of the bags' training-tape losses, so with lam > 0 a multitask
+    model needs every bag's patch labels, as training does.
 
     Each bag's features are read once, for its forward, and dropped before
     the next bag's: a manifest's bags are evaluated holding one bag's
@@ -229,18 +214,20 @@ def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> di
     """
     if not bags:
         raise ContractError("evaluation needs a non-empty split")
-    multitask = model.config.multitask and lam > 0 and all(b.patch_labels is not None for b in bags)
-    slide_probs, patch_probs = [], []
+    multitask = model.config.multitask and lam > 0
+    outs, patch_labels = [], []
     for bag in bags:
         with _naming(f"bag {bag.id}: "):
-            out = forward_mil(model, bag.features)
-        slide_probs.append(out.slide_probs)
-        patch_probs.append(out.patch_probs)
+            if multitask:
+                patch_labels.append(checked_patch_labels(bag.patch_labels, bag.shape[0]))
+            outs.append(forward_mil(model, bag.features))
     labels = [b.slide_label for b in bags]
+    log_probs = [o.slide_log_probs for o in outs]
     if multitask:
-        loss = multitask_loss(slide_probs, labels, patch_probs, [b.patch_labels for b in bags], lam)
+        loss = multitask_loss(log_probs, labels, [o.patch_log_probs for o in outs], patch_labels, lam)
     else:
-        loss = mil_loss(slide_probs, labels)
+        loss = mil_loss(log_probs, labels)
+    slide_probs = [o.slide_probs for o in outs]
     preds = [ScoredPrediction(scores=p, true_label=y) for p, y in zip(slide_probs, labels)]
     acc = accuracy(preds)
     try:
@@ -251,7 +238,7 @@ def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> di
     except UndefinedMetricError:
         auroc = float("nan")
     return {"loss": loss, "accuracy": acc, "auroc": auroc,
-            "slide_probs": slide_probs, "patch_probs": patch_probs}
+            "slide_probs": slide_probs, "patch_probs": [o.patch_probs for o in outs]}
 
 
 def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],

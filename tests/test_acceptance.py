@@ -119,8 +119,9 @@ def test_c02_duality_across_carried_blocks(rule, dt, length):
 @pytest.mark.parametrize("length", [1, 513, 2 * 512])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_c02_bags_of_at_most_two_blocks_take_one_full_length_convolution(rule, length):
-    # Up to two blocks the op is kernel_bank over all L taps, one
-    # fft_causal_conv and the skip term, byte for byte.
+    # A bag of at most ONE_BLOCK_MAX tokens is one block: the op is
+    # kernel_bank over all L taps, one fft_causal_conv and the skip term,
+    # byte for byte.
     rng = np.random.default_rng(23)
     params = _trained_regime_channels(rng, 16, 1e-3)
     params["ssm0.d"] = rng.standard_normal(3)
@@ -294,12 +295,14 @@ def test_c10_loss_identities():
         probs, labels, patch_probs, patch_labels = [], [], [], []
         for _ in range(m):
             raw = rng.random(4) + 1e-6
-            probs.append(raw / raw.sum())
+            probs.append(np.log(raw / raw.sum()))
             labels.append(int(rng.integers(0, 4)))
             length = int(rng.integers(1, 9))
             praw = rng.random((length, 3)) + 1e-6
-            patch_probs.append(praw / praw.sum(axis=1, keepdims=True))
+            patch_probs.append(np.log(praw / praw.sum(axis=1, keepdims=True)))
             patch_labels.append(rng.integers(0, 3, length))
         assert multitask_loss(probs, labels, patch_probs, patch_labels, lam=0.0) \
             == mil_loss(probs, labels)
-    assert mil_loss([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1, 0]) == 0.0
+    with np.errstate(divide="ignore"):  # a probability of 0 is a log-probability of -inf
+        perfect = [np.log(np.array([0.0, 1.0])), np.log(np.array([1.0, 0.0]))]
+    assert mil_loss(perfect, [1, 0]) == 0.0

@@ -26,28 +26,35 @@ from s4mil.train import (
 # Losses
 # --------------------------------------------------------------------------
 
+def log(p):
+    """The log-probabilities the losses take: np.log, a probability of 0 giving -inf."""
+    with np.errstate(divide="ignore"):
+        return np.log(p)
+
+
 def test_mil_loss_perfect_prediction_is_zero():
-    assert mil_loss([np.array([0.0, 1.0])], [1]) == 0.0
+    assert mil_loss([log(np.array([0.0, 1.0]))], [1]) == 0.0
 
 
 def test_mil_loss_hand_values():
-    assert mil_loss([np.array([0.5, 0.5])], [0]) == pytest.approx(math.log(2))
-    loss = mil_loss([np.array([1.0, 0.0]), np.array([0.5, 0.5])], [0, 1])
+    assert mil_loss([log(np.array([0.5, 0.5]))], [0]) == pytest.approx(math.log(2))
+    loss = mil_loss([log(np.array([1.0, 0.0])), log(np.array([0.5, 0.5]))], [0, 1])
     assert loss == pytest.approx(math.log(2) / 2)
 
 
 def test_mil_loss_floor_event_recorded():
+    # A log-probability below log(1e-12) is counted, and the loss is not clamped.
     numerical_floor_events.reset()
-    loss = mil_loss([np.array([1.0, 0.0])], [1])
+    loss = mil_loss([np.array([0.0, -40.0])], [1])
     assert numerical_floor_events.count == 1
-    assert loss == pytest.approx(-math.log(1e-12))
+    assert loss == 40.0
     numerical_floor_events.reset()
 
 
 def test_multitask_loss_hand_value():
     loss = multitask_loss(
-        [np.array([0.0, 1.0])], [1],
-        [np.array([[0.0, 1.0], [0.5, 0.5]])], [np.array([1, 1])],
+        [log(np.array([0.0, 1.0]))], [1],
+        [log(np.array([[0.0, 1.0], [0.5, 0.5]]))], [np.array([1, 1])],
         lam=5.0,
     )
     assert loss == pytest.approx(2.5 * math.log(2))
@@ -60,11 +67,11 @@ def test_multitask_lambda_zero_bit_equals_mil_loss():
         probs, labels, patch_probs, patch_labels = [], [], [], []
         for _ in range(m):
             raw = rng.random(3)
-            probs.append(raw / raw.sum())
+            probs.append(log(raw / raw.sum()))
             labels.append(int(rng.integers(0, 3)))
             length = int(rng.integers(1, 7))
             praw = rng.random((length, 2))
-            patch_probs.append(praw / praw.sum(axis=1, keepdims=True))
+            patch_probs.append(log(praw / praw.sum(axis=1, keepdims=True)))
             patch_labels.append(rng.integers(0, 2, length))
         a = multitask_loss(probs, labels, patch_probs, patch_labels, lam=0.0)
         b = mil_loss(probs, labels)
@@ -77,29 +84,29 @@ def test_losses_nonnegative_and_zero_iff_perfect():
         raw = rng.random(4) + 1e-3
         p = raw / raw.sum()
         y = int(rng.integers(0, 4))
-        loss = mil_loss([p], [y])
+        loss = mil_loss([log(p)], [y])
         assert loss >= 0
         assert (loss == 0.0) == (p[y] == 1.0)
-    perfect = multitask_loss([np.array([1.0, 0.0])], [0],
-                             [np.ones((3, 1))], [np.zeros(3, dtype=int)], lam=5.0)
+    perfect = multitask_loss([log(np.array([1.0, 0.0]))], [0],
+                             [log(np.ones((3, 1)))], [np.zeros(3, dtype=int)], lam=5.0)
     assert perfect == 0.0
 
 
 @pytest.mark.parametrize("label", [-1, 2, 7])
 def test_losses_reject_a_slide_label_outside_the_classes(label):
     # -1 must not wrap around to the last class, nor 2 or 7 escape as an IndexError.
-    probs = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
+    probs = [log(np.array([0.5, 0.5])), log(np.array([0.3, 0.7]))]
     with pytest.raises(ContractError, match=f"slide label {label} is outside 0..1"):
         mil_loss(probs, [0, label])
     with pytest.raises(ContractError, match=f"slide label {label} is outside 0..1"):
-        multitask_loss(probs, [0, label], [np.full((2, 3), 1 / 3)] * 2, [np.zeros(2, int)] * 2,
+        multitask_loss(probs, [0, label], [log(np.full((2, 3), 1 / 3))] * 2, [np.zeros(2, int)] * 2,
                        lam=1.0)
 
 
 @pytest.mark.parametrize("label", [-1, 3])
 def test_multitask_loss_rejects_a_patch_label_outside_the_classes(label):
     with pytest.raises(ContractError, match=f"patch label {label} is outside 0..2"):
-        multitask_loss([np.array([0.5, 0.5])], [1], [np.full((3, 3), 1 / 3)],
+        multitask_loss([log(np.array([0.5, 0.5]))], [1], [log(np.full((3, 3), 1 / 3))],
                        [np.array([0, label, 1])], lam=1.0)
 
 
@@ -302,6 +309,57 @@ def test_an_error_in_evaluation_names_the_bag():
     bags[4].features[0, 0] = np.inf
     with pytest.raises(NumericalError, match=f"^bag {bags[4].id}: "):
         evaluate_model(tiny_model(), bags)
+
+
+def test_validation_needs_every_bags_patch_labels_as_training_does():
+    # A multitask fit with lam > 0 rejects a validation bag without patch
+    # labels, as its training tape would, rather than drop every bag's patch term.
+    bags = tiny_bags(n=8)
+    bags[7].patch_labels = None
+    with pytest.raises(ContractError, match=f"^epoch 1, bag {bags[7].id}: "
+                                            "multitask loss with lam != 0 requires patch labels$"):
+        fit(tiny_model(multitask=True), bags[:6], bags[6:], TrainConfig(lam=5.0, max_epochs=2))
+
+
+@pytest.mark.parametrize("multitask", [False, True], ids=["single-task", "multitask"])
+def test_the_validation_loss_is_the_mean_of_the_training_tapes_losses(multitask):
+    # On a one-block bag and on one whose SSM states are carried across
+    # blocks; the tape rounds its loss to float32.
+    from s4mil.data_io import Bag
+    from s4mil.model import build_tape
+    from s4mil.ssm import ONE_BLOCK_MAX
+    from s4mil.train import evaluate_model
+
+    model = tiny_model(multitask=multitask)
+    rng = np.random.default_rng(5)
+    bags = [Bag(f"bag-{length}", rng.standard_normal((length, 4)), slide_label=label,
+                patch_labels=rng.integers(0, 2, length))
+            for label, length in ((1, 300), (0, ONE_BLOCK_MAX + 37))]
+    tape_losses = [build_tape(model.config, model.params, bag.features, slide_label=bag.slide_label,
+                              patch_labels=bag.patch_labels, lam=5.0).tape.forward() for bag in bags]
+    assert evaluate_model(model, bags, lam=5.0)["loss"] == pytest.approx(np.mean(tape_losses), rel=1e-6)
+
+
+def test_the_validation_loss_stays_exact_past_softmax_underflow():
+    # Slide logits about 2000 apart: the true class's probability underflows
+    # to 0, yet the loss is the logit gap, and the floor counts one hit.
+    from s4mil.model import build_tape
+    from s4mil.train import evaluate_model
+
+    model = tiny_model()
+    model.params["classifier.bias"] = [2000.0, 0.0]
+    bag = tiny_bags()[1]
+    assert bag.slide_label == 1
+    bundle = build_tape(model.config, model.params, bag.features, slide_label=1)
+    gap = np.diff(bundle.slide_logits.value.astype(np.float64)[0])
+    numerical_floor_events.reset()
+    stats = evaluate_model(model, [bag])
+    assert numerical_floor_events.count == 1
+    numerical_floor_events.reset()
+    assert stats["slide_probs"][0][1] == 0.0
+    assert stats["loss"] == pytest.approx(-float(gap[0]), rel=1e-12)
+    assert 1990 < stats["loss"] < 2010
+    assert stats["loss"] == pytest.approx(bundle.tape.forward(), rel=1e-6)
 
 
 def _stream_from_disk(tmp_path, monkeypatch, bags):
