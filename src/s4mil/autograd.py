@@ -24,14 +24,16 @@ ssm-conv and max-pool write theirs that way, so the ssm-conv reads each
 channel as a contiguous row and max-pool reduces over tokens along
 contiguous memory.  Gradients are laid out like the values they belong to.
 
-A gradient-free tape has no backward pass, so its elementwise ops reuse
-the arrays they consume: `layernorm`, `ssm_conv`, `sigmoid` and `mul` write
-their result into their first input's array when that input is not a leaf.
-That input node gives its value up (it becomes None), so no node reports an
-array that a later op overwrote, and an op handed the node afterwards
-raises ContractError.  The model reads no such input twice.  Leaves are
-never written, so neither are the caller's features nor the parameters; a
-gradient tape never reuses an array.
+One rule says what a tape holds, on either kind: `layernorm`, `ssm_conv`,
+`sigmoid` and `mul` write their result into their first input's array when
+that input is not a leaf, no earlier op consumed it, and no backward this
+op records reads it.  A gradient-free tape records none, so those ops take
+every such input; on a gradient tape `layernorm` and `sigmoid` take theirs,
+while `ssm_conv` and `mul` keep the inputs their backwards read.  A taken
+node gives its value up (it becomes None), so no node reports an array
+that a later op overwrote, and an op handed the node afterwards raises
+ContractError.  Leaves are never written, so neither are the caller's
+features nor the parameters.
 
 `rows` gathers some rows of an (L, H) activation and scatters their
 gradient back into a zero (L, H) one.  A gradient tape of a model without
@@ -60,6 +62,7 @@ no (H, L) float64 array either.
 """
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -92,10 +95,10 @@ def _accumulate(node: Node, g) -> None:
     accumulating into a zero-filled buffer does.  If g has the value's dtype
     and is contiguous in its order (a single row is in both), the +0 is
     applied in place and g becomes the gradient; otherwise the sum goes into
-    a new array laid out like the value.
+    a new array laid out like the value (like g if the node gave it up).
     """
     if node.grad is None:
-        v = node.value
+        v = g if node.value is None else node.value
         fits = (isinstance(g, np.ndarray) and g.dtype == v.dtype
                 and (g.flags.f_contiguous and v.flags.f_contiguous
                      or g.flags.c_contiguous and v.flags.c_contiguous))
@@ -118,8 +121,7 @@ def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _values(op: str, *nodes: Node) -> tuple:
     """The nodes' values, for an op about to read them."""
     if any(n.value is None for n in nodes):
-        raise ContractError(f"{op}: an input's value was taken by a later op "
-                            f"of a gradient-free tape")
+        raise ContractError(f"{op}: an input's value was taken by a later op")
     return tuple(n.value for n in nodes)
 
 
@@ -140,12 +142,7 @@ def picked(log_probs: np.ndarray, labels, what: str) -> np.ndarray:
 
 
 class Tape:
-    """Single-owner computation record; one per bag during training.
-
-    On a gradient-free tape the elementwise ops (layernorm, ssm-conv,
-    sigmoid, elementwise-mul) reuse a non-leaf first input's array for their
-    result, and that input node's value becomes None.
-    """
+    """Single-owner computation record; one per bag during training."""
 
     def __init__(self, dtype=np.float32, grad_enabled: bool = True):
         self.dtype = np.dtype(dtype)
@@ -164,11 +161,11 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def _take(self, node: Node) -> np.ndarray | None:
-        """The array of a non-leaf input on a gradient-free tape, which the op
-        consuming it writes its result into; the node gives its value up.
-        None on a gradient tape or for a leaf."""
-        if self.grad_enabled or node.op == "leaf":
+    def _take(self, node: Node, read: bool) -> np.ndarray | None:
+        """The first input's array for the op's result, by the module's rule (``read``: a
+        backward this op records reads it); the node gives its value up.  None if it is kept."""
+        later = takewhile(lambda n: n is not node, reversed(self.nodes))  # the ops after node
+        if read or node.op == "leaf" or any(p is node for n in later for p in n.parents):
             return None
         value, node.value = node.value, None
         return value
@@ -221,7 +218,7 @@ class Tape:
         av, bv = _values("elementwise-mul", a, b)
         if av.shape != bv.shape:
             raise ContractError(f"elementwise-mul shape mismatch: {av.shape} * {bv.shape}")
-        value = np.multiply(av, bv, out=self._take(a))
+        value = np.multiply(av, bv, out=self._take(a, read=self._needs_grad((a, b))))
 
         def backward_fn(g):
             if a.needs_grad:
@@ -233,7 +230,7 @@ class Tape:
 
     def sigmoid(self, x: Node) -> Node:
         (xv,) = _values("sigmoid", x)
-        value = _sigmoid(xv, out=self._take(x))
+        value = _sigmoid(xv, out=self._take(x, read=False))
 
         def backward_fn(g):
             gx = np.subtract(1.0, value)
@@ -295,12 +292,12 @@ class Tape:
             raise ContractError(
                 f"layernorm shape mismatch: x {xv.shape}, scale {gv.shape}, shift {bv.shape}"
             )
-        out = self._take(x)
-        xhat = np.subtract(xv, xv.mean(axis=1, keepdims=True), out=out)
+        xhat = np.subtract(xv, xv.mean(axis=1, keepdims=True), out=self._take(x, read=False))
         var = np.square(xhat).mean(axis=1, keepdims=True)
         inv_std = 1.0 / np.sqrt(var + LAYERNORM_EPS)
         xhat *= inv_std
-        value = np.multiply(gv, xhat, out=out)
+        # the backward reads xhat, so the value takes its array only if none is recorded
+        value = np.multiply(gv, xhat, out=None if self._needs_grad((x, gamma, beta)) else xhat)
         value += bv
 
         def backward_fn(g):
@@ -341,9 +338,8 @@ class Tape:
             raise ContractError(
                 f"ssm-conv d/log_dt must be ({h},): {d.value.shape}, {log_dt.value.shape}"
             )
-        value, cache = _ssm_conv_forward(
-            uv, *params, rule, keep_cache=self._needs_grad(parents.values()), out=self._take(u),
-        )
+        value, cache = _ssm_conv_forward(uv, *params, rule,
+                                         out=self._take(u, read=self._needs_grad(parents.values())))
         dtype = self.dtype  # the closure must not hold the tape (a reference cycle)
 
         def backward_fn(g):
@@ -415,8 +411,8 @@ class Tape:
 
 @dataclass
 class SsmConvCache:
-    u: np.ndarray | None
-    kernels: np.ndarray | None
+    u: np.ndarray
+    kernels: np.ndarray
     disc: ssm.Discretization
     dt: np.ndarray
     clamp_mask: np.ndarray
@@ -516,7 +512,7 @@ def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d
     return grad_u.T, sums, grad_d
 
 
-def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache, out=None):
+def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, out=None):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     w = 2.0 * c * disc.b_bar
@@ -525,12 +521,8 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, keep_cache, ou
     y = _chunked_conv(kernels, u, d64, disc.a_bar, w, out=out)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
-    cache = SsmConvCache(
-        u=u if keep_cache else None,
-        kernels=kernels if keep_cache else None,
-        disc=disc, dt=dt, clamp_mask=clamp_mask, c=c, w=w, d=d64,
-    )
-    return y, cache
+    return y, SsmConvCache(u=u, kernels=kernels, disc=disc, dt=dt, clamp_mask=clamp_mask,
+                           c=c, w=w, d=d64)
 
 
 def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.ndarray]:
@@ -548,8 +540,6 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
     so holomorphic steps multiply by the conjugated derivative.
     """
-    if cache.u is None:
-        raise ContractError("ssm-conv was evaluated without gradient caching")
     disc = cache.disc
     grad_u, sums, grad_d = _chunked_block_backward(upstream, cache.u, cache.kernels, cache.d,
                                                    disc.a_bar, cache.w)

@@ -561,12 +561,19 @@ def write_heatmap(path, grid: np.ndarray) -> None:
 
 
 def parse_heatmap(path) -> np.ndarray:
-    lines = Path(path).read_text().splitlines()
-    rows, cols = (int(x) for x in lines[0].split())
-    grid = np.array([[float(v) for v in line.split()] for line in lines[1 : rows + 1]])
-    if grid.shape != (rows, cols):
-        raise ContractError(f"heatmap body {grid.shape} does not match header ({rows}, {cols})")
-    return grid
+    lines = Path(path).read_text().splitlines() or [""]
+    grid, lineno = [], 1
+    try:
+        rows, cols = (int(x) for x in lines[0].split())
+        for lineno, line in enumerate(lines[1 : rows + 1], start=2):
+            grid.append([float(v) for v in line.split()])
+            if len(grid[-1]) != cols:
+                raise ValueError(f"{len(grid[-1])} values, the header says {cols}")
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
+    if not 0 < len(grid) == rows:
+        raise ContractError(f"heatmap body has {len(grid)} rows, the header says {rows} (at least 1)")
+    return np.array(grid).reshape(rows, cols)
 
 
 def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray) -> np.ndarray:

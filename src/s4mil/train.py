@@ -26,7 +26,7 @@ import numpy as np
 
 from .autograd import picked
 from .data_io import Bag
-from .errors import ContractError, NumericalError, S4MilError
+from .errors import ContractError, NumericalError, ParseError, S4MilError
 from .metrics import ScoredPrediction, UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
 from .model import MilModel, ParameterVector, build_tape, checked_patch_labels, forward_mil
 from .seeding import substream
@@ -435,6 +435,9 @@ def read_history(path) -> list[EpochRecord]:
         header = next(reader, None)
         if header != HISTORY_COLUMNS:
             raise ContractError(f"history header must be {HISTORY_COLUMNS}, got {header}")
-        return [EpochRecord(epoch=int(row[0]), train_loss=float(row[1]), val_loss=float(row[2]),
-                            val_accuracy=float(row[3]), val_auroc=float(row[4]))
-                for row in reader]
+        try:  # the rows are read one at a time, so line_num is the failing row's
+            return [EpochRecord(epoch=int(row[0]), train_loss=float(row[1]), val_loss=float(row[2]),
+                                val_accuracy=float(row[3]), val_auroc=float(row[4]))
+                    for row in reader]
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"{path}:{reader.line_num}: bad history row: {exc}") from None

@@ -300,7 +300,7 @@ def test_ssm_conv_feedthrough_gradient_is_correlation():
 
     p = ssm_params(rng, h=2, n_half=2)
     _, cache = _ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
-                                 p["d"], p["log_dt"], "bilinear", keep_cache=True)
+                                 p["d"], p["log_dt"], "bilinear")
     g = rng.standard_normal(p["u"].shape)
     grads = grad_ssm_conv(g, cache)
     np.testing.assert_allclose(grads["d"], np.einsum("lh,lh->h", g, p["u"]), rtol=1e-12)
@@ -312,7 +312,7 @@ def test_ssm_conv_zero_upstream_zero_grads():
 
     p = ssm_params(rng, h=2, n_half=3)
     _, cache = _ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
-                                 p["d"], p["log_dt"], "zoh", keep_cache=True)
+                                 p["d"], p["log_dt"], "zoh")
     grads = grad_ssm_conv(np.zeros_like(p["u"]), cache)
     for k, v in grads.items():
         assert np.all(v == 0.0), k
@@ -328,7 +328,7 @@ def test_ssm_conv_grads_match_unrolled_recurrence():
     p = ssm_params(rng, h=h, n_half=n_half)
     p["u"] = rng.standard_normal((length, h))
     _, cache = _ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
-                                 p["d"], p["log_dt"], "bilinear", keep_cache=True)
+                                 p["d"], p["log_dt"], "bilinear")
     g = rng.standard_normal((length, h))
     grads = grad_ssm_conv(g, cache)
 
@@ -418,7 +418,7 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     p = ssm_params(np.random.default_rng(20), h=3, n_half=2)
     p["u"] = np.random.default_rng(21).standard_normal((length, 3))
     _, cache = autograd._ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
-                                          p["d"], p["log_dt"], "zoh", keep_cache=True)
+                                          p["d"], p["log_dt"], "zoh")
     assert cache.kernels.shape == (3, ssm.STATE_BLOCK)
 
 
@@ -682,8 +682,8 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
         handed.append(node.grad is g)
 
     def copying(node, g):  # every first gradient is a new array, zero plus g
-        if node.grad is None:
-            node.grad = np.add(g, 0, out=np.empty_like(node.value))
+        if node.grad is None:  # laid out like the value, or like g if the value was taken
+            node.grad = np.add(g, 0, out=np.empty_like(g if node.value is None else node.value))
         else:
             node.grad += g
 
@@ -704,15 +704,21 @@ def test_handed_over_gradients_own_distinct_memory_and_match_the_copying_path(mo
 @pytest.mark.parametrize("grad_enabled", [True, False])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_model_activations_are_channel_major(grad_enabled, dtype):
-    # Every value still held is channel-major.  A gradient-free tape's
-    # elementwise ops take the array of their first input unless it is a
-    # leaf, and exactly those inputs hold no value; a gradient tape takes none.
+    # Every value still held is channel-major.  The elementwise ops take the
+    # array of their first input unless it is a leaf or a backward the op
+    # records reads it (the ssm-conv's and the mul's read their inputs; the
+    # model reads each such input once), and exactly those inputs hold no
+    # value, on either kind of tape.
     tape = small_mil_bundle(grad_enabled=grad_enabled, dtype=dtype).tape
     reusing = {"layernorm", "ssm-conv", "sigmoid", "elementwise-mul"}
+    reading = {"ssm-conv", "elementwise-mul"}
     taken = {id(n.parents[0]) for n in tape.nodes
-             if n.op in reusing and n.parents[0].op != "leaf" and not grad_enabled}
+             if n.op in reusing and n.parents[0].op != "leaf"
+             and not (n.op in reading and n.backward_fn is not None)}
     assert {id(n) for n in tape.nodes if n.value is None} == taken
-    assert len(taken) == (0 if grad_enabled else 7)  # 1 + 3 per layer
+    # the layernorm's input, and per layer the sigmoid's, plus on a
+    # gradient-free tape the ssm-conv's and the mul's
+    assert len(taken) == (3 if grad_enabled else 7)
     planes = [n for n in tape.nodes if n.op != "leaf" and n.value is not None and n.value.ndim == 2]
     held = {"matvec", "ssm-conv", "sigmoid", "elementwise-mul"} | ({"layernorm"} if grad_enabled else set())
     assert {n.op for n in planes} >= held
@@ -808,57 +814,95 @@ def test_gradient_free_model_forward_peaks_at_the_planes_it_keeps(one_channel_pe
     assert peak < 3.5 * plane, f"peak {peak / plane:.2f} planes"
 
 
-def test_gradient_tape_without_a_patch_head_holds_no_dense_head_planes():
-    # A gradient tape of a one-layer model without a patch head holds 4
-    # (L, H) float32 planes once build_tape returns:
-    #   - the projection;
-    #   - the layernorm's output and its normalized input, which its
-    #     backward reads;
-    #   - the ssm-conv output, whose rows the head gathers.
-    # The last layer's mixing and GLU run over every token on a
-    # gradient-free tape that is gone by then, and the gradient tape keeps
-    # them on the pooled rows only.  Dense head planes (value, gate,
-    # sigmoid, GLU) would add 4; the bound leaves half a plane above the 4.
+def _gradient_tape_planes(multitask):
+    # the (L, H) float32 planes a one-layer gradient tape holds once
+    # build_tape returns, at L=16384, H=64: the ops of the nodes that still
+    # hold one, and the bytes held over the size of one
     import tracemalloc
 
     from s4mil.model import ModelConfig, build_tape, init_parameters
 
     h, length = 64, 16384
-    cfg = ModelConfig(input_dim=64, hidden_dim=h, state_dim=8, num_classes=2)
+    cfg = ModelConfig(input_dim=64, hidden_dim=h, state_dim=8, num_classes=2, multitask=multitask,
+                      num_patch_classes=2 if multitask else None)
     model = init_parameters(cfg, seed=3)
-    features = np.random.default_rng(4).standard_normal((length, 64)).astype(np.float32)
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((length, 64)).astype(np.float32)
+    loss = {"patch_labels": rng.integers(0, 2, length), "lam": 1.0} if multitask else {}
     build_tape(cfg, model.params, features[:64], slide_label=1)  # imports stay out of the count
     tracemalloc.start()
     try:
-        bundle = build_tape(cfg, model.params, features, slide_label=1)
+        bundle = build_tape(cfg, model.params, features, slide_label=1, **loss)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    plane = h * length * 4
     planes = sorted(n.op for n in bundle.tape.nodes
-                    if n.op != "leaf" and n.value.shape == (length, h))
-    assert planes == ["layernorm", "matvec", "ssm-conv"]
-    assert held < 4.5 * plane, f"holds {held / plane:.2f} planes"
+                    if n.op != "leaf" and n.value is not None and n.value.shape == (length, h))
+    return planes, held / (h * length * 4)
 
 
-def test_an_input_taken_on_a_gradient_free_tape_raises_a_contract_error():
-    # The sigmoid takes m's array on a gradient-free tape, so m has no value
-    # for the mul; a gradient tape keeps every value and runs the same graph.
+def test_gradient_tape_without_a_patch_head_holds_no_dense_head_planes():
+    # A gradient tape of a one-layer model without a patch head holds 3
+    # (L, H) float32 planes once build_tape returns:
+    #   - the layernorm's normalized input, which its backward reads, in the
+    #     projection's array (the projection node gave its value up);
+    #   - the layernorm's output, which the ssm-conv's backward reads;
+    #   - the ssm-conv output, whose rows the head gathers.
+    # The last layer's mixing and GLU run over every token on a
+    # gradient-free tape that is gone by then, and the gradient tape keeps
+    # them on the pooled rows only.  Dense head planes (value, gate,
+    # sigmoid, GLU) would add 4, and a kept projection 1; the bound leaves
+    # half a plane above the 3.
+    planes, held = _gradient_tape_planes(multitask=False)
+    assert planes == ["layernorm", "ssm-conv"]
+    assert held < 3.5, f"holds {held:.2f} planes"
+
+
+def test_multitask_gradient_tape_holds_the_planes_its_backwards_read():
+    # A multitask model's patch head reads every token, so its one-layer
+    # gradient tape records the head densely and holds 6 (L, H) float32
+    # planes once build_tape returns: the three of the pooled tape above,
+    # the value and the GLU output, which the mul's backward and the patch
+    # head's read, and the sigmoid, in the gate's array.  A kept projection
+    # or gate would add 1 each; the bound leaves half a plane above the 6.
+    planes, held = _gradient_tape_planes(multitask=True)
+    assert planes == ["elementwise-mul", "layernorm", "matvec", "sigmoid", "ssm-conv"]
+    assert held < 6.5, f"holds {held:.2f} planes"
+
+
+def test_an_input_taken_by_a_later_op_raises_a_contract_error():
+    # The sigmoid's backward reads only its output, so it takes m's array on
+    # either kind of tape, and m has no value for the mul.
     rng = np.random.default_rng(27)
     x, w, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4)), rng.standard_normal(4)
     for grad_enabled in (False, True):
         tape = Tape(dtype=np.float64, grad_enabled=grad_enabled)
         m = tape.matvec(tape.leaf(x), tape.leaf(w, "w"), tape.leaf(b, "b"))
         s = tape.sigmoid(m)
-        if not grad_enabled:
-            assert m.value is None and s.value is not None
-            with pytest.raises(ContractError, match="elementwise-mul: an input's value was taken "
-                                                    "by a later op of a gradient-free tape"):
-                tape.mul(m, s)
-            continue
-        tape.softmax_log_loss(tape.mul(m, s), rng.integers(0, 4, 5))
-        grads = tape.backward()
-        assert grads["w"].shape == (3, 4) and np.all(np.isfinite(grads["w"]))
+        assert m.value is None and s.value is not None
+        with pytest.raises(ContractError, match="elementwise-mul: an input's value was taken "
+                                                "by a later op"):
+            tape.mul(m, s)
+
+
+def test_an_input_an_earlier_op_consumed_is_kept():
+    # The second matvec's backward reads m for its weight's gradient, so the
+    # sigmoid, m's second consumer, keeps m's array, and the gradients match
+    # finite differences.
+    rng = np.random.default_rng(29)
+    params = {"w": rng.standard_normal((3, 4)), "v": rng.standard_normal((4, 4))}
+    x, b, labels = rng.standard_normal((5, 3)), rng.standard_normal(4), rng.integers(0, 4, 5)
+
+    def build(p):
+        tape = f64_tape()
+        m = tape.matvec(tape.leaf(x), tape.leaf(p["w"], "w"), tape.leaf(b))
+        mixed = tape.matvec(m, tape.leaf(p["v"], "v"), tape.leaf(b))
+        gate = tape.sigmoid(m)
+        assert m.value is not None
+        tape.softmax_log_loss(tape.mul(mixed, gate), labels)
+        return tape
+
+    assert_gradcheck(build, params)
 
 
 def test_gradient_free_ops_never_write_a_leaf():

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from s4mil.checkpoint import save_checkpoint
 from s4mil.cli import (REGISTRY, RunSpec, _coerce, build_parser, heatmap_grid, main,
                        parse_heatmap, resolve_config, write_heatmap)
 from s4mil.data_io import write_manifest, write_sequence_file
-from s4mil.errors import ConfigError, ContractError
+from s4mil.errors import ConfigError, ContractError, ParseError
 from s4mil.model import ModelConfig, init_parameters
 
 TINY_SYNTH = [
@@ -236,6 +237,19 @@ def test_heatmap_round_trip(tmp_path):
     path = tmp_path / "grid.txt"
     write_heatmap(path, grid)
     assert np.array_equal(parse_heatmap(path), grid)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                        # an empty file
+    ("2 x\n0 1\n", 1),              # a header that is not two integers
+    ("1 2\n0.5 y\n", 2),            # a value that is not a number
+    ("2 2\n0.1 0.2\n0.3\n", 3),    # a row shorter than the header says
+])
+def test_malformed_heatmap_raises_a_parse_error_naming_file_and_line(tmp_path, text, line):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:{line}: "):
+        parse_heatmap(path)
 
 
 def test_heatmap_duplicate_coordinate_names_first_repeat():

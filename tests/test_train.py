@@ -1,11 +1,12 @@
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from s4mil import data_io, train
-from s4mil.errors import ContractError, NumericalError
+from s4mil.errors import ContractError, NumericalError, ParseError
 from s4mil.model import ModelConfig, ParameterVector, init_parameters
 from s4mil.train import (
     AdamLookahead,
@@ -600,6 +601,17 @@ def test_history_round_trip(tmp_path):
     again = read_history(path)
     assert again[0] == history[0]
     assert again[1].epoch == 2 and math.isnan(again[1].val_auroc)
+
+
+@pytest.mark.parametrize("row", [
+    "1,x,0.6,0.75,0.8",  # a field that is not a number
+    "1,0.5,0.6",         # a row short of fields
+])
+def test_malformed_history_row_raises_a_parse_error_naming_file_and_line(tmp_path, row):
+    path = tmp_path / "history.csv"
+    path.write_text(",".join(train.HISTORY_COLUMNS) + "\n2,0.5,0.6,0.75,0.8\n" + row + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
+        read_history(path)
 
 
 def test_patch_head_gradient_zero_when_lambda_zero():
