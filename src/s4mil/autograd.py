@@ -40,25 +40,16 @@ gradient back into a zero (L, H) one.  A gradient tape of a model without
 a patch head uses it to record the last layer's mixing and GLU on the
 tokens the max-pool picks, at most H of them, since the max-pool passes
 gradient to no other token (model.build_tape).  A multitask model's patch
-head reads every token, so its tape records the head densely.
+head reads every token, so its tape records the head densely.  The
+backward of `rows` reads only its input's shape, dtype and layout, so
+`rows` takes its input by the rule above too, without writing into it.
 
 Training runs the tape in float32; gradient-check builds use float64.
 The ssm-conv op always performs its internal kernel and block math in 64-bit;
 each chunk of channels is cast to float64 rows and its result back to
 the tape dtype, so no whole float64 copy of the input or output exists.
-The forward builds only the first block's kernel taps, ssm.conv_taps(L):
-all L of them for a bag of at most ssm.ONE_BLOCK_MAX tokens, which is then
-one block convolved by one FFT, and ssm.STATE_BLOCK past that, where each
-block applies them as one product with a Toeplitz matrix and carried SSM
-states add every earlier block (ssm.block_causal_conv).  Its backward is one
-pass over the blocks of the upstream and the input (ssm.block_adjoint),
-which reads the same taps, so a gradient tape builds no other kernel: the
-in-block input gradient and the in-block correlations with the input come
-from one spectrum of the upstream's block, or past one block from products
-with the transposed Toeplitz matrices and of the blocks themselves, and
-the upstream's block sums, carried back across blocks, add the rest of
-both the input gradient and the parameter gradients.  The backward forms
-no (H, L) float64 array either.
+Its forward and backward are ssm.block_causal_conv and ssm.block_adjoint,
+whose docstrings and the ssm module's give the block math.
 """
 
 from dataclasses import dataclass, field
@@ -270,16 +261,19 @@ class Tape:
         """Rows ``index`` of (L, H), as a channel-major (len(index), H) array.
 
         The backward scatters the gradient into a zero (L, H) gradient of x,
-        laid out like x.
+        laid out like x; it reads only x's shape, dtype and layout, so x
+        gives its value up by the module's rule.
         """
         (xv,) = _values("rows", x)
         index = np.asarray(index, dtype=np.intp)
         if xv.ndim != 2 or index.ndim != 1:
             raise ContractError(f"rows expects (L, H) and a 1-D index, got {xv.shape}, {index.shape}")
         value = np.take(xv.T, index, axis=1).T
+        shape, dtype, order = xv.shape, xv.dtype, "F" if xv.flags.f_contiguous else "C"
+        self._take(x, read=False)
 
         def backward_fn(g):
-            gx = np.zeros_like(xv)
+            gx = np.zeros(shape, dtype, order)
             gx[index] = g
             _accumulate(x, gx)
 

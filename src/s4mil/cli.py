@@ -565,15 +565,20 @@ def parse_heatmap(path) -> np.ndarray:
     grid, lineno = [], 1
     try:
         rows, cols = (int(x) for x in lines[0].split())
-        for lineno, line in enumerate(lines[1 : rows + 1], start=2):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"the header says {rows} rows of {cols} values (at least 1 each)")
+        for lineno, line in enumerate(lines[1:], start=2):
+            if lineno > rows + 1:
+                raise ValueError(f"a row past the {rows} the header says")
             grid.append([float(v) for v in line.split()])
             if len(grid[-1]) != cols:
                 raise ValueError(f"{len(grid[-1])} values, the header says {cols}")
+        if len(grid) < rows:
+            lineno = len(lines) + 1
+            raise ValueError(f"the body ends after {len(grid)} rows, the header says {rows}")
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: {exc}") from None
-    if not 0 < len(grid) == rows:
-        raise ContractError(f"heatmap body has {len(grid)} rows, the header says {rows} (at least 1)")
-    return np.array(grid).reshape(rows, cols)
+    return np.array(grid)
 
 
 def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -238,6 +238,9 @@ def load_manifest(path) -> list[Bag]:
     seen: set[str] = set()
     bags = []
     for lineno, row in enumerate(rows, start=2):
+        if None in row:  # DictReader files the cells past the header's under None
+            raise ParseError(f"{path}:{lineno}: row has {len(MANIFEST_COLUMNS) + len(row[None])} "
+                             f"cells, the header {len(MANIFEST_COLUMNS)}")
         bag_id = (row["id"] or "").strip()
         if not bag_id:
             raise ParseError(f"{path}:{lineno}: empty bag id")

@@ -4,47 +4,33 @@ The binary AUROC is the Mann-Whitney statistic, computed via midranks:
 (#concordant pairs + 0.5 * #tied pairs) / (#pos * #neg).  Ranks are halves
 of integers, so the rank-sum route equals brute-force pair counting exactly
 in float64 for realistic sample counts.  One-vs-rest is the unweighted mean
-of per-class binary AUROCs over classes present in the labels.
+of per-class binary AUROCs over classes present in the labels.  Accuracy
+and one-vs-rest read (N, C) class probabilities and (N,) class labels.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, UndefinedMetricError
 
 
-@dataclass(frozen=True)
-class ScoredPrediction:
-    scores: np.ndarray  # per-class probabilities on the simplex
-    true_label: int
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or scores.size < 2:
-            raise ContractError(f"scores must be a vector of >= 2 classes, got shape {scores.shape}")
-        if not np.all(np.isfinite(scores)):
-            raise ContractError(f"scores must be finite, got {scores}")
-        if abs(scores.sum() - 1.0) > 1e-6 or np.any(scores < -1e-12):
-            raise ContractError("scores must lie on the probability simplex (within 1e-6)")
-        if not 0 <= self.true_label < scores.size:
-            raise ContractError(f"label {self.true_label} out of range for {scores.size} classes")
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-
-
-def _stack(predictions) -> tuple[np.ndarray, np.ndarray]:
-    preds = list(predictions)
-    if not preds:
-        raise ContractError("no predictions given")
-    scores = np.stack([p.scores for p in preds])
-    labels = np.array([p.true_label for p in preds], dtype=np.int64)
+def _checked(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """scores (N, C) as float64 rows on the simplex, and labels (N,) in 0..C-1."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 2 or labels.shape != scores.shape[:1]:
+        raise ContractError(f"need (N >= 1, C >= 2) scores and (N,) labels, "
+                            f"got {scores.shape} and {labels.shape}")
+    if not np.isfinite(scores).all():
+        raise ContractError(f"scores must be finite, got {scores[~np.isfinite(scores).all(axis=1)][0]}")
+    if np.any(np.abs(scores.sum(axis=1) - 1.0) > 1e-6) or np.any(scores < -1e-12):
+        raise ContractError("scores must lie on the probability simplex (within 1e-6)")
+    if np.any(bad := (labels < 0) | (labels >= scores.shape[1])):
+        raise ContractError(f"label {labels[bad][0]} out of range for {scores.shape[1]} classes")
     return scores, labels
 
 
-def accuracy(predictions) -> float:
+def accuracy(scores, labels) -> float:
     """Fraction with argmax(scores) == label; ties go to the lowest class."""
-    scores, labels = _stack(predictions)
+    scores, labels = _checked(scores, labels)
     return float(np.mean(np.argmax(scores, axis=1) == labels))
 
 
@@ -70,15 +56,13 @@ def auroc_binary(scores, labels) -> float:
     return float((rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg))
 
 
-def auroc_ovr(predictions, num_classes: int) -> float:
+def auroc_ovr(scores, labels) -> float:
     """Unweighted mean of per-class binary AUROCs over classes present."""
-    scores, labels = _stack(predictions)
-    if scores.shape[1] != num_classes:
-        raise ContractError(f"predictions carry {scores.shape[1]} classes, expected {num_classes}")
-    present = [k for k in range(num_classes) if np.any(labels == k)]
-    if len(present) < 2:
+    scores, labels = _checked(scores, labels)
+    present = np.unique(labels)
+    if present.size < 2:
         raise UndefinedMetricError(
-            f"one-vs-rest AUROC needs >= 2 classes present, found {len(present)}"
+            f"one-vs-rest AUROC needs >= 2 classes present, found {present.size}"
         )
     values = [auroc_binary(scores[:, k], (labels == k).astype(np.int64)) for k in present]
     return float(np.mean(values))

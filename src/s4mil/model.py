@@ -227,12 +227,6 @@ class MilModel:
         if not (isinstance(self.params, ParameterVector) and self.params.vector.dtype == np.float32):
             self.params = ParameterVector.pack(self.params, np.float32)
 
-    def parameters(self) -> ParameterVector:
-        return self.params
-
-    def copy_params(self) -> ParameterVector:
-        return self.params.copy()
-
 
 def init_parameters(config: ModelConfig, seed: int) -> MilModel:
     """Deterministic initialization.
@@ -407,8 +401,7 @@ class ForwardResult(NamedTuple):
                            else np.exp(self.patch_log_probs))
 
 
-def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
-                dtype=np.float32) -> ForwardResult:
+def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv") -> ForwardResult:
     """Class log-probabilities for one bag (and per-token ones when multitask) by the
     training loss's autograd.log_softmax; ``slide_probs`` and ``patch_probs`` are their exp.
 
@@ -416,8 +409,7 @@ def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv",
     consume: a one-layer model holds at most 3 (L, H) planes (the ssm-conv
     output, the value and GLU, the gate and sigmoid) besides the features.
     """
-    bundle = build_tape(model.config, model.params, features, mode=mode, dtype=dtype,
-                        grad_enabled=False)
+    bundle = build_tape(model.config, model.params, features, mode=mode, grad_enabled=False)
     patch = bundle.patch_logits
     return ForwardResult(slide_log_probs=log_softmax(bundle.slide_logits.value)[0],
                          patch_log_probs=None if patch is None else log_softmax(patch.value))

@@ -23,8 +23,8 @@ recurrence of S5), so no kernel longer than a block is built and no
 transform is made.  The backward is one pass over the same blocks
 (block_adjoint): the transposed Toeplitz matrices give the in-block input
 gradient, and the diagonal sums of one product of the input's and the
-upstream's blocks give the in-block correlations, which the pole powers
-weight (correlation_pole_sums).  The upstream's and the input's block sums
+upstream's blocks give the in-block correlations, which the rows of the
+carried blocks' power table weight.  The upstream's and the input's block sums
 against the pole powers, carried across blocks, add the rest of the input
 gradient and of the pole sums, so no correlation longer than a block is
 formed.  fft_causal_corr and direct_causal_conv stay as the oracles'
@@ -433,7 +433,8 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     spectrum, the correlation irfft(G conj(U))[:B], whose B lags
     correlation_pole_sums weights.  Past one block no transform is made:
       * in-block input gradient: g times the transposed Toeplitz matrices;
-      * in-block pole sums: the lags of _lag_sums, weighted as above.
+      * in-block pole sums: the lags of _lag_sums, weighted by the rows
+        a^l and l a^(l-1) of the table below, and conjugated.
     Across blocks, with a = a_bar, s = a^B, the blocks j of g and i of u,
     E_j = sum_r g[jB+r] a^r, E'_j = sum_r r g[jB+r] a^(r-1),
     V_i = sum_r u[iB+r] a^(B-r) and V'_i = sum_r (B-r) u[iB+r] a^(B-1-r):
@@ -473,7 +474,6 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
 
     n = a_bar.shape[1]
     grad_in = np.matmul(g, _toeplitz(kernels).swapaxes(1, 2))
-    sums = correlation_pole_sums(_lag_sums(g, u), a_bar)
     powers = _powers(a_bar, block)  # (h, B + 1, n)
     ramp = np.arange(block, dtype=np.float64)[:, None]
     # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
@@ -484,6 +484,10 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     tables[2] = powers[:, block:0:-1]
     np.multiply(powers[:, block - 1::-1], block - ramp, out=tables[3])
     rows = tables.view(np.float64)  # (4, h, B, 2n)
+    # the in-block lags weighted by a^l and l a^(l-1); corr is real, so their conjugates
+    # are the pole sums of conj(a) that correlation_pole_sums gives
+    sums = np.matmul(_lag_sums(g, u)[:, None, None], rows[:2].swapaxes(0, 1))
+    sums = np.conjugate(sums[:, :, 0].view(np.complex128))  # (h, 2, n)
     # block-major: [E_j, E'_j, 0] for every block but the first, becoming
     # [F_i, F'_i, G_i], and [V_i, V'_i] for every block but the last
     ahead = np.empty((count - 1, 3, h, n), dtype=np.complex128)

@@ -27,7 +27,7 @@ import numpy as np
 from .autograd import picked
 from .data_io import Bag
 from .errors import ContractError, NumericalError, ParseError, S4MilError
-from .metrics import ScoredPrediction, UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
+from .metrics import UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
 from .model import MilModel, ParameterVector, build_tape, checked_patch_labels, forward_mil
 from .seeding import substream
 
@@ -95,7 +95,7 @@ def mil_loss(slide_log_probs: Sequence[np.ndarray], labels: Sequence[int]) -> fl
     if len(slide_log_probs) == 0 or len(slide_log_probs) != len(labels):
         raise ContractError(f"need matching non-empty log-probabilities and labels, "
                             f"got {len(slide_log_probs)} vs {len(labels)}")
-    return float(-np.mean([_floor_counted(p, y, "slide") for p, y in zip(slide_log_probs, labels)]))
+    return float(-np.mean(_floor_counted(np.stack(slide_log_probs), labels, "slide")))
 
 
 def multitask_loss(slide_log_probs, slide_labels, patch_log_probs, patch_labels, lam: float) -> float:
@@ -228,13 +228,13 @@ def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> di
     else:
         loss = mil_loss(log_probs, labels)
     slide_probs = [o.slide_probs for o in outs]
-    preds = [ScoredPrediction(scores=p, true_label=y) for p, y in zip(slide_probs, labels)]
-    acc = accuracy(preds)
+    probs = np.stack(slide_probs)
+    acc = accuracy(probs, labels)
     try:
         if model.config.num_classes == 2:
-            auroc = auroc_binary(np.array([p[1] for p in slide_probs]), np.array(labels))
+            auroc = auroc_binary(probs[:, 1], labels)
         else:
-            auroc = auroc_ovr(preds, model.config.num_classes)
+            auroc = auroc_ovr(probs, labels)
     except UndefinedMetricError:
         auroc = float("nan")
     return {"loss": loss, "accuracy": acc, "auroc": auroc,
@@ -260,7 +260,7 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
     optimizer = AdamLookahead(model.params, config)
     history: list[EpochRecord] = []
     best_loss = math.inf
-    best_params = model.copy_params()
+    best_params = model.params.copy()
     mean = ParameterVector(np.empty(best_params.vector.size), best_params.shapes)  # each step's gradient
     best_epoch = 0
     stall = 0
@@ -294,7 +294,7 @@ def fit(model: MilModel, train_bags: Sequence[Bag], val_bags: Sequence[Bag],
         ))
         if stats["loss"] < best_loss:
             best_loss = stats["loss"]
-            best_params = model.copy_params()
+            best_params = model.params.copy()
             best_epoch = epoch
             stall = 0
         else:
@@ -434,10 +434,13 @@ def read_history(path) -> list[EpochRecord]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != HISTORY_COLUMNS:
-            raise ContractError(f"history header must be {HISTORY_COLUMNS}, got {header}")
-        try:  # the rows are read one at a time, so line_num is the failing row's
-            return [EpochRecord(epoch=int(row[0]), train_loss=float(row[1]), val_loss=float(row[2]),
-                                val_accuracy=float(row[3]), val_auroc=float(row[4]))
-                    for row in reader]
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"{path}:{reader.line_num}: bad history row: {exc}") from None
+            raise ParseError(f"{path}:1: history header must be {HISTORY_COLUMNS}, got {header}")
+        records = []
+        for row in reader:  # read one at a time, so line_num is this row's
+            try:
+                if len(row) != len(HISTORY_COLUMNS):
+                    raise ValueError(f"{len(row)} cells, the header has {len(HISTORY_COLUMNS)}")
+                records.append(EpochRecord(int(row[0]), *map(float, row[1:])))
+            except ValueError as exc:
+                raise ParseError(f"{path}:{reader.line_num}: bad history row: {exc}") from None
+        return records

@@ -842,28 +842,30 @@ def _gradient_tape_planes(multitask):
 
 
 def test_gradient_tape_without_a_patch_head_holds_no_dense_head_planes():
-    # A gradient tape of a one-layer model without a patch head holds 3
+    # A gradient tape of a one-layer model without a patch head holds 2
     # (L, H) float32 planes once build_tape returns:
     #   - the layernorm's normalized input, which its backward reads, in the
     #     projection's array (the projection node gave its value up);
-    #   - the layernorm's output, which the ssm-conv's backward reads;
-    #   - the ssm-conv output, whose rows the head gathers.
-    # The last layer's mixing and GLU run over every token on a
-    # gradient-free tape that is gone by then, and the gradient tape keeps
-    # them on the pooled rows only.  Dense head planes (value, gate,
-    # sigmoid, GLU) would add 4, and a kept projection 1; the bound leaves
-    # half a plane above the 3.
+    #   - the layernorm's output, which the ssm-conv's backward reads.
+    # The ssm-conv output gave its value up to the rows node that gathers
+    # the pooled tokens, since that backward reads only its shape.  The last
+    # layer's mixing and GLU run over every token on a gradient-free tape
+    # that is gone by then, and the gradient tape keeps them on the pooled
+    # rows only.  Dense head planes (value, gate, sigmoid, GLU) would add 4,
+    # and a kept projection or ssm-conv output 1 each; the bound leaves half
+    # a plane above the 2.
     planes, held = _gradient_tape_planes(multitask=False)
-    assert planes == ["layernorm", "ssm-conv"]
-    assert held < 3.5, f"holds {held:.2f} planes"
+    assert planes == ["layernorm"]
+    assert held < 2.5, f"holds {held:.2f} planes"
 
 
 def test_multitask_gradient_tape_holds_the_planes_its_backwards_read():
     # A multitask model's patch head reads every token, so its one-layer
     # gradient tape records the head densely and holds 6 (L, H) float32
-    # planes once build_tape returns: the three of the pooled tape above,
-    # the value and the GLU output, which the mul's backward and the patch
-    # head's read, and the sigmoid, in the gate's array.  A kept projection
+    # planes once build_tape returns: the two of the pooled tape above, the
+    # ssm-conv output, which the mixing's backwards read, the value and the
+    # GLU output, which the mul's backward and the patch head's read, and
+    # the sigmoid, in the gate's array.  A kept projection
     # or gate would add 1 each; the bound leaves half a plane above the 6.
     planes, held = _gradient_tape_planes(multitask=True)
     assert planes == ["elementwise-mul", "layernorm", "matvec", "sigmoid", "ssm-conv"]
@@ -994,7 +996,7 @@ def test_full_mil_model_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
     features = rng.standard_normal((16, 8))
     patch_labels = rng.integers(0, 2, 16)
-    params = {k: v.astype(np.float64) for k, v in model.parameters().items()}
+    params = {k: v.astype(np.float64) for k, v in model.params.items()}
 
     def build(p):
         bundle = build_tape(cfg, p, features, slide_label=1, patch_labels=patch_labels,

@@ -244,6 +244,9 @@ def test_heatmap_round_trip(tmp_path):
     ("2 x\n0 1\n", 1),              # a header that is not two integers
     ("1 2\n0.5 y\n", 2),            # a value that is not a number
     ("2 2\n0.1 0.2\n0.3\n", 3),    # a row shorter than the header says
+    ("1 2\n1 2\n3 4\n", 3),        # a row past the ones the header says
+    ("2 2\n0.1 0.2\n", 3),         # a body that ends before the header's rows
+    ("0 2\n", 1),                  # a header of no rows
 ])
 def test_malformed_heatmap_raises_a_parse_error_naming_file_and_line(tmp_path, text, line):
     path = tmp_path / "grid.txt"

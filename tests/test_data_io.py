@@ -283,6 +283,14 @@ def test_manifest_row_that_ends_before_its_features_cell_is_rejected(tmp_path):
         load_manifest(tmp_path / "manifest.csv")
 
 
+def test_manifest_row_with_more_cells_than_the_header_is_rejected(tmp_path):
+    write_corpus(tmp_path, n=1)
+    (tmp_path / "manifest.csv").write_text(
+        "id,label,features,patch_labels,coords\nbag0,1,feat0.seqf,,,extra\n")
+    with pytest.raises(ParseError, match=r"manifest.csv:2: row has 6 cells, the header 5"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
 def test_manifest_patch_labels_of_another_bag_are_a_parse_error(tmp_path):
     write_sequence_file(tmp_path / "feat.seqf", np.zeros((4, 3), dtype=np.float32))
     write_sequence_file(tmp_path / "lab.seqf", np.zeros((5, 1), dtype=np.float32))

@@ -4,11 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from s4mil.errors import ContractError, UndefinedMetricError
-from s4mil.metrics import ScoredPrediction, accuracy, auroc_binary, auroc_ovr
-
-
-def pred(scores, label):
-    return ScoredPrediction(scores=np.asarray(scores, dtype=np.float64), true_label=label)
+from s4mil.metrics import accuracy, auroc_binary, auroc_ovr
 
 
 def brute_force_auroc(scores, labels):
@@ -31,37 +27,52 @@ def brute_force_auroc(scores, labels):
 # --------------------------------------------------------------------------
 
 def test_accuracy_all_correct():
-    preds = [pred([0.9, 0.1], 0), pred([0.2, 0.8], 1)]
-    assert accuracy(preds) == 1.0
+    assert accuracy([[0.9, 0.1], [0.2, 0.8]], [0, 1]) == 1.0
 
 
 def test_accuracy_half_correct():
-    preds = [pred([0.9, 0.1], 0), pred([0.9, 0.1], 1)]
-    assert accuracy(preds) == 0.5
+    assert accuracy([[0.9, 0.1], [0.9, 0.1]], [0, 1]) == 0.5
 
 
 def test_accuracy_tie_goes_to_lowest_class():
-    assert accuracy([pred([0.5, 0.5], 0)]) == 1.0
-    assert accuracy([pred([0.5, 0.5], 1)]) == 0.0
+    assert accuracy([[0.5, 0.5]], [0]) == 1.0
+    assert accuracy([[0.5, 0.5]], [1]) == 0.0
 
 
 def test_accuracy_empty_rejected():
     with pytest.raises(ContractError):
-        accuracy([])
+        accuracy(np.empty((0, 2)), np.empty(0, dtype=np.int64))
 
 
-def test_scored_prediction_validates_simplex():
+@pytest.mark.parametrize("metric", [accuracy, auroc_ovr])
+def test_scores_off_the_simplex_are_rejected(metric):
     with pytest.raises(ContractError, match="simplex"):
-        ScoredPrediction(scores=np.array([0.9, 0.9]), true_label=0)
+        metric([[0.9, 0.9], [0.2, 0.8]], [0, 1])
 
 
 @pytest.mark.parametrize("scores", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, -np.inf],
                                     [1.0, 0.0, np.inf]])
-def test_scored_prediction_rejects_non_finite_scores(scores):
+@pytest.mark.parametrize("metric", [accuracy, auroc_ovr])
+def test_non_finite_scores_are_rejected(metric, scores):
     # A NaN sum passes the simplex tolerance check, and argmax would then
     # score [nan, nan] as a correct class 0.
+    fine = np.eye(len(scores))[:2]
     with pytest.raises(ContractError, match="finite"):
-        ScoredPrediction(scores=np.array(scores), true_label=0)
+        metric(np.vstack([fine, scores]), [0, 1, 0])
+
+
+@pytest.mark.parametrize("scores, labels", [
+    ([0.5, 0.5], [0]),                  # one row, not (N, C)
+    ([[1.0], [1.0]], [0, 0]),           # fewer than 2 classes
+    ([[0.5, 0.5], [0.5, 0.5]], [0]),    # fewer labels than rows
+    ([[0.5, 0.5]], [[0]]),              # labels not a vector
+    ([[0.5, 0.5], [0.5, 0.5]], [0, 2]), # a label past the last class
+    ([[0.5, 0.5], [0.5, 0.5]], [-1, 0]), # a negative label
+])
+@pytest.mark.parametrize("metric", [accuracy, auroc_ovr])
+def test_malformed_scores_or_labels_are_rejected(metric, scores, labels):
+    with pytest.raises(ContractError):
+        metric(scores, labels)
 
 
 # --------------------------------------------------------------------------
@@ -136,18 +147,14 @@ def test_ovr_reduces_to_binary():
     p1 = rng.random(30)
     labels = rng.integers(0, 2, 30)
     labels[:2] = [0, 1]
-    preds = [pred([1 - p, p], y) for p, y in zip(p1, labels)]
-    assert auroc_ovr(preds, 2) == pytest.approx(auroc_binary(p1, labels))
+    assert auroc_ovr(np.stack([1 - p1, p1], axis=1), labels) == pytest.approx(auroc_binary(p1, labels))
 
 
 def test_ovr_perfectly_separated_three_classes():
-    preds = []
-    for k in range(3):
-        for _ in range(4):
-            scores = np.full(3, 0.05)
-            scores[k] = 0.9
-            preds.append(pred(scores, k))
-    assert auroc_ovr(preds, 3) == 1.0
+    labels = np.repeat(np.arange(3), 4)
+    scores = np.full((12, 3), 0.05)
+    scores[np.arange(12), labels] = 0.9
+    assert auroc_ovr(scores, labels) == 1.0
 
 
 def test_ovr_matches_mean_of_brute_force():
@@ -157,11 +164,10 @@ def test_ovr_matches_mean_of_brute_force():
     labels = rng.integers(0, 3, 60)
     for k in range(3):
         labels[k] = k
-    preds = [pred(s, y) for s, y in zip(scores, labels)]
     expected = np.mean([
         brute_force_auroc(scores[:, k], (labels == k).astype(int)) for k in range(3)
     ])
-    assert auroc_ovr(preds, 3) == pytest.approx(expected, abs=0)
+    assert auroc_ovr(scores, labels) == pytest.approx(expected, abs=0)
 
 
 def test_ovr_excludes_absent_classes():
@@ -170,14 +176,12 @@ def test_ovr_excludes_absent_classes():
     scores = raw / raw.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 2, 20)  # class 2 never appears
     labels[:2] = [0, 1]
-    preds = [pred(s, y) for s, y in zip(scores, labels)]
     expected = np.mean([
         brute_force_auroc(scores[:, k], (labels == k).astype(int)) for k in range(2)
     ])
-    assert auroc_ovr(preds, 3) == pytest.approx(expected, abs=0)
+    assert auroc_ovr(scores, labels) == pytest.approx(expected, abs=0)
 
 
 def test_ovr_single_class_is_an_error():
-    preds = [pred([0.6, 0.3, 0.1], 0) for _ in range(5)]
     with pytest.raises(UndefinedMetricError):
-        auroc_ovr(preds, 3)
+        auroc_ovr(np.tile([0.6, 0.3, 0.1], (5, 1)), np.zeros(5, dtype=np.int64))

@@ -63,7 +63,7 @@ def test_count_equals_exhaustive_walk(d, h, n_half, classes, layers, multitask):
     cfg = ModelConfig(input_dim=d, hidden_dim=h, state_dim=2 * n_half,
                       num_classes=classes, num_ssm_layers=layers, multitask=multitask)
     model = init_parameters(cfg, seed=0)
-    walked = sum(v.size for v in model.parameters().values())
+    walked = sum(v.size for v in model.params.values())
     assert count_parameters(cfg) == walked
 
 
@@ -187,12 +187,19 @@ def dense_gradient_tape(cfg, params, features, slide_label, dtype):
 
 def assert_gathered_tape_is_the_dense_tape(cfg, params, features, dtype):
     """build_tape's gradient tape against the dense one: loss, slide logits,
-    pooled row and every parameter gradient byte for byte.  Returns the
-    tape's rows node."""
+    pooled row and every parameter gradient byte for byte.  The rows node
+    holds the last ssm-conv output of a gradient-free tape at the tokens its
+    max-pool picks, and its input gave that plane up.  Returns the tokens."""
     bundle = build_tape(cfg, params, features, slide_label=1, dtype=dtype)
     dense, dense_pooled, dense_logits = dense_gradient_tape(cfg, params, features, 1, dtype)
     (rows,) = [n for n in bundle.tape.nodes if n.op == "rows"]
-    assert rows.value.shape[0] <= cfg.hidden_dim
+    free = build_tape(cfg, params, features, dtype=dtype, grad_enabled=False).tape.nodes
+    conv = [n for n in free if n.op == "ssm-conv"][-1].value
+    glu = next(n for n in free if n.op == "max-pool-over-sequence").parents[0].value
+    picked = np.unique(np.argmax(glu, axis=0))
+    assert len(picked) <= cfg.hidden_dim and conv.shape[0] == features.shape[0]
+    assert rows.value.tobytes() == conv[picked].tobytes()
+    assert rows.parents[0].op == "ssm-conv" and rows.parents[0].value is None
     pooled = next(n for n in bundle.tape.nodes if n.op == "max-pool-over-sequence")
     assert bundle.tape.nodes[-1].value.tobytes() == dense.nodes[-1].value.tobytes()
     assert bundle.slide_logits.value.tobytes() == dense_logits.value.tobytes()
@@ -202,7 +209,7 @@ def assert_gathered_tape_is_the_dense_tape(cfg, params, features, dtype):
     for k in grads:
         assert grads[k].dtype == dtype
         assert grads[k].tobytes() == dense_grads[k].tobytes(), k
-    return rows
+    return picked
 
 
 @pytest.mark.parametrize("layers", [1, 2])
@@ -215,8 +222,7 @@ def test_row_gathered_gradient_tape_matches_a_dense_tape_bytewise(dtype, layers)
     rng = np.random.default_rng(8)
     for length in (ssm.ONE_BLOCK_MAX, ssm.ONE_BLOCK_MAX + 37):
         features = rng.standard_normal((length, 8)).astype(np.float32)
-        rows = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
-        assert rows.parents[0].op == "ssm-conv" and rows.parents[0].value.shape[0] == length
+        assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -244,10 +250,8 @@ def test_row_gathered_tape_gives_a_tied_channel_to_its_first_occurrence(dtype):
     assert np.all(plane[:, :2] == plane[0, :2])
     first = np.argmax(plane, axis=0)
     assert np.all(first < 5) and first[0] == first[1] == 0
-    rows = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
-    picked = np.unique(first)
-    assert len(picked) > 1
-    assert rows.value.tobytes() == rows.parents[0].value[picked].tobytes()
+    picked = assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
+    assert np.array_equal(picked, np.unique(first)) and len(picked) > 1
 
 
 def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
@@ -472,7 +476,7 @@ def test_model_parameters_are_named_views_of_one_float32_vector():
     assert model.params["norm.scale"].tolist() == [0.0, 1.0, 2.0, 3.0]
     with pytest.raises(ContractError, match="'norm.scale' has shape"):
         model.params["norm.scale"] = np.ones(3)
-    copy = model.copy_params()
+    copy = model.params.copy()
     copy["norm.scale"] = np.zeros(4)
     assert model.params["norm.scale"].tolist() == [0.0, 1.0, 2.0, 3.0]
 

@@ -447,7 +447,7 @@ def test_fit_with_grad_accum_steps_on_the_mean_of_each_group_of_bags(monkeypatch
     model = tiny_model()
     bags = tiny_bags(n=4, seed=2)
     train_bags = bags[:3]
-    initial = model.copy_params()
+    initial = model.params.copy()
     calls = []
     step = AdamLookahead.step
 
@@ -606,11 +606,23 @@ def test_history_round_trip(tmp_path):
 @pytest.mark.parametrize("row", [
     "1,x,0.6,0.75,0.8",  # a field that is not a number
     "1,0.5,0.6",         # a row short of fields
+    "1,0.5,0.6,0.75,0.8,0.9",  # a row with a field past the header's
 ])
 def test_malformed_history_row_raises_a_parse_error_naming_file_and_line(tmp_path, row):
     path = tmp_path / "history.csv"
     path.write_text(",".join(train.HISTORY_COLUMNS) + "\n2,0.5,0.6,0.75,0.8\n" + row + "\n")
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
+        read_history(path)
+
+
+@pytest.mark.parametrize("text", [
+    "",                                            # an empty file
+    "epoch,train_loss,val_loss\n1,0.5,0.6\n",      # a header short of columns
+])
+def test_malformed_history_header_raises_a_parse_error_naming_file_and_line(tmp_path, text):
+    path = tmp_path / "history.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:1: "):
         read_history(path)
 
 
