@@ -45,11 +45,14 @@ backward of `rows` reads only its input's shape, dtype and layout, so
 `rows` takes its input by the rule above too, without writing into it.
 
 Training runs the tape in float32; gradient-check builds use float64.
-The ssm-conv op always performs its internal kernel and block math in 64-bit;
-each chunk of channels is cast to float64 rows and its result back to
-the tape dtype, so no whole float64 copy of the input or output exists.
-Its forward and backward are ssm.block_causal_conv and ssm.block_adjoint,
-whose docstrings and the ssm module's give the block math.
+The ssm-conv op forms its kernels, transforms, carried states and pole
+sums in 64 bits on either tape.  Past one block its block products run
+in the tape's dtype: each chunk of channels is copied into blocks of that
+dtype, so no whole float64 copy of the input or output exists, and on a
+float32 tape the output and gradients move by at most 7.5e-7 of their
+scale.  Its forward and backward are ssm.block_causal_conv and
+ssm.block_adjoint, whose docstrings and the ssm module's give the block
+math.
 """
 
 from dataclasses import dataclass, field
@@ -433,20 +436,31 @@ def _block_chunk(h: int, length: int) -> int:
     # Channels per chunk of the blocked convolution and its adjoint.  One
     # block (L <= ssm.ONE_BLOCK_MAX) runs its FFTs fastest when a chunk's
     # padded rows hold about 2^18 float64 values (2 MB).  Carried blocks
-    # run their products fastest at about 2^17 values, but with at least 8
-    # channels, so that each per-block step of the states works on whole
-    # (8, n) planes: 1 BLAS thread, H=512, N=32, 2-5 alternating runs, 128
-    # channels best at L=1025, 64 at 2049, 16-32 at 8192 and 8-16 at
-    # 30000-62235; twice that lost 1.07-1.33x at every length.  tracemalloc
-    # measures the peak of _chunked_conv and of _chunked_block_backward above
-    # their float32 (L, H) outputs at H=512, N=32: 11 MB and 26 MB at
-    # L=1024 (one block, 256 channels a chunk), 6.8 MB and 17 MB at 1025
-    # (120), 5.2 MB and 13 MB at 30000 (8) and 10 MB and 27 MB at 62235 (8).
+    # take the channels whose rows hold 2^17 values, but at least 8 and at
+    # most 16: a chunk's (h, B, n) power tables and complex128 block sums,
+    # not its blocks, set the working set.  Sweep of the ssm-conv
+    # forward/backward on a float32 tape (float32 blocks; H=512, N=32,
+    # bilinear, 1 BLAS thread, min of 4-6 alternating runs), ms at 8, 16,
+    # 24 and 32 channels a chunk:
+    #   L=1025    22/45    22/41    21/40    21/43
+    #   L=4097    42/85    37/82    35/85    37/91
+    #   L=8192    65/151   57/157   61/152   60/190
+    #   L=16384   122/281  118/299  123/318  118/334
+    #   L=30000   265/632  238/597  259/626  258/831
+    #   L=62235   546/1377 556/1417 568/1387 607/1573
+    # 64-256 channels lost 1.1-2.3x below 8192 tokens (120 channels, the
+    # 2^17-value count, took 31/88 ms at L=1025); past 16384 tokens 8 and 16
+    # channels swapped places between runs, and 8 keeps the peak lower.  At
+    # H=32, N=8 16 channels are as fast as 8 or 32.  tracemalloc measures
+    # the peak of _chunked_conv and of _chunked_block_backward above their
+    # float32 (L, H) outputs at H=512, N=32: 11 MB and 28 MB at L=1024
+    # (one block, 256 channels a chunk), 1.5 MB and 2.9 MB at 1025 (16),
+    # 3.6 MB and 10 MB at 30000 (8) and 7.3 MB and 20 MB at 62235 (8).
     block = ssm.conv_taps(length)
     padded = -(-length // block) * block
     if padded == block:
         return min(h, (1 << 18) // padded)
-    return min(h, max(8, (1 << 17) // padded))
+    return min(h, 16, max(8, (1 << 17) // padded))
 
 
 def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
@@ -458,8 +472,9 @@ def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.n
     K_l = Re(sum_k w_k a_bar_k^l).  Each chunk of channels runs
     ssm.block_causal_conv: one full-length block for a bag of at most
     ssm.ONE_BLOCK_MAX tokens, and states carried across blocks past that.
-    Each chunk casts its own channel rows to float64 blocks and its result
-    back, so no whole float64 copy of u or of the output exists.  Each
+    Each chunk hands its own channel rows over in u's dtype: carried blocks
+    run their products in it, and one block is transformed in float64.  No
+    whole float64 copy of u or of the output exists.  Each
     chunk reads its channels' rows of u before it writes the same channels
     of the output, and the chunks' channels are disjoint, so u may be the
     output.
@@ -482,21 +497,24 @@ def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d
     """The adjoints of _chunked_conv for the channel-major upstream g (L, H):
     the input gradient, the pole sums and the skip gradient.
 
-    Each chunk casts its channel rows of g and of the input u (channel-major
-    (L, H)) into float64 blocks of the forward's block length once; the skip
-    gradient sum_l g u and ssm.block_adjoint both read them.  Returns the
-    channel-major (L, H) input gradient sum_l K_l g[t + l] + d g[t] in g's
-    dtype, the (H, 2, n) sums and the (H,) skip gradient.
+    Each chunk copies its channel rows of g and of the input u (channel-major
+    (L, H)) into blocks of the forward's block length once: float64 for one
+    block, which is transformed, and g's dtype for carried blocks, which run
+    their products in it.  The skip gradient sum_l g u, summed in float64,
+    and ssm.block_adjoint both read them.  Returns the channel-major (L, H)
+    input gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n)
+    sums and the (H,) skip gradient.
     """
     length, h = u.shape
     block = kernels.shape[1]
+    dtype = np.float64 if block == length else g.dtype
     grad_u = np.empty((h, length), dtype=g.dtype)
     sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
     grad_d = np.empty(h)
 
     def work(s, e):
-        rows, v = ssm.to_blocks(g[:, s:e].T, block), ssm.to_blocks(u[:, s:e].T, block)
-        grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v)
+        rows, v = (ssm.to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
+        grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
         grad_in, sums[s:e] = ssm.block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
         rows *= d[s:e, None, None]  # the upstream blocks are not read again
         grad_in += rows

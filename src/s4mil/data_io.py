@@ -26,8 +26,10 @@ are small and are read at load.
 """
 
 import csv
+import itertools
 import os
 import struct
+import unicodedata
 from pathlib import Path
 
 import numpy as np
@@ -225,25 +227,35 @@ def load_manifest(path) -> list[Bag]:
     base = path.parent
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != MANIFEST_COLUMNS:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != MANIFEST_COLUMNS:
                 raise ParseError(
-                    f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}, got {reader.fieldnames}"
+                    f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}, got {header}"
                 )
-            rows = list(reader)
+            # (file line a record starts on, its cells): a quoted cell may span
+            # lines, and a blank line is a record of no cells
+            records, start = [], reader.line_num + 1
+            for cells in reader:
+                if cells:
+                    records.append((start, cells))
+                start = reader.line_num + 1
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: manifest is not UTF-8 CSV text: {exc}") from None
-    if not rows:
+    if not records:
         raise ParseError(f"{path}: manifest has no rows")
     seen: set[str] = set()
     bags = []
-    for lineno, row in enumerate(rows, start=2):
-        if None in row:  # DictReader files the cells past the header's under None
-            raise ParseError(f"{path}:{lineno}: row has {len(MANIFEST_COLUMNS) + len(row[None])} "
-                             f"cells, the header {len(MANIFEST_COLUMNS)}")
+    for lineno, cells in records:
+        if len(cells) > len(MANIFEST_COLUMNS):
+            raise ParseError(f"{path}:{lineno}: row has {len(cells)} cells, "
+                             f"the header {len(MANIFEST_COLUMNS)}")
+        row = dict(itertools.zip_longest(MANIFEST_COLUMNS, cells))  # a missing cell is None
         bag_id = (row["id"] or "").strip()
         if not bag_id:
             raise ParseError(f"{path}:{lineno}: empty bag id")
+        if any(unicodedata.category(ch) in ("Cc", "Zl", "Zp") for ch in bag_id):
+            raise ParseError(f"{path}:{lineno}: bag id {bag_id!r} holds a line break or control character")
         if bag_id in seen:
             raise ParseError(f"{path}:{lineno}: duplicate bag id {bag_id!r}")
         seen.add(bag_id)

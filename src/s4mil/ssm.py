@@ -42,6 +42,15 @@ STATE_BLOCK + 1 rows, a running product in extended precision (_powers).
 Every contraction with powers is a real matrix product against a table's
 float64 view, since only real parts are needed.  No (n_half, L) power
 table is ever materialized.
+
+The carried blocks run their products (Toeplitz, lag sums, and the block
+sums and read-outs against the power table) in the dtype of the blocks
+they are given, the tape's: float32 in training, the usual mixed-precision
+split.  Their states, stepped block to block, stay complex128 and the pole
+sums stay 64-bit, and the one-block path transforms in float64 whatever
+its input.  On float32 blocks the output and the adjoints move by at most
+7.5e-7 of their scale (L up to 62,235, in the trained regime); float64
+blocks compute in float64 throughout.
 """
 
 import functools
@@ -308,14 +317,15 @@ def conv_taps(length: int) -> int:
     return length if length <= ONE_BLOCK_MAX else STATE_BLOCK
 
 
-def to_blocks(x: np.ndarray, block: int) -> np.ndarray:
-    """Rows x (h, L) as a new float64 (h, blocks, block) array, zero-padded
-    to whole blocks; a length that fills its blocks is only cast."""
+def to_blocks(x: np.ndarray, block: int, dtype) -> np.ndarray:
+    """Rows x (h, L) as a new (h, blocks, block) array of ``dtype``,
+    zero-padded to whole blocks; a length that fills its blocks is only
+    cast.  The carried blocks run their products in the blocks' dtype."""
     h, length = x.shape
     count = -(-length // block)
     if count * block == length:
-        return x.astype(np.float64, order="C").reshape(h, count, block)
-    blocks = np.zeros((h, count, block))
+        return x.astype(dtype, order="C").reshape(h, count, block)
+    blocks = np.zeros((h, count, block), dtype=dtype)
     blocks.reshape(h, -1)[:, :length] = x
     return blocks
 
@@ -340,7 +350,7 @@ def _powers(alpha: np.ndarray, count: int) -> np.ndarray:
 
 
 def _toeplitz(taps: np.ndarray) -> np.ndarray:
-    """The in-block convolution matrices of taps (h, B), (h, B, B) float64:
+    """The in-block convolution matrices of taps (h, B), (h, B, B) in their dtype:
     T[i, r, s] = taps[i, s - r] for s >= r and 0 below, so that a row of
     blocks (h, blocks, B) times T convolves each block with its channel's taps.
 
@@ -348,7 +358,7 @@ def _toeplitz(taps: np.ndarray) -> np.ndarray:
     after B - 1 zeros; T is a copy of that strided view.
     """
     h, block = taps.shape
-    lead = np.zeros((h, 2 * block - 1))
+    lead = np.zeros((h, 2 * block - 1), dtype=taps.dtype)
     lead[:, block - 1:] = taps
     return sliding_window_view(lead, block, axis=-1)[:, ::-1].copy()
 
@@ -364,7 +374,7 @@ def _lag_sums(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     the first B such rows is diagonal l of S, then zeros.
     """
     h, count, block = g.shape
-    square = np.zeros((h, block + 1, 2 * block))
+    square = np.zeros((h, block + 1, 2 * block), dtype=g.dtype)
     np.matmul(u.swapaxes(1, 2), g, out=square[:, :block, :block])
     flat = square.reshape(h, -1)[:, :block * (2 * block + 1)]
     return flat.reshape(h, block, 2 * block + 1)[:, :, :block].sum(axis=1)
@@ -385,8 +395,9 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     V_j = sum_r u[jB+r] a^(B-r), the states step as X_j = s X_(j-1) + V_j,
     and token r of block j + 1 gains Re(sum_k w_k a_k^r X_(j,k)).  V and the
     read-out are real products with the float64 view of one (B + 1, n)
-    power table (_powers); the states are stepped block-major, so each step
-    is one contiguous (h, n) plane.  Runs in float64; returns (h, L).
+    power table (_powers), cast to u's dtype; the states are stepped
+    block-major in complex128, so each step is one contiguous (h, n) plane.
+    Returns (h, L): in float64 for one block, in u's dtype past it.
     """
     h, length = u.shape
     block = conv_taps(length)
@@ -394,11 +405,13 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
         raise ContractError(f"block kernels must be ({h}, {block}), got {kernels.shape}")
     if block == length:
         return fft_causal_conv(kernels, u)
-    padded = to_blocks(u, block)
-    count = padded.shape[1]
-    inner = np.matmul(padded, _toeplitz(kernels))
+    padded = to_blocks(u, block, u.dtype)
+    count, dtype = padded.shape[1], padded.dtype
+    inner = np.matmul(padded, _toeplitz(kernels.astype(dtype, copy=False)))
     powers = _powers(a_bar, block)  # (h, B + 1, n)
-    rows = np.ascontiguousarray(powers[:, block:0:-1]).view(np.float64)  # a^(B-r): (h, B, 2n)
+    # a^(B-r) and a^r: float64 views (h, B, 2n), cast once to the blocks' dtype
+    rows = np.ascontiguousarray(powers[:, block:0:-1]).view(np.float64).astype(dtype, copy=False)
+    readout = powers[:, :block].view(np.float64).astype(dtype, copy=False)
     states = np.empty((count - 1, h, rows.shape[-1]))
     np.matmul(padded[:, :-1], rows, out=states.transpose(1, 0, 2))
     states = states.view(np.complex128)  # V_j, becoming X_j, for every block but the last
@@ -408,8 +421,8 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     states *= w
     np.conjugate(states, out=states)  # Re(x p) is the real product of conj(x) with p's view
     # the inputs are no longer read, so the carried part goes into their buffer
-    np.matmul(states.view(np.float64).transpose(1, 0, 2),
-              powers[:, :block].view(np.float64).swapaxes(1, 2), out=padded[:, 1:])
+    np.matmul(states.view(np.float64).transpose(1, 0, 2).astype(dtype, copy=False),
+              readout.swapaxes(1, 2), out=padded[:, 1:])
     padded[:, 1:] += inner[:, 1:]
     padded[:, 0] = inner[:, 0]
     return padded.reshape(h, -1)[:, :length]
@@ -418,8 +431,8 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
 def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
                   w: np.ndarray):
     """The adjoints of block_causal_conv in its input and in its poles, from
-    the blocks of the upstream g and of the input u, (h, blocks, B) float64
-    (to_blocks with B = conv_taps(L)), with kernels, a_bar and w as
+    the blocks of the upstream g and of the input u, (h, blocks, B) in one
+    dtype (to_blocks with B = conv_taps(L)), with kernels, a_bar and w as
     block_causal_conv takes them.  Returns (grad_in, sums):
 
       * grad_in (h, blocks, B): sum_l K_l g[t + l] at every token t of the
@@ -451,10 +464,14 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     E, E', V and V' are each one real product of the blocks with the
     float64 view of a (B, n) table drawn from one (B + 1, n) power table
     (_powers); F, F' and G are stepped back together, one contiguous
-    block-major (3, h, n) plane a step.
+    block-major (3, h, n) plane a step.  The products run in the blocks'
+    dtype and the steps and the sums in complex128; grad_in is float64 for
+    one block, whose transforms take float64, and the blocks' dtype past it.
     """
     h, count, block = g.shape
     if count == 1:
+        # float64 before the transforms, which take float32 in complex64
+        g, u = (np.asarray(x, dtype=np.float64) for x in (g, u))
         n_fft = _fft_size(block)
         g_spectra = np.fft.rfft(g, n_fft)
         spectra = np.fft.rfft(u, n_fft)
@@ -472,8 +489,8 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
         # allocator less heap to trim and fault back in on the next bag
         return grad_in, correlation_pole_sums(corr, a_bar)
 
-    n = a_bar.shape[1]
-    grad_in = np.matmul(g, _toeplitz(kernels).swapaxes(1, 2))
+    n, dtype = a_bar.shape[1], g.dtype
+    grad_in = np.matmul(g, _toeplitz(kernels.astype(dtype, copy=False)).swapaxes(1, 2))
     powers = _powers(a_bar, block)  # (h, B + 1, n)
     ramp = np.arange(block, dtype=np.float64)[:, None]
     # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
@@ -484,6 +501,7 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     tables[2] = powers[:, block:0:-1]
     np.multiply(powers[:, block - 1::-1], block - ramp, out=tables[3])
     rows = tables.view(np.float64)  # (4, h, B, 2n)
+    products = rows.astype(dtype, copy=False)  # the tables of the block products
     # the in-block lags weighted by a^l and l a^(l-1); corr is real, so their conjugates
     # are the pole sums of conj(a) that correlation_pole_sums gives
     sums = np.matmul(_lag_sums(g, u)[:, None, None], rows[:2].swapaxes(0, 1))
@@ -493,8 +511,8 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     ahead = np.empty((count - 1, 3, h, n), dtype=np.complex128)
     reach = np.empty((count - 1, 2, h, n), dtype=np.complex128)
     for k in range(2):
-        np.matmul(g[:, 1:], rows[k], out=ahead[:, k].view(np.float64).transpose(1, 0, 2))
-        np.matmul(u[:, :-1], rows[2 + k], out=reach[:, k].view(np.float64).transpose(1, 0, 2))
+        np.matmul(g[:, 1:], products[k], out=ahead[:, k].view(np.float64).transpose(1, 0, 2))
+        np.matmul(u[:, :-1], products[2 + k], out=reach[:, k].view(np.float64).transpose(1, 0, 2))
     ahead[:, 2] = 0.0
     # each step multiplies whole contiguous (3, h, n) planes
     step = np.repeat(powers[None, :, block], 3, axis=0)
@@ -512,7 +530,8 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
                           + np.einsum("jhn,jhn->hn", f, reach[:, 1]))
     f *= w
     np.conjugate(f, out=f)
-    grad_in[:, :-1] += np.matmul(f.view(np.float64).transpose(1, 0, 2), rows[2].swapaxes(1, 2))
+    grad_in[:, :-1] += np.matmul(f.view(np.float64).transpose(1, 0, 2).astype(dtype, copy=False),
+                                 products[2].swapaxes(1, 2))
     return grad_in, sums
 
 

@@ -552,6 +552,94 @@ def test_ssm_conv_input_gradient_matches_the_quadratic_adjoint(rule, dt, length)
     assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
 
 
+SSM_LEAVES = ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")
+
+
+def ssm_conv_with_gradients(p, g, rule, dtype):
+    """The ssm-conv of p's leaves on a tape of ``dtype`` and its backward
+    for the upstream g: (output, {leaf: gradient}), as float64."""
+    tape = Tape(dtype=dtype)
+    nodes = [tape.leaf(p[k], k) for k in SSM_LEAVES]
+    out = tape.ssm_conv(*nodes, rule=rule)
+    out.backward_fn(np.asfortranarray(g, dtype=dtype))
+    return out.value.astype(np.float64), {k: n.grad.astype(np.float64) for k, n in zip(SSM_LEAVES, nodes)}
+
+
+@pytest.mark.parametrize("length", [1025, 1024 + 64 + 1, 4097, 62235])
+@pytest.mark.parametrize("dt", [1e-3, 0.1])
+@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
+def test_float32_tape_carried_ssm_conv_matches_the_float64_op(rule, dt, length):
+    # A float32 tape runs the carried blocks' products in float32, and their
+    # states, pole sums and skip gradient in 64 bits.  Against the float64 op
+    # on the same float32 values, in the trained regime (poles -1/2 + i pi k,
+    # k < 16, and pole real parts at the -1e-4 clamp, set there or clamped
+    # from above): the output and the input gradient are held to 1e-6 of each
+    # channel's scale, every parameter gradient to 1e-6 of its array's.  No
+    # benchmark check reaches the carried blocks, so this bound is held here.
+    from s4mil.autograd import POLE_REAL_CEILING
+
+    rng = np.random.default_rng(length)
+    n_half = 16
+    a_re = np.repeat([[-0.5], [POLE_REAL_CEILING], [0.25]], n_half, axis=1)
+    h = a_re.shape[0]
+    p = {"u": rng.standard_normal((length, h)), "a_re": a_re,
+         "a_im": np.tile(np.pi * np.arange(n_half), (h, 1)),
+         "c_re": rng.standard_normal((h, n_half)), "c_im": rng.standard_normal((h, n_half)),
+         "d": rng.standard_normal(h), "log_dt": np.full(h, np.log(dt))}
+    p = {k: v.astype(np.float32).astype(np.float64) for k, v in p.items()}  # one input for both
+    g = rng.standard_normal((length, h)).astype(np.float32).astype(np.float64)
+    y32, grads32 = ssm_conv_with_gradients(p, g, rule, np.float32)
+    y64, grads64 = ssm_conv_with_gradients(p, g, rule, np.float64)
+    for name, got, expected in (("output", y32, y64), ("u", grads32["u"], grads64["u"])):
+        err = np.max(np.abs(got - expected), axis=0) / np.max(np.abs(expected), axis=0)
+        assert np.all(err <= 1e-6), f"{name}: per-channel error over the channel's scale {err}"
+    for name in SSM_LEAVES[1:]:
+        err = np.max(np.abs(grads32[name] - grads64[name])) / np.max(np.abs(grads64[name]))
+        assert err <= 1e-6, f"{name}: error over the array's scale {err:.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_carried_blocks_multiply_in_the_tape_dtype_and_transform_in_float64(monkeypatch, dtype):
+    # The carried blocks' products run in the tape's dtype: the forward and
+    # its adjoint get blocks of it, and so do the Toeplitz matrices and the
+    # in-block lag sums.  The one-block path transforms in float64 on either
+    # tape, since numpy transforms float32 in complex64: its adjoint gets
+    # float64 blocks.
+    from s4mil import ssm
+
+    seen = {}
+
+    def spy(module, name, *picks):  # records the dtypes of the arguments at picks
+        fn = getattr(module, name)
+
+        def run(*args, **kwargs):
+            seen.setdefault(name, set()).update(args[i].dtype for i in picks)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, run)
+
+    spy(ssm, "block_causal_conv", 3)
+    spy(ssm, "block_adjoint", 0, 1)
+    spy(ssm, "_toeplitz", 0)
+    spy(ssm, "_lag_sums", 0, 1)
+    spy(np.fft, "rfft", 0)
+    spy(np.fft, "irfft", 0)
+    rng = np.random.default_rng(28)
+    h = 4
+    p = ssm_params(rng, h=h, n_half=3)
+    for length in (ssm.ONE_BLOCK_MAX, 4 * ssm.ONE_BLOCK_MAX + 1):
+        p["u"] = np.asfortranarray(rng.standard_normal((length, h)))
+        g = rng.standard_normal((length, h))
+        seen.clear()
+        ssm_conv_with_gradients(p, g, "zoh", dtype)
+        if length == ssm.ONE_BLOCK_MAX:
+            expected = {"block_causal_conv": {np.dtype(dtype)}, "block_adjoint": {np.dtype(np.float64)},
+                        "rfft": {np.dtype(np.float64)}, "irfft": {np.dtype(np.complex128)}}
+        else:
+            expected = {k: {np.dtype(dtype)}
+                        for k in ("block_causal_conv", "block_adjoint", "_toeplitz", "_lag_sums")}
+        assert seen == expected, length
+
+
 def test_degenerate_pivot_inside_ssm_conv_names_channel_and_pole(monkeypatch):
     # The POLE_REAL_CEILING clamp keeps re(1 - dt*a/2) >= 1, so lift it to let
     # a pole reach the bilinear pivot 2/dt.

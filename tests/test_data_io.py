@@ -291,6 +291,28 @@ def test_manifest_row_with_more_cells_than_the_header_is_rejected(tmp_path):
         load_manifest(tmp_path / "manifest.csv")
 
 
+def test_manifest_errors_name_the_file_line_their_record_starts_on(tmp_path):
+    # A quoted cell may hold a line break (int() reads the label "1\n"), and
+    # blank lines are skipped, so records and file lines differ in number.
+    write_corpus(tmp_path, n=3)
+    (tmp_path / "manifest.csv").write_text(
+        'id,label,features,patch_labels,coords\nbag0,"1\n",feat0.seqf,,\n\n'
+        "bag1,0,feat1.seqf,,\nbag2,x,feat2.seqf,,\n")
+    with pytest.raises(ParseError, match=r"manifest.csv:6: label 'x' is not an integer"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
+@pytest.mark.parametrize("bag_id", ['"a\nb"', '"a\rb"', "a\tb", "a\x7fb", "a\u2028b"],
+                         ids=["newline", "carriage-return", "tab", "delete", "line-separator"])
+def test_manifest_bag_id_with_a_line_break_or_control_character_is_rejected(tmp_path, bag_id):
+    write_corpus(tmp_path, n=2)
+    (tmp_path / "manifest.csv").write_text(
+        f"id,label,features,patch_labels,coords\nbag0,1,feat0.seqf,,\n{bag_id},0,feat1.seqf,,\n",
+        newline="")
+    with pytest.raises(ParseError, match=r"manifest.csv:3: bag id .* line break or control character"):
+        load_manifest(tmp_path / "manifest.csv")
+
+
 def test_manifest_patch_labels_of_another_bag_are_a_parse_error(tmp_path):
     write_sequence_file(tmp_path / "feat.seqf", np.zeros((4, 3), dtype=np.float32))
     write_sequence_file(tmp_path / "lab.seqf", np.zeros((5, 1), dtype=np.float32))

@@ -540,8 +540,8 @@ def extended_kernel(w, a_bar, length):
 
 def block_adjoint_of(g, u, a_bar, w):
     block = conv_taps(g.shape[-1])
-    return block_adjoint(to_blocks(g, block), to_blocks(u, block), kernel_bank(w, a_bar, block),
-                         a_bar, w)
+    return block_adjoint(to_blocks(g, block, g.dtype), to_blocks(u, block, u.dtype),
+                         kernel_bank(w, a_bar, block), a_bar, w)
 
 
 # One block with no carried state (1 to ONE_BLOCK_MAX tokens), then carried
@@ -619,6 +619,17 @@ def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
     scale = np.max(np.abs(expected), axis=-1)
     err = np.max(np.abs(got - expected), axis=-1)
     assert np.all(err <= 1e-12 * scale), f"per-channel error over the channel's scale {err / scale}"
+
+
+def test_one_block_adjoint_transforms_float32_blocks_in_float64():
+    # numpy transforms float32 in complex64, so one block's adjoint casts its
+    # blocks first: float32 blocks give what their float64 values give.
+    g, u, a_bar, w = trained_regime_blocks("bilinear", 0.1, 300)
+    g, u = g.astype(np.float32), u.astype(np.float32)
+    single = block_adjoint_of(g, u, a_bar, w)
+    double = block_adjoint_of(g.astype(np.float64), u.astype(np.float64), a_bar, w)
+    for got, expected in zip(single, double):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("length", BLOCK_ADJOINT_LENGTHS)
