@@ -45,14 +45,11 @@ backward of `rows` reads only its input's shape, dtype and layout, so
 `rows` takes its input by the rule above too, without writing into it.
 
 Training runs the tape in float32; gradient-check builds use float64.
-The ssm-conv op forms its kernels, transforms, carried states and pole
-sums in 64 bits on either tape.  Past one block its block products run
-in the tape's dtype: each chunk of channels is copied into blocks of that
-dtype, so no whole float64 copy of the input or output exists, and on a
-float32 tape the output and gradients move by at most 7.5e-7 of their
-scale.  Its forward and backward are ssm.block_causal_conv and
-ssm.block_adjoint, whose docstrings and the ssm module's give the block
-math.
+The ssm-conv op maps its parameters to poles and timesteps, discretizes
+them (ssm.discretize), hands the convolution to ssm.causal_conv and its
+adjoint to ssm.causal_conv_adjoint, and chains their pole sums through
+the discretization.  The engine (chunks of channels, blocks, and the
+dtype each runs in) lives in the ssm module, whose docstrings give it.
 """
 
 from dataclasses import dataclass, field
@@ -62,7 +59,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .seeding import substream
-from . import parallel, ssm
+from . import ssm
 
 # Trainable pole real parts are kept strictly negative; values at or above
 # this ceiling are clamped and receive zero gradient through the clamp.
@@ -316,11 +313,9 @@ class Tape:
                  d: Node, log_dt: Node, rule: str) -> Node:
         """Bank of H diagonal-SSM channels applied feature-wise to (L, H).
 
-        Forward materializes the per-channel kernels' first block of taps
-        (power tables in 64-bit) and convolves blocks of ssm.conv_taps(L)
-        tokens: one FFT for a bag of at most ssm.ONE_BLOCK_MAX tokens, and
-        Toeplitz products with states carried across blocks past that; the
-        feedthrough d u is the skip term.
+        The forward is ssm.causal_conv, K * u plus the skip term d u, from
+        the discretized poles; the backward is its adjoint
+        (grad_ssm_conv).
         """
         parents = {"u": u, "a_re": a_re, "a_im": a_im, "c_re": c_re, "c_im": c_im,
                    "d": d, "log_dt": log_dt}
@@ -432,109 +427,15 @@ def ssm_parameters(a_re, a_im, c_re, c_im, log_dt):
     return a, c, dt, clamp_mask
 
 
-def _block_chunk(h: int, length: int) -> int:
-    # Channels per chunk of the blocked convolution and its adjoint.  One
-    # block (L <= ssm.ONE_BLOCK_MAX) runs its FFTs fastest when a chunk's
-    # padded rows hold about 2^18 float64 values (2 MB).  Carried blocks
-    # take the channels whose rows hold 2^17 values, but at least 8 and at
-    # most 16: a chunk's (h, B, n) power tables and complex128 block sums,
-    # not its blocks, set the working set.  Sweep of the ssm-conv
-    # forward/backward on a float32 tape (float32 blocks; H=512, N=32,
-    # bilinear, 1 BLAS thread, min of 4-6 alternating runs), ms at 8, 16,
-    # 24 and 32 channels a chunk:
-    #   L=1025    22/45    22/41    21/40    21/43
-    #   L=4097    42/85    37/82    35/85    37/91
-    #   L=8192    65/151   57/157   61/152   60/190
-    #   L=16384   122/281  118/299  123/318  118/334
-    #   L=30000   265/632  238/597  259/626  258/831
-    #   L=62235   546/1377 556/1417 568/1387 607/1573
-    # 64-256 channels lost 1.1-2.3x below 8192 tokens (120 channels, the
-    # 2^17-value count, took 31/88 ms at L=1025); past 16384 tokens 8 and 16
-    # channels swapped places between runs, and 8 keeps the peak lower.  At
-    # H=32, N=8 16 channels are as fast as 8 or 32.  tracemalloc measures
-    # the peak of _chunked_conv and of _chunked_block_backward above their
-    # float32 (L, H) outputs at H=512, N=32: 11 MB and 28 MB at L=1024
-    # (one block, 256 channels a chunk), 1.5 MB and 2.9 MB at 1025 (16),
-    # 3.6 MB and 10 MB at 30000 (8) and 7.3 MB and 20 MB at 62235 (8).
-    block = ssm.conv_taps(length)
-    padded = -(-length // block) * block
-    if padded == block:
-        return min(h, (1 << 18) // padded)
-    return min(h, 16, max(8, (1 << 17) // padded))
-
-
-def _chunked_conv(kernels: np.ndarray, u: np.ndarray, d: np.ndarray, a_bar: np.ndarray,
-                  w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """K * u + d u for channel-major u (L, H), as a channel-major (L, H)
-    array in u's dtype: ``out`` (which may be u itself) or a new one.
-
-    ``kernels`` (H, ssm.conv_taps(L)) holds the first block of taps of
-    K_l = Re(sum_k w_k a_bar_k^l).  Each chunk of channels runs
-    ssm.block_causal_conv: one full-length block for a bag of at most
-    ssm.ONE_BLOCK_MAX tokens, and states carried across blocks past that.
-    Each chunk hands its own channel rows over in u's dtype: carried blocks
-    run their products in it, and one block is transformed in float64.  No
-    whole float64 copy of u or of the output exists.  Each
-    chunk reads its channels' rows of u before it writes the same channels
-    of the output, and the chunks' channels are disjoint, so u may be the
-    output.
-    """
-    length, h = u.shape
-    out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
-
-    def work(s, e):
-        rows = u[:, s:e].T
-        y = ssm.block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
-        y += d[s:e, None] * rows
-        out[s:e] = y
-
-    parallel.run_chunked(h, _block_chunk(h, length), work)
-    return out.T
-
-
-def _chunked_block_backward(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, d: np.ndarray,
-                            a_bar: np.ndarray, w: np.ndarray):
-    """The adjoints of _chunked_conv for the channel-major upstream g (L, H):
-    the input gradient, the pole sums and the skip gradient.
-
-    Each chunk copies its channel rows of g and of the input u (channel-major
-    (L, H)) into blocks of the forward's block length once: float64 for one
-    block, which is transformed, and g's dtype for carried blocks, which run
-    their products in it.  The skip gradient sum_l g u, summed in float64,
-    and ssm.block_adjoint both read them.  Returns the channel-major (L, H)
-    input gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n)
-    sums and the (H,) skip gradient.
-    """
-    length, h = u.shape
-    block = kernels.shape[1]
-    dtype = np.float64 if block == length else g.dtype
-    grad_u = np.empty((h, length), dtype=g.dtype)
-    sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
-    grad_d = np.empty(h)
-
-    def work(s, e):
-        rows, v = (ssm.to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
-        grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
-        grad_in, sums[s:e] = ssm.block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
-        rows *= d[s:e, None, None]  # the upstream blocks are not read again
-        grad_in += rows
-        grad_u[s:e] = grad_in.reshape(e - s, -1)[:, :length]
-
-    parallel.run_chunked(h, _block_chunk(h, length), work)
-    return grad_u.T, sums, grad_d
-
-
 def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, out=None):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     w = 2.0 * c * disc.b_bar
-    kernels = ssm.kernel_bank(w, disc.a_bar, ssm.conv_taps(u.shape[0]))  # (H, taps)
-    d64 = np.asarray(d, dtype=np.float64)
-    y = _chunked_conv(kernels, u, d64, disc.a_bar, w, out=out)
+    y, kernels = ssm.causal_conv(u, disc.a_bar, w, d, out=out)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
     return y, SsmConvCache(u=u, kernels=kernels, disc=disc, dt=dt, clamp_mask=clamp_mask,
-                           c=c, w=w, d=d64)
+                           c=c, w=w, d=d)
 
 
 def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.ndarray]:
@@ -544,17 +445,15 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     is the causal correlation of the upstream signal g with the input; its
     two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
     the pole and projection gradients.  Both come from one pass over the
-    forward's blocks (_chunked_block_backward, ssm.block_adjoint), from the
-    cached taps: one block's spectra, or past one block in-block products
-    and carried block sums, so the correlation over more than one block is
-    never formed.  The pole and projection gradients then chain through
-    the discretization map.
+    forward's blocks (ssm.causal_conv_adjoint), from the cached taps, so
+    the correlation over more than one block is never formed.  The pole
+    and projection gradients then chain through the discretization map.
     Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
     so holomorphic steps multiply by the conjugated derivative.
     """
     disc = cache.disc
-    grad_u, sums, grad_d = _chunked_block_backward(upstream, cache.u, cache.kernels, cache.d,
-                                                   disc.a_bar, cache.w)
+    grad_u, sums, grad_d = ssm.causal_conv_adjoint(upstream, cache.u, cache.kernels,
+                                                   disc.a_bar, cache.w, cache.d)
     w_hat = 2.0 * sums[:, 0]
     abar_hat = np.conj(cache.w) * sums[:, 1]
 

@@ -12,7 +12,8 @@ Layout (all integers little-endian u32 unless noted):
 
 Writer and reader round-trip bitwise.  The reader raises ParseError, with
 the byte offset of the fault, for a malformed config word, a payload whose
-size does not match the config, and a non-finite value.
+size does not match the config, and a non-finite value, and a ParseError
+naming the path for a file it cannot open.
 """
 
 import struct
@@ -50,7 +51,10 @@ def save_checkpoint(path, model: MilModel) -> None:
 
 
 def load_checkpoint(path) -> MilModel:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"{path}: checkpoint cannot be read: {exc.strerror}") from None
     if len(blob) < _HEADER.size:
         raise ParseError(f"checkpoint truncated: {len(blob)} bytes < header", offset=len(blob))
     magic, version, *words = _HEADER.unpack_from(blob, 0)

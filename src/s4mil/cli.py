@@ -407,6 +407,10 @@ def run_kernel_check(trials: int, max_state: int, max_length: int, tolerance: fl
 
 
 def cmd_kernel_check(spec: RunSpec, config: dict) -> int:
+    for key, least in (("kernel_check.trials", 0), ("kernel_check.max_state", 1),
+                       ("kernel_check.max_length", 1)):
+        if config[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {config[key]}")
     trials = config["kernel_check.trials"]
     tolerance = config["kernel_check.tolerance"]
     passed, worst, checked = run_kernel_check(
@@ -430,6 +434,8 @@ def cmd_kernel_check(spec: RunSpec, config: dict) -> int:
 
 def cmd_grad_check(spec: RunSpec, config: dict) -> int:
     step = config["grad_check.step"]
+    if step <= 0:
+        raise ConfigError(f"grad_check.step must be > 0, got {step}")
     tolerance = config["grad_check.tolerance"]
     lines = []
     all_ok = True
@@ -681,7 +687,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flat dotted or nested keys)")
         p.add_argument("--seed", dest="run.seed", help="root random seed")
         p.add_argument("--output", default="s4mil-out", help="output directory")
-        p.add_argument("--threads", dest="run.threads", help="worker thread cap")
+        p.add_argument("--threads", dest="run.threads",
+                       help="threads that split ssm-conv channel chunks "
+                            "(the BLAS pool is set by OPENBLAS_NUM_THREADS)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         for flag, key in command.flags.items():

@@ -240,6 +240,8 @@ def load_manifest(path) -> list[Bag]:
                 if cells:
                     records.append((start, cells))
                 start = reader.line_num + 1
+    except OSError as exc:
+        raise ParseError(f"{path}: manifest cannot be read: {exc.strerror}") from None
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: manifest is not UTF-8 CSV text: {exc}") from None
     if not records:

@@ -19,10 +19,6 @@ def set_threads(n: int) -> None:
     _THREADS = int(n)
 
 
-def get_threads() -> int:
-    return _THREADS
-
-
 def run_chunked(total: int, chunk: int, worker) -> None:
     """Call worker(start, stop) over consecutive ranges covering [0, total)."""
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]

@@ -21,14 +21,21 @@ and the n_half complex states, stepped once per block, carry every earlier
 block into the next (the chunked form of Mamba-2/SSD, with the state
 recurrence of S5), so no kernel longer than a block is built and no
 transform is made.  The backward is one pass over the same blocks
-(block_adjoint): the transposed Toeplitz matrices give the in-block input
-gradient, and the diagonal sums of one product of the input's and the
-upstream's blocks give the in-block correlations, which the rows of the
-carried blocks' power table weight.  The upstream's and the input's block sums
-against the pole powers, carried across blocks, add the rest of the input
-gradient and of the pole sums, so no correlation longer than a block is
-formed.  fft_causal_corr and direct_causal_conv stay as the oracles'
-references.
+(block_adjoint).  One block is one fft_causal_corr, the adjoint of
+fft_causal_conv, which gives the input gradient and the correlation
+together; these two are the only functions that transform.  Past one block
+the transposed Toeplitz matrices give the in-block input gradient, and the
+diagonal sums of one product of the input's and the upstream's blocks give
+the in-block correlations, which the rows of the carried blocks' power
+table weight.  The upstream's and the input's block sums against the pole
+powers, carried across blocks, add the rest of the input gradient and of
+the pole sums, so no correlation longer than a block is formed.
+direct_causal_conv stays as the oracles' reference.
+
+The model's ssm-conv runs two entry points on channel-major (L, H)
+activations: causal_conv (K * u + d u) and causal_conv_adjoint (the input,
+pole and skip gradients).  They alone cut the channels into chunks
+(_block_chunk), copy a chunk's rows into blocks and pick the blocks' dtype.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -60,6 +67,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import parallel
 from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
@@ -279,6 +287,28 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.fft.irfft(uf, n)[..., :length]
 
 
+def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l]: the
+    adjoint of fft_causal_conv in its kernel argument, and block_adjoint's
+    one block (its input gradient and its correlation in one call).
+
+    Shapes: g (..., L) and v (k, ..., L) or (..., L); g broadcasts against
+    the leading axis of a stacked v, so one transform of g serves every row
+    of v.  The result is irfft(G * conj(V))[..., :L]: with n = _fft_size(L) >=
+    2L - 1 points the negative lags wrap around into indices >= L, so no
+    flip is needed.  Runs in float64.
+    """
+    length = g.shape[-1]
+    if v.shape[-1] != length:
+        raise ContractError(f"correlation length {v.shape[-1]} does not match upstream length {length}")
+    n = _fft_size(length)
+    gf = np.fft.rfft(np.asarray(g, dtype=np.float64), n)
+    vf = np.fft.rfft(np.asarray(v, dtype=np.float64), n)
+    np.conjugate(vf, out=vf)
+    vf *= gf
+    return np.fft.irfft(vf, n)[..., :length]
+
+
 def conv_taps(length: int) -> int:
     """Block length of the convolution of a length-L input, and so the
     kernel taps it reads.
@@ -294,8 +324,8 @@ def conv_taps(length: int) -> int:
     1024, so bags of at most 1024 tokens keep the one-block path.
 
     STATE_BLOCK follows a sweep of the ssm-conv forward and backward
-    (autograd._chunked_conv and _chunked_block_backward on float32
-    channel-major inputs, chunks from _block_chunk) against the 512-token
+    (causal_conv and causal_conv_adjoint on float32 channel-major
+    inputs, chunks from _block_chunk) against the 512-token
     FFT blocks they replace, in the trained regime (bilinear, poles
     -1/2 + i pi k and at the -1e-4 clamp, dt 1e-3 to 0.1); 1 BLAS thread,
     minimum of 3-9 alternating runs.  Speed-ups, forward/backward:
@@ -440,11 +470,10 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
       * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), a_bar),
         the adjoints of w and a_bar.
 
-    One block (an input of at most ONE_BLOCK_MAX tokens) takes spectra of
-    _fft_size(B) points, so nothing wraps: one spectrum G of each block of
-    g gives the input gradient irfft(G conj(K))[:B] and, with U the input's
-    spectrum, the correlation irfft(G conj(U))[:B], whose B lags
-    correlation_pole_sums weights.  Past one block no transform is made:
+    One block (an input of at most ONE_BLOCK_MAX tokens) is one
+    fft_causal_corr of g with the kernels and u stacked: the input gradient
+    and the correlation, whose B lags correlation_pole_sums weights.  Past
+    one block no transform is made:
       * in-block input gradient: g times the transposed Toeplitz matrices;
       * in-block pole sums: the lags of _lag_sums, weighted by the rows
         a^l and l a^(l-1) of the table below, and conjugated.
@@ -470,24 +499,9 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     """
     h, count, block = g.shape
     if count == 1:
-        # float64 before the transforms, which take float32 in complex64
-        g, u = (np.asarray(x, dtype=np.float64) for x in (g, u))
-        n_fft = _fft_size(block)
-        g_spectra = np.fft.rfft(g, n_fft)
-        spectra = np.fft.rfft(u, n_fft)
-        np.conjugate(spectra, out=spectra)
-        spectra *= g_spectra
-        corr = np.fft.irfft(spectra.sum(axis=1), n_fft)[:, :block]
-        del spectra  # so the transforms below can reuse its memory
-        kernel_spectra = np.fft.rfft(kernels, n_fft)
-        np.conjugate(kernel_spectra, out=kernel_spectra)
-        g_spectra *= kernel_spectra[:, None]
-        del kernel_spectra
-        grad_in = np.fft.irfft(g_spectra, n_fft)[..., :block]
-        del g_spectra
-        # weighted once the spectra are freed: a smaller live set leaves the
-        # allocator less heap to trim and fault back in on the next bag
-        return grad_in, correlation_pole_sums(corr, a_bar)
+        # one transform of g gives the input gradient and the correlation
+        grad_in, corr = fft_causal_corr(g[:, 0], np.stack([kernels, u[:, 0]]))
+        return grad_in[:, None], correlation_pole_sums(corr, a_bar)
 
     n, dtype = a_bar.shape[1], g.dtype
     grad_in = np.matmul(g, _toeplitz(kernels.astype(dtype, copy=False)).swapaxes(1, 2))
@@ -535,33 +549,107 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
     return grad_in, sums
 
 
-def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l], the
-    oracles' reference for block_adjoint; the model does not call it.
-
-    This is the adjoint of fft_causal_conv in its kernel argument.  Shapes:
-    g (..., L) and v (k, ..., L) or (..., L); g broadcasts against the
-    leading axis of a stacked v, so one transform of g serves every row of
-    v.  The result is irfft(G * conj(V))[..., :L]: with n = _fft_size(L) >=
-    2L - 1 points the negative lags wrap around into indices >= L, so no
-    flip is needed.  Runs in float64.
-    """
-    length = g.shape[-1]
-    if v.shape[-1] != length:
-        raise ContractError(f"correlation length {v.shape[-1]} does not match upstream length {length}")
-    n = _fft_size(length)
-    gf = np.fft.rfft(np.asarray(g, dtype=np.float64), n)
-    vf = np.fft.rfft(np.asarray(v, dtype=np.float64), n)
-    np.conjugate(vf, out=vf)
-    vf *= gf
-    return np.fft.irfft(vf, n)[..., :length]
-
-
 def direct_causal_conv(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
     """O(L^2) reference convolution used as the oracle for the FFT path."""
     kernel = np.asarray(kernel, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     return np.convolve(u, kernel)[: u.shape[0]]
+
+
+# --------------------------------------------------------------------------
+# The ssm-conv engine: channel-major inputs in chunks of channels
+# --------------------------------------------------------------------------
+
+def _block_chunk(h: int, length: int) -> int:
+    # Channels per chunk of causal_conv and causal_conv_adjoint.  One
+    # block (L <= ONE_BLOCK_MAX) runs its FFTs fastest when a chunk's
+    # padded rows hold about 2^18 float64 values (2 MB).  Carried blocks
+    # take the channels whose rows hold 2^17 values, but at least 8 and at
+    # most 16: a chunk's (h, B, n) power tables and complex128 block sums,
+    # not its blocks, set the working set.  Sweep of the ssm-conv
+    # forward/backward on a float32 tape (float32 blocks; H=512, N=32,
+    # bilinear, 1 BLAS thread, min of 4-6 alternating runs), ms at 8, 16,
+    # 24 and 32 channels a chunk:
+    #   L=1025    22/45    22/41    21/40    21/43
+    #   L=4097    42/85    37/82    35/85    37/91
+    #   L=8192    65/151   57/157   61/152   60/190
+    #   L=16384   122/281  118/299  123/318  118/334
+    #   L=30000   265/632  238/597  259/626  258/831
+    #   L=62235   546/1377 556/1417 568/1387 607/1573
+    # 64-256 channels lost 1.1-2.3x below 8192 tokens (120 channels, the
+    # 2^17-value count, took 31/88 ms at L=1025); past 16384 tokens 8 and 16
+    # channels swapped places between runs, and 8 keeps the peak lower.  At
+    # H=32, N=8 16 channels are as fast as 8 or 32.  tracemalloc measures
+    # the peak of causal_conv and of causal_conv_adjoint above their
+    # float32 (L, H) outputs at H=512, N=32: 11 MB and 28 MB at L=1024
+    # (one block, 256 channels a chunk), 1.5 MB and 2.9 MB at 1025 (16),
+    # 3.6 MB and 10 MB at 30000 (8) and 7.3 MB and 20 MB at 62235 (8).
+    block = conv_taps(length)
+    padded = -(-length // block) * block
+    if padded == block:
+        return min(h, (1 << 18) // padded)
+    return min(h, 16, max(8, (1 << 17) // padded))
+
+
+def causal_conv(u: np.ndarray, a_bar: np.ndarray, w: np.ndarray, d: np.ndarray,
+                out: np.ndarray | None = None):
+    """K * u + d u for channel-major u (L, H), K_l = Re(sum_k w_k a_bar_k^l)
+    with a_bar and w of shape (H, n) and the skip d (H,).
+
+    Returns (y, kernels): y is a channel-major (L, H) array in u's dtype,
+    ``out`` (which may be u itself) or a new one; kernels (H, conv_taps(L))
+    are the first block of taps, which causal_conv_adjoint reads.  Each
+    chunk of channels runs block_causal_conv on its rows of u in u's dtype,
+    so no whole float64 copy of u or of the output exists.  A chunk reads
+    its channels' rows of u before it writes them in the output, and the
+    chunks' channels are disjoint, so u may be the output.
+    """
+    length, h = u.shape
+    kernels = kernel_bank(w, a_bar, conv_taps(length))
+    d = np.asarray(d, dtype=np.float64)
+    out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
+
+    def work(s, e):
+        rows = u[:, s:e].T
+        y = block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
+        y += d[s:e, None] * rows
+        out[s:e] = y
+
+    parallel.run_chunked(h, _block_chunk(h, length), work)
+    return out.T, kernels
+
+
+def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
+                        w: np.ndarray, d: np.ndarray):
+    """The adjoints of causal_conv for the channel-major upstream g (L, H),
+    from its input u, the kernels it returned, a_bar, w and d.
+
+    Each chunk copies its channel rows of g and of u into blocks of the
+    forward's block length once (to_blocks): float64 for one block, which
+    is transformed, and g's dtype for carried blocks, which run their
+    products in it.  The skip gradient sum_l g u, summed in float64, and
+    block_adjoint both read them.  Returns the channel-major (L, H) input
+    gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n) pole
+    sums and the (H,) skip gradient.
+    """
+    length, h = u.shape
+    block = kernels.shape[1]
+    dtype = np.float64 if block == length else g.dtype
+    d = np.asarray(d, dtype=np.float64)
+    grad_u = np.empty((h, length), dtype=g.dtype)
+    sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
+    grad_d = np.empty(h)
+
+    def work(s, e):
+        rows, v = (to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
+        grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
+        grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
+        rows *= d[s:e, None, None]  # the upstream blocks are not read again
+        grad_in += rows
+        grad_u[s:e] = grad_in.reshape(e - s, -1)[:, :length]
+
+    parallel.run_chunked(h, _block_chunk(h, length), work)
+    return grad_u.T, sums, grad_d
 
 
 # --------------------------------------------------------------------------

@@ -15,9 +15,9 @@ def f64_tape():
 
 @pytest.fixture
 def one_channel_per_chunk(monkeypatch):
-    from s4mil import autograd
+    from s4mil import ssm
 
-    monkeypatch.setattr(autograd, "_block_chunk", lambda h, length: 1)
+    monkeypatch.setattr(ssm, "_block_chunk", lambda h, length: 1)
 
 
 # --------------------------------------------------------------------------
@@ -424,13 +424,13 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
 
 def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(
         monkeypatch, one_channel_per_chunk):
-    # The pole sums come from blocks (and, past one block, carried states),
-    # so no bag length runs a full-length correlation and the ssm-conv
-    # backward holds no (H, L) float64 array: one channel per chunk, so one
-    # such array outweighs every buffer of a chunk, and the peak is the
-    # float32 input gradient (half of one) and a chunk's buffers.  The
-    # full-length correlation alone would be one such array and its weights
-    # two more.
+    # The pole sums come from blocks: one fft_causal_corr per chunk on a
+    # one-block bag, and carried states and no correlation past one block.
+    # So the ssm-conv backward holds no (H, L) float64 array: one channel
+    # per chunk, so one such array outweighs every buffer of a chunk, and
+    # the peak is the float32 input gradient (half of one) and a chunk's
+    # buffers.  A full-length correlation over all channels would be one
+    # such array and its weights two more.
     import tracemalloc
 
     from s4mil import ssm
@@ -442,6 +442,7 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
     h = 64
     params = ssm_params(rng, h=h, n_half=4)
     for length in (4 * ssm.ONE_BLOCK_MAX + 1, ssm.ONE_BLOCK_MAX):
+        calls.clear()
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
         tape = Tape(dtype=np.float32)
         nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
@@ -453,7 +454,7 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [], length
+        assert calls == ([] if length > ssm.ONE_BLOCK_MAX else [(1, length)] * h), length
         plane = h * length * 8
         assert nodes[0].grad.dtype == np.float32
         assert peak < plane, f"L={length}: peak {peak / plane:.2f} planes"
@@ -1035,7 +1036,6 @@ def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_chann
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
     rng = np.random.default_rng(16)
     params = ssm_params(rng, h=4, n_half=3)
-    before = parallel.get_threads()
     for length in (300, 1573):
         params["u"] = rng.standard_normal((length, 4))
         labels = rng.integers(0, 3, length)
@@ -1051,7 +1051,7 @@ def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_chann
                 assert u.value is None
                 runs[threads] = (tape.nodes[-2].value, tape.backward(), in_place.value)
         finally:
-            parallel.set_threads(before)
+            parallel.set_threads(1)
         (v1, g1, f1), (v2, g2, f2) = runs[1], runs[2]
         assert v1.tobytes() == v2.tobytes() == f1.tobytes() == f2.tobytes()
         assert g1.keys() == g2.keys()

@@ -443,6 +443,35 @@ def test_missing_inputs_give_single_line_errors(tmp_path, capsys):
     assert all(e.startswith("error config-error:") for e in errs)
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--manifest", "{missing}"]),
+    ("stats", ["--manifest", "{directory}"]),
+    ("evaluate", ["--checkpoint", "{missing}", "--manifest", "{missing}"]),
+    ("export-heatmap", ["--checkpoint", "{missing}", "--manifest", "{missing}", "--bag-id", "a"]),
+])
+def test_an_input_file_that_cannot_be_opened_is_one_parse_error_line(tmp_path, capsys, command,
+                                                                     flags):
+    paths = {"missing": tmp_path / "missing", "directory": tmp_path}
+    argv = [command, *(f.format(**paths) for f in flags), "--output", tmp_path / "out"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error parse-error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["kernel-check", "--max-length", "0"], "kernel_check.max_length must be >= 1, got 0"),
+    (["kernel-check", "--max-state", "0"], "kernel_check.max_state must be >= 1, got 0"),
+    (["kernel-check", "--trials", "-1"], "kernel_check.trials must be >= 0, got -1"),
+    (["grad-check", "--set", "grad_check.step=0"], "grad_check.step must be > 0, got 0.0"),
+], ids=["max-length", "max-state", "trials", "step"])
+def test_an_audit_setting_out_of_range_is_one_config_error_line(tmp_path, capsys, argv, message):
+    assert run([*argv, "--output", tmp_path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error config-error: {message}\n"
+
+
 @pytest.mark.parametrize("argv,names", [
     (["train", "--bogus", "1"], "--bogus 1"),
     (["train", "--folds"], "--folds"),

@@ -34,3 +34,43 @@ def test_every_tape_op_is_one_the_model_builds():
               and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape"}
     assert ops, "no Tape ops found"
     assert not ops - called, f"Tape ops that build_tape never calls: {sorted(ops - called)}"
+
+
+def test_the_convolution_engine_stays_in_the_ssm_module():
+    # The tape hands the ssm-conv to ssm.causal_conv and its adjoint: chunks,
+    # blocks and their dtypes are decided in ssm.py, so autograd.py reaches
+    # none of the engine's parts, by import or through the ssm module.
+    package = Path(s4mil.__file__).parent
+    engine = {"parallel", "to_blocks", "conv_taps", "STATE_BLOCK", "block_causal_conv",
+              "block_adjoint"}
+    tree = ast.parse((package / "autograd.py").read_text())
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            reached |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module:
+            reached.add(node.module.rsplit(".", 1)[-1])
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "ssm"):
+            reached.add(node.attr)
+    assert not reached & engine, f"autograd.py reaches {sorted(reached & engine)}"
+
+
+def test_only_the_causal_convolution_and_its_adjoint_transform():
+    # np.fft appears in fft_causal_conv and fft_causal_corr and nowhere else.
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.add(f"{module}.{where}")
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+            found.add(f"{module}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(s4mil.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert found == {"ssm.fft_causal_conv", "ssm.fft_causal_corr"}, sorted(found)

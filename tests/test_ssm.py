@@ -687,7 +687,7 @@ def test_recurrence_convolution_duality(rule):
     assert worst <= 1e-6
 
 
-def test_parallel_channel_map_matches_sequential():
+def test_kernel_bank_over_stacked_channels_matches_each_channel_bitwise():
     # kernel_bank over stacked channels must equal the per-channel loop bitwise.
     rng = np.random.default_rng(23)
     h, n_half, length = 6, 3, 40
