@@ -405,6 +405,7 @@ class Tape:
 class SsmConvCache:
     u: np.ndarray
     kernels: np.ndarray
+    tables: ssm.PowerTables
     disc: ssm.Discretization
     dt: np.ndarray
     clamp_mask: np.ndarray
@@ -431,11 +432,11 @@ def _ssm_conv_forward(u, a_re, a_im, c_re, c_im, d, log_dt, rule, out=None):
     a, c, dt, clamp_mask = ssm_parameters(a_re, a_im, c_re, c_im, log_dt)
     disc = ssm.discretize(a, dt, rule)
     w = 2.0 * c * disc.b_bar
-    y, kernels = ssm.causal_conv(u, disc.a_bar, w, d, out=out)
+    y, kernels, tables = ssm.causal_conv(u, disc.a_bar, w, d, out=out)
     if not np.all(np.isfinite(y)):
         raise NumericalError("ssm-conv produced non-finite outputs")
-    return y, SsmConvCache(u=u, kernels=kernels, disc=disc, dt=dt, clamp_mask=clamp_mask,
-                           c=c, w=w, d=d)
+    return y, SsmConvCache(u=u, kernels=kernels, tables=tables, disc=disc, dt=dt,
+                           clamp_mask=clamp_mask, c=c, w=w, d=d)
 
 
 def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.ndarray]:
@@ -445,15 +446,15 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     is the causal correlation of the upstream signal g with the input; its
     two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
     the pole and projection gradients.  Both come from one pass over the
-    forward's blocks (ssm.causal_conv_adjoint), from the cached taps, so
-    the correlation over more than one block is never formed.  The pole
-    and projection gradients then chain through the discretization map.
+    forward's blocks (ssm.causal_conv_adjoint), from the cached taps and
+    tables, so no correlation longer than a block is formed.  The pole and
+    projection gradients then chain through the discretization map.
     Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
     so holomorphic steps multiply by the conjugated derivative.
     """
     disc = cache.disc
     grad_u, sums, grad_d = ssm.causal_conv_adjoint(upstream, cache.u, cache.kernels,
-                                                   disc.a_bar, cache.w, cache.d)
+                                                   cache.tables, cache.w, cache.d)
     w_hat = 2.0 * sums[:, 0]
     abar_hat = np.conj(cache.w) * sums[:, 1]
 

@@ -46,7 +46,7 @@ from .autograd import Tape, check_gradients, grad_check_cases, ssm_parameters
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data_io import Bag, corpus_stats, load_manifest, long_sequence_split, write_manifest, write_sequence_file
 from .errors import ConfigError, ContractError, ParseError, S4MilError
-from .metrics import UndefinedMetricError, auroc_binary
+from .metrics import UndefinedMetricError, auroc
 from .model import (
     ModelConfig,
     count_parameters,
@@ -349,10 +349,10 @@ def cmd_evaluate(spec: RunSpec, config: dict) -> int:
     out_rows = [("count", len(bags)), ("loss", stats["loss"]),
                 ("accuracy", stats["accuracy"]), ("auroc", stats["auroc"])]
     if model.config.multitask and all(b.patch_labels is not None for b in bags):
-        token_scores = np.concatenate([p[:, 1] for p in stats["patch_probs"]])
+        token_probs = np.concatenate(stats["patch_probs"])
         token_labels = np.concatenate([b.patch_labels for b in bags])
         try:
-            out_rows.append(("patch_auroc", auroc_binary(token_scores, token_labels)))
+            out_rows.append(("patch_auroc", auroc(token_probs, token_labels)))
         except UndefinedMetricError:
             out_rows.append(("patch_auroc", float("nan")))
     write_metrics(spec.output_dir / "metrics.csv", out_rows)

@@ -4,8 +4,8 @@ The binary AUROC is the Mann-Whitney statistic, computed via midranks:
 (#concordant pairs + 0.5 * #tied pairs) / (#pos * #neg).  Ranks are halves
 of integers, so the rank-sum route equals brute-force pair counting exactly
 in float64 for realistic sample counts.  One-vs-rest is the unweighted mean
-of per-class binary AUROCs over classes present in the labels.  Accuracy
-and one-vs-rest read (N, C) class probabilities and (N,) class labels.
+of per-class binary AUROCs over classes present in the labels.  The rest
+read (N, C) class probabilities and (N,) class labels.
 """
 
 import numpy as np
@@ -40,6 +40,8 @@ def auroc_binary(scores, labels) -> float:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ContractError(f"scores/labels must be matching vectors: {scores.shape} vs {labels.shape}")
+    if np.any(bad := (labels != 0) & (labels != 1)):
+        raise ContractError(f"binary AUROC labels must be 0 or 1, got {labels[bad][0]}")
     if np.isnan(scores).any():
         raise ContractError("AUROC scores must not be NaN: a NaN has no rank")
     pos = labels == 1
@@ -54,6 +56,14 @@ def auroc_binary(scores, labels) -> float:
     midranks = np.cumsum(counts) - 0.5 * (counts - 1)
     rank_sum = midranks[group][pos].sum()
     return float((rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg))
+
+
+def auroc(scores, labels) -> float:
+    """The binary AUROC of class 1's scores for two classes, one-vs-rest past two."""
+    scores, labels = _checked(scores, labels)
+    if scores.shape[1] == 2:
+        return auroc_binary(scores[:, 1], labels)
+    return auroc_ovr(scores, labels)
 
 
 def auroc_ovr(scores, labels) -> float:

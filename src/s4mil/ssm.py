@@ -26,8 +26,8 @@ fft_causal_conv, which gives the input gradient and the correlation
 together; these two are the only functions that transform.  Past one block
 the transposed Toeplitz matrices give the in-block input gradient, and the
 diagonal sums of one product of the input's and the upstream's blocks give
-the in-block correlations, which the rows of the carried blocks' power
-table weight.  The upstream's and the input's block sums against the pole
+the in-block correlations, which correlation_pole_sums weights as it
+does one block's.  The upstream's and the input's block sums against the pole
 powers, carried across blocks, add the rest of the input gradient and of
 the pole sums, so no correlation longer than a block is formed.
 direct_causal_conv stays as the oracles' reference.
@@ -40,15 +40,17 @@ pole and skip gradients).  They alone cut the channels into chunks
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
 
-Powers of a_bar are formed in 64-bit complex arithmetic or wider, whatever
-the model's precision.  The kernel (the Vandermonde product of S4D) and its
-adjoint power_weighted_sum read a two-level table built by doubling,
-a_bar^(iT+s) = a_bar^(iT) a_bar^s with T^2 >= L (_power_tables), so each
-level holds O(sqrt(L)) rows.  The carried blocks read one table of
-STATE_BLOCK + 1 rows, a running product in extended precision (_powers).
-Every contraction with powers is a real matrix product against a table's
-float64 view, since only real parts are needed.  No (n_half, L) power
-table is ever materialized.
+Powers of a_bar are formed in one place, power_tables, once per op for
+all channels, in 64-bit complex arithmetic or wider whatever the model's
+precision.  Every exponent splits at the block length (as SSD's do at its
+chunk length), l = iB + s with B = STATE_BLOCK: a fine table holds a_bar^s
+for s <= B and a coarse one a_bar^(iB) for iB < L + B, both doubled in
+complex128 but for a_bar^B, the power the carried states compound, which
+is raised in extended precision and rounded once.  The kernel (the
+Vandermonde product of S4D), its adjoint power_weighted_sum, the carried
+blocks and the backward read the forward's tables.  Every contraction with
+powers is a real matrix product against a table's float64 view, since only
+real parts are needed.  No (n_half, L) power table is ever materialized.
 
 The carried blocks run their products (Toeplitz, lag sums, and the block
 sums and read-outs against the power table) in the dtype of the blocks
@@ -149,90 +151,97 @@ def discretize(a, dt, rule: str) -> Discretization:
 
 
 # --------------------------------------------------------------------------
-# Kernel generation (two-level power tables, 64-bit)
+# Powers of a_bar (one table per op, split at STATE_BLOCK) and the kernel
 # --------------------------------------------------------------------------
 
-def _power_tables(alpha: np.ndarray, length: int):
-    """(fine, coarse, q, T): fine (..., T + 1, n) = alpha^s for s <= T and
-    coarse (..., q + 1, n) = alpha^(iT) for i <= q, for alpha (..., n).
+class PowerTables(NamedTuple):
+    """a_bar^l split at B = STATE_BLOCK, l = iB + s: fine (..., B + 1, n) holds
+    s <= B and coarse (..., q + 1, n) holds a_bar^(iB) for i <= q."""
 
-    T is the smallest power of two with T^2 >= length, q = ceil(length / T)
-    (q T = STATE_BLOCK at length = STATE_BLOCK).  Doubling fills each table
-    a whole (..., n) plane at a time, alpha^(m + i) = alpha^i alpha^m, so
-    the memory is power-major; the tables returned are channel-first views.
+    fine: np.ndarray
+    coarse: np.ndarray
+
+
+def power_tables(a_bar: np.ndarray, length: int) -> PowerTables:
+    """The powers of a_bar (..., n) that a length-L op reads, q = ceil(L / B):
+    the only place powers of a_bar are formed.
+
+    Doubling fills each table a whole (..., n) plane at a time in
+    complex128, alpha^(m + i) = alpha^i alpha^m, so the memory is
+    power-major; the tables returned are channel-first views.  a_bar^B, the
+    fine table's row B and the one power the carried states compound, is
+    raised in extended precision (np.clongdouble) and rounded once: doubled
+    in complex128 it is off by up to B - 1 units in the last place, and the
+    ssm-conv at L=62235 (bilinear, dt 0.1, a pole at the -1e-4 clamp)
+    missed the stepped recurrence by 1.04e-12 of the channel's scale.  The
+    coarse table is doubled from that row.
     """
-    t = 1 << ((length - 1).bit_length() + 1) // 2
-    q = -(-length // t)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    fine = np.empty((t + 1,) + alpha.shape, dtype=np.complex128)
-    coarse = np.empty((q + 1,) + alpha.shape, dtype=np.complex128)
-    # fine[t] is a view, read once the fine table is filled
-    for table, base in ((fine, alpha), (coarse, fine[t])):
-        table[0] = 1.0
-        table[1] = base
-        m, last = 1, len(table) - 1
-        while m < last:
-            step = min(m, last - m)
-            np.multiply(table[1:step + 1], table[m], out=table[m + 1:m + step + 1])
-            m += step
-    return np.moveaxis(fine, 0, -2), np.moveaxis(coarse, 0, -2), q, t
+    q = -(-length // STATE_BLOCK)
+    alpha = np.asarray(a_bar, dtype=np.complex128)
+    fine, coarse = (np.empty((rows,) + alpha.shape, dtype=np.complex128) for rows in (STATE_BLOCK + 1, q + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fine[STATE_BLOCK] = np.power(alpha.astype(np.clongdouble), STATE_BLOCK)
+        for table, base, last in ((fine, alpha, STATE_BLOCK - 1), (coarse, fine[STATE_BLOCK], q)):
+            table[0] = 1.0
+            table[1] = base
+            m = 1
+            while m < last:
+                step = min(m, last - m)
+                np.multiply(table[1:step + 1], table[m], out=table[m + 1:m + step + 1])
+                m += step
+    return PowerTables(np.moveaxis(fine, 0, -2), np.moveaxis(coarse, 0, -2))
 
 
-def power_weighted_sum(alpha: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_l weights[..., l] * alpha[..., k]^l, the adjoint of kernel_bank.
+def power_weighted_sum(tables: PowerTables, weights: np.ndarray) -> np.ndarray:
+    """sum_l weights[..., l] * a_bar[..., k]^l, the adjoint of kernel_bank.
 
-    Shapes: alpha (..., n) and real weights (..., L), whose leading axes
-    broadcast -> (..., n), complex128.  With l = iT + s (_power_tables), the
-    real product of the weights' (q, T) blocks (a view; a last partial block
-    has its own product) with the fine powers' float64 view (T, 2n), read as
-    complex, is the (q, n) sum over s, which the coarse powers then weight.
+    Real weights (..., L) against power_tables of at least L powers, whose
+    leading axes broadcast with the weights' -> (..., n), complex128.  The
+    real product of the weights' (q, B) blocks (zero-padded to whole blocks)
+    with the fine powers' float64 view (B, 2n), read as complex, is the
+    (q, n) sum over s, which the coarse powers then weight.
     """
     length = weights.shape[-1]
-    fine, coarse, q, t = _power_tables(alpha, length)
-    # copied: one channel's rows lie a plane apart in the power-major table,
-    # and the product read them 3.5x slower in place (H=512, n=16, L=30000)
-    rows = np.ascontiguousarray(fine[..., :t, :]).view(np.float64)
-    whole = length // t
-    inner = np.empty(np.broadcast_shapes(weights.shape[:-1], rows.shape[:-2]) + (q, rows.shape[-1]))
-    np.matmul(weights[..., :whole * t].reshape(weights.shape[:-1] + (whole, t)),
-              rows, out=inner[..., :whole, :])
-    if whole < q:
-        np.matmul(weights[..., None, whole * t:], rows[..., :length - whole * t, :],
-                  out=inner[..., whole:, :])
-    sums = inner.view(np.complex128)  # (..., q, n)
-    sums *= coarse[..., :q, :]
+    q = -(-length // STATE_BLOCK)
+    if length < q * STATE_BLOCK:
+        weights = np.pad(weights, [(0, 0)] * (weights.ndim - 1) + [(0, q * STATE_BLOCK - length)])
+    rows = tables.fine[..., :STATE_BLOCK, :].view(np.float64)
+    sums = np.matmul(weights.reshape(weights.shape[:-1] + (q, STATE_BLOCK)), rows).view(np.complex128)
+    sums *= tables.coarse[..., :q, :]
     return sums.sum(axis=-2)
 
 
-def correlation_pole_sums(corr: np.ndarray, a_bar: np.ndarray) -> np.ndarray:
+def correlation_pole_sums(corr: np.ndarray, tables: PowerTables) -> np.ndarray:
     """[sum_l corr_l conj(a_bar)^l, sum_l (l + 1) corr_{l+1} conj(a_bar)^l], (h, 2, n).
 
     For the kernel gradient corr (h, L), these are the adjoints of w and of
-    a_bar in K_l = Re(sum_k w_k a_bar_k^l).  One power_weighted_sum call
-    weights corr and its index-weighted shift.
+    a_bar in K_l = Re(sum_k w_k a_bar_k^l).  The weights are real, so the
+    sums are the conjugates of one power_weighted_sum over the tables of
+    corr and its index-weighted shift, zero-padded to whole blocks.
     """
     h, length = corr.shape
-    weights = np.empty((h, 2, length))
-    weights[:, 0] = corr
-    np.multiply(corr[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
-    weights[:, 1, -1] = 0.0
-    return power_weighted_sum(np.conj(a_bar)[:, None, :], weights)
+    weights = np.zeros((h, 2, -(-length // STATE_BLOCK) * STATE_BLOCK))
+    weights[:, 0, :length] = corr
+    np.multiply(corr[:, 1:], np.arange(1, length), out=weights[:, 1, :length - 1])
+    return np.conj(power_weighted_sum(PowerTables(*(t[:, None] for t in tables)), weights))
 
 
-def kernel_bank(w: np.ndarray, a_bar: np.ndarray, length: int) -> np.ndarray:
+def kernel_bank(w: np.ndarray, tables: PowerTables, length: int) -> np.ndarray:
     """K_l = Re(sum_k w_k a_bar_k^l), (..., n) -> (..., length): the adjoint of
     power_weighted_sum, and a channel's kernel at w = 2 c b_bar.
 
-    With l = iT + s (_power_tables), K[i, s] is one real product of float64
-    views: conj(w a_bar^(iT)) (q, 2n) against a_bar^s (2n, T).
+    With l = iB + s, K[i, s] is one real product of float64 views:
+    conj(w a_bar^(iB)) (q, 2n) against a_bar^s (2n, B), from power_tables
+    of at least L powers.  Up to B taps, q = 1 and that is one product with
+    the fine rows.
     """
-    if length < 1:
-        raise ContractError(f"length must be >= 1, got {length}")
+    q = -(-length // STATE_BLOCK)
+    if not 1 <= q < tables.coarse.shape[-2]:
+        raise ContractError(f"length {length} is not in 1..{(tables.coarse.shape[-2] - 1) * STATE_BLOCK}")
     with np.errstate(over="ignore", invalid="ignore"):
-        fine, coarse, q, t = _power_tables(a_bar, length)
-        left = np.conj(np.asarray(w, dtype=np.complex128)[..., None, :] * coarse[..., :q, :])
-        k = np.matmul(left.view(np.float64), fine[..., :t, :].view(np.float64).swapaxes(-1, -2))
-    k = k.reshape(k.shape[:-2] + (q * t,))[..., :length]
+        left = np.conj(np.asarray(w, dtype=np.complex128)[..., None, :] * tables.coarse[..., :q, :])
+        k = left.view(np.float64) @ tables.fine[..., :STATE_BLOCK, :].view(np.float64).swapaxes(-1, -2)
+    k = k.reshape(k.shape[:-2] + (q * STATE_BLOCK,))[..., :length]
     if not np.all(np.isfinite(k)):
         raise NumericalError("kernel overflow: non-finite values in the materialized kernel")
     return k
@@ -319,9 +328,9 @@ def conv_taps(length: int) -> int:
     states from block to block (block_causal_conv), and reads the first
     block's taps only.  ONE_BLOCK_MAX is where 512-token FFT blocks began to
     beat one full-length FFT.  Forced below it, 64-token Toeplitz blocks
-    lose at L=512 (forward plus backward 0.81x at H=32, N=8 and 0.68x at
-    H=512, N=32) and win at 1024 (1.65x and 1.41x); the cutoff stays at
-    1024, so bags of at most 1024 tokens keep the one-block path.
+    lose at L=300 (forward plus backward 0.88x at H=32, N=8 and 0.84x at
+    H=512, N=32) and win at 512 (1.38x and 1.24x); the cutoff has not been
+    moved, so bags of at most 1024 tokens keep the one-block path.
 
     STATE_BLOCK follows a sweep of the ssm-conv forward and backward
     (causal_conv and causal_conv_adjoint on float32 channel-major
@@ -360,25 +369,6 @@ def to_blocks(x: np.ndarray, block: int, dtype) -> np.ndarray:
     return blocks
 
 
-def _powers(alpha: np.ndarray, count: int) -> np.ndarray:
-    """alpha^s for s <= count, (..., n) -> (..., count + 1, n) complex128.
-
-    A running product in extended precision (np.clongdouble), rounded once.
-    The carried blocks step their states by alpha^B once per block, so the
-    error of alpha^B grows with the number of blocks: doubled in complex128
-    it is off by up to B - 1 units in the last place, and the ssm-conv at
-    L=62235 (bilinear, dt 0.1, a pole at the -1e-4 clamp) missed the stepped
-    recurrence by 1.04e-12 of the channel's scale, against 2.5e-14 this
-    way.  Where clongdouble is plain double, this is a complex128 running
-    product, 2.2e-13 there.
-    """
-    alpha = np.asarray(alpha, dtype=np.clongdouble)
-    table = np.empty(alpha.shape[:-1] + (count + 1, alpha.shape[-1]), dtype=np.clongdouble)
-    table[..., 0, :] = 1.0
-    table[..., 1:, :] = alpha[..., None, :]
-    return np.cumprod(table, axis=-2).astype(np.complex128)
-
-
 def _toeplitz(taps: np.ndarray) -> np.ndarray:
     """The in-block convolution matrices of taps (h, B), (h, B, B) in their dtype:
     T[i, r, s] = taps[i, s - r] for s >= r and 0 below, so that a row of
@@ -410,24 +400,25 @@ def _lag_sums(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     return flat.reshape(h, block, 2 * block + 1)[:, :, :block].sum(axis=1)
 
 
-def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
+def block_causal_conv(kernels: np.ndarray, powers: np.ndarray, w: np.ndarray,
                       u: np.ndarray) -> np.ndarray:
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
 
     ``kernels`` (h, B) holds the first B = conv_taps(L) taps of
-    K_l = Re(sum_k w_k a_bar_k^l), with a_bar and w of shape (h, n).  An
-    input of at most ONE_BLOCK_MAX tokens is one block, and one
-    fft_causal_conv by its L taps is the whole convolution.  A longer one
-    is zero-padded to blocks of STATE_BLOCK tokens.  Inside a block the
-    taps apply as one real product with the channel's Toeplitz matrix
-    (_toeplitz).  Across blocks the n complex states carry the past, with
-    a = a_bar and s = a^B: block j's inputs sum to
-    V_j = sum_r u[jB+r] a^(B-r), the states step as X_j = s X_(j-1) + V_j,
-    and token r of block j + 1 gains Re(sum_k w_k a_k^r X_(j,k)).  V and the
-    read-out are real products with the float64 view of one (B + 1, n)
-    power table (_powers), cast to u's dtype; the states are stepped
-    block-major in complex128, so each step is one contiguous (h, n) plane.
-    Returns (h, L): in float64 for one block, in u's dtype past it.
+    K_l = Re(sum_k w_k a_bar_k^l), with w (h, n) and ``powers`` the fine
+    table (h, STATE_BLOCK + 1, n) of power_tables.  An input of at most
+    ONE_BLOCK_MAX tokens is one block, and one fft_causal_conv by its L
+    taps is the whole convolution.  A longer one is zero-padded to blocks
+    of STATE_BLOCK tokens.  Inside a block the taps apply as one real
+    product with the channel's Toeplitz matrix (_toeplitz).  Across blocks
+    the n complex states carry the past, with a = a_bar and s = a^B: block
+    j's inputs sum to V_j = sum_r u[jB+r] a^(B-r), the states step as
+    X_j = s X_(j-1) + V_j, and token r of block j + 1 gains
+    Re(sum_k w_k a_k^r X_(j,k)).  V and the read-out are real products with
+    the float64 views of the powers' rows, cast to u's dtype, and s is
+    their row B; the states are stepped block-major in complex128, so each
+    step is one contiguous (h, n) plane.  Returns (h, L): in float64 for
+    one block, in u's dtype past it.
     """
     h, length = u.shape
     block = conv_taps(length)
@@ -438,7 +429,6 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     padded = to_blocks(u, block, u.dtype)
     count, dtype = padded.shape[1], padded.dtype
     inner = np.matmul(padded, _toeplitz(kernels.astype(dtype, copy=False)))
-    powers = _powers(a_bar, block)  # (h, B + 1, n)
     # a^(B-r) and a^r: float64 views (h, B, 2n), cast once to the blocks' dtype
     rows = np.ascontiguousarray(powers[:, block:0:-1]).view(np.float64).astype(dtype, copy=False)
     readout = powers[:, :block].view(np.float64).astype(dtype, copy=False)
@@ -458,25 +448,26 @@ def block_causal_conv(kernels: np.ndarray, a_bar: np.ndarray, w: np.ndarray,
     return padded.reshape(h, -1)[:, :length]
 
 
-def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
+def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: PowerTables,
                   w: np.ndarray):
     """The adjoints of block_causal_conv in its input and in its poles, from
     the blocks of the upstream g and of the input u, (h, blocks, B) in one
-    dtype (to_blocks with B = conv_taps(L)), with kernels, a_bar and w as
-    block_causal_conv takes them.  Returns (grad_in, sums):
+    dtype (to_blocks with B = conv_taps(L)), with kernels and w as
+    block_causal_conv takes them and the power_tables of B powers whose fine
+    table it takes.  Returns (grad_in, sums):
 
       * grad_in (h, blocks, B): sum_l K_l g[t + l] at every token t of the
         blocks, the correlation fft_causal_corr(g, K) with the full kernel;
-      * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), a_bar),
+      * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), tables),
         the adjoints of w and a_bar.
 
+    correlation_pole_sums gives the in-block pole sums in both branches.
     One block (an input of at most ONE_BLOCK_MAX tokens) is one
     fft_causal_corr of g with the kernels and u stacked: the input gradient
-    and the correlation, whose B lags correlation_pole_sums weights.  Past
-    one block no transform is made:
+    and the correlation, all of whose B lags it weights.  Past one block no
+    transform is made:
       * in-block input gradient: g times the transposed Toeplitz matrices;
-      * in-block pole sums: the lags of _lag_sums, weighted by the rows
-        a^l and l a^(l-1) of the table below, and conjugated.
+      * in-block pole sums: it weights the B lags of _lag_sums.
     Across blocks, with a = a_bar, s = a^B, the blocks j of g and i of u,
     E_j = sum_r g[jB+r] a^r, E'_j = sum_r r g[jB+r] a^(r-1),
     V_i = sum_r u[iB+r] a^(B-r) and V'_i = sum_r (B-r) u[iB+r] a^(B-1-r):
@@ -491,35 +482,30 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.n
         G_i = sum_(j>i) (j-1-i) s^(j-2-i) E_j as G_i = s G_(i+1) + F_(i+1),
         so no power is divided by a.
     E, E', V and V' are each one real product of the blocks with the
-    float64 view of a (B, n) table drawn from one (B + 1, n) power table
-    (_powers); F, F' and G are stepped back together, one contiguous
-    block-major (3, h, n) plane a step.  The products run in the blocks'
-    dtype and the steps and the sums in complex128; grad_in is float64 for
-    one block, whose transforms take float64, and the blocks' dtype past it.
+    float64 view of a (B, n) table drawn from the fine one; F, F' and G
+    are stepped back together, one contiguous block-major (3, h, n) plane
+    a step.  The products run in the blocks' dtype and the steps and the
+    sums in complex128; grad_in is float64 for one block, whose transforms
+    take float64, and the blocks' dtype past it.
     """
     h, count, block = g.shape
     if count == 1:
         # one transform of g gives the input gradient and the correlation
         grad_in, corr = fft_causal_corr(g[:, 0], np.stack([kernels, u[:, 0]]))
-        return grad_in[:, None], correlation_pole_sums(corr, a_bar)
+        return grad_in[:, None], correlation_pole_sums(corr, tables)
 
-    n, dtype = a_bar.shape[1], g.dtype
+    powers, dtype, n = tables.fine, g.dtype, w.shape[1]  # powers (h, B + 1, n)
     grad_in = np.matmul(g, _toeplitz(kernels.astype(dtype, copy=False)).swapaxes(1, 2))
-    powers = _powers(a_bar, block)  # (h, B + 1, n)
+    sums = correlation_pole_sums(_lag_sums(g, u), tables)
     ramp = np.arange(block, dtype=np.float64)[:, None]
     # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
-    tables = np.empty((4, h, block, n), dtype=np.complex128)
-    tables[0] = powers[:, :block]
-    tables[1, :, 0] = 0.0
-    np.multiply(powers[:, :block - 1], ramp[1:], out=tables[1, :, 1:])
-    tables[2] = powers[:, block:0:-1]
-    np.multiply(powers[:, block - 1::-1], block - ramp, out=tables[3])
-    rows = tables.view(np.float64)  # (4, h, B, 2n)
-    products = rows.astype(dtype, copy=False)  # the tables of the block products
-    # the in-block lags weighted by a^l and l a^(l-1); corr is real, so their conjugates
-    # are the pole sums of conj(a) that correlation_pole_sums gives
-    sums = np.matmul(_lag_sums(g, u)[:, None, None], rows[:2].swapaxes(0, 1))
-    sums = np.conjugate(sums[:, :, 0].view(np.complex128))  # (h, 2, n)
+    rows = np.empty((4, h, block, n), dtype=np.complex128)
+    rows[0] = powers[:, :block]
+    rows[1, :, 0] = 0.0
+    np.multiply(powers[:, :block - 1], ramp[1:], out=rows[1, :, 1:])
+    rows[2] = powers[:, block:0:-1]
+    np.multiply(powers[:, block - 1::-1], block - ramp, out=rows[3])
+    products = rows.view(np.float64).astype(dtype, copy=False)  # (4, h, B, 2n)
     # block-major: [E_j, E'_j, 0] for every block but the first, becoming
     # [F_i, F'_i, G_i], and [V_i, V'_i] for every block but the last
     ahead = np.empty((count - 1, 3, h, n), dtype=np.complex128)
@@ -596,33 +582,37 @@ def causal_conv(u: np.ndarray, a_bar: np.ndarray, w: np.ndarray, d: np.ndarray,
     """K * u + d u for channel-major u (L, H), K_l = Re(sum_k w_k a_bar_k^l)
     with a_bar and w of shape (H, n) and the skip d (H,).
 
-    Returns (y, kernels): y is a channel-major (L, H) array in u's dtype,
-    ``out`` (which may be u itself) or a new one; kernels (H, conv_taps(L))
-    are the first block of taps, which causal_conv_adjoint reads.  Each
-    chunk of channels runs block_causal_conv on its rows of u in u's dtype,
-    so no whole float64 copy of u or of the output exists.  A chunk reads
-    its channels' rows of u before it writes them in the output, and the
-    chunks' channels are disjoint, so u may be the output.
+    Returns (y, kernels, tables): y is a channel-major (L, H) array in u's
+    dtype, ``out`` (which may be u itself) or a new one; kernels
+    (H, conv_taps(L)) are the first block of taps, and tables the
+    power_tables of as many powers, built once for all channels, which the
+    taps, the carried blocks and causal_conv_adjoint read.  Each chunk of
+    channels runs block_causal_conv on its rows of u in u's dtype and adds
+    the skip term in the result's dtype, so no whole float64 copy of u or
+    of the output exists.  A chunk reads its channels' rows of u before it
+    writes them in the output, and the chunks' channels are disjoint, so u
+    may be the output.
     """
     length, h = u.shape
-    kernels = kernel_bank(w, a_bar, conv_taps(length))
+    tables = power_tables(a_bar, conv_taps(length))
+    kernels = kernel_bank(w, tables, conv_taps(length))
     d = np.asarray(d, dtype=np.float64)
     out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
 
     def work(s, e):
         rows = u[:, s:e].T
-        y = block_causal_conv(kernels[s:e], a_bar[s:e], w[s:e], rows)
-        y += d[s:e, None] * rows
+        y = block_causal_conv(kernels[s:e], tables.fine[s:e], w[s:e], rows)
+        y += d[s:e, None].astype(y.dtype, copy=False) * rows
         out[s:e] = y
 
     parallel.run_chunked(h, _block_chunk(h, length), work)
-    return out.T, kernels
+    return out.T, kernels, tables
 
 
-def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar: np.ndarray,
+def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: PowerTables,
                         w: np.ndarray, d: np.ndarray):
     """The adjoints of causal_conv for the channel-major upstream g (L, H),
-    from its input u, the kernels it returned, a_bar, w and d.
+    from its input u, the kernels and power tables it returned, w and d.
 
     Each chunk copies its channel rows of g and of u into blocks of the
     forward's block length once (to_blocks): float64 for one block, which
@@ -637,13 +627,14 @@ def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, a_bar
     dtype = np.float64 if block == length else g.dtype
     d = np.asarray(d, dtype=np.float64)
     grad_u = np.empty((h, length), dtype=g.dtype)
-    sums = np.empty((h, 2, a_bar.shape[1]), dtype=np.complex128)
+    sums = np.empty((h, 2, w.shape[1]), dtype=np.complex128)
     grad_d = np.empty(h)
 
     def work(s, e):
         rows, v = (to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
-        grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e], a_bar[s:e], w[s:e])
+        grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e],
+                                           PowerTables(*(t[s:e] for t in tables)), w[s:e])
         rows *= d[s:e, None, None]  # the upstream blocks are not read again
         grad_in += rows
         grad_u[s:e] = grad_in.reshape(e - s, -1)[:, :length]

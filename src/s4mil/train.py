@@ -27,7 +27,7 @@ import numpy as np
 from .autograd import picked
 from .data_io import Bag
 from .errors import ContractError, NumericalError, ParseError, S4MilError
-from .metrics import UndefinedMetricError, accuracy, auroc_binary, auroc_ovr
+from .metrics import UndefinedMetricError, accuracy, auroc
 from .model import MilModel, ParameterVector, build_tape, checked_patch_labels, forward_mil
 from .seeding import substream
 
@@ -231,13 +231,10 @@ def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> di
     probs = np.stack(slide_probs)
     acc = accuracy(probs, labels)
     try:
-        if model.config.num_classes == 2:
-            auroc = auroc_binary(probs[:, 1], labels)
-        else:
-            auroc = auroc_ovr(probs, labels)
+        roc = auroc(probs, labels)
     except UndefinedMetricError:
-        auroc = float("nan")
-    return {"loss": loss, "accuracy": acc, "auroc": auroc,
+        roc = float("nan")
+    return {"loss": loss, "accuracy": acc, "auroc": roc,
             "slide_probs": slide_probs, "patch_probs": [o.patch_probs for o in outs]}
 
 

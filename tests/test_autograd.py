@@ -404,9 +404,9 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     kernel_bank = ssm.kernel_bank
     taps = []
 
-    def spy(w, a_bar, n):
+    def spy(w, tables, n):
         taps.append(n)
-        return kernel_bank(w, a_bar, n)
+        return kernel_bank(w, tables, n)
 
     monkeypatch.setattr(ssm, "kernel_bank", spy)
     cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2, num_ssm_layers=2)
@@ -420,6 +420,28 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     _, cache = autograd._ssm_conv_forward(p["u"], p["a_re"], p["a_im"], p["c_re"], p["c_im"],
                                           p["d"], p["log_dt"], "zoh")
     assert cache.kernels.shape == (3, ssm.STATE_BLOCK)
+
+
+@pytest.mark.parametrize("length", [300, 1089])
+def test_ssm_conv_builds_its_power_tables_once_per_op(monkeypatch, one_channel_per_chunk, length):
+    # The forward builds the power tables once for all channels, and its
+    # taps, every chunk of its blocks and the backward read them: one block
+    # at L=300 and carried blocks at 1089, one channel per chunk.
+    from s4mil import ssm
+
+    built = []
+    power_tables = ssm.power_tables
+
+    def spy(a_bar, n):
+        built.append((a_bar.shape, n))
+        return power_tables(a_bar, n)
+
+    monkeypatch.setattr(ssm, "power_tables", spy)
+    rng = np.random.default_rng(29)
+    p = ssm_params(rng, h=4, n_half=3)
+    p["u"] = rng.standard_normal((length, 4))
+    ssm_conv_with_gradients(p, rng.standard_normal((length, 4)), "zoh", np.float32)
+    assert built == [((4, 3), ssm.conv_taps(length))]
 
 
 def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(

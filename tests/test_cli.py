@@ -203,6 +203,32 @@ def test_multitask_train_and_evaluate_and_heatmap(tmp_path):
     assert filled.size > 0 and np.all(filled <= 1.0)
 
 
+def test_evaluate_scores_a_patch_head_of_more_than_two_classes_one_versus_rest(tmp_path):
+    # Patch labels 0..2 on a 3-class patch head: patch_auroc is the
+    # one-vs-rest AUROC of the patch probabilities, as the slide AUROC is
+    # for more than two slide classes.
+    from s4mil.data_io import load_manifest, read_sequence_file
+    from s4mil.metrics import auroc_ovr
+    from s4mil.train import evaluate_model
+
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--seed", "1", "--output", corpus, *TINY_SYNTH]) == 0
+    for path in sorted((corpus / "bags").glob("*.patch.seqf")):
+        length = read_sequence_file(path).shape[0]
+        write_sequence_file(path, (np.arange(length) % 3)[:, None].astype(np.float32))
+    model = init_parameters(ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, multitask=True,
+                                        num_patch_classes=3), seed=0)
+    save_checkpoint(tmp_path / "mt3.s4mc", model)
+    assert run(["evaluate", "--checkpoint", tmp_path / "mt3.s4mc",
+                "--manifest", corpus / "manifest.csv", "--output", tmp_path / "eval"]) == 0
+    with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+        metrics = dict(list(csv.reader(fh))[1:])
+    bags = load_manifest(corpus / "manifest.csv")
+    probs = np.concatenate(evaluate_model(model, bags)["patch_probs"])
+    expected = auroc_ovr(probs, np.concatenate([b.patch_labels for b in bags]))
+    assert float(metrics["patch_auroc"]) == expected
+
+
 def test_heatmap_requires_multitask_checkpoint(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert run(["synth", "--seed", "1", "--output", corpus, *TINY_SYNTH]) == 0

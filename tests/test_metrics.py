@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from s4mil.errors import ContractError, UndefinedMetricError
-from s4mil.metrics import accuracy, auroc_binary, auroc_ovr
+from s4mil.metrics import accuracy, auroc, auroc_binary, auroc_ovr
 
 
 def brute_force_auroc(scores, labels):
@@ -99,6 +99,22 @@ def test_auroc_single_class_is_an_error():
 def test_auroc_rejects_nan_scores():
     with pytest.raises(ContractError, match="NaN"):
         auroc_binary([np.nan, 0.2, np.nan, 0.1], [1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("labels", [[0, 2, 1], [0, -1, 1], [0.5, 0, 1]])
+def test_auroc_rejects_labels_other_than_0_and_1(labels):
+    # a label other than 1 would otherwise count as a negative
+    with pytest.raises(ContractError, match="0 or 1"):
+        auroc_binary([0.1, 0.9, 0.5], labels)
+
+
+def test_auroc_of_class_probabilities_is_binary_for_two_classes_and_ovr_past_two():
+    rng = np.random.default_rng(5)
+    labels = np.tile(np.arange(3), 10)
+    scores = rng.dirichlet(np.ones(3), 30)
+    assert auroc(scores, labels) == auroc_ovr(scores, labels)
+    pair = np.stack([1 - scores[:, 1], scores[:, 1]], axis=1)
+    assert auroc(pair, labels % 2) == auroc_binary(scores[:, 1], labels % 2)
 
 
 def test_auroc_matches_brute_force_exactly():

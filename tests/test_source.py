@@ -56,21 +56,47 @@ def test_the_convolution_engine_stays_in_the_ssm_module():
     assert not reached & engine, f"autograd.py reaches {sorted(reached & engine)}"
 
 
-def test_only_the_causal_convolution_and_its_adjoint_transform():
-    # np.fft appears in fft_causal_conv and fft_causal_corr and nowhere else.
+def _where(match):
+    """The "module.function" of every node of the package that match(node) accepts."""
     found = set()
 
     def visit(node, module, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "fft" and \
-                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
-            found.add(f"{module}.{where}")
-        if isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node):
+        if match(node):
             found.add(f"{module}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, where)
 
     for path in sorted(Path(s4mil.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return found
+
+
+def test_only_the_causal_convolution_and_its_adjoint_transform():
+    # np.fft appears in fft_causal_conv and fft_causal_corr and nowhere else.
+    def transforms(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return "fft" in ast.unparse(node)
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+
+    found = _where(transforms)
     assert found == {"ssm.fft_causal_conv", "ssm.fft_causal_corr"}, sorted(found)
+
+
+def test_powers_of_a_bar_are_formed_in_the_table_builder_alone():
+    # Extended precision (np.clongdouble, np.longdouble) is named only in
+    # ssm.power_tables, and the blocks read the op's tables: neither
+    # block_causal_conv nor block_adjoint builds its own.
+    def extended(node):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        return isinstance(name, str) and name.endswith("longdouble")
+
+    def builds(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "power_tables"
+
+    found = _where(extended)
+    assert found == {"ssm.power_tables"}, sorted(found)
+    found = _where(builds)
+    assert not found & {"ssm.block_causal_conv", "ssm.block_adjoint"}, sorted(found)

@@ -13,8 +13,6 @@ from s4mil.ssm import (
     ZERO_POLE_EPS,
     _fft_size,
     _lag_sums,
-    _power_tables,
-    _powers,
     _toeplitz,
     block_adjoint,
     block_causal_conv,
@@ -24,6 +22,7 @@ from s4mil.ssm import (
     fft_causal_conv,
     fft_causal_corr,
     kernel_bank,
+    power_tables,
     power_weighted_sum,
     run_recurrence,
     to_blocks,
@@ -191,12 +190,12 @@ def test_discretization_derivatives_match_central_differences(rule, dt, poles):
 
 def test_kernel_geometric_series():
     # w = 2 c b_bar = 1 leaves the scalar system K_l = a_bar^l.
-    k = kernel_bank([1.0 + 0j], [0.5 + 0j], length=4)
+    k = kernel_bank([1.0 + 0j], power_tables([0.5 + 0j], 4), 4)
     np.testing.assert_allclose(k, [1.0, 0.5, 0.25, 0.125], rtol=0, atol=0)
 
 
 def test_kernel_unit_pole():
-    k = kernel_bank([1.0 + 0j], [1.0 + 0j], length=3)
+    k = kernel_bank([1.0 + 0j], power_tables([1.0 + 0j], 3), 3)
     np.testing.assert_allclose(k, [1.0, 1.0, 1.0], rtol=0, atol=0)
 
 
@@ -215,7 +214,7 @@ def test_kernel_matches_brute_force_powers():
     for _ in range(20):
         a, c, _, dt = random_stable_channel(rng, n_half=5)
         disc = discretize(a, dt, "bilinear")
-        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=64)
+        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 64), 64)
         expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 64)
         np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-14)
 
@@ -232,7 +231,7 @@ def test_kernel_matches_brute_force_in_the_trained_regime(rule, dt, a_re):
     a = a_re + 1j * np.pi * np.arange(64)
     c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     disc = discretize(a, dt, rule)
-    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=2048)
+    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 2048), 2048)
     expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 2048)
     np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
@@ -251,22 +250,28 @@ def test_power_weighted_sum_matches_brute_force(length):
     for ell in range(length):
         expected += weights[..., ell, None] * power
         power = power * alpha
-    got = power_weighted_sum(alpha, weights)
+    got = power_weighted_sum(power_tables(alpha, length), weights)
     assert got.shape == (h, 2, n_half)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
 def test_power_table_sizes_cover_every_exponent():
-    # T is the smallest power of two with T^2 >= L and q = ceil(L / T);
-    # kernel_bank reshapes its taps into (q, T).
+    # Every exponent splits at B = STATE_BLOCK, l = iB + s: the fine table
+    # holds s <= B and the coarse one i <= q = ceil(L / B); kernel_bank
+    # reshapes its taps into (q, B).
     alpha = np.array([[0.5 + 0.5j]])
     for length in range(1, 4097):
-        fine, coarse, q, t = _power_tables(alpha, length)
-        assert t & (t - 1) == 0 and t * t >= length and (t == 1 or (t // 2) ** 2 < length)
-        assert q == -(-length // t)
-        assert fine.shape == (1, t + 1, 1) and coarse.shape == (1, q + 1, 1)
+        fine, coarse = power_tables(alpha, length)
+        q = -(-length // STATE_BLOCK)
+        assert fine.shape == (1, STATE_BLOCK + 1, 1) and coarse.shape == (1, q + 1, 1)
+        assert q * STATE_BLOCK >= length > (q - 1) * STATE_BLOCK
     # the longest kernel the model builds, one block's ONE_BLOCK_MAX taps
-    assert _power_tables(alpha, ONE_BLOCK_MAX)[2:] == (32, 32)
+    fine, coarse = power_tables(alpha, ONE_BLOCK_MAX)
+    assert (coarse.shape[1] - 1, fine.shape[1] - 1) == (16, 64)
+    # kernel_bank reads no more taps than its tables hold
+    for length in (0, STATE_BLOCK + 1):
+        with pytest.raises(ContractError, match=f"length {length} is not in 1..{STATE_BLOCK}"):
+            kernel_bank(np.ones((1, 1)), power_tables(alpha, STATE_BLOCK), length)
 
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
@@ -274,13 +279,13 @@ def test_power_table_sizes_cover_every_exponent():
 @pytest.mark.parametrize("length", [1, 2, 3, 17, STATE_BLOCK, 4096, 65536])
 def test_power_tables_match_repeated_multiplication(length, a_re, rule):
     # Poles -1/2 + i pi k and the -1e-4 clamp at dt = 1e-3, where |a_bar| is
-    # close to 1, for tables of up to 257 rows (L = 65536).  Doubling
+    # close to 1, for coarse tables of up to 1025 rows (L = 65536).  Doubling
     # a^(m+i) = a^i a^m doubles the rounding of a^2 at every level, so the
     # relative error of a table of `count` rows grows to about count/2 unit
-    # roundoffs; the bound is count unit roundoffs (1.4e-14 at 129 rows).
+    # roundoffs; the bound is count unit roundoffs (7.2e-15 at 65 rows).
     a_bar = discretize(a_re + 1j * np.pi * np.arange(64), 1e-3, rule).a_bar.reshape(2, 32)
-    fine, coarse, q, t = _power_tables(a_bar, length)
-    for table, base in ((fine, a_bar), (coarse, fine[:, t])):
+    fine, coarse = power_tables(a_bar, length)
+    for table, base in ((fine, a_bar), (coarse, fine[:, STATE_BLOCK])):
         count = table.shape[1]
         expected = np.empty_like(table)
         power = np.ones_like(base)
@@ -288,6 +293,12 @@ def test_power_tables_match_repeated_multiplication(length, a_re, rule):
             expected[:, i] = power
             power = power * base
         np.testing.assert_allclose(table, expected, rtol=count * 2.0 ** -53, atol=0)
+    # a^B, which the carried states compound, is the extended-precision
+    # running product rounded once: within one unit roundoff of it
+    running = np.cumprod(np.repeat(a_bar[:, None].astype(np.clongdouble), STATE_BLOCK, axis=1),
+                         axis=1)[:, -1]
+    err = np.abs(fine[:, STATE_BLOCK].astype(np.clongdouble) - running)
+    assert np.all(err <= 2.0 ** -53 * np.abs(running))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 17, 511, 512, 513, 1000, 30000])
@@ -300,9 +311,11 @@ def test_kernel_bank_is_the_adjoint_of_power_weighted_sum(length):
     a_bar = discretize(a, rng.uniform(1e-3, 0.1, 3), "zoh").a_bar[:, None, :]
     w = (rng.standard_normal((3, 1, 8)) + 1j * rng.standard_normal((3, 1, 8))) * 2.0
     x = rng.standard_normal((3, 2, length))
-    lhs = np.sum(x * kernel_bank(w, a_bar, length), axis=-1)
-    rhs = np.sum(w * power_weighted_sum(a_bar, x), axis=-1).real
-    scale = np.sum(np.abs(x) * kernel_bank(np.abs(w), np.abs(a_bar), length), axis=-1)
+    tables = power_tables(a_bar, length)
+    lhs = np.sum(x * kernel_bank(w, tables, length), axis=-1)
+    rhs = np.sum(w * power_weighted_sum(tables, x), axis=-1).real
+    tables = power_tables(np.abs(a_bar), length)
+    scale = np.sum(np.abs(x) * kernel_bank(np.abs(w), tables, length), axis=-1)
     assert lhs.shape == rhs.shape == (3, 2)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
@@ -315,7 +328,7 @@ def test_model_regime_channel_matches_direct_convolution_at_l62235():
     a = -0.5 + 1j * np.pi * np.arange(16)
     c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     disc = discretize(a, 0.01, "zoh")
-    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length)
+    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
     u = rng.standard_normal(length)
     direct = direct_causal_conv(k, u)
     assert np.max(np.abs(fft_causal_conv(k, u) - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -330,7 +343,7 @@ def test_kernel_decay_envelope():
         rho = np.max(np.abs(disc.a_bar))
         assert rho < 1
         length = min(4096, int(np.ceil(np.log(1e-3) / np.log(rho))) + 1)
-        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=length)
+        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
         envelope = 2.0 * np.sum(np.abs(c * disc.b_bar))
         bound = envelope * rho ** np.arange(length)
         assert np.all(np.abs(k) <= bound * (1 + 1e-9) + 1e-300)
@@ -339,7 +352,7 @@ def test_kernel_decay_envelope():
 
 def test_kernel_overflow_reported():
     with pytest.raises(NumericalError, match="overflow"):
-        kernel_bank([1e300 + 0j], [2.0 + 0j], length=2048)
+        kernel_bank([1e300 + 0j], power_tables([2.0 + 0j], 2048), 2048)
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def test_impulse_response_recovers_kernel():
     rng = np.random.default_rng(3)
     a, c, _, dt = random_stable_channel(rng)
     disc = discretize(a, dt, "bilinear")
-    k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length=16)
+    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 16), 16)
     u = np.zeros(16)
     u[0] = 1.0
     np.testing.assert_allclose(fft_causal_conv(k, u), k, rtol=1e-12)
@@ -382,8 +395,9 @@ def test_block_causal_conv_matches_direct_convolution(rule, length):
     disc = discretize(a, np.array([ch[3] for ch in channels]), rule)
     u = rng.standard_normal((2, length))
     w = 2.0 * c * disc.b_bar
-    y = block_causal_conv(kernel_bank(w, disc.a_bar, conv_taps(length)), disc.a_bar, w, u)
-    full = kernel_bank(w, disc.a_bar, length)
+    tables = power_tables(disc.a_bar, conv_taps(length))
+    y = block_causal_conv(kernel_bank(w, tables, conv_taps(length)), tables.fine, w, u)
+    full = kernel_bank(w, power_tables(disc.a_bar, length), length)
     for i in range(2):
         direct = direct_causal_conv(full[i], u[i])
         assert np.max(np.abs(y[i] - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -391,7 +405,7 @@ def test_block_causal_conv_matches_direct_convolution(rule, length):
 
 def test_block_causal_conv_rejects_kernels_that_are_not_one_block():
     with pytest.raises(ContractError, match="block kernels"):
-        block_causal_conv(np.zeros((1, 7)), np.full((1, 1), 0.5 + 0j), np.ones((1, 1)),
+        block_causal_conv(np.zeros((1, 7)), np.full((1, STATE_BLOCK + 1, 1), 0.5 + 0j), np.ones((1, 1)),
                           np.zeros((1, 2000)))
 
 
@@ -509,10 +523,10 @@ def trained_regime_blocks(rule, dt, length):
 
 
 def extended_pole_sums(corr, a_bar):
-    """correlation_pole_sums(corr, a_bar) by Horner's rule in extended
-    precision (np.clongdouble), rounded once.  The two-level power tables
-    of correlation_pole_sums err by up to 1.8e-12 of the sums' scale at
-    L=62235 in the trained regime, more than the oracles below allow."""
+    """correlation_pole_sums(corr, power_tables(a_bar, L)) by Horner's rule
+    in extended precision (np.clongdouble), rounded once: an oracle that
+    forms no power table.  correlation_pole_sums errs by up to 5.5e-14 of
+    the sums' scale at L=62235 in the trained regime."""
     h, length = corr.shape
     terms = np.zeros((h, 2, length), dtype=np.longdouble)
     terms[:, 0] = corr
@@ -525,10 +539,10 @@ def extended_pole_sums(corr, a_bar):
 
 
 def extended_kernel(w, a_bar, length):
-    """kernel_bank(w, a_bar, length) from a running product of the powers in
-    extended precision (np.clongdouble), rounded once.  kernel_bank's
-    two-level tables err by up to 1.3e-12 of the kernel's scale at L=62235
-    in the trained regime, more than the oracles below allow."""
+    """kernel_bank(w, power_tables(a_bar, length), length) from a running
+    product of the powers in extended precision (np.clongdouble), rounded
+    once: an oracle that forms no power table.  kernel_bank errs by up to
+    5.5e-14 of the kernel's scale at L=62235 in the trained regime."""
     poles, weights = a_bar.astype(np.clongdouble), w.astype(np.clongdouble)
     power = np.ones_like(poles)
     kernel = np.empty((a_bar.shape[0], length), dtype=np.longdouble)
@@ -540,8 +554,9 @@ def extended_kernel(w, a_bar, length):
 
 def block_adjoint_of(g, u, a_bar, w):
     block = conv_taps(g.shape[-1])
+    tables = power_tables(a_bar, block)
     return block_adjoint(to_blocks(g, block, g.dtype), to_blocks(u, block, u.dtype),
-                         kernel_bank(w, a_bar, block), a_bar, w)
+                         kernel_bank(w, tables, block), tables, w)
 
 
 # One block with no carried state (1 to ONE_BLOCK_MAX tokens), then carried
@@ -557,7 +572,7 @@ def test_toeplitz_product_matches_direct_convolution_block_by_block(rule, dt):
     # channel's Toeplitz matrix of its first STATE_BLOCK taps, for channels
     # in the trained regime.  Each block is held to its channel's scale.
     _, u, a_bar, w = trained_regime_blocks(rule, dt, 5 * STATE_BLOCK)
-    taps = kernel_bank(w, a_bar, STATE_BLOCK)
+    taps = kernel_bank(w, power_tables(a_bar, STATE_BLOCK), STATE_BLOCK)
     blocks = u.reshape(3, 5, STATE_BLOCK)
     got = np.matmul(blocks, _toeplitz(taps))
     expected = np.array([[direct_causal_conv(taps[i], blocks[i, j]) for j in range(5)]
@@ -576,7 +591,8 @@ def test_lag_sums_match_the_in_block_correlations(rule, dt, count):
     # each block's own correlation.  g is the ssm-conv output of channels in
     # the trained regime, so the lags carry the channels' scales.
     g, u, a_bar, w = trained_regime_blocks(rule, dt, count * STATE_BLOCK)
-    g = block_causal_conv(kernel_bank(w, a_bar, conv_taps(g.shape[1])), a_bar, w, g)
+    tables = power_tables(a_bar, conv_taps(g.shape[1]))
+    g = block_causal_conv(kernel_bank(w, tables, conv_taps(g.shape[1])), tables.fine, w, g)
     blocks_g, blocks_u = (x.reshape(3, count, STATE_BLOCK) for x in (g, u))
     got = _lag_sums(blocks_g, blocks_u)
     if count == 1:
@@ -587,20 +603,6 @@ def test_lag_sums_match_the_in_block_correlations(rule, dt, count):
     scale = np.max(np.abs(expected), axis=-1)
     err = np.max(np.abs(got - expected), axis=-1) / scale
     assert np.all(err <= 1e-12), f"per-channel error over the channel's scale {err}"
-
-
-@pytest.mark.parametrize("rule", ["bilinear", "zoh"])
-@pytest.mark.parametrize("a_re", [-0.5, -1e-4])
-def test_block_power_table_matches_repeated_multiplication(a_re, rule):
-    # The carried path's one (STATE_BLOCK + 1, n) table, at dt = 1e-3.
-    a_bar = discretize(a_re + 1j * np.pi * np.arange(32), 1e-3, rule).a_bar.reshape(2, 16)
-    table = _powers(a_bar, STATE_BLOCK)
-    expected = np.empty_like(table)
-    power = np.ones_like(a_bar)
-    for s in range(STATE_BLOCK + 1):
-        expected[:, s] = power
-        power = power * a_bar
-    np.testing.assert_allclose(table, expected, rtol=(STATE_BLOCK + 1) * 2.0 ** -53, atol=0)
 
 
 @pytest.mark.parametrize("length", BLOCK_ADJOINT_LENGTHS)
@@ -679,7 +681,7 @@ def test_recurrence_convolution_duality(rule):
         length = int(rng.integers(1, 513))
         a, c, d, dt = random_stable_channel(rng, n_half=n_half)
         disc = discretize(a, dt, rule)
-        k = kernel_bank(2.0 * c * disc.b_bar, disc.a_bar, length)
+        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
         y_conv = fft_causal_conv(k, u := rng.standard_normal(length)) + d * u
         y_rec = run_recurrence(disc.a_bar, disc.b_bar, c, d, u)
         err = np.max(np.abs(y_conv - y_rec)) / (1.0 + np.max(np.abs(y_rec)))
@@ -695,7 +697,7 @@ def test_kernel_bank_over_stacked_channels_matches_each_channel_bitwise():
     b_bar = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
     c = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
     w = 2.0 * c * b_bar
-    stacked = kernel_bank(w, a_bar, length)
+    stacked = kernel_bank(w, power_tables(a_bar, length), length)
     for i in range(h):
-        row = kernel_bank(w[i], a_bar[i], length)
+        row = kernel_bank(w[i], power_tables(a_bar[i], length), length)
         assert np.array_equal(stacked[i], row)
