@@ -405,7 +405,7 @@ class Tape:
 class SsmConvCache:
     u: np.ndarray
     kernels: np.ndarray
-    tables: ssm.PowerTables
+    tables: np.ndarray
     disc: ssm.Discretization
     dt: np.ndarray
     clamp_mask: np.ndarray
@@ -447,7 +447,7 @@ def grad_ssm_conv(upstream: np.ndarray, cache: SsmConvCache) -> dict[str, np.nda
     two pole sums (ssm.correlation_pole_sums, the kernel's adjoint) feed
     the pole and projection gradients.  Both come from one pass over the
     forward's blocks (ssm.causal_conv_adjoint), from the cached taps and
-    tables, so no correlation longer than a block is formed.  The pole and
+    power table, so no correlation longer than a block is formed.  The pole and
     projection gradients then chain through the discretization map.
     Complex adjoints use the convention z_hat = dL/d re(z) + i dL/d im(z),
     so holomorphic steps multiply by the conjugated derivative.
@@ -540,12 +540,12 @@ def grad_check_cases(seed: int) -> dict:
     """The ``s4mil grad-check`` audit: name -> (build_tape, params) for check_gradients.
 
     One small case per op, the ssm-conv under both rules on a 10-token bag
-    (one block, with no carried state) and on a bag of ONE_BLOCK_MAX + 37
-    tokens (states carried across blocks, with the input held fixed as an
-    unnamed leaf so that the differences cover the six parameter arrays),
-    and two small aggregators: a multitask one on 16 tokens, and one whose
-    loss reads the max-pool only (so its tape records the last layer's
-    mixing and GLU on the pooled tokens alone) on ONE_BLOCK_MAX + 37 tokens.
+    (one block, with no carried state) and on a bag of 1061 tokens (states
+    carried across 17 blocks, with the input held fixed as an unnamed leaf
+    so that the differences cover the six parameter arrays), and two small
+    aggregators: a multitask one on 16 tokens, and one whose loss reads the
+    max-pool only (so its tape records the last layer's mixing and GLU on
+    the pooled tokens alone) on 1061 tokens.
     Every value derives from ``seed``.
     """
     from .model import ModelConfig, build_tape, init_parameters  # model imports this module
@@ -610,9 +610,9 @@ def grad_check_cases(seed: int) -> dict:
     cases["mil-model"] = mil_case(True, 16)
 
     for rule in ("bilinear", "zoh"):
-        u, params, labels = ssm_case(ssm.ONE_BLOCK_MAX + 37)
+        u, params, labels = ssm_case(1061)
         cases[f"ssm-conv-blocks-{rule}"] = case(
             lambda t, n, u=u, rule=rule: t.ssm_conv(t.leaf(u), *n.values(), rule=rule),
             params, labels)
-    cases["mil-model-pooled"] = mil_case(False, ssm.ONE_BLOCK_MAX + 37)
+    cases["mil-model-pooled"] = mil_case(False, 1061)
     return cases

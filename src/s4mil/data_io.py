@@ -200,8 +200,14 @@ def write_manifest(path, rows: list[dict]) -> None:
             writer.writerow({k: row.get(k, "") for k in MANIFEST_COLUMNS})
 
 
-def _listed_file(manifest: Path, lineno: int, kind: str, file_path: Path) -> Path:
-    """file_path if it is a file, else a ParseError naming the manifest line.
+def _sequence_shape(path: Path) -> tuple[int, int]:
+    with open(path, "rb") as fh:
+        return _sequence_header(fh, path)
+
+
+def _read_listed_file(manifest: Path, lineno: int, kind: str, file_path: Path, read):
+    """read(file_path) of a file the manifest lists.  A file that is missing,
+    is not a file or cannot be opened is a ParseError naming the manifest line.
 
     The OS may refuse to look the name up at all (a cell longer than a file
     name may be), which is an error of the line too.
@@ -213,7 +219,11 @@ def _listed_file(manifest: Path, lineno: int, kind: str, file_path: Path) -> Pat
                          f"{exc.strerror}") from None
     if not found:
         raise ParseError(f"{manifest}:{lineno}: {kind} file {file_path} does not exist")
-    return file_path
+    try:
+        return read(file_path)
+    except OSError as exc:
+        raise ParseError(f"{manifest}:{lineno}: {kind} file {file_path} cannot be read: "
+                         f"{exc.strerror}") from None
 
 
 def load_manifest(path) -> list[Bag]:
@@ -267,16 +277,15 @@ def load_manifest(path) -> list[Bag]:
             raise ParseError(f"{path}:{lineno}: label {row['label']!r} is not an integer") from None
         if not row["features"]:
             raise ParseError(f"{path}:{lineno}: empty features cell")
-        features = _listed_file(path, lineno, "feature", base / row["features"])
-        with open(features, "rb") as fh:
-            shape = _sequence_header(fh, features)
+        features = base / row["features"]
+        shape = _read_listed_file(path, lineno, "feature", features, _sequence_shape)
         patch_labels = None
         if row.get("patch_labels"):
-            patch_labels = read_patch_labels(
-                _listed_file(path, lineno, "patch-label", base / row["patch_labels"]))
+            patch_labels = _read_listed_file(path, lineno, "patch-label", base / row["patch_labels"],
+                                             read_patch_labels)
         coords = None
         if row.get("coords"):
-            coords = read_coords(_listed_file(path, lineno, "coords", base / row["coords"]))
+            coords = _read_listed_file(path, lineno, "coords", base / row["coords"], read_coords)
         try:
             # Absolute, so that a later change of working directory reads the same file.
             bags.append(Bag(id=bag_id, features=features.absolute(), shape=shape,

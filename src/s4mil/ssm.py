@@ -12,25 +12,26 @@ be evaluated two ways:
 
 The two views must agree to near machine precision; the recurrence is the
 slow oracle-grade path, the convolution the fast one.  The convolution cuts
-its input into blocks of conv_taps(L) tokens (block_causal_conv): all L
-tokens for an input of at most ONE_BLOCK_MAX tokens, and STATE_BLOCK tokens
-past that.  One block is one FFT convolution by the kernel's L taps and
-carries nothing.  Past that, each block's convolution by the kernel's first
-STATE_BLOCK taps is one real product with the channel's Toeplitz matrix,
-and the n_half complex states, stepped once per block, carry every earlier
+its input into blocks of conv_taps(L) = min(L, STATE_BLOCK) tokens
+(block_causal_conv) and reads no more of the kernel than one block's taps.
+An input of at most STATE_BLOCK tokens is one block: one FFT convolution
+by its L taps, which carries nothing.  Past that, each block's convolution
+by the taps is one real product with the channel's Toeplitz matrix, and
+the n_half complex states, stepped once per block, carry every earlier
 block into the next (the chunked form of Mamba-2/SSD, with the state
 recurrence of S5), so no kernel longer than a block is built and no
 transform is made.  The backward is one pass over the same blocks
 (block_adjoint).  One block is one fft_causal_corr, the adjoint of
 fft_causal_conv, which gives the input gradient and the correlation
-together; these two are the only functions that transform.  Past one block
-the transposed Toeplitz matrices give the in-block input gradient, and the
-diagonal sums of one product of the input's and the upstream's blocks give
-the in-block correlations, which correlation_pole_sums weights as it
-does one block's.  The upstream's and the input's block sums against the pole
-powers, carried across blocks, add the rest of the input gradient and of
-the pole sums, so no correlation longer than a block is formed.
-direct_causal_conv stays as the oracles' reference.
+together; these two are the only functions that transform, each at the
+power of two >= 2L - 1 points, at most 128.  Past one block the transposed
+Toeplitz matrices give the in-block input gradient, and the diagonal sums
+of one product of the input's and the upstream's blocks give the in-block
+correlations, which correlation_pole_sums weights as it does one block's.
+The upstream's and the input's block sums against the pole powers, carried
+across blocks, add the rest of the input gradient and of the pole sums, so
+no correlation longer than a block is formed.  direct_causal_conv stays as
+the oracles' reference.
 
 The model's ssm-conv runs two entry points on channel-major (L, H)
 activations: causal_conv (K * u + d u) and causal_conv_adjoint (the input,
@@ -42,15 +43,14 @@ outputs take twice the real part.
 
 Powers of a_bar are formed in one place, power_tables, once per op for
 all channels, in 64-bit complex arithmetic or wider whatever the model's
-precision.  Every exponent splits at the block length (as SSD's do at its
-chunk length), l = iB + s with B = STATE_BLOCK: a fine table holds a_bar^s
-for s <= B and a coarse one a_bar^(iB) for iB < L + B, both doubled in
+precision: one table holds a_bar^s for s <= B = STATE_BLOCK, doubled in
 complex128 but for a_bar^B, the power the carried states compound, which
-is raised in extended precision and rounded once.  The kernel (the
-Vandermonde product of S4D), its adjoint power_weighted_sum, the carried
-blocks and the backward read the forward's tables.  Every contraction with
-powers is a real matrix product against a table's float64 view, since only
-real parts are needed.  No (n_half, L) power table is ever materialized.
+is raised in extended precision and rounded once.  No op reads a higher
+power, as every exponent of SSD splits at its chunk length.  The kernel
+taps (the Vandermonde product of S4D), its adjoint power_weighted_sum, the
+carried blocks and the backward read the forward's table.  Every
+contraction with powers is a real matrix product against the table's
+float64 view, since only real parts are needed.
 
 The carried blocks run their products (Toeplitz, lag sums, and the block
 sums and read-outs against the power table) in the dtype of the blocks
@@ -58,11 +58,10 @@ they are given, the tape's: float32 in training, the usual mixed-precision
 split.  Their states, stepped block to block, stay complex128 and the pole
 sums stay 64-bit, and the one-block path transforms in float64 whatever
 its input.  On float32 blocks the output and the adjoints move by at most
-7.5e-7 of their scale (L up to 62,235, in the trained regime); float64
+7.9e-7 of their scale (L from 65 to 62,235, in the trained regime); float64
 blocks compute in float64 throughout.
 """
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -74,8 +73,7 @@ from .errors import ContractError, NumericalError
 
 PIVOT_EPS = 1e-12  # |1 - dt*a/2| below this is a degenerate bilinear pivot
 ZERO_POLE_EPS = 1e-12  # |a| below this uses the ZOH series limit b_bar = dt
-ONE_BLOCK_MAX = 1024  # the longest input convolved as one block (conv_taps)
-STATE_BLOCK = 64  # tokens per block of a longer input (conv_taps)
+STATE_BLOCK = 64  # tokens per block, and so the most kernel taps an op reads (conv_taps)
 ZOH_SERIES_RADIUS = 0.1  # |dt*a| below this takes ZOH db_bar/da from its Taylor series
 # Taylor coefficients of (z e^z - expm1(z)) / z^2 = sum_k (k+1) z^k / (k+2)!;
 # ten terms leave a truncation error below 1e-17 for |z| < ZOH_SERIES_RADIUS.
@@ -151,97 +149,80 @@ def discretize(a, dt, rule: str) -> Discretization:
 
 
 # --------------------------------------------------------------------------
-# Powers of a_bar (one table per op, split at STATE_BLOCK) and the kernel
+# Powers of a_bar (one table per op, up to a_bar^STATE_BLOCK) and the kernel
 # --------------------------------------------------------------------------
 
-class PowerTables(NamedTuple):
-    """a_bar^l split at B = STATE_BLOCK, l = iB + s: fine (..., B + 1, n) holds
-    s <= B and coarse (..., q + 1, n) holds a_bar^(iB) for i <= q."""
+def power_tables(a_bar: np.ndarray) -> np.ndarray:
+    """a_bar^s for s <= B = STATE_BLOCK, (..., n) -> (..., B + 1, n)
+    complex128: the only place powers of a_bar are formed.
 
-    fine: np.ndarray
-    coarse: np.ndarray
-
-
-def power_tables(a_bar: np.ndarray, length: int) -> PowerTables:
-    """The powers of a_bar (..., n) that a length-L op reads, q = ceil(L / B):
-    the only place powers of a_bar are formed.
-
-    Doubling fills each table a whole (..., n) plane at a time in
+    Doubling fills the table a whole (..., n) plane at a time in
     complex128, alpha^(m + i) = alpha^i alpha^m, so the memory is
-    power-major; the tables returned are channel-first views.  a_bar^B, the
-    fine table's row B and the one power the carried states compound, is
-    raised in extended precision (np.clongdouble) and rounded once: doubled
-    in complex128 it is off by up to B - 1 units in the last place, and the
+    power-major; the table returned is a channel-first view.  a_bar^B, its
+    row B and the one power the carried states compound, is raised in
+    extended precision (np.clongdouble) and rounded once: doubled in
+    complex128 it is off by up to B - 1 units in the last place, and the
     ssm-conv at L=62235 (bilinear, dt 0.1, a pole at the -1e-4 clamp)
-    missed the stepped recurrence by 1.04e-12 of the channel's scale.  The
-    coarse table is doubled from that row.
+    missed the stepped recurrence by 1.04e-12 of the channel's scale.
     """
-    q = -(-length // STATE_BLOCK)
     alpha = np.asarray(a_bar, dtype=np.complex128)
-    fine, coarse = (np.empty((rows,) + alpha.shape, dtype=np.complex128) for rows in (STATE_BLOCK + 1, q + 1))
+    table = np.empty((STATE_BLOCK + 1,) + alpha.shape, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        fine[STATE_BLOCK] = np.power(alpha.astype(np.clongdouble), STATE_BLOCK)
-        for table, base, last in ((fine, alpha, STATE_BLOCK - 1), (coarse, fine[STATE_BLOCK], q)):
-            table[0] = 1.0
-            table[1] = base
-            m = 1
-            while m < last:
-                step = min(m, last - m)
-                np.multiply(table[1:step + 1], table[m], out=table[m + 1:m + step + 1])
-                m += step
-    return PowerTables(np.moveaxis(fine, 0, -2), np.moveaxis(coarse, 0, -2))
+        table[STATE_BLOCK] = np.power(alpha.astype(np.clongdouble), STATE_BLOCK)
+        table[0] = 1.0
+        table[1] = alpha
+        m = 1
+        while m < STATE_BLOCK - 1:
+            step = min(m, STATE_BLOCK - 1 - m)
+            np.multiply(table[1:step + 1], table[m], out=table[m + 1:m + step + 1])
+            m += step
+    return np.moveaxis(table, 0, -2)
 
 
-def power_weighted_sum(tables: PowerTables, weights: np.ndarray) -> np.ndarray:
+def power_weighted_sum(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_l weights[..., l] * a_bar[..., k]^l, the adjoint of kernel_bank.
 
-    Real weights (..., L) against power_tables of at least L powers, whose
-    leading axes broadcast with the weights' -> (..., n), complex128.  The
-    real product of the weights' (q, B) blocks (zero-padded to whole blocks)
-    with the fine powers' float64 view (B, 2n), read as complex, is the
-    (q, n) sum over s, which the coarse powers then weight.
+    Real weights (..., L), L <= B, against a power table whose leading axes
+    broadcast with the weights' -> (..., n), complex128: one real product of
+    the weights with the table's rows a_bar^l as float64 (L, 2n), read as
+    complex.
     """
     length = weights.shape[-1]
-    q = -(-length // STATE_BLOCK)
-    if length < q * STATE_BLOCK:
-        weights = np.pad(weights, [(0, 0)] * (weights.ndim - 1) + [(0, q * STATE_BLOCK - length)])
-    rows = tables.fine[..., :STATE_BLOCK, :].view(np.float64)
-    sums = np.matmul(weights.reshape(weights.shape[:-1] + (q, STATE_BLOCK)), rows).view(np.complex128)
-    sums *= tables.coarse[..., :q, :]
-    return sums.sum(axis=-2)
+    if not 1 <= length <= STATE_BLOCK:
+        raise ContractError(f"weight count {length} is not in 1..{STATE_BLOCK}")
+    rows = table[..., :length, :].view(np.float64)
+    return np.matmul(weights[..., None, :], rows).view(np.complex128)[..., 0, :]
 
 
-def correlation_pole_sums(corr: np.ndarray, tables: PowerTables) -> np.ndarray:
+def correlation_pole_sums(corr: np.ndarray, table: np.ndarray) -> np.ndarray:
     """[sum_l corr_l conj(a_bar)^l, sum_l (l + 1) corr_{l+1} conj(a_bar)^l], (h, 2, n).
 
-    For the kernel gradient corr (h, L), these are the adjoints of w and of
-    a_bar in K_l = Re(sum_k w_k a_bar_k^l).  The weights are real, so the
-    sums are the conjugates of one power_weighted_sum over the tables of
-    corr and its index-weighted shift, zero-padded to whole blocks.
+    For the kernel gradient corr (h, L), L <= B, these are the adjoints of
+    w and of a_bar in K_l = Re(sum_k w_k a_bar_k^l).  The weights are real,
+    so the sums are the conjugates of one power_weighted_sum over the table
+    of corr and its index-weighted shift.
     """
     h, length = corr.shape
-    weights = np.zeros((h, 2, -(-length // STATE_BLOCK) * STATE_BLOCK))
-    weights[:, 0, :length] = corr
-    np.multiply(corr[:, 1:], np.arange(1, length), out=weights[:, 1, :length - 1])
-    return np.conj(power_weighted_sum(PowerTables(*(t[:, None] for t in tables)), weights))
+    weights = np.zeros((h, 2, length))
+    weights[:, 0] = corr
+    np.multiply(corr[:, 1:], np.arange(1, length), out=weights[:, 1, :-1])
+    return np.conj(power_weighted_sum(table[:, None], weights))
 
 
-def kernel_bank(w: np.ndarray, tables: PowerTables, length: int) -> np.ndarray:
-    """K_l = Re(sum_k w_k a_bar_k^l), (..., n) -> (..., length): the adjoint of
-    power_weighted_sum, and a channel's kernel at w = 2 c b_bar.
+def kernel_bank(w: np.ndarray, table: np.ndarray, length: int) -> np.ndarray:
+    """K_l = Re(sum_k w_k a_bar_k^l) for l < length <= B, (..., n) ->
+    (..., length): the adjoint of power_weighted_sum, and a channel's first
+    taps at w = 2 c b_bar.
 
-    With l = iB + s, K[i, s] is one real product of float64 views:
-    conj(w a_bar^(iB)) (q, 2n) against a_bar^s (2n, B), from power_tables
-    of at least L powers.  Up to B taps, q = 1 and that is one product with
-    the fine rows.
+    One real product of float64 views: conj(w) (1, 2n) against the power
+    table's rows a_bar^l (2n, length).
     """
-    q = -(-length // STATE_BLOCK)
-    if not 1 <= q < tables.coarse.shape[-2]:
-        raise ContractError(f"length {length} is not in 1..{(tables.coarse.shape[-2] - 1) * STATE_BLOCK}")
+    if not 1 <= length <= STATE_BLOCK:
+        raise ContractError(f"length {length} is not in 1..{STATE_BLOCK}")
     with np.errstate(over="ignore", invalid="ignore"):
-        left = np.conj(np.asarray(w, dtype=np.complex128)[..., None, :] * tables.coarse[..., :q, :])
-        k = left.view(np.float64) @ tables.fine[..., :STATE_BLOCK, :].view(np.float64).swapaxes(-1, -2)
-    k = k.reshape(k.shape[:-2] + (q * STATE_BLOCK,))[..., :length]
+        left = np.conj(np.asarray(w, dtype=np.complex128)[..., None, :])
+        k = left.view(np.float64) @ table[..., :length, :].view(np.float64).swapaxes(-1, -2)
+    k = k[..., 0, :]
     if not np.all(np.isfinite(k)):
         raise NumericalError("kernel overflow: non-finite values in the materialized kernel")
     return k
@@ -251,36 +232,12 @@ def kernel_bank(w: np.ndarray, tables: PowerTables, length: int) -> np.ndarray:
 # Convolution
 # --------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=4096)
-def _fft_size(length: int) -> int:
-    """Smallest 5-smooth n = 2^a 3^b 5^c >= 2 length - 1.
-
-    That many points make a circular convolution or correlation of two
-    length-L signals linear on the first L samples.  pocketfft is fast at
-    5-smooth sizes (7-smooth ones measured slower), which pad far less than
-    powers of two: L = 33000 takes 67500 points instead of 131072.
-    """
-    target = max(1, 2 * length - 1)
-    best = 1 << (target - 1).bit_length()
-    fives = 1
-    while fives < best:
-        odd = fives
-        while odd < best:
-            n = odd
-            while n < target:
-                n *= 2
-            best = min(best, n)
-            odd *= 3
-        fives *= 5
-    return best
-
-
 def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Causal convolution of stacked kernels (..., L) with inputs (..., L).
 
     The kernels' leading axes broadcast against the inputs'; the model's
-    one-block bags pass (h, L) kernel and input rows.  Zero-padded to
-    _fft_size(L) >= 2L - 1 points, so the circular product is linear on the
+    one-block bags pass (h, L) kernel and input rows.  Zero-padded to the
+    power of two n >= 2L - 1, so the circular product is linear on the
     first L samples.  Runs in float64.
     """
     length = u.shape[-1]
@@ -288,7 +245,7 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ContractError(
             f"kernel length {kernels.shape[-1]} does not match input length {length}"
         )
-    n = _fft_size(length)
+    n = 1 << (2 * length - 2).bit_length()
     kf = np.fft.rfft(np.asarray(kernels, dtype=np.float64), n)
     uf = np.fft.rfft(np.asarray(u, dtype=np.float64), n)
     np.multiply(kf, uf, out=uf)
@@ -303,14 +260,14 @@ def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Shapes: g (..., L) and v (k, ..., L) or (..., L); g broadcasts against
     the leading axis of a stacked v, so one transform of g serves every row
-    of v.  The result is irfft(G * conj(V))[..., :L]: with n = _fft_size(L) >=
-    2L - 1 points the negative lags wrap around into indices >= L, so no
-    flip is needed.  Runs in float64.
+    of v.  The result is irfft(G * conj(V))[..., :L]: with the power of two
+    n >= 2L - 1 points the negative lags wrap around into indices >= L, so
+    no flip is needed.  Runs in float64.
     """
     length = g.shape[-1]
     if v.shape[-1] != length:
         raise ContractError(f"correlation length {v.shape[-1]} does not match upstream length {length}")
-    n = _fft_size(length)
+    n = 1 << (2 * length - 2).bit_length()
     gf = np.fft.rfft(np.asarray(g, dtype=np.float64), n)
     vf = np.fft.rfft(np.asarray(v, dtype=np.float64), n)
     np.conjugate(vf, out=vf)
@@ -320,17 +277,10 @@ def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def conv_taps(length: int) -> int:
     """Block length of the convolution of a length-L input, and so the
-    kernel taps it reads.
-
-    An input of at most ONE_BLOCK_MAX tokens is one block of all L tokens:
-    one full-length FFT with no carried state.  A longer one is cut into
-    blocks of STATE_BLOCK tokens, applied by Toeplitz products, that carry
-    states from block to block (block_causal_conv), and reads the first
-    block's taps only.  ONE_BLOCK_MAX is where 512-token FFT blocks began to
-    beat one full-length FFT.  Forced below it, 64-token Toeplitz blocks
-    lose at L=300 (forward plus backward 0.88x at H=32, N=8 and 0.84x at
-    H=512, N=32) and win at 512 (1.38x and 1.24x); the cutoff has not been
-    moved, so bags of at most 1024 tokens keep the one-block path.
+    kernel taps it reads: an input of at most STATE_BLOCK tokens is one
+    block of all L tokens, one FFT with no carried state; a longer one is
+    cut into blocks of STATE_BLOCK tokens, applied by Toeplitz products,
+    that carry states from block to block (block_causal_conv).
 
     STATE_BLOCK follows a sweep of the ssm-conv forward and backward
     (causal_conv and causal_conv_adjoint on float32 channel-major
@@ -353,7 +303,7 @@ def conv_taps(length: int) -> int:
     two longest H=512 lengths the FFT blocks' own times moved by up to 1.5x
     between runs on the shared 2-core machine.
     """
-    return length if length <= ONE_BLOCK_MAX else STATE_BLOCK
+    return min(length, STATE_BLOCK)
 
 
 def to_blocks(x: np.ndarray, block: int, dtype) -> np.ndarray:
@@ -405,10 +355,10 @@ def block_causal_conv(kernels: np.ndarray, powers: np.ndarray, w: np.ndarray,
     """Causal convolution of u (h, L) by the channels' full kernels, in blocks.
 
     ``kernels`` (h, B) holds the first B = conv_taps(L) taps of
-    K_l = Re(sum_k w_k a_bar_k^l), with w (h, n) and ``powers`` the fine
-    table (h, STATE_BLOCK + 1, n) of power_tables.  An input of at most
-    ONE_BLOCK_MAX tokens is one block, and one fft_causal_conv by its L
-    taps is the whole convolution.  A longer one is zero-padded to blocks
+    K_l = Re(sum_k w_k a_bar_k^l), with w (h, n) and ``powers`` the table
+    (h, STATE_BLOCK + 1, n) of power_tables.  An input of at most
+    STATE_BLOCK tokens is one block, and one fft_causal_conv by its L taps
+    is the whole convolution.  A longer one is zero-padded to blocks
     of STATE_BLOCK tokens.  Inside a block the taps apply as one real
     product with the channel's Toeplitz matrix (_toeplitz).  Across blocks
     the n complex states carry the past, with a = a_bar and s = a^B: block
@@ -448,21 +398,20 @@ def block_causal_conv(kernels: np.ndarray, powers: np.ndarray, w: np.ndarray,
     return padded.reshape(h, -1)[:, :length]
 
 
-def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: PowerTables,
+def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, powers: np.ndarray,
                   w: np.ndarray):
     """The adjoints of block_causal_conv in its input and in its poles, from
     the blocks of the upstream g and of the input u, (h, blocks, B) in one
-    dtype (to_blocks with B = conv_taps(L)), with kernels and w as
-    block_causal_conv takes them and the power_tables of B powers whose fine
-    table it takes.  Returns (grad_in, sums):
+    dtype (to_blocks with B = conv_taps(L)), with kernels, powers and w as
+    block_causal_conv takes them.  Returns (grad_in, sums):
 
       * grad_in (h, blocks, B): sum_l K_l g[t + l] at every token t of the
         blocks, the correlation fft_causal_corr(g, K) with the full kernel;
-      * sums (h, 2, n): correlation_pole_sums(fft_causal_corr(g, u), tables),
-        the adjoints of w and a_bar.
+      * sums (h, 2, n): the pole sums of the full correlation
+        fft_causal_corr(g, u), the adjoints of w and a_bar.
 
     correlation_pole_sums gives the in-block pole sums in both branches.
-    One block (an input of at most ONE_BLOCK_MAX tokens) is one
+    One block (an input of at most STATE_BLOCK tokens) is one
     fft_causal_corr of g with the kernels and u stacked: the input gradient
     and the correlation, all of whose B lags it weights.  Past one block no
     transform is made:
@@ -482,7 +431,7 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: Pow
         G_i = sum_(j>i) (j-1-i) s^(j-2-i) E_j as G_i = s G_(i+1) + F_(i+1),
         so no power is divided by a.
     E, E', V and V' are each one real product of the blocks with the
-    float64 view of a (B, n) table drawn from the fine one; F, F' and G
+    float64 view of a (B, n) table drawn from the powers; F, F' and G
     are stepped back together, one contiguous block-major (3, h, n) plane
     a step.  The products run in the blocks' dtype and the steps and the
     sums in complex128; grad_in is float64 for one block, whose transforms
@@ -492,11 +441,11 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: Pow
     if count == 1:
         # one transform of g gives the input gradient and the correlation
         grad_in, corr = fft_causal_corr(g[:, 0], np.stack([kernels, u[:, 0]]))
-        return grad_in[:, None], correlation_pole_sums(corr, tables)
+        return grad_in[:, None], correlation_pole_sums(corr, powers)
 
-    powers, dtype, n = tables.fine, g.dtype, w.shape[1]  # powers (h, B + 1, n)
+    dtype, n = g.dtype, w.shape[1]
     grad_in = np.matmul(g, _toeplitz(kernels.astype(dtype, copy=False)).swapaxes(1, 2))
-    sums = correlation_pole_sums(_lag_sums(g, u), tables)
+    sums = correlation_pole_sums(_lag_sums(g, u), powers)
     ramp = np.arange(block, dtype=np.float64)[:, None]
     # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
     rows = np.empty((4, h, block, n), dtype=np.complex128)
@@ -547,12 +496,10 @@ def direct_causal_conv(kernel: np.ndarray, u: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def _block_chunk(h: int, length: int) -> int:
-    # Channels per chunk of causal_conv and causal_conv_adjoint.  One
-    # block (L <= ONE_BLOCK_MAX) runs its FFTs fastest when a chunk's
-    # padded rows hold about 2^18 float64 values (2 MB).  Carried blocks
-    # take the channels whose rows hold 2^17 values, but at least 8 and at
-    # most 16: a chunk's (h, B, n) power tables and complex128 block sums,
-    # not its blocks, set the working set.  Sweep of the ssm-conv
+    # Channels per chunk of causal_conv and causal_conv_adjoint: those
+    # whose padded rows hold 2^17 values, but at least 8 and at most 16: a
+    # chunk's (h, B, n) power rows and complex128 block sums, not its
+    # blocks, set the working set.  Sweep of the ssm-conv
     # forward/backward on a float32 tape (float32 blocks; H=512, N=32,
     # bilinear, 1 BLAS thread, min of 4-6 alternating runs), ms at 8, 16,
     # 24 and 32 channels a chunk:
@@ -567,13 +514,9 @@ def _block_chunk(h: int, length: int) -> int:
     # channels swapped places between runs, and 8 keeps the peak lower.  At
     # H=32, N=8 16 channels are as fast as 8 or 32.  tracemalloc measures
     # the peak of causal_conv and of causal_conv_adjoint above their
-    # float32 (L, H) outputs at H=512, N=32: 11 MB and 28 MB at L=1024
-    # (one block, 256 channels a chunk), 1.5 MB and 2.9 MB at 1025 (16),
-    # 3.6 MB and 10 MB at 30000 (8) and 7.3 MB and 20 MB at 62235 (8).
-    block = conv_taps(length)
-    padded = -(-length // block) * block
-    if padded == block:
-        return min(h, (1 << 18) // padded)
+    # float32 (L, H) outputs at H=512, N=32: 1.5 MB and 2.9 MB at L=1025
+    # (16), 3.6 MB and 10 MB at 30000 (8) and 7.3 MB and 20 MB at 62235 (8).
+    padded = -(-length // STATE_BLOCK) * STATE_BLOCK
     return min(h, 16, max(8, (1 << 17) // padded))
 
 
@@ -582,11 +525,11 @@ def causal_conv(u: np.ndarray, a_bar: np.ndarray, w: np.ndarray, d: np.ndarray,
     """K * u + d u for channel-major u (L, H), K_l = Re(sum_k w_k a_bar_k^l)
     with a_bar and w of shape (H, n) and the skip d (H,).
 
-    Returns (y, kernels, tables): y is a channel-major (L, H) array in u's
+    Returns (y, kernels, powers): y is a channel-major (L, H) array in u's
     dtype, ``out`` (which may be u itself) or a new one; kernels
-    (H, conv_taps(L)) are the first block of taps, and tables the
-    power_tables of as many powers, built once for all channels, which the
-    taps, the carried blocks and causal_conv_adjoint read.  Each chunk of
+    (H, conv_taps(L)) are the first block of taps, and powers the
+    power_tables of a_bar, built once for all channels, which the taps, the
+    carried blocks and causal_conv_adjoint read.  Each chunk of
     channels runs block_causal_conv on its rows of u in u's dtype and adds
     the skip term in the result's dtype, so no whole float64 copy of u or
     of the output exists.  A chunk reads its channels' rows of u before it
@@ -594,30 +537,31 @@ def causal_conv(u: np.ndarray, a_bar: np.ndarray, w: np.ndarray, d: np.ndarray,
     may be the output.
     """
     length, h = u.shape
-    tables = power_tables(a_bar, conv_taps(length))
-    kernels = kernel_bank(w, tables, conv_taps(length))
+    powers = power_tables(a_bar)
+    kernels = kernel_bank(w, powers, conv_taps(length))
     d = np.asarray(d, dtype=np.float64)
     out = np.empty((h, length), dtype=u.dtype) if out is None else out.T
 
     def work(s, e):
         rows = u[:, s:e].T
-        y = block_causal_conv(kernels[s:e], tables.fine[s:e], w[s:e], rows)
+        y = block_causal_conv(kernels[s:e], powers[s:e], w[s:e], rows)
         y += d[s:e, None].astype(y.dtype, copy=False) * rows
         out[s:e] = y
 
     parallel.run_chunked(h, _block_chunk(h, length), work)
-    return out.T, kernels, tables
+    return out.T, kernels, powers
 
 
-def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, tables: PowerTables,
+def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, powers: np.ndarray,
                         w: np.ndarray, d: np.ndarray):
     """The adjoints of causal_conv for the channel-major upstream g (L, H),
-    from its input u, the kernels and power tables it returned, w and d.
+    from its input u, the kernels and power table it returned, w and d.
 
     Each chunk copies its channel rows of g and of u into blocks of the
     forward's block length once (to_blocks): float64 for one block, which
-    is transformed, and g's dtype for carried blocks, which run their
-    products in it.  The skip gradient sum_l g u, summed in float64, and
+    is transformed in float64 and adds the skip term d g to its float64
+    input gradient unrounded, and g's dtype for carried blocks, which run
+    their products in it.  The skip gradient sum_l g u, summed in float64, and
     block_adjoint both read them.  Returns the channel-major (L, H) input
     gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n) pole
     sums and the (H,) skip gradient.
@@ -633,8 +577,7 @@ def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, table
     def work(s, e):
         rows, v = (to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
-        grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e],
-                                           PowerTables(*(t[s:e] for t in tables)), w[s:e])
+        grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e], powers[s:e], w[s:e])
         rows *= d[s:e, None, None]  # the upstream blocks are not read again
         grad_in += rows
         grad_u[s:e] = grad_in.reshape(e - s, -1)[:, :length]

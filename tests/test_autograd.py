@@ -369,10 +369,8 @@ def test_gradient_tape_across_carried_blocks_matches_finite_differences(rule):
     # states across blocks from the first block's taps, exactly as a
     # grad-free tape does, and its input and parameter gradients come from
     # in-block correlations and the carried block sums (ssm.block_adjoint).
-    from s4mil.ssm import ONE_BLOCK_MAX
-
     rng = np.random.default_rng(18)
-    length = ONE_BLOCK_MAX + 37
+    length = 1061  # 16 whole blocks and a partial one
     params = ssm_params(rng, h=3, n_half=2)
     params["u"] = rng.standard_normal((length, 3))
     labels = rng.integers(0, 3, length)
@@ -400,13 +398,13 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     from s4mil import autograd, ssm
     from s4mil.model import ModelConfig, build_tape, init_parameters
 
-    length = ssm.ONE_BLOCK_MAX + 37
+    length = 1061
     kernel_bank = ssm.kernel_bank
     taps = []
 
-    def spy(w, tables, n):
+    def spy(w, table, n):
         taps.append(n)
-        return kernel_bank(w, tables, n)
+        return kernel_bank(w, table, n)
 
     monkeypatch.setattr(ssm, "kernel_bank", spy)
     cfg = ModelConfig(input_dim=8, hidden_dim=4, state_dim=4, num_classes=2, num_ssm_layers=2)
@@ -422,36 +420,35 @@ def test_gradient_tape_builds_one_kernel_per_ssm_layer(monkeypatch):
     assert cache.kernels.shape == (3, ssm.STATE_BLOCK)
 
 
-@pytest.mark.parametrize("length", [300, 1089])
+@pytest.mark.parametrize("length", [33, 1089])
 def test_ssm_conv_builds_its_power_tables_once_per_op(monkeypatch, one_channel_per_chunk, length):
-    # The forward builds the power tables once for all channels, and its
-    # taps, every chunk of its blocks and the backward read them: one block
-    # at L=300 and carried blocks at 1089, one channel per chunk.
+    # The forward builds the power table once for all channels, and its
+    # taps, every chunk of its blocks and the backward read it: one block
+    # at L=33 and carried blocks at 1089, one channel per chunk.
     from s4mil import ssm
 
     built = []
     power_tables = ssm.power_tables
 
-    def spy(a_bar, n):
-        built.append((a_bar.shape, n))
-        return power_tables(a_bar, n)
+    def spy(a_bar):
+        built.append(a_bar.shape)
+        return power_tables(a_bar)
 
     monkeypatch.setattr(ssm, "power_tables", spy)
     rng = np.random.default_rng(29)
     p = ssm_params(rng, h=4, n_half=3)
     p["u"] = rng.standard_normal((length, 4))
     ssm_conv_with_gradients(p, rng.standard_normal((length, 4)), "zoh", np.float32)
-    assert built == [((4, 3), ssm.conv_taps(length))]
+    assert built == [(4, 3)]
 
 
 def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(
         monkeypatch, one_channel_per_chunk):
-    # The pole sums come from blocks: one fft_causal_corr per chunk on a
-    # one-block bag, and carried states and no correlation past one block.
-    # So the ssm-conv backward holds no (H, L) float64 array: one channel
-    # per chunk, so one such array outweighs every buffer of a chunk, and
-    # the peak is the float32 input gradient (half of one) and a chunk's
-    # buffers.  A full-length correlation over all channels would be one
+    # The pole sums come from blocks: carried states and no correlation
+    # past one block.  So the ssm-conv backward holds no (H, L) float64
+    # array: one channel per chunk, so one such array outweighs every
+    # buffer of a chunk, and the peak is the float32 input gradient (half of
+    # one) and a chunk's buffers.  A full-length correlation over all channels would be one
     # such array and its weights two more.
     import tracemalloc
 
@@ -463,7 +460,7 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
     rng = np.random.default_rng(26)
     h = 64
     params = ssm_params(rng, h=h, n_half=4)
-    for length in (4 * ssm.ONE_BLOCK_MAX + 1, ssm.ONE_BLOCK_MAX):
+    for length in (4097, 1024):
         calls.clear()
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
         tape = Tape(dtype=np.float32)
@@ -476,27 +473,28 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == ([] if length > ssm.ONE_BLOCK_MAX else [(1, length)] * h), length
+        assert calls == [], length
         plane = h * length * 8
         assert nodes[0].grad.dtype == np.float32
         assert peak < plane, f"L={length}: peak {peak / plane:.2f} planes"
 
 
 def test_block_backward_transforms_each_block_once(monkeypatch):
-    # On a bag of one block (ONE_BLOCK_MAX tokens) one pass serves the
+    # On a bag of one block (STATE_BLOCK tokens) one pass serves the
     # input and the parameter gradients: the upstream and the input have one
     # forward transform each, the input gradient one inverse, and each
     # channel adds the kernel's transform and the pole sums' inverse, so
     # there is one rfft of the upstream per channel and no reversed
     # convolution.  Past one block the blocks apply by matrix products, and
-    # the backward makes no transform at all.  Transform rows times points
-    # are counted as perfbench/spans.py counts them.
+    # the backward makes no transform at all.  Transforms take the power of
+    # two >= 2L - 1 points, and rows times points are counted as
+    # perfbench/spans.py counts them.
     from s4mil import ssm
 
     rng = np.random.default_rng(27)
     h = 4
     cases = []
-    for length in (4 * ssm.ONE_BLOCK_MAX + 1, ssm.ONE_BLOCK_MAX):
+    for length in (4097, ssm.STATE_BLOCK):
         params = ssm_params(rng, h=h, n_half=3)
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
         tape = Tape(dtype=np.float32)
@@ -522,20 +520,41 @@ def test_block_backward_transforms_each_block_once(monkeypatch):
     conv = ssm.fft_causal_conv
     monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: convolutions.append(args) or conv(*args))
     for length, out, g in cases:
-        n_fft = ssm._fft_size(length)
+        n_fft = 2 * ssm.STATE_BLOCK
         points.clear()
         out.backward_fn(g)
-        if length > ssm.ONE_BLOCK_MAX:
+        if length > ssm.STATE_BLOCK:
             assert points == {}, length
         else:
             assert points == {("rfft", n_fft): 3 * h * n_fft, ("irfft", n_fft): 2 * h * n_fft}
     assert convolutions == []
 
 
-# One block with no carried state (1 to ONE_BLOCK_MAX = 1024 tokens), then
-# carried blocks of STATE_BLOCK = 64 tokens: whole ones, a last block of one
-# token, and a partial last block.
-@pytest.mark.parametrize("length", [1, 17, 512, 1024, 1025, 1024 + 64, 1024 + 64 + 1, 4097])
+@pytest.mark.parametrize("length", [1, 33, 64, 65, 300, 1024])
+def test_only_bags_of_at_most_one_block_transform(monkeypatch, one_channel_per_chunk, length):
+    # A bag past STATE_BLOCK tokens runs the carried blocks, whose forward
+    # and backward make no FFT call.  A bag of at most STATE_BLOCK tokens is
+    # one block: one fft_causal_conv and one fft_causal_corr per chunk, of
+    # one channel here.
+    from s4mil import ssm
+
+    calls = []
+    for name in ("fft_causal_conv", "fft_causal_corr"):
+        monkeypatch.setattr(ssm, name, lambda *args, name=name, fn=getattr(ssm, name):
+                            calls.append(name) or fn(*args))
+    rng = np.random.default_rng(30)
+    h = 3
+    p = ssm_params(rng, h=h, n_half=4)
+    p["u"] = rng.standard_normal((length, h))
+    ssm_conv_with_gradients(p, rng.standard_normal((length, h)), "bilinear", np.float32)
+    one_block = ["fft_causal_conv"] * h + ["fft_causal_corr"] * h
+    assert calls == ([] if length > ssm.STATE_BLOCK else one_block), length
+
+
+# One block with no carried state (1 to STATE_BLOCK = 64 tokens), then
+# carried blocks of 64 tokens: whole ones, a last block of one token, and a
+# partial last block.
+@pytest.mark.parametrize("length", [1, 17, 64, 65, 512, 1024, 1025, 1024 + 64, 1024 + 64 + 1, 4097])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_ssm_conv_input_gradient_matches_the_quadratic_adjoint(rule, dt, length):
@@ -588,7 +607,7 @@ def ssm_conv_with_gradients(p, g, rule, dtype):
     return out.value.astype(np.float64), {k: n.grad.astype(np.float64) for k, n in zip(SSM_LEAVES, nodes)}
 
 
-@pytest.mark.parametrize("length", [1025, 1024 + 64 + 1, 4097, 62235])
+@pytest.mark.parametrize("length", [65, 1024, 1025, 1024 + 64 + 1, 4097, 62235])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_float32_tape_carried_ssm_conv_matches_the_float64_op(rule, dt, length):
@@ -649,12 +668,12 @@ def test_carried_blocks_multiply_in_the_tape_dtype_and_transform_in_float64(monk
     rng = np.random.default_rng(28)
     h = 4
     p = ssm_params(rng, h=h, n_half=3)
-    for length in (ssm.ONE_BLOCK_MAX, 4 * ssm.ONE_BLOCK_MAX + 1):
+    for length in (ssm.STATE_BLOCK, 4097):
         p["u"] = np.asfortranarray(rng.standard_normal((length, h)))
         g = rng.standard_normal((length, h))
         seen.clear()
         ssm_conv_with_gradients(p, g, "zoh", dtype)
-        if length == ssm.ONE_BLOCK_MAX:
+        if length == ssm.STATE_BLOCK:
             expected = {"block_causal_conv": {np.dtype(dtype)}, "block_adjoint": {np.dtype(np.float64)},
                         "rfft": {np.dtype(np.float64)}, "irfft": {np.dtype(np.complex128)}}
         else:

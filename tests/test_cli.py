@@ -318,20 +318,20 @@ def test_kernel_check_passes_and_fault_injection_fails(tmp_path, capsys):
 
 
 def test_kernel_check_runs_the_op_across_carried_blocks(tmp_path, monkeypatch, capsys):
-    # Trials up to 4096 tokens span several blocks, so kernel-check passes
-    # through the op's state-passing path, and a fault still fails it.
-    # Every trial runs block_causal_conv; some must be longer than one block.
+    # Trials up to the default 512 tokens span up to 8 blocks, so
+    # kernel-check passes through the op's state-passing path, and a fault
+    # still fails it.  Every trial runs block_causal_conv; some must be
+    # longer than one block.
     from s4mil import ssm
 
     calls = []
     block_causal_conv = ssm.block_causal_conv
     monkeypatch.setattr(ssm, "block_causal_conv",
                         lambda *args: calls.append(args[-1].shape) or block_causal_conv(*args))
-    assert run(["kernel-check", "--trials", "6", "--max-length", "4096",
-                "--output", tmp_path / "ok"]) == 0
-    assert any(shape[-1] > ssm.ONE_BLOCK_MAX for shape in calls), \
+    assert run(["kernel-check", "--trials", "6", "--output", tmp_path / "ok"]) == 0
+    assert any(shape[-1] > ssm.STATE_BLOCK for shape in calls), \
         "no trial was longer than one block"
-    assert run(["kernel-check", "--trials", "6", "--max-length", "4096", "--inject-fault",
+    assert run(["kernel-check", "--trials", "6", "--inject-fault",
                 "--output", tmp_path / "bad"]) == 1
     assert "check-failed" in capsys.readouterr().err
 

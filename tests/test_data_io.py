@@ -276,6 +276,37 @@ def test_manifest_file_cell_the_os_cannot_look_up_is_a_parse_error(tmp_path, col
         load_manifest(tmp_path / "manifest.csv")
 
 
+@pytest.mark.parametrize("column, kind", [("features", "feature"), ("patch_labels", "patch-label"),
+                                          ("coords", "coords")])
+def test_manifest_listed_file_that_cannot_be_opened_is_a_parse_error(tmp_path, monkeypatch, capsys,
+                                                                     column, kind):
+    # A listed file that exists but cannot be opened names the manifest
+    # line, for the loader and so for `s4mil stats`.  Permission bits do not
+    # stop root, so data_io's open is shadowed to refuse the one file.
+    from s4mil import data_io
+    from s4mil.cli import main
+
+    rows = write_corpus(tmp_path, n=1, with_patches=True)
+    length = read_sequence_file(tmp_path / "feat0.seqf").shape[0]
+    write_sequence_file(tmp_path / "xy0.seqf", np.zeros((length, 2), dtype=np.float32))
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, [{**rows[0], "coords": "xy0.seqf"}])
+    assert load_manifest(manifest)[0].coords.shape == (length, 2)
+    refused = tmp_path / {"features": "feat0.seqf", "patch_labels": "lab0.seqf", "coords": "xy0.seqf"}[column]
+
+    def guarded_open(file, *args, **kwargs):
+        if file == refused:
+            raise PermissionError(13, "Permission denied", str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data_io, "open", guarded_open, raising=False)
+    message = f"{manifest}:2: {kind} file {refused} cannot be read: Permission denied"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        load_manifest(manifest)
+    assert main(["stats", "--manifest", str(manifest), "--output", str(tmp_path / "stats")]) == 1
+    assert capsys.readouterr().err == f"error parse-error: {message}\n"
+
+
 def test_manifest_row_that_ends_before_its_features_cell_is_rejected(tmp_path):
     write_corpus(tmp_path, n=1)
     (tmp_path / "manifest.csv").write_text("id,label,features,patch_labels,coords\nbag0,1\n")

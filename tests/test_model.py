@@ -145,7 +145,7 @@ def test_gradient_free_tape_matches_gradient_tape_bytewise(dtype, layers, multit
     cfg = small_config(num_ssm_layers=layers, multitask=multitask)
     model = init_parameters(cfg, seed=6)
     rng = np.random.default_rng(7)
-    for length in (ssm.ONE_BLOCK_MAX, ssm.ONE_BLOCK_MAX + 37):
+    for length in (ssm.STATE_BLOCK, 1061):
         features = rng.standard_normal((length, 8)).astype(np.float32)
         outputs = []
         for grad_enabled in (True, False):
@@ -220,7 +220,7 @@ def test_row_gathered_gradient_tape_matches_a_dense_tape_bytewise(dtype, layers)
     cfg = small_config(num_ssm_layers=layers)
     model = init_parameters(cfg, seed=6)
     rng = np.random.default_rng(8)
-    for length in (ssm.ONE_BLOCK_MAX, ssm.ONE_BLOCK_MAX + 37):
+    for length in (ssm.STATE_BLOCK, 1061):
         features = rng.standard_normal((length, 8)).astype(np.float32)
         assert_gathered_tape_is_the_dense_tape(cfg, model.params, features, dtype)
 
@@ -243,7 +243,7 @@ def test_row_gathered_tape_gives_a_tied_channel_to_its_first_occurrence(dtype):
     for name in ("value_weight", "gate_weight"):
         model.params[f"mix1.{name}"][:, :2] = 0.0
     tokens = np.random.default_rng(9).standard_normal((5, 8)).astype(np.float32)
-    features = tokens[np.arange(ssm.ONE_BLOCK_MAX + 37) % 5]
+    features = tokens[np.arange(1061) % 5]
     free = build_tape(cfg, model.params, features, dtype=dtype, grad_enabled=False)
     plane = next(n for n in free.tape.nodes if n.op == "max-pool-over-sequence").parents[0].value
     assert np.all((plane == plane.max(axis=0)).sum(axis=0) > 1)
@@ -260,7 +260,7 @@ def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
     # parameter vector: neither is written.
     cfg = small_config(num_ssm_layers=2, multitask=True)
     model = init_parameters(cfg, seed=8)
-    features = np.random.default_rng(9).standard_normal((ssm.ONE_BLOCK_MAX + 37, 8))
+    features = np.random.default_rng(9).standard_normal((1061, 8))
     features = features.astype(np.float32)
     before = features.tobytes(), model.params.vector.tobytes()
     assert Tape(dtype=np.float32, grad_enabled=False).leaf(features).value is features

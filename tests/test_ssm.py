@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from s4mil.errors import ContractError, NumericalError
 from s4mil.ssm import (
-    ONE_BLOCK_MAX,
     STATE_BLOCK,
     ZERO_POLE_EPS,
-    _fft_size,
     _lag_sums,
     _toeplitz,
     block_adjoint,
     block_causal_conv,
     conv_taps,
+    correlation_pole_sums,
     direct_causal_conv,
     discretize,
     fft_causal_conv,
@@ -190,12 +189,12 @@ def test_discretization_derivatives_match_central_differences(rule, dt, poles):
 
 def test_kernel_geometric_series():
     # w = 2 c b_bar = 1 leaves the scalar system K_l = a_bar^l.
-    k = kernel_bank([1.0 + 0j], power_tables([0.5 + 0j], 4), 4)
+    k = kernel_bank([1.0 + 0j], power_tables([0.5 + 0j]), 4)
     np.testing.assert_allclose(k, [1.0, 0.5, 0.25, 0.125], rtol=0, atol=0)
 
 
 def test_kernel_unit_pole():
-    k = kernel_bank([1.0 + 0j], power_tables([1.0 + 0j], 3), 3)
+    k = kernel_bank([1.0 + 0j], power_tables([1.0 + 0j]), 3)
     np.testing.assert_allclose(k, [1.0, 1.0, 1.0], rtol=0, atol=0)
 
 
@@ -214,7 +213,7 @@ def test_kernel_matches_brute_force_powers():
     for _ in range(20):
         a, c, _, dt = random_stable_channel(rng, n_half=5)
         disc = discretize(a, dt, "bilinear")
-        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 64), 64)
+        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar), 64)
         expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 64)
         np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-14)
 
@@ -224,23 +223,22 @@ def test_kernel_matches_brute_force_powers():
 @pytest.mark.parametrize("a_re", [-0.5, -1e-4])
 def test_kernel_matches_brute_force_in_the_trained_regime(rule, dt, a_re):
     # Init poles a_re + i pi k up to k = 63 (N = 128), and the -1e-4 clamp, at
-    # the ends of the init dt range.  The tolerance is relative to the
-    # kernel's scale: where the 64 terms cancel, the two computations differ
-    # by up to 5e-11 of the entry itself.
+    # the ends of the init dt range, over the STATE_BLOCK taps an op reads.
+    # The tolerance is relative to the kernel's scale: where the 64 terms
+    # cancel, the two computations differ by up to 5e-11 of the entry itself.
     rng = np.random.default_rng(31)
     a = a_re + 1j * np.pi * np.arange(64)
     c = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     disc = discretize(a, dt, rule)
-    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 2048), 2048)
-    expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, 2048)
+    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar), STATE_BLOCK)
+    expected = brute_force_kernel(disc.a_bar, disc.b_bar, c, STATE_BLOCK)
     np.testing.assert_allclose(k, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 16, 17, 1000])
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 16, 17, STATE_BLOCK - 1, STATE_BLOCK])
 def test_power_weighted_sum_matches_brute_force(length):
     # Two stacked weight sets against one (H, 1, n) pole array, as the
-    # ssm-conv backward calls it; the lengths include whole blocks only
-    # (4, 16) and a last partial block (3, 5, 17, 1000).
+    # ssm-conv backward calls it, up to the STATE_BLOCK lags of one block.
     rng = np.random.default_rng(37)
     h, n_half = 3, 4
     alpha = rng.uniform(0.1, 0.99, (h, 1, n_half)) * np.exp(1j * rng.uniform(0, np.pi, (h, 1, n_half)))
@@ -250,58 +248,53 @@ def test_power_weighted_sum_matches_brute_force(length):
     for ell in range(length):
         expected += weights[..., ell, None] * power
         power = power * alpha
-    got = power_weighted_sum(power_tables(alpha, length), weights)
+    got = power_weighted_sum(power_tables(alpha), weights)
     assert got.shape == (h, 2, n_half)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
 
 
-def test_power_table_sizes_cover_every_exponent():
-    # Every exponent splits at B = STATE_BLOCK, l = iB + s: the fine table
-    # holds s <= B and the coarse one i <= q = ceil(L / B); kernel_bank
-    # reshapes its taps into (q, B).
-    alpha = np.array([[0.5 + 0.5j]])
-    for length in range(1, 4097):
-        fine, coarse = power_tables(alpha, length)
-        q = -(-length // STATE_BLOCK)
-        assert fine.shape == (1, STATE_BLOCK + 1, 1) and coarse.shape == (1, q + 1, 1)
-        assert q * STATE_BLOCK >= length > (q - 1) * STATE_BLOCK
-    # the longest kernel the model builds, one block's ONE_BLOCK_MAX taps
-    fine, coarse = power_tables(alpha, ONE_BLOCK_MAX)
-    assert (coarse.shape[1] - 1, fine.shape[1] - 1) == (16, 64)
-    # kernel_bank reads no more taps than its tables hold
+def test_the_power_table_and_its_products_stop_at_one_block():
+    # One table of a_bar^s for s <= B = STATE_BLOCK; kernel_bank,
+    # power_weighted_sum and correlation_pole_sums read at most B of its
+    # rows and refuse more.
+    alpha = np.array([[0.5 + 0.5j, 0.25 + 0j]])
+    table = power_tables(alpha)
+    assert table.shape == (1, STATE_BLOCK + 1, 2) and table.dtype == np.complex128
     for length in (0, STATE_BLOCK + 1):
         with pytest.raises(ContractError, match=f"length {length} is not in 1..{STATE_BLOCK}"):
-            kernel_bank(np.ones((1, 1)), power_tables(alpha, STATE_BLOCK), length)
+            kernel_bank(np.ones((1, 2)), table, length)
+    with pytest.raises(ContractError, match=f"weight count {STATE_BLOCK + 1} is not in 1..{STATE_BLOCK}"):
+        power_weighted_sum(table, np.ones((1, STATE_BLOCK + 1)))
+    with pytest.raises(ContractError, match=f"weight count {STATE_BLOCK + 1} is not in 1..{STATE_BLOCK}"):
+        correlation_pole_sums(np.ones((1, STATE_BLOCK + 1)), table)
 
 
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 @pytest.mark.parametrize("a_re", [-0.5, -1e-4])
-@pytest.mark.parametrize("length", [1, 2, 3, 17, STATE_BLOCK, 4096, 65536])
-def test_power_tables_match_repeated_multiplication(length, a_re, rule):
+def test_power_tables_match_repeated_multiplication(a_re, rule):
     # Poles -1/2 + i pi k and the -1e-4 clamp at dt = 1e-3, where |a_bar| is
-    # close to 1, for coarse tables of up to 1025 rows (L = 65536).  Doubling
-    # a^(m+i) = a^i a^m doubles the rounding of a^2 at every level, so the
-    # relative error of a table of `count` rows grows to about count/2 unit
-    # roundoffs; the bound is count unit roundoffs (7.2e-15 at 65 rows).
+    # close to 1.  Doubling a^(m+i) = a^i a^m doubles the rounding of a^2 at
+    # every level, so the relative error of a table of `count` rows grows to
+    # about count/2 unit roundoffs; the bound is count unit roundoffs
+    # (7.2e-15 at 65 rows).
     a_bar = discretize(a_re + 1j * np.pi * np.arange(64), 1e-3, rule).a_bar.reshape(2, 32)
-    fine, coarse = power_tables(a_bar, length)
-    for table, base in ((fine, a_bar), (coarse, fine[:, STATE_BLOCK])):
-        count = table.shape[1]
-        expected = np.empty_like(table)
-        power = np.ones_like(base)
-        for i in range(count):
-            expected[:, i] = power
-            power = power * base
-        np.testing.assert_allclose(table, expected, rtol=count * 2.0 ** -53, atol=0)
+    table = power_tables(a_bar)
+    count = table.shape[1]
+    expected = np.empty_like(table)
+    power = np.ones_like(a_bar)
+    for i in range(count):
+        expected[:, i] = power
+        power = power * a_bar
+    np.testing.assert_allclose(table, expected, rtol=count * 2.0 ** -53, atol=0)
     # a^B, which the carried states compound, is the extended-precision
     # running product rounded once: within one unit roundoff of it
     running = np.cumprod(np.repeat(a_bar[:, None].astype(np.clongdouble), STATE_BLOCK, axis=1),
                          axis=1)[:, -1]
-    err = np.abs(fine[:, STATE_BLOCK].astype(np.clongdouble) - running)
+    err = np.abs(table[:, STATE_BLOCK].astype(np.clongdouble) - running)
     assert np.all(err <= 2.0 ** -53 * np.abs(running))
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 17, 511, 512, 513, 1000, 30000])
+@pytest.mark.parametrize("length", [1, 2, 3, 17, STATE_BLOCK - 1, STATE_BLOCK])
 def test_kernel_bank_is_the_adjoint_of_power_weighted_sum(length):
     # sum_l x_l K_l = Re sum_k w_k sum_l x_l a_k^l for real x, with (H, 1, n)
     # poles against (H, 2, L) weights as the ssm-conv backward calls it.
@@ -311,24 +304,23 @@ def test_kernel_bank_is_the_adjoint_of_power_weighted_sum(length):
     a_bar = discretize(a, rng.uniform(1e-3, 0.1, 3), "zoh").a_bar[:, None, :]
     w = (rng.standard_normal((3, 1, 8)) + 1j * rng.standard_normal((3, 1, 8))) * 2.0
     x = rng.standard_normal((3, 2, length))
-    tables = power_tables(a_bar, length)
-    lhs = np.sum(x * kernel_bank(w, tables, length), axis=-1)
-    rhs = np.sum(w * power_weighted_sum(tables, x), axis=-1).real
-    tables = power_tables(np.abs(a_bar), length)
-    scale = np.sum(np.abs(x) * kernel_bank(np.abs(w), tables, length), axis=-1)
+    table = power_tables(a_bar)
+    lhs = np.sum(x * kernel_bank(w, table, length), axis=-1)
+    rhs = np.sum(w * power_weighted_sum(table, x), axis=-1).real
+    scale = np.sum(np.abs(x) * kernel_bank(np.abs(w), power_tables(np.abs(a_bar)), length), axis=-1)
     assert lhs.shape == rhs.shape == (3, 2)
     assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
 
 
 def test_model_regime_channel_matches_direct_convolution_at_l62235():
-    # The longest slide length the model is run on: 125000 transform points.
+    # The longest slide length the model is run on, whose convolution the
+    # correlation oracles transform at 131072 points.
     rng = np.random.default_rng(37)
     length = 62235
-    assert _fft_size(length) == 125000
     a = -0.5 + 1j * np.pi * np.arange(16)
     c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     disc = discretize(a, 0.01, "zoh")
-    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
+    k = extended_kernel((2.0 * c * disc.b_bar)[None], disc.a_bar[None], length)[0]
     u = rng.standard_normal(length)
     direct = direct_causal_conv(k, u)
     assert np.max(np.abs(fft_causal_conv(k, u) - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -342,8 +334,8 @@ def test_kernel_decay_envelope():
         disc = discretize(a, dt, "bilinear")
         rho = np.max(np.abs(disc.a_bar))
         assert rho < 1
-        length = min(4096, int(np.ceil(np.log(1e-3) / np.log(rho))) + 1)
-        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
+        length = min(STATE_BLOCK, int(np.ceil(np.log(1e-3) / np.log(rho))) + 1)
+        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar), length)
         envelope = 2.0 * np.sum(np.abs(c * disc.b_bar))
         bound = envelope * rho ** np.arange(length)
         assert np.all(np.abs(k) <= bound * (1 + 1e-9) + 1e-300)
@@ -352,7 +344,7 @@ def test_kernel_decay_envelope():
 
 def test_kernel_overflow_reported():
     with pytest.raises(NumericalError, match="overflow"):
-        kernel_bank([1e300 + 0j], power_tables([2.0 + 0j], 2048), 2048)
+        kernel_bank([1e300 + 0j], power_tables([2.0 + 0j]), STATE_BLOCK)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +355,7 @@ def test_impulse_response_recovers_kernel():
     rng = np.random.default_rng(3)
     a, c, _, dt = random_stable_channel(rng)
     disc = discretize(a, dt, "bilinear")
-    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, 16), 16)
+    k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar), 16)
     u = np.zeros(16)
     u[0] = 1.0
     np.testing.assert_allclose(fft_causal_conv(k, u), k, rtol=1e-12)
@@ -379,15 +371,14 @@ def test_fft_causal_conv_broadcasts_one_kernel_over_blocks():
         assert np.array_equal(blocks[:, j], fft_causal_conv(k[:, 0], u[:, j]))
 
 
-@pytest.mark.parametrize("length", [1, STATE_BLOCK + 1, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1,
-                                    ONE_BLOCK_MAX + STATE_BLOCK, ONE_BLOCK_MAX + STATE_BLOCK + 1,
-                                    3 * ONE_BLOCK_MAX + 37])
+@pytest.mark.parametrize("length", [1, STATE_BLOCK, STATE_BLOCK + 1, 2 * STATE_BLOCK, 1024, 1025,
+                                    1024 + STATE_BLOCK + 1, 3109])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
 def test_block_causal_conv_matches_direct_convolution(rule, length):
     # The first block's taps plus carried states give the full-kernel
-    # convolution: one block of all L tokens up to ONE_BLOCK_MAX, then
+    # convolution: one block of all L tokens up to STATE_BLOCK, then
     # STATE_BLOCK-token blocks, whole or with a partial last block (of one
-    # token at ONE_BLOCK_MAX + STATE_BLOCK + 1).
+    # token at STATE_BLOCK + 1 and 1024 + STATE_BLOCK + 1).
     rng = np.random.default_rng(25)
     channels = [random_stable_channel(rng, n_half=3, dt_range=(1e-3, 0.5)) for _ in range(2)]
     a = np.array([ch[0] for ch in channels])
@@ -395,9 +386,9 @@ def test_block_causal_conv_matches_direct_convolution(rule, length):
     disc = discretize(a, np.array([ch[3] for ch in channels]), rule)
     u = rng.standard_normal((2, length))
     w = 2.0 * c * disc.b_bar
-    tables = power_tables(disc.a_bar, conv_taps(length))
-    y = block_causal_conv(kernel_bank(w, tables, conv_taps(length)), tables.fine, w, u)
-    full = kernel_bank(w, power_tables(disc.a_bar, length), length)
+    table = power_tables(disc.a_bar)
+    y = block_causal_conv(kernel_bank(w, table, conv_taps(length)), table, w, u)
+    full = extended_kernel(w, disc.a_bar, length)
     for i in range(2):
         direct = direct_causal_conv(full[i], u[i])
         assert np.max(np.abs(y[i] - direct)) <= 1e-12 * np.max(np.abs(direct))
@@ -425,27 +416,9 @@ def test_fft_path_equals_direct_path_at_l257():
     assert np.max(np.abs(fft - direct)) <= 1e-6 * scale
 
 
-def _brute_force_fft_size(length):
-    n = 2 * length - 1
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
-def test_fft_size_is_the_smallest_5_smooth_length():
-    assert [_fft_size(n) for n in range(1, 4097)] == [_brute_force_fft_size(n) for n in range(1, 4097)]
-    pinned = {188: 375, 203: 405, 8192: 16384, 30000: 60000, 33000: 67500, 62235: 125000}
-    assert {n: _fft_size(n) for n in pinned} == pinned
-
-
-# 188 and 203 take odd transform lengths (375, 405); 204 is just past the
-# step at 405 (432), and 4097 just past the one at 8192 (8640).
-@pytest.mark.parametrize("length", [1, 2, 3, 127, 128, 129, 188, 203, 204, 1000, 4097])
+# Transforms take the power of two >= 2L - 1 points: 64 tokens fill 128,
+# the most a model bag transforms, and 65 and 4097 are just past a step.
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 127, 128, 129, 1000, 4097])
 def test_fft_path_edge_lengths(length):
     rng = np.random.default_rng(length)
     k = rng.standard_normal(length)
@@ -483,9 +456,9 @@ def test_correlation_is_conv_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 188, 203, 204, 4097])
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 128, 129, 4097])
 def test_correlation_matches_direct_sum(length):
-    # corr[l] = sum_{t >= l} g[t] v[t-l]; 188 to 4097 as in test_fft_path_edge_lengths.
+    # corr[l] = sum_{t >= l} g[t] v[t-l], at lengths of test_fft_path_edge_lengths.
     rng = np.random.default_rng(length)
     g = rng.standard_normal((2, length))
     v = rng.standard_normal((3, 2, length))
@@ -523,10 +496,10 @@ def trained_regime_blocks(rule, dt, length):
 
 
 def extended_pole_sums(corr, a_bar):
-    """correlation_pole_sums(corr, power_tables(a_bar, L)) by Horner's rule
-    in extended precision (np.clongdouble), rounded once: an oracle that
-    forms no power table.  correlation_pole_sums errs by up to 5.5e-14 of
-    the sums' scale at L=62235 in the trained regime."""
+    """The two pole sums of a whole correlation corr (h, L),
+    [sum_l corr_l conj(a_bar)^l, sum_l (l + 1) corr_{l+1} conj(a_bar)^l], by
+    Horner's rule in extended precision (np.clongdouble), rounded once: an
+    oracle that forms no power table."""
     h, length = corr.shape
     terms = np.zeros((h, 2, length), dtype=np.longdouble)
     terms[:, 0] = corr
@@ -539,10 +512,10 @@ def extended_pole_sums(corr, a_bar):
 
 
 def extended_kernel(w, a_bar, length):
-    """kernel_bank(w, power_tables(a_bar, length), length) from a running
-    product of the powers in extended precision (np.clongdouble), rounded
-    once: an oracle that forms no power table.  kernel_bank errs by up to
-    5.5e-14 of the kernel's scale at L=62235 in the trained regime."""
+    """The whole kernel K_l = Re(sum_k w_k a_bar_k^l), l < length, of
+    channels w, a_bar (h, n), from a running product of the powers in
+    extended precision (np.clongdouble), rounded once: an oracle that forms
+    no power table."""
     poles, weights = a_bar.astype(np.clongdouble), w.astype(np.clongdouble)
     power = np.ones_like(poles)
     kernel = np.empty((a_bar.shape[0], length), dtype=np.longdouble)
@@ -554,15 +527,15 @@ def extended_kernel(w, a_bar, length):
 
 def block_adjoint_of(g, u, a_bar, w):
     block = conv_taps(g.shape[-1])
-    tables = power_tables(a_bar, block)
+    table = power_tables(a_bar)
     return block_adjoint(to_blocks(g, block, g.dtype), to_blocks(u, block, u.dtype),
-                         kernel_bank(w, tables, block), tables, w)
+                         kernel_bank(w, table, block), table, w)
 
 
-# One block with no carried state (1 to ONE_BLOCK_MAX tokens), then carried
+# One block with no carried state (1 to STATE_BLOCK tokens), then carried
 # blocks: whole ones, and a last block of one token.
-BLOCK_ADJOINT_LENGTHS = [1, 17, 512, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1, ONE_BLOCK_MAX + STATE_BLOCK,
-                         ONE_BLOCK_MAX + STATE_BLOCK + 1, 4 * ONE_BLOCK_MAX + 1, 30000, 62235]
+BLOCK_ADJOINT_LENGTHS = [1, 17, STATE_BLOCK, STATE_BLOCK + 1, 2 * STATE_BLOCK, 512, 1024, 1025,
+                         1024 + STATE_BLOCK + 1, 4097, 30000, 62235]
 
 
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
@@ -572,7 +545,7 @@ def test_toeplitz_product_matches_direct_convolution_block_by_block(rule, dt):
     # channel's Toeplitz matrix of its first STATE_BLOCK taps, for channels
     # in the trained regime.  Each block is held to its channel's scale.
     _, u, a_bar, w = trained_regime_blocks(rule, dt, 5 * STATE_BLOCK)
-    taps = kernel_bank(w, power_tables(a_bar, STATE_BLOCK), STATE_BLOCK)
+    taps = kernel_bank(w, power_tables(a_bar), STATE_BLOCK)
     blocks = u.reshape(3, 5, STATE_BLOCK)
     got = np.matmul(blocks, _toeplitz(taps))
     expected = np.array([[direct_causal_conv(taps[i], blocks[i, j]) for j in range(5)]
@@ -591,8 +564,8 @@ def test_lag_sums_match_the_in_block_correlations(rule, dt, count):
     # each block's own correlation.  g is the ssm-conv output of channels in
     # the trained regime, so the lags carry the channels' scales.
     g, u, a_bar, w = trained_regime_blocks(rule, dt, count * STATE_BLOCK)
-    tables = power_tables(a_bar, conv_taps(g.shape[1]))
-    g = block_causal_conv(kernel_bank(w, tables, conv_taps(g.shape[1])), tables.fine, w, g)
+    table = power_tables(a_bar)
+    g = block_causal_conv(kernel_bank(w, table, conv_taps(g.shape[1])), table, w, g)
     blocks_g, blocks_u = (x.reshape(3, count, STATE_BLOCK) for x in (g, u))
     got = _lag_sums(blocks_g, blocks_u)
     if count == 1:
@@ -626,7 +599,7 @@ def test_block_pole_sums_match_the_full_length_correlation(rule, dt, length):
 def test_one_block_adjoint_transforms_float32_blocks_in_float64():
     # numpy transforms float32 in complex64, so one block's adjoint casts its
     # blocks first: float32 blocks give what their float64 values give.
-    g, u, a_bar, w = trained_regime_blocks("bilinear", 0.1, 300)
+    g, u, a_bar, w = trained_regime_blocks("bilinear", 0.1, STATE_BLOCK)
     g, u = g.astype(np.float32), u.astype(np.float32)
     single = block_adjoint_of(g, u, a_bar, w)
     double = block_adjoint_of(g.astype(np.float64), u.astype(np.float64), a_bar, w)
@@ -681,7 +654,7 @@ def test_recurrence_convolution_duality(rule):
         length = int(rng.integers(1, 513))
         a, c, d, dt = random_stable_channel(rng, n_half=n_half)
         disc = discretize(a, dt, rule)
-        k = kernel_bank(2.0 * c * disc.b_bar, power_tables(disc.a_bar, length), length)
+        k = extended_kernel((2.0 * c * disc.b_bar)[None], disc.a_bar[None], length)[0]
         y_conv = fft_causal_conv(k, u := rng.standard_normal(length)) + d * u
         y_rec = run_recurrence(disc.a_bar, disc.b_bar, c, d, u)
         err = np.max(np.abs(y_conv - y_rec)) / (1.0 + np.max(np.abs(y_rec)))
@@ -697,7 +670,7 @@ def test_kernel_bank_over_stacked_channels_matches_each_channel_bitwise():
     b_bar = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
     c = rng.standard_normal((h, n_half)) + 1j * rng.standard_normal((h, n_half))
     w = 2.0 * c * b_bar
-    stacked = kernel_bank(w, power_tables(a_bar, length), length)
+    stacked = kernel_bank(w, power_tables(a_bar), length)
     for i in range(h):
-        row = kernel_bank(w[i], power_tables(a_bar[i], length), length)
+        row = kernel_bank(w[i], power_tables(a_bar[i]), length)
         assert np.array_equal(stacked[i], row)

@@ -328,14 +328,14 @@ def test_the_validation_loss_is_the_mean_of_the_training_tapes_losses(multitask)
     # blocks; the tape rounds its loss to float32.
     from s4mil.data_io import Bag
     from s4mil.model import build_tape
-    from s4mil.ssm import ONE_BLOCK_MAX
+    from s4mil.ssm import STATE_BLOCK
     from s4mil.train import evaluate_model
 
     model = tiny_model(multitask=multitask)
     rng = np.random.default_rng(5)
     bags = [Bag(f"bag-{length}", rng.standard_normal((length, 4)), slide_label=label,
                 patch_labels=rng.integers(0, 2, length))
-            for label, length in ((1, 300), (0, ONE_BLOCK_MAX + 37))]
+            for label, length in ((1, STATE_BLOCK), (0, 1061))]
     tape_losses = [build_tape(model.config, model.params, bag.features, slide_label=bag.slide_label,
                               patch_labels=bag.patch_labels, lam=5.0).tape.forward() for bag in bags]
     assert evaluate_model(model, bags, lam=5.0)["loss"] == pytest.approx(np.mean(tape_losses), rel=1e-6)
