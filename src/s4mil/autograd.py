@@ -540,13 +540,13 @@ def grad_check_cases(seed: int) -> dict:
     """The ``s4mil grad-check`` audit: name -> (build_tape, params) for check_gradients.
 
     One small case per op, the ssm-conv under both rules on a 10-token bag
-    (one block, with no carried state) and on a bag of 1061 tokens (states
-    carried across 17 blocks, with the input held fixed as an unnamed leaf
-    so that the differences cover the six parameter arrays), and two small
-    aggregators: a multitask one on 16 tokens, and one whose loss reads the
-    max-pool only (so its tape records the last layer's mixing and GLU on
-    the pooled tokens alone) on 1061 tokens.
-    Every value derives from ``seed``.
+    (one block: one transform forward, and backward the in-block products
+    that every bag runs) and on a bag of 1061 tokens (states carried across
+    17 blocks, with the input held fixed as an unnamed leaf so that the
+    differences cover the six parameter arrays), and two small aggregators:
+    a multitask one on 16 tokens, and one whose loss reads the max-pool only
+    (so its tape records the last layer's mixing and GLU on the pooled
+    tokens alone) on 1061 tokens.  Every value derives from ``seed``.
     """
     from .model import ModelConfig, build_tape, init_parameters  # model imports this module
 

@@ -588,21 +588,30 @@ def parse_heatmap(path) -> np.ndarray:
     return np.array(grid)
 
 
-def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+HEATMAP_MAX_CELLS = 1 << 24  # the largest grid export-heatmap fills (128 MB of float64)
+
+
+def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray, bag_id: str) -> np.ndarray:
     """Positive-class probability per grid cell; -1 marks empty cells.
 
-    Two patches on one cell raise ContractError naming the first repeated cell.
+    The grid spans the bag's coordinates, which come from an outside file:
+    a span over HEATMAP_MAX_CELLS cells raises ContractError before any
+    grid is allocated, and so do two patches on one cell, naming the first
+    repeated cell.
     """
-    r0, c0 = coords.min(axis=0)
-    r1, c1 = coords.max(axis=0)
-    grid = np.full((int(r1 - r0 + 1), int(c1 - c0 + 1)), -1.0)
+    (r0, c0), (r1, c1) = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
+    shape = (r1 - r0 + 1, c1 - c0 + 1)  # Python ints, so no span overflows
+    if shape[0] * shape[1] > HEATMAP_MAX_CELLS:
+        raise ContractError(f"bag {bag_id}: coordinates span rows {r0}..{r1} and columns "
+                            f"{c0}..{c1}, over the {HEATMAP_MAX_CELLS} cells of a heatmap")
+    grid = np.full(shape, -1.0)
     rows, cols = coords[:, 0] - r0, coords[:, 1] - c0
     _, first = np.unique(rows * grid.shape[1] + cols, return_index=True)
     if first.size < len(coords):
         repeat = np.ones(len(coords), dtype=bool)
         repeat[first] = False
         row, col = coords[np.argmax(repeat)]
-        raise ContractError(f"duplicate patch coordinate (row {row}, col {col}) in heatmap")
+        raise ContractError(f"bag {bag_id}: duplicate patch coordinate (row {row}, col {col}) in heatmap")
     grid[rows, cols] = patch_probs
     return grid
 
@@ -624,7 +633,7 @@ def cmd_export_heatmap(spec: RunSpec, config: dict) -> int:
     if bag.coords is None:
         raise ConfigError(f"bag {bag_id!r} carries no coordinates")
     out = forward_mil(model, bag.features)
-    grid = heatmap_grid(out.patch_probs[:, 1], bag.coords)
+    grid = heatmap_grid(out.patch_probs[:, 1], bag.coords, bag_id)
     path = spec.output_dir / f"heatmap_{bag_id}.txt"
     write_heatmap(path, grid)
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} heatmap to {path}")

@@ -15,28 +15,26 @@ slow oracle-grade path, the convolution the fast one.  The convolution cuts
 its input into blocks of conv_taps(L) = min(L, STATE_BLOCK) tokens
 (block_causal_conv) and reads no more of the kernel than one block's taps.
 An input of at most STATE_BLOCK tokens is one block: one FFT convolution
-by its L taps, which carries nothing.  Past that, each block's convolution
+by its L taps (fft_causal_conv, at the power of two >= 2L - 1 points, at
+most 128), which carries nothing.  Past that, each block's convolution
 by the taps is one real product with the channel's Toeplitz matrix, and
 the n_half complex states, stepped once per block, carry every earlier
 block into the next (the chunked form of Mamba-2/SSD, with the state
 recurrence of S5), so no kernel longer than a block is built and no
-transform is made.  The backward is one pass over the same blocks
-(block_adjoint).  One block is one fft_causal_corr, the adjoint of
-fft_causal_conv, which gives the input gradient and the correlation
-together; these two are the only functions that transform, each at the
-power of two >= 2L - 1 points, at most 128.  Past one block the transposed
+transform is made.  The backward is one pass over the same blocks at
+every length (block_adjoint), and no backward transforms: the transposed
 Toeplitz matrices give the in-block input gradient, and the diagonal sums
 of one product of the input's and the upstream's blocks give the in-block
-correlations, which correlation_pole_sums weights as it does one block's.
-The upstream's and the input's block sums against the pole powers, carried
+correlations, which correlation_pole_sums weights.  Past one block, the
+upstream's and the input's block sums against the pole powers, carried
 across blocks, add the rest of the input gradient and of the pole sums, so
-no correlation longer than a block is formed.  direct_causal_conv stays as
-the oracles' reference.
+no correlation longer than a block is formed.  direct_causal_conv and
+fft_causal_corr stay as the oracles' references.
 
 The model's ssm-conv runs two entry points on channel-major (L, H)
 activations: causal_conv (K * u + d u) and causal_conv_adjoint (the input,
 pole and skip gradients).  They alone cut the channels into chunks
-(_block_chunk), copy a chunk's rows into blocks and pick the blocks' dtype.
+(_block_chunk) and copy a chunk's rows into blocks of the input's dtype.
 
 Poles come in conjugate pairs; only one member of each pair is stored and
 outputs take twice the real part.
@@ -52,14 +50,14 @@ carried blocks and the backward read the forward's table.  Every
 contraction with powers is a real matrix product against the table's
 float64 view, since only real parts are needed.
 
-The carried blocks run their products (Toeplitz, lag sums, and the block
-sums and read-outs against the power table) in the dtype of the blocks
-they are given, the tape's: float32 in training, the usual mixed-precision
-split.  Their states, stepped block to block, stay complex128 and the pole
-sums stay 64-bit, and the one-block path transforms in float64 whatever
-its input.  On float32 blocks the output and the adjoints move by at most
-7.9e-7 of their scale (L from 65 to 62,235, in the trained regime); float64
-blocks compute in float64 throughout.
+The blocks run their products (Toeplitz, lag sums, and the block sums
+and read-outs against the power table) in the dtype of the blocks they are
+given, the tape's: float32 in training, the usual mixed-precision split.
+The carried states, stepped block to block, stay complex128 and the pole
+sums stay 64-bit; only the forward's one-block transform runs in float64
+whatever its input.  On float32 blocks the output and the adjoints move by
+at most 7.9e-7 of their scale (L from 1 to 62,235, in the trained regime);
+float64 blocks compute in float64 throughout.
 """
 
 import math
@@ -255,8 +253,8 @@ def fft_causal_conv(kernels: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def fft_causal_corr(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Causal cross-correlation corr[l] = sum_{t >= l} g[t] * v[t-l]: the
-    adjoint of fft_causal_conv in its kernel argument, and block_adjoint's
-    one block (its input gradient and its correlation in one call).
+    adjoint of fft_causal_conv in its kernel argument, and the oracles'
+    reference correlation (block_adjoint forms its correlations by products).
 
     Shapes: g (..., L) and v (k, ..., L) or (..., L); g broadcasts against
     the leading axis of a stacked v, so one transform of g serves every row
@@ -410,13 +408,10 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, powers: np.
       * sums (h, 2, n): the pole sums of the full correlation
         fft_causal_corr(g, u), the adjoints of w and a_bar.
 
-    correlation_pole_sums gives the in-block pole sums in both branches.
-    One block (an input of at most STATE_BLOCK tokens) is one
-    fft_causal_corr of g with the kernels and u stacked: the input gradient
-    and the correlation, all of whose B lags it weights.  Past one block no
-    transform is made:
-      * in-block input gradient: g times the transposed Toeplitz matrices;
-      * in-block pole sums: it weights the B lags of _lag_sums.
+    No transform is made, at any length.  Within each block:
+      * input gradient: g times the transposed Toeplitz matrices;
+      * pole sums: correlation_pole_sums weights the B lags of _lag_sums.
+    One block (an input of at most STATE_BLOCK tokens) carries nothing more.
     Across blocks, with a = a_bar, s = a^B, the blocks j of g and i of u,
     E_j = sum_r g[jB+r] a^r, E'_j = sum_r r g[jB+r] a^(r-1),
     V_i = sum_r u[iB+r] a^(B-r) and V'_i = sum_r (B-r) u[iB+r] a^(B-1-r):
@@ -433,19 +428,15 @@ def block_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, powers: np.
     E, E', V and V' are each one real product of the blocks with the
     float64 view of a (B, n) table drawn from the powers; F, F' and G
     are stepped back together, one contiguous block-major (3, h, n) plane
-    a step.  The products run in the blocks' dtype and the steps and the
-    sums in complex128; grad_in is float64 for one block, whose transforms
-    take float64, and the blocks' dtype past it.
+    a step.  The products, and so grad_in, run in the blocks' dtype, and
+    the steps and the sums in complex128.
     """
     h, count, block = g.shape
-    if count == 1:
-        # one transform of g gives the input gradient and the correlation
-        grad_in, corr = fft_causal_corr(g[:, 0], np.stack([kernels, u[:, 0]]))
-        return grad_in[:, None], correlation_pole_sums(corr, powers)
-
     dtype, n = g.dtype, w.shape[1]
     grad_in = np.matmul(g, _toeplitz(kernels.astype(dtype, copy=False)).swapaxes(1, 2))
     sums = correlation_pole_sums(_lag_sums(g, u), powers)
+    if count == 1:
+        return grad_in, sums
     ramp = np.arange(block, dtype=np.float64)[:, None]
     # the rows of E, E', V and V': a^r, r a^(r-1), a^(B-r) and (B-r) a^(B-1-r)
     rows = np.empty((4, h, block, n), dtype=np.complex128)
@@ -558,24 +549,21 @@ def causal_conv_adjoint(g: np.ndarray, u: np.ndarray, kernels: np.ndarray, power
     from its input u, the kernels and power table it returned, w and d.
 
     Each chunk copies its channel rows of g and of u into blocks of the
-    forward's block length once (to_blocks): float64 for one block, which
-    is transformed in float64 and adds the skip term d g to its float64
-    input gradient unrounded, and g's dtype for carried blocks, which run
-    their products in it.  The skip gradient sum_l g u, summed in float64, and
-    block_adjoint both read them.  Returns the channel-major (L, H) input
-    gradient sum_l K_l g[t + l] + d g[t] in g's dtype, the (H, 2, n) pole
-    sums and the (H,) skip gradient.
+    forward's block length once (to_blocks), in g's dtype, in which the
+    blocks run their products at every length.  The skip gradient
+    sum_l g u, summed in float64, and block_adjoint both read them.
+    Returns the channel-major (L, H) input gradient sum_l K_l g[t + l] +
+    d g[t] in g's dtype, the (H, 2, n) pole sums and the (H,) skip gradient.
     """
     length, h = u.shape
     block = kernels.shape[1]
-    dtype = np.float64 if block == length else g.dtype
     d = np.asarray(d, dtype=np.float64)
     grad_u = np.empty((h, length), dtype=g.dtype)
     sums = np.empty((h, 2, w.shape[1]), dtype=np.complex128)
     grad_d = np.empty(h)
 
     def work(s, e):
-        rows, v = (to_blocks(x[:, s:e].T, block, dtype) for x in (g, u))
+        rows, v = (to_blocks(x[:, s:e].T, block, g.dtype) for x in (g, u))
         grad_d[s:e] = np.einsum("hjr,hjr->h", rows, v, dtype=np.float64)
         grad_in, sums[s:e] = block_adjoint(rows, v, kernels[s:e], powers[s:e], w[s:e])
         rows *= d[s:e, None, None]  # the upstream blocks are not read again

@@ -443,7 +443,7 @@ def test_ssm_conv_builds_its_power_tables_once_per_op(monkeypatch, one_channel_p
 
 
 def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks(
-        monkeypatch, one_channel_per_chunk):
+        one_channel_per_chunk):
     # The pole sums come from blocks: carried states and no correlation
     # past one block.  So the ssm-conv backward holds no (H, L) float64
     # array: one channel per chunk, so one such array outweighs every
@@ -452,16 +452,10 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
     # such array and its weights two more.
     import tracemalloc
 
-    from s4mil import ssm
-
-    calls = []
-    corr = ssm.fft_causal_corr
-    monkeypatch.setattr(ssm, "fft_causal_corr", lambda g, v: calls.append(g.shape) or corr(g, v))
     rng = np.random.default_rng(26)
     h = 64
     params = ssm_params(rng, h=h, n_half=4)
     for length in (4097, 1024):
-        calls.clear()
         params["u"] = np.asfortranarray(rng.standard_normal((length, h)))  # channel-major
         tape = Tape(dtype=np.float32)
         nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
@@ -473,82 +467,37 @@ def test_gradient_tape_past_two_blocks_takes_its_parameter_gradients_from_blocks
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == [], length
         plane = h * length * 8
         assert nodes[0].grad.dtype == np.float32
         assert peak < plane, f"L={length}: peak {peak / plane:.2f} planes"
 
 
-def test_block_backward_transforms_each_block_once(monkeypatch):
-    # On a bag of one block (STATE_BLOCK tokens) one pass serves the
-    # input and the parameter gradients: the upstream and the input have one
-    # forward transform each, the input gradient one inverse, and each
-    # channel adds the kernel's transform and the pole sums' inverse, so
-    # there is one rfft of the upstream per channel and no reversed
-    # convolution.  Past one block the blocks apply by matrix products, and
-    # the backward makes no transform at all.  Transforms take the power of
-    # two >= 2L - 1 points, and rows times points are counted as
-    # perfbench/spans.py counts them.
-    from s4mil import ssm
-
-    rng = np.random.default_rng(27)
-    h = 4
-    cases = []
-    for length in (4097, ssm.STATE_BLOCK):
-        params = ssm_params(rng, h=h, n_half=3)
-        params["u"] = np.asfortranarray(rng.standard_normal((length, h)))
-        tape = Tape(dtype=np.float32)
-        nodes = [tape.leaf(params[k], k) for k in ("u", "a_re", "a_im", "c_re", "c_im", "d", "log_dt")]
-        out = tape.ssm_conv(*nodes, rule="zoh")
-        g = np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32)
-        cases.append((length, out, g))
-
-    points = {}
-
-    def counted(name, transform):
-        def run(a, n=None, axis=-1, **kwargs):
-            result = transform(a, n, axis, **kwargs)
-            size = result.shape[axis] if n is None else n
-            key = (name, size)
-            points[key] = points.get(key, 0) + result.size // result.shape[axis] * size
-            return result
-        return run
-
-    for name in ("rfft", "irfft", "fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-    convolutions = []
-    conv = ssm.fft_causal_conv
-    monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: convolutions.append(args) or conv(*args))
-    for length, out, g in cases:
-        n_fft = 2 * ssm.STATE_BLOCK
-        points.clear()
-        out.backward_fn(g)
-        if length > ssm.STATE_BLOCK:
-            assert points == {}, length
-        else:
-            assert points == {("rfft", n_fft): 3 * h * n_fft, ("irfft", n_fft): 2 * h * n_fft}
-    assert convolutions == []
-
-
-@pytest.mark.parametrize("length", [1, 33, 64, 65, 300, 1024])
-def test_only_bags_of_at_most_one_block_transform(monkeypatch, one_channel_per_chunk, length):
-    # A bag past STATE_BLOCK tokens runs the carried blocks, whose forward
-    # and backward make no FFT call.  A bag of at most STATE_BLOCK tokens is
-    # one block: one fft_causal_conv and one fft_causal_corr per chunk, of
-    # one channel here.
+@pytest.mark.parametrize("length", [1, 33, 64, 65, 300, 1024, 4097])
+def test_only_the_forward_of_one_block_transforms(monkeypatch, one_channel_per_chunk, length):
+    # A bag of at most STATE_BLOCK tokens is one block, whose forward is one
+    # fft_causal_conv per chunk, of one channel here: two forward transforms
+    # and one inverse.  A longer bag runs the carried blocks, whose forward
+    # makes no transform, and the backward makes none at any length.
     from s4mil import ssm
 
     calls = []
-    for name in ("fft_causal_conv", "fft_causal_corr"):
-        monkeypatch.setattr(ssm, name, lambda *args, name=name, fn=getattr(ssm, name):
-                            calls.append(name) or fn(*args))
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, lambda *args, name=name, fn=getattr(np.fft, name), **kw:
+                            calls.append(name) or fn(*args, **kw))
+    conv = ssm.fft_causal_conv
+    monkeypatch.setattr(ssm, "fft_causal_conv", lambda *args: calls.append("fft_causal_conv") or conv(*args))
     rng = np.random.default_rng(30)
     h = 3
     p = ssm_params(rng, h=h, n_half=4)
     p["u"] = rng.standard_normal((length, h))
-    ssm_conv_with_gradients(p, rng.standard_normal((length, h)), "bilinear", np.float32)
-    one_block = ["fft_causal_conv"] * h + ["fft_causal_corr"] * h
-    assert calls == ([] if length > ssm.STATE_BLOCK else one_block), length
+    tape = Tape(dtype=np.float32)
+    nodes = [tape.leaf(p[k], k) for k in SSM_LEAVES]
+    out = tape.ssm_conv(*nodes, rule="bilinear")
+    one_block = ["fft_causal_conv", "rfft", "rfft", "irfft"] * h
+    assert calls == (one_block if length <= ssm.STATE_BLOCK else []), length
+    calls.clear()
+    out.backward_fn(np.asfortranarray(rng.standard_normal((length, h)), dtype=np.float32))
+    assert calls == [], length
 
 
 # One block with no carried state (1 to STATE_BLOCK = 64 tokens), then
@@ -607,17 +556,18 @@ def ssm_conv_with_gradients(p, g, rule, dtype):
     return out.value.astype(np.float64), {k: n.grad.astype(np.float64) for k, n in zip(SSM_LEAVES, nodes)}
 
 
-@pytest.mark.parametrize("length", [65, 1024, 1025, 1024 + 64 + 1, 4097, 62235])
+@pytest.mark.parametrize("length", [1, 10, 64, 65, 1024, 1025, 1024 + 64 + 1, 4097, 62235])
 @pytest.mark.parametrize("dt", [1e-3, 0.1])
 @pytest.mark.parametrize("rule", ["bilinear", "zoh"])
-def test_float32_tape_carried_ssm_conv_matches_the_float64_op(rule, dt, length):
-    # A float32 tape runs the carried blocks' products in float32, and their
-    # states, pole sums and skip gradient in 64 bits.  Against the float64 op
-    # on the same float32 values, in the trained regime (poles -1/2 + i pi k,
-    # k < 16, and pole real parts at the -1e-4 clamp, set there or clamped
-    # from above): the output and the input gradient are held to 1e-6 of each
-    # channel's scale, every parameter gradient to 1e-6 of its array's.  No
-    # benchmark check reaches the carried blocks, so this bound is held here.
+def test_float32_tape_ssm_conv_matches_the_float64_op(rule, dt, length):
+    # A float32 tape runs the blocks' products in float32 at every length,
+    # and the carried states, pole sums and skip gradient in 64 bits.
+    # Against the float64 op on the same float32 values, in the trained
+    # regime (poles -1/2 + i pi k, k < 16, and pole real parts at the -1e-4
+    # clamp, set there or clamped from above): the output and the input
+    # gradient are held to 1e-6 of each channel's scale, every parameter
+    # gradient to 1e-6 of its array's.  No benchmark check reaches the
+    # carried blocks, so this bound is held here.
     from s4mil.autograd import POLE_REAL_CEILING
 
     rng = np.random.default_rng(length)
@@ -641,12 +591,12 @@ def test_float32_tape_carried_ssm_conv_matches_the_float64_op(rule, dt, length):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_carried_blocks_multiply_in_the_tape_dtype_and_transform_in_float64(monkeypatch, dtype):
-    # The carried blocks' products run in the tape's dtype: the forward and
-    # its adjoint get blocks of it, and so do the Toeplitz matrices and the
-    # in-block lag sums.  The one-block path transforms in float64 on either
-    # tape, since numpy transforms float32 in complex64: its adjoint gets
-    # float64 blocks.
+def test_blocks_multiply_in_the_tape_dtype_and_transform_in_float64(monkeypatch, dtype):
+    # The blocks' products run in the tape's dtype at every length: the
+    # forward and its adjoint get blocks of it, and so do the Toeplitz
+    # matrices and the in-block lag sums.  The forward of one block
+    # transforms in float64 on either tape, since numpy transforms float32
+    # in complex64; its backward is the in-block products alone.
     from s4mil import ssm
 
     seen = {}
@@ -673,12 +623,10 @@ def test_carried_blocks_multiply_in_the_tape_dtype_and_transform_in_float64(monk
         g = rng.standard_normal((length, h))
         seen.clear()
         ssm_conv_with_gradients(p, g, "zoh", dtype)
+        expected = {k: {np.dtype(dtype)}
+                    for k in ("block_causal_conv", "block_adjoint", "_toeplitz", "_lag_sums")}
         if length == ssm.STATE_BLOCK:
-            expected = {"block_causal_conv": {np.dtype(dtype)}, "block_adjoint": {np.dtype(np.float64)},
-                        "rfft": {np.dtype(np.float64)}, "irfft": {np.dtype(np.complex128)}}
-        else:
-            expected = {k: {np.dtype(dtype)}
-                        for k in ("block_causal_conv", "block_adjoint", "_toeplitz", "_lag_sums")}
+            expected.update(rfft={np.dtype(np.float64)}, irfft={np.dtype(np.complex128)})
         assert seen == expected, length
 
 
@@ -1059,7 +1007,8 @@ def test_gradient_free_tape_keeps_no_closures():
 
 def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_channel_per_chunk):
     # One channel per chunk, so run_chunked hands four ranges to the pool;
-    # one bag takes the full-length transform, the other carries states.  A
+    # the 40-token bag is one block (the forward's transform and the
+    # in-block adjoint), the others carry states across blocks.  A
     # grad-free float64 tape whose ssm-conv input is not a leaf writes the
     # output into the input's array, whose channel rows each chunk reads as
     # a view; it gives the gradient tape's output at either thread count.
@@ -1077,7 +1026,7 @@ def test_threaded_ssm_conv_is_bitwise_equal_to_sequential(monkeypatch, one_chann
     monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
     rng = np.random.default_rng(16)
     params = ssm_params(rng, h=4, n_half=3)
-    for length in (300, 1573):
+    for length in (40, 300, 1573):
         params["u"] = rng.standard_normal((length, 4))
         labels = rng.integers(0, 3, length)
         runs = {}

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import re
 
 import numpy as np
@@ -158,11 +159,35 @@ def test_resolved_config_refeed_reproduces(tmp_path):
     assert (first / "summary.csv").read_bytes() == (second / "summary.csv").read_bytes()
 
 
-def test_threads_flag_is_bitwise_equivalent(tmp_path):
-    base = ["train", "--synthetic", "--folds", "2", "--seed", "2", *TINY_SYNTH, *TINY_MODEL]
+def test_threads_flag_is_bitwise_equivalent(tmp_path, monkeypatch):
+    # 24 channels make ssm-conv chunks of 16 and 8, so --threads 2 hands
+    # them to a pool, and bags of 40 to 100 tokens run one block and
+    # carried blocks.
+    from concurrent.futures import ThreadPoolExecutor
+
+    from s4mil import parallel, ssm
+
+    pools, lengths = [], set()
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    causal_conv = ssm.causal_conv
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(ssm, "causal_conv", lambda u, *args, **kwargs:
+                        lengths.add(u.shape[0]) or causal_conv(u, *args, **kwargs))
+    base = ["train", "--synthetic", "--folds", "2", "--seed", "2", *TINY_SYNTH, *TINY_MODEL,
+            "--set", "synth.length_min=40", "--set", "synth.length_max=100",
+            "--set", "model.hidden_dim=24"]
     assert run([*base, "--threads", "1", "--output", tmp_path / "t1"]) == 0
+    assert not pools
     assert run([*base, "--threads", "2", "--output", tmp_path / "t2"]) == 0
-    assert (tmp_path / "t1/summary.csv").read_bytes() == (tmp_path / "t2/summary.csv").read_bytes()
+    assert pools, "the thread pool never started"
+    assert min(lengths) <= ssm.STATE_BLOCK < max(lengths), sorted(lengths)
+    for name in ("summary.csv", "fold_00/checkpoint.s4mc", "fold_01/checkpoint.s4mc"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
 
 def test_unknown_set_key_is_named(tmp_path, capsys):
@@ -246,12 +271,12 @@ def test_heatmap_requires_multitask_checkpoint(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 def test_heatmap_singleton_grid():
-    grid = heatmap_grid(np.array([0.7]), np.array([[0, 0]]))
+    grid = heatmap_grid(np.array([0.7]), np.array([[0, 0]]), "a")
     assert grid.shape == (1, 1) and grid[0, 0] == 0.7
 
 
 def test_heatmap_hole_filled_with_minus_one():
-    grid = heatmap_grid(np.array([0.2, 0.9]), np.array([[0, 0], [2, 0]]))
+    grid = heatmap_grid(np.array([0.2, 0.9]), np.array([[0, 0], [2, 0]]), "a")
     assert grid.shape == (3, 1)
     assert grid[0, 0] == 0.2 and grid[2, 0] == 0.9 and grid[1, 0] == -1.0
 
@@ -283,8 +308,8 @@ def test_malformed_heatmap_raises_a_parse_error_naming_file_and_line(tmp_path, t
 
 def test_heatmap_duplicate_coordinate_names_first_repeat():
     coords = np.array([[3, 1], [4, 2], [5, 0], [4, 2], [3, 1]])
-    with pytest.raises(ContractError, match=r"\(row 4, col 2\)"):
-        heatmap_grid(np.linspace(0.1, 0.5, 5), coords)
+    with pytest.raises(ContractError, match=r"^bag b: duplicate .* \(row 4, col 2\)"):
+        heatmap_grid(np.linspace(0.1, 0.5, 5), coords, "b")
 
 
 def test_export_heatmap_rejects_duplicate_coordinates(tmp_path, capsys):
@@ -302,6 +327,39 @@ def test_export_heatmap_rejects_duplicate_coordinates(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert "\n" not in err and "(row 1, col 0)" in err
     assert not (tmp_path / "hm" / "heatmap_dup.txt").exists()
+
+
+@pytest.mark.parametrize("low, high", [(0, 2 ** 40), (-2 ** 62, 2 ** 62)])
+def test_export_heatmap_rejects_a_coordinate_span_past_the_cell_limit(tmp_path, capsys, monkeypatch,
+                                                                      low, high):
+    # Coordinates come from an outside file: a span of 2^40 rows would ask for
+    # terabytes, and one of 2^63 rows overflows int64.  Both are one-line
+    # contract errors naming the bag and the span, raised before any grid is
+    # allocated: an np.full past the limit fails the test instead of running.
+    from s4mil.cli import HEATMAP_MAX_CELLS
+
+    full = np.full
+
+    def guarded(shape, *args, **kwargs):
+        assert math.prod(int(s) for s in np.atleast_1d(shape)) <= HEATMAP_MAX_CELLS, shape
+        return full(shape, *args, **kwargs)
+
+    model = init_parameters(ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, multitask=True),
+                            seed=0)
+    save_checkpoint(tmp_path / "mt.s4mc", model)
+    write_sequence_file(tmp_path / "f.seqf", np.ones((2, 4), dtype=np.float32))
+    write_sequence_file(tmp_path / "c.seqf", np.array([[low, 3], [high, 3]], dtype=np.float32))
+    write_manifest(tmp_path / "manifest.csv",
+                   [{"id": "wide", "label": 1, "features": "f.seqf", "coords": "c.seqf"}])
+    monkeypatch.setattr(np, "full", guarded)
+    code = run(["export-heatmap", "--checkpoint", tmp_path / "mt.s4mc",
+                "--manifest", tmp_path / "manifest.csv", "--bag-id", "wide",
+                "--output", tmp_path / "hm"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err and err.startswith("error contract-violation: bag wide: ")
+    assert f"rows {low}..{high}" in err
+    assert not (tmp_path / "hm" / "heatmap_wide.txt").exists()
 
 
 # --------------------------------------------------------------------------

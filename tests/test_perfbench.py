@@ -1,7 +1,8 @@
-"""The benchmark's smoke mode, run from this checkout, passes its own checks.
+"""The benchmark's smoke mode and its selftest, run from this checkout, pass.
 
 perfbench drives ``load_manifest``, ``Bag`` and the traced span names from
-outside the package; a change that breaks that use fails here.
+outside the package, and its selftest patches ``ssm.fft_causal_conv`` and
+pins the traced counts; a change that breaks that use fails here.
 """
 
 import json
@@ -23,3 +24,10 @@ def test_benchmark_smoke_run_is_correct(trace):
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+@pytest.mark.slow
+def test_benchmark_selftest_passes():
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]

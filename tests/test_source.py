@@ -102,17 +102,17 @@ def test_powers_of_a_bar_are_formed_in_the_table_builder_alone():
     assert not found & {"ssm.block_causal_conv", "ssm.block_adjoint"}, sorted(found)
 
 
-def test_only_the_one_block_branches_reach_the_transforms():
-    # One engine at every length: only an input of at most STATE_BLOCK
-    # tokens, one block, is transformed, by block_causal_conv's
-    # fft_causal_conv and block_adjoint's fft_causal_corr.  Nothing else in
-    # the package names either.
-    for name, caller in (("fft_causal_conv", "ssm.block_causal_conv"),
-                         ("fft_causal_corr", "ssm.block_adjoint")):
+def test_only_the_one_block_forward_reaches_a_transform():
+    # One engine at every length: only the forward of an input of at most
+    # STATE_BLOCK tokens, one block, is transformed, by block_causal_conv's
+    # fft_causal_conv.  No backward transforms, so no package function
+    # names fft_causal_corr, the oracles' reference correlation.
+    for name, callers in (("fft_causal_conv", {"ssm.block_causal_conv"}),
+                          ("fft_causal_corr", set())):
         def names(node, name=name):
             return ((isinstance(node, ast.Name) and node.id == name)
                     or (isinstance(node, ast.Attribute) and node.attr == name)
                     or (isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] == name))
 
         found = _where(names)
-        assert found == {caller}, (name, sorted(found))
+        assert found == callers, (name, sorted(found))
