@@ -33,7 +33,9 @@ while `ssm_conv` and `mul` keep the inputs their backwards read.  A taken
 node gives its value up (it becomes None), so no node reports an array
 that a later op overwrote, and an op handed the node afterwards raises
 ContractError.  Leaves are never written, so neither are the caller's
-features nor the parameters.
+features nor the parameters.  No op takes a leaf's value, but a
+gradient-free model tape drops its feature leaf's value once the
+projection has read it (model.build_tape).
 
 `rows` gathers some rows of an (L, H) activation and scatters their
 gradient back into a zero (L, H) one.  A gradient tape of a model without

@@ -591,28 +591,39 @@ def parse_heatmap(path) -> np.ndarray:
 HEATMAP_MAX_CELLS = 1 << 24  # the largest grid export-heatmap fills (128 MB of float64)
 
 
-def heatmap_grid(patch_probs: np.ndarray, coords: np.ndarray, bag_id: str) -> np.ndarray:
-    """Positive-class probability per grid cell; -1 marks empty cells.
+class HeatmapCells(NamedTuple):
+    """The grid a bag's coordinates span, and each patch's cell in it (a flat index)."""
+    shape: tuple[int, int]
+    index: np.ndarray
 
-    The grid spans the bag's coordinates, which come from an outside file:
-    a span over HEATMAP_MAX_CELLS cells raises ContractError before any
-    grid is allocated, and so do two patches on one cell, naming the first
-    repeated cell.
+
+def heatmap_cells(coords: np.ndarray, bag_id: str) -> HeatmapCells:
+    """Check a bag's coordinates and place its patches on their grid.
+
+    The coordinates come from an outside file: a span over HEATMAP_MAX_CELLS
+    cells raises ContractError, and so do two patches on one cell, naming
+    the first repeated cell.  Nothing of the grid's size is allocated, so a
+    bad bag fails before its forward.
     """
     (r0, c0), (r1, c1) = coords.min(axis=0).tolist(), coords.max(axis=0).tolist()
     shape = (r1 - r0 + 1, c1 - c0 + 1)  # Python ints, so no span overflows
     if shape[0] * shape[1] > HEATMAP_MAX_CELLS:
         raise ContractError(f"bag {bag_id}: coordinates span rows {r0}..{r1} and columns "
                             f"{c0}..{c1}, over the {HEATMAP_MAX_CELLS} cells of a heatmap")
-    grid = np.full(shape, -1.0)
-    rows, cols = coords[:, 0] - r0, coords[:, 1] - c0
-    _, first = np.unique(rows * grid.shape[1] + cols, return_index=True)
+    index = (coords[:, 0] - r0) * shape[1] + (coords[:, 1] - c0)
+    _, first = np.unique(index, return_index=True)
     if first.size < len(coords):
         repeat = np.ones(len(coords), dtype=bool)
         repeat[first] = False
         row, col = coords[np.argmax(repeat)]
         raise ContractError(f"bag {bag_id}: duplicate patch coordinate (row {row}, col {col}) in heatmap")
-    grid[rows, cols] = patch_probs
+    return HeatmapCells(shape, index)
+
+
+def heatmap_grid(patch_probs: np.ndarray, cells: HeatmapCells) -> np.ndarray:
+    """Positive-class probability per grid cell; -1 marks empty cells."""
+    grid = np.full(cells.shape, -1.0)
+    grid.flat[cells.index] = patch_probs
     return grid
 
 
@@ -632,8 +643,9 @@ def cmd_export_heatmap(spec: RunSpec, config: dict) -> int:
     bag = bags[bag_id]
     if bag.coords is None:
         raise ConfigError(f"bag {bag_id!r} carries no coordinates")
+    cells = heatmap_cells(bag.coords, bag_id)
     out = forward_mil(model, bag.features)
-    grid = heatmap_grid(out.patch_probs[:, 1], bag.coords, bag_id)
+    grid = heatmap_grid(out.patch_probs[:, 1], cells)
     path = spec.output_dir / f"heatmap_{bag_id}.txt"
     write_heatmap(path, grid)
     print(f"wrote {grid.shape[0]}x{grid.shape[1]} heatmap to {path}")

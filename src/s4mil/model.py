@@ -337,8 +337,15 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
     bit.  At paper scale (L=30000, H=512, float32) they are byte-identical
     with OpenBLAS 0.3.31.  A multitask model's patch head reads every
     token's GLU output, so its tape records the head on every token.
+
+    Only the projection reads the features.  On a gradient-free tape their
+    leaf gives its value up (it becomes None) once the projection has run,
+    and no name here stays bound to them, so an array that only the call
+    holds (a file-backed bag's fresh read) is freed before the layernorm.
+    A gradient tape keeps them: the projection's weight gradient reads them.
     """
     features = _check_features(config, features)
+    length = features.shape[0]
     if mode not in ("conv", "recurrence"):
         raise ContractError(f"unknown forward mode {mode!r}")
     tape = Tape(dtype=dtype, grad_enabled=grad_enabled)
@@ -350,8 +357,11 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
         gate = tape.matvec(y, leaves[f"mix{i}.gate_weight"], leaves[f"mix{i}.gate_bias"])
         return tape.mul(value, tape.sigmoid(gate))
 
-    x = tape.leaf(features)
-    x = tape.matvec(x, leaves["projection.weight"], leaves["projection.bias"])
+    feature_leaf = tape.leaf(features)
+    del features
+    x = tape.matvec(feature_leaf, leaves["projection.weight"], leaves["projection.bias"])
+    if not tape.grad_enabled:
+        feature_leaf.value = None
     x = tape.layernorm(x, leaves["norm.scale"], leaves["norm.shift"])
     for i in range(config.num_ssm_layers):
         if mode == "conv":
@@ -377,9 +387,9 @@ def build_tape(config: ModelConfig, params: dict[str, np.ndarray], features: np.
     if slide_label is not None:
         loss = tape.softmax_log_loss(slide_logits, [int(slide_label)], "slide")
         if config.multitask and lam != 0.0:
-            patch_labels = checked_patch_labels(patch_labels, features.shape[0])
+            patch_labels = checked_patch_labels(patch_labels, length)
             patch_term = tape.softmax_log_loss(patch_logits, patch_labels, "patch")
-            tape.add(loss, tape.scale(patch_term, lam / features.shape[0]))
+            tape.add(loss, tape.scale(patch_term, lam / length))
     return TapeBundle(tape=tape, slide_logits=slide_logits, patch_logits=patch_logits)
 
 
@@ -407,9 +417,15 @@ def forward_mil(model: MilModel, features: np.ndarray, mode: str = "conv") -> Fo
 
     The tape is gradient-free, so its elementwise ops reuse the arrays they
     consume: a one-layer model holds at most 3 (L, H) planes (the ssm-conv
-    output, the value and GLU, the gate and sigmoid) besides the features.
+    output, the value and GLU, the gate and sigmoid).  The features are
+    handed to build_tape with no name here bound to them, so an array that
+    only this call holds is freed once the projection has run: a forward's
+    peak is then the larger of the features plus one plane and 3 planes.
+    A caller that keeps its array keeps it, unwritten.
     """
-    bundle = build_tape(model.config, model.params, features, mode=mode, grad_enabled=False)
+    handed = [features]  # popped as it is passed, so no name here holds the array
+    del features
+    bundle = build_tape(model.config, model.params, handed.pop(), mode=mode, grad_enabled=False)
     patch = bundle.patch_logits
     return ForwardResult(slide_log_probs=log_softmax(bundle.slide_logits.value)[0],
                          patch_log_probs=None if patch is None else log_softmax(patch.value))

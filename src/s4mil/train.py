@@ -208,9 +208,9 @@ def evaluate_model(model: MilModel, bags: Sequence[Bag], lam: float = 0.0) -> di
     mean of the bags' training-tape losses, so with lam > 0 a multitask
     model needs every bag's patch labels, as training does.
 
-    Each bag's features are read once, for its forward, and dropped before
-    the next bag's: a manifest's bags are evaluated holding one bag's
-    features at a time.
+    Each bag's features are read once, for its forward, which frees them
+    once the projection has run: a manifest's bags are evaluated holding
+    at most one bag's features at a time.
     """
     if not bags:
         raise ContractError("evaluation needs a non-empty split")

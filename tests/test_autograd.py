@@ -786,17 +786,20 @@ def test_model_activations_are_channel_major(grad_enabled, dtype):
     # array of their first input unless it is a leaf or a backward the op
     # records reads it (the ssm-conv's and the mul's read their inputs; the
     # model reads each such input once), and exactly those inputs hold no
-    # value, on either kind of tape.
+    # value, on either kind of tape.  A gradient-free tape's feature leaf
+    # gives its value up too, once the projection has run.
     tape = small_mil_bundle(grad_enabled=grad_enabled, dtype=dtype).tape
     reusing = {"layernorm", "ssm-conv", "sigmoid", "elementwise-mul"}
     reading = {"ssm-conv", "elementwise-mul"}
     taken = {id(n.parents[0]) for n in tape.nodes
              if n.op in reusing and n.parents[0].op != "leaf"
              and not (n.op in reading and n.backward_fn is not None)}
+    if not grad_enabled:
+        taken |= {id(n) for n in tape.nodes if n.op == "leaf" and n.name is None}
     assert {id(n) for n in tape.nodes if n.value is None} == taken
     # the layernorm's input, and per layer the sigmoid's, plus on a
-    # gradient-free tape the ssm-conv's and the mul's
-    assert len(taken) == (3 if grad_enabled else 7)
+    # gradient-free tape the ssm-conv's and the mul's and the features
+    assert len(taken) == (3 if grad_enabled else 8)
     planes = [n for n in tape.nodes if n.op != "leaf" and n.value is not None and n.value.ndim == 2]
     held = {"matvec", "ssm-conv", "sigmoid", "elementwise-mul"} | ({"layernorm"} if grad_enabled else set())
     assert {n.op for n in planes} >= held

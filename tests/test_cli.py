@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from s4mil.checkpoint import save_checkpoint
-from s4mil.cli import (REGISTRY, RunSpec, _coerce, build_parser, heatmap_grid, main,
+from s4mil.cli import (REGISTRY, RunSpec, _coerce, build_parser, heatmap_cells, heatmap_grid, main,
                        parse_heatmap, resolve_config, write_heatmap)
 from s4mil.data_io import write_manifest, write_sequence_file
 from s4mil.errors import ConfigError, ContractError, ParseError
@@ -271,12 +271,12 @@ def test_heatmap_requires_multitask_checkpoint(tmp_path, capsys):
 # --------------------------------------------------------------------------
 
 def test_heatmap_singleton_grid():
-    grid = heatmap_grid(np.array([0.7]), np.array([[0, 0]]), "a")
+    grid = heatmap_grid(np.array([0.7]), heatmap_cells(np.array([[0, 0]]), "a"))
     assert grid.shape == (1, 1) and grid[0, 0] == 0.7
 
 
 def test_heatmap_hole_filled_with_minus_one():
-    grid = heatmap_grid(np.array([0.2, 0.9]), np.array([[0, 0], [2, 0]]), "a")
+    grid = heatmap_grid(np.array([0.2, 0.9]), heatmap_cells(np.array([[0, 0], [2, 0]]), "a"))
     assert grid.shape == (3, 1)
     assert grid[0, 0] == 0.2 and grid[2, 0] == 0.9 and grid[1, 0] == -1.0
 
@@ -309,10 +309,16 @@ def test_malformed_heatmap_raises_a_parse_error_naming_file_and_line(tmp_path, t
 def test_heatmap_duplicate_coordinate_names_first_repeat():
     coords = np.array([[3, 1], [4, 2], [5, 0], [4, 2], [3, 1]])
     with pytest.raises(ContractError, match=r"^bag b: duplicate .* \(row 4, col 2\)"):
-        heatmap_grid(np.linspace(0.1, 0.5, 5), coords, "b")
+        heatmap_cells(coords, "b")
 
 
-def test_export_heatmap_rejects_duplicate_coordinates(tmp_path, capsys):
+def refuse_forward(*args, **kwargs):
+    raise AssertionError("export-heatmap ran the forward before it checked the coordinates")
+
+
+def test_export_heatmap_rejects_duplicate_coordinates(tmp_path, capsys, monkeypatch):
+    # the coordinates are checked before the forward, which must not run
+    monkeypatch.setattr("s4mil.cli.forward_mil", refuse_forward)
     model = init_parameters(ModelConfig(input_dim=4, hidden_dim=4, state_dim=4, multitask=True),
                             seed=0)
     save_checkpoint(tmp_path / "mt.s4mc", model)
@@ -335,7 +341,8 @@ def test_export_heatmap_rejects_a_coordinate_span_past_the_cell_limit(tmp_path, 
     # Coordinates come from an outside file: a span of 2^40 rows would ask for
     # terabytes, and one of 2^63 rows overflows int64.  Both are one-line
     # contract errors naming the bag and the span, raised before any grid is
-    # allocated: an np.full past the limit fails the test instead of running.
+    # allocated (an np.full past the limit fails the test instead of running)
+    # and before the forward, which must not run.
     from s4mil.cli import HEATMAP_MAX_CELLS
 
     full = np.full
@@ -352,6 +359,7 @@ def test_export_heatmap_rejects_a_coordinate_span_past_the_cell_limit(tmp_path, 
     write_manifest(tmp_path / "manifest.csv",
                    [{"id": "wide", "label": 1, "features": "f.seqf", "coords": "c.seqf"}])
     monkeypatch.setattr(np, "full", guarded)
+    monkeypatch.setattr("s4mil.cli.forward_mil", refuse_forward)
     code = run(["export-heatmap", "--checkpoint", tmp_path / "mt.s4mc",
                 "--manifest", tmp_path / "manifest.csv", "--bag-id", "wide",
                 "--output", tmp_path / "hm"])

@@ -257,7 +257,8 @@ def test_row_gathered_tape_gives_a_tied_channel_to_its_first_occurrence(dtype):
 def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
     # Only non-leaf arrays are reused.  The caller's float32 features enter
     # the tape uncopied, as a leaf, and the parameter leaves are views of the
-    # parameter vector: neither is written.
+    # parameter vector: neither is written.  The unnamed feature leaf gives
+    # its value up once the projection has run; the caller keeps its array.
     cfg = small_config(num_ssm_layers=2, multitask=True)
     model = init_parameters(cfg, seed=8)
     features = np.random.default_rng(9).standard_normal((1061, 8))
@@ -266,7 +267,10 @@ def test_gradient_free_forward_leaves_features_and_parameters_unwritten():
     assert Tape(dtype=np.float32, grad_enabled=False).leaf(features).value is features
     forward_mil(model, features)
     bundle = build_tape(cfg, model.params, features, grad_enabled=False)
-    assert any(n.value is features for n in bundle.tape.nodes if n.op == "leaf")
+    (feature_leaf,) = [n for n in bundle.tape.nodes if n.op == "leaf" and n.name is None]
+    projection = next(n for n in bundle.tape.nodes if n.op == "matvec")
+    assert projection.parents[0] is feature_leaf and feature_leaf.value is None
+    assert all(n.value is not None for n in bundle.tape.nodes if n.op == "leaf" and n.name)
     assert (features.tobytes(), model.params.vector.tobytes()) == before
 
 

@@ -1,6 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,8 +369,9 @@ def test_the_validation_loss_stays_exact_past_softmax_underflow():
 
 
 def _stream_from_disk(tmp_path, monkeypatch, bags):
-    """The bags as a loaded manifest, and for each feature read the count of
-    arrays from earlier reads still alive at that moment."""
+    """The bags as a loaded manifest, for each feature read the count of
+    arrays from earlier reads still alive at that moment, and a weak
+    reference to each array read."""
     for bag in bags:
         data_io.write_sequence_file(tmp_path / f"{bag.id}.seqf", bag.features)
     data_io.write_manifest(tmp_path / "manifest.csv", [
@@ -381,14 +387,14 @@ def _stream_from_disk(tmp_path, monkeypatch, bags):
         return matrix
 
     monkeypatch.setattr(data_io, "read_sequence_file", tracked)
-    return on_disk, alive_at_read
+    return on_disk, alive_at_read, earlier
 
 
 def test_evaluating_a_manifest_holds_one_bag_and_matches_the_bags_in_memory(tmp_path, monkeypatch):
     from s4mil.train import evaluate_model
 
     bags = tiny_bags(n=3)
-    on_disk, alive_at_read = _stream_from_disk(tmp_path, monkeypatch, bags)
+    on_disk, alive_at_read, _ = _stream_from_disk(tmp_path, monkeypatch, bags)
     streamed = evaluate_model(tiny_model(), on_disk)
     assert alive_at_read == [0, 0, 0]
     held = evaluate_model(tiny_model(), bags)
@@ -399,12 +405,107 @@ def test_fit_on_a_manifest_holds_at_most_two_bags_and_matches_the_bags_in_memory
                                                                                  monkeypatch):
     # The previous bag's tape (and its features) lives until the next one is built.
     bags = tiny_bags(n=6)
-    on_disk, alive_at_read = _stream_from_disk(tmp_path, monkeypatch, bags)
+    on_disk, alive_at_read, _ = _stream_from_disk(tmp_path, monkeypatch, bags)
     cfg = TrainConfig(learning_rate=3e-3, max_epochs=2)
     streamed = fit(tiny_model(), on_disk[:4], on_disk[4:], cfg)
     assert len(alive_at_read) == 2 * 6 and max(alive_at_read) == 1
     held = fit(tiny_model(), bags[:4], bags[4:], cfg)
     assert streamed.model.params.vector.tobytes() == held.model.params.vector.tobytes()
+
+
+@pytest.mark.parametrize("through", ["forward_mil", "evaluate_model"])
+def test_a_file_backed_bags_features_are_freed_before_the_layernorm(tmp_path, monkeypatch, through):
+    # A file-backed bag reads a fresh array that only the forward holds, and
+    # only the projection reads it: it is dead when the layernorm starts.
+    from s4mil.autograd import Tape
+    from s4mil.model import forward_mil
+
+    on_disk, _, reads = _stream_from_disk(tmp_path, monkeypatch, tiny_bags(n=2))
+    layernorm = Tape.layernorm
+    alive_at_layernorm = []
+
+    def spy(self, *args):
+        alive_at_layernorm.append(sum(ref() is not None for ref in reads))
+        return layernorm(self, *args)
+
+    monkeypatch.setattr(Tape, "layernorm", spy)
+    model = tiny_model()
+    if through == "forward_mil":
+        for bag in on_disk:
+            forward_mil(model, bag.features)
+    else:
+        train.evaluate_model(model, on_disk)
+    assert len(reads) == 2 and alive_at_layernorm == [0, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_gradient_tape_keeps_a_file_backed_bags_features_for_its_backward(tmp_path, monkeypatch,
+                                                                            dtype):
+    # The projection's weight gradient reads the features, so a gradient tape
+    # keeps its feature leaf (on a float32 tape, the array read itself), and
+    # its gradients are those of the bag held in memory, byte for byte.
+    from s4mil.model import build_tape
+
+    bags = tiny_bags(n=2, seed=3)[:1]
+    on_disk, _, reads = _stream_from_disk(tmp_path, monkeypatch, bags)
+    model = tiny_model()
+    bundle = build_tape(model.config, model.params, on_disk[0].features, slide_label=1, dtype=dtype)
+    (feature_leaf,) = [n for n in bundle.tape.nodes if n.op == "leaf" and n.name is None]
+    assert feature_leaf.value.tobytes() == bags[0].features.astype(dtype).tobytes()
+    if dtype == np.float32:
+        assert feature_leaf.value is reads[0]()
+    grads = bundle.tape.backward()
+    assert feature_leaf.value is not None
+    held = build_tape(model.config, model.params, bags[0].features, slide_label=1, dtype=dtype)
+    held_grads = held.tape.backward()
+    assert grads.keys() == held_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == held_grads[name].tobytes(), name
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, which Linux reports")
+def test_evaluating_a_file_backed_bag_peaks_below_its_features_plus_two_planes(tmp_path):
+    # At L=16384, D=1024, H=512 the features take 64 MiB and an (L, H) float32
+    # plane 32 MiB.  A forward that held the features to its end would raise
+    # the high-water mark by the features plus 3 planes; freeing them after
+    # the projection leaves the larger of the features plus one plane and the
+    # GLU's 3 planes.  The evaluation runs in a child process, after a
+    # 64-token forward has paid for the imports.  The child reads its own
+    # memory's high-water mark (VmHWM): its ru_maxrss would start at the test
+    # process's, which it inherits across exec.
+    length, dim, hidden = 16384, 1024, 512
+    features = np.random.default_rng(0).standard_normal((length, dim), dtype=np.float32)
+    data_io.write_sequence_file(tmp_path / "bag.seqf", features)
+    data_io.write_manifest(tmp_path / "manifest.csv",
+                           [{"id": "long", "label": 1, "features": "bag.seqf"}])
+    del features
+    script = textwrap.dedent(f"""
+        import re, sys
+        import numpy as np
+        from s4mil import data_io, model, train
+
+        def high_water_kib():
+            with open("/proc/self/status") as fh:
+                return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+        config = model.ModelConfig(input_dim={dim}, hidden_dim={hidden}, state_dim=32)
+        mil = model.init_parameters(config, seed=0)
+        model.forward_mil(mil, np.ones((64, {dim}), dtype=np.float32))
+        before = high_water_kib()
+        train.evaluate_model(mil, data_io.load_manifest(sys.argv[1]))
+        print(high_water_kib() - before)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "manifest.csv")],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    growth = int(proc.stdout.split()[-1]) * 1024
+    bound = length * dim * 4 + 2 * length * hidden * 4
+    assert growth < bound, (f"evaluation raised the high-water mark by {growth / 2 ** 20:.1f} MiB, "
+                            f"not below the features plus two planes ({bound / 2 ** 20:.0f} MiB)")
 
 
 def test_fit_restores_best_validation_parameters():
